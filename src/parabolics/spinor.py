@@ -23,12 +23,10 @@ import numpy as np
 from .cxlinalg import BilinearSpace
 
 
-def _insert_sign(subset: tuple[int, ...], i: int) -> int:
+def _sign_below(subset: tuple[int, ...], i: int) -> int:
+    """(-1)^(number of elements of subset below i): the sign of moving e_i
+    (or e*_i) past them, for wedging by e_i and contracting by e*_i alike."""
     return -1 if sum(1 for s in subset if s < i) % 2 else 1
-
-
-def _drop_sign(subset: tuple[int, ...], i: int) -> int:
-    return -1 if subset.index(i) % 2 else 1
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -71,16 +69,11 @@ class SpinModule:
         v = np.asarray(v, dtype=complex)
         if v.shape != (2 * self.m,):
             raise ValueError(f"vector must live in C^{2 * self.m}")
+        flat, gen, sign = _rho_scatter(self.m)
         M = np.zeros((self.dim, self.dim), dtype=complex)
-        for col, s in enumerate(self.basis):
-            for i in range(self.m):
-                if v[i] != 0 and i not in s:  # wedge by e_i
-                    t = tuple(sorted(s + (i,)))
-                    M[self.index[t], col] += v[i] * _insert_sign(s, i)
-                ci = v[self.m + i]
-                if ci != 0 and i in s:  # contract by e*_i
-                    t = tuple(x for x in s if x != i)
-                    M[self.index[t], col] += ci * _drop_sign(s, i)
+        # Adding to a zero entry, as an entry-wise build does, turns the
+        # -0.0 parts of v[gen] * sign into +0.0.
+        M.flat[flat] = 0 + v[gen] * sign
         return M
 
     def pairing(self, v, w) -> complex:
@@ -105,11 +98,8 @@ class SpinModule:
 
     @property
     def form_gram(self) -> np.ndarray:
-        G = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, s in enumerate(self.basis):
-            for j, t in enumerate(self.basis):
-                G[i, j] = self.form_value(s, t)
-        return G
+        """Gram matrix of the form on the basis (cached per m, read-only)."""
+        return _form_gram(self.m)
 
     def half_space(self, side: str) -> BilinearSpace:
         """The form restricted to S+ (side='+') or S- (side='-')."""
@@ -142,10 +132,49 @@ class SpinModule:
 
 @lru_cache(maxsize=None)
 def spin_module(m: int) -> SpinModule:
+    if m < 1:
+        raise ValueError(f"spinor modules need m >= 1, got m = {m}")
     basis = tuple(
         s for r in range(m + 1) for s in combinations(range(m), r)
     )
     return SpinModule(m=m, basis=basis, index={s: k for k, s in enumerate(basis)})
+
+
+@lru_cache(maxsize=None)
+def _rho_scatter(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where rho(v) is nonzero: flat (row, col) positions, the coordinate of
+    v and the sign for each.  Column s gets e_i ^ s for each i not in s and
+    the contraction of s by e*_i for each i in s, so for a fixed column the
+    2m generators hit m distinct rows and no position is written twice."""
+    sm = spin_module(m)
+    flat, gen, sign = [], [], []
+    for col, s in enumerate(sm.basis):
+        for i in range(m):
+            if i in s:  # contract by e*_i
+                t, g = tuple(x for x in s if x != i), m + i
+            else:  # wedge by e_i
+                t, g = tuple(sorted(s + (i,))), i
+            flat.append(sm.index[t] * sm.dim + col)
+            gen.append(g)
+            sign.append(_sign_below(s, i))
+    return np.array(flat), np.array(gen), np.array(sign, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _form_gram(m: int) -> np.ndarray:
+    """The form value on basis elements (s, t) is nonzero only for t the
+    complement of s, so the Gram is a signed permutation matrix.  For
+    |s| = k the merge of s with its complement has sum(s) - k(k-1)/2
+    inversions."""
+    sm = spin_module(m)
+    G = np.zeros((sm.dim, sm.dim), dtype=complex)
+    for i, s in enumerate(sm.basis):
+        k = len(s)
+        sign = -1 if (sum(s) - k * (k - 1) // 2) % 2 else 1
+        complement = tuple(x for x in range(m) if x not in s)
+        G[i, sm.index[complement]] = -sign if (k // 2) % 2 else sign
+    G.setflags(write=False)  # shared by every half_space and caller
+    return G
 
 
 def spin_form(u, v, m: int) -> complex:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from parabolics.classify import (
@@ -87,3 +89,25 @@ def test_ample_facts_registry():
     reg.register(AmpleFact("custom shape", False, "external list"))
     assert reg.lookup("custom shape").ample is False
     assert "custom shape" in reg.shapes()
+
+
+def test_bundled_table_is_read_once(monkeypatch):
+    from parabolics import classify
+
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        if self.name == "table.txt":
+            reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    classify._parse_default_table.cache_clear()
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    for _ in range(15):
+        assert match_table_entry("E7", [1]) is None
+    assert len(reads) == 1
+    assert isinstance(load_table(), tuple)
+    # an explicit path is parsed every time
+    load_table(reads[0])
+    assert len(reads) == 2

@@ -117,3 +117,34 @@ def test_cli_verify_all_detects_corrupt_data(tmp_path, monkeypatch):
     monkeypatch.setenv(wd.DATA_DIR_ENV, str(tmp_path))
     code, out = run_cli("verify-case", "--all")
     assert code == 1 and "FAIL" in out
+
+
+def test_parse_diagram_reports_bad_token_position():
+    for text, pos in [("E7/1,x", 5), ("E7/x", 3), ("E7/1,3, y", 8), ("E7/1,,3", 5)]:
+        with pytest.raises(ValueError, match=rf"\(position {pos}\)"):
+            parse_diagram(text)
+    code, out = run_cli("grade", "E7/1,x")
+    assert code == 2 and "(position 5)" in out
+
+
+@pytest.mark.parametrize("command", ["verify-all", "lemma"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_rejects_trials_below_one(command, trials):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--trials", trials)
+    assert exc.value.code == 2
+
+
+def test_cli_trials_error_names_the_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-all", "--trials", "0"])
+    err = capsys.readouterr().err
+    assert "--trials" in err and "[PASS]" not in err
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_cli_spinor_rejects_m_below_one(m):
+    code, out = run_cli("spinor", "--m", m)
+    assert code == 2
+    assert f"m = {m}" in out
+    assert "dim S+" not in out and "Traceback" not in out

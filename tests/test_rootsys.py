@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from parabolics import rootsys
 from parabolics.rootsys import (
     POSITIVE_ROOT_COUNTS,
     InvalidTypeError,
@@ -203,3 +206,64 @@ def test_root_sum_table_matches_membership():
         for j in range(len(pos)):
             s = tuple(x + y for x, y in zip(pos[i], pos[j]))
             assert table[i, j] == rs.contains(s)
+
+
+# ------------------------------------------- root-sum table: exactness oracle
+
+
+def _sum_table_loop(rs):
+    """Reference: test every pair of positive roots by set membership."""
+    pos = np.array(rs.positive_roots, dtype=np.int64)
+    index = {r: k for k, r in enumerate(rs.positive_roots)}
+    n = len(pos)
+    table = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        sums = pos[i] + pos
+        for j in range(n):
+            if tuple(sums[j]) in index:
+                table[i, j] = True
+    return table
+
+
+ORACLE_TYPES = (
+    [("A", r) for r in range(1, 13)]
+    + [("B", r) for r in range(2, 11)]
+    + [("C", r) for r in range(2, 11)]
+    + [("D", r) for r in range(3, 15)]
+    + [("E", r) for r in (6, 7, 8)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("kind,rank", ORACLE_TYPES)
+def test_root_sum_table_equals_loop_oracle(kind, rank):
+    rs = build_root_system(kind, rank)
+    assert np.array_equal(rs.root_sum_is_root, _sum_table_loop(rs))
+
+
+def test_root_sum_table_d40_counts_and_budget():
+    # Simply laced: a positive root of height h is the sum of two positive
+    # roots in exactly 2(h - 1) ordered ways.
+    rs = build_root_system("D", 40)
+    start = time.perf_counter()
+    table = rootsys._sum_table_cached.__wrapped__(("D", 40))  # cold build
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"D40 root-sum table took {elapsed:.2f} s"
+    assert int(table.sum()) == 2 * sum(sum(r) - 1 for r in rs.positive_roots)
+    assert np.array_equal(table, rs.root_sum_is_root)
+
+
+def test_root_keys_must_be_distinct(monkeypatch):
+    # Weights linear in the coordinate index give equal keys to different
+    # roots of A5; the table build must refuse them rather than guess.
+    monkeypatch.setattr(rootsys, "_splitmix64", lambda k: 3 * (k + 1))
+    with pytest.raises(AssertionError, match="A5"):
+        rootsys._sum_table_cached.__wrapped__(("A", 5))
+
+
+@pytest.mark.parametrize("attr", ["root_sum_is_root", "positive_array"])
+def test_cached_root_arrays_are_read_only(attr):
+    arr = getattr(build_root_system("E", 6), attr)
+    with pytest.raises(ValueError):
+        arr[0, 0] = not arr[0, 0]
+    assert not arr.flags.writeable

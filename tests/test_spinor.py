@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from parabolics import spinor
 from parabolics.cxlinalg import restriction_invariants
 from parabolics.spinor import rho_span, spin_form, spin_module
 
@@ -141,3 +144,69 @@ def test_rho_half_consistency(sm4):
     full = sm4.from_half(s_half, "+")
     out_full = sm4.rho(v) @ full
     assert np.allclose(sm4.to_half(out_full, "-"), sm4.rho_half(v, "+") @ s_half)
+
+
+# ------------------------------------------ exactness oracles and caching
+
+
+def _form_gram_loop(sm):
+    """Reference: the form value on every pair of basis elements."""
+    G = np.zeros((sm.dim, sm.dim), dtype=complex)
+    for i, s in enumerate(sm.basis):
+        for j, t in enumerate(sm.basis):
+            G[i, j] = sm.form_value(s, t)
+    return G
+
+
+def _rho_loop(sm, v):
+    """Reference: rho(v) column by column, wedging by e_i and contracting by
+    e*_i; both signs are (-1)^(number of elements of s below i)."""
+    v = np.asarray(v, dtype=complex)
+    M = np.zeros((sm.dim, sm.dim), dtype=complex)
+    for col, s in enumerate(sm.basis):
+        for i in range(sm.m):
+            sign = -1 if sum(1 for x in s if x < i) % 2 else 1
+            if v[i] != 0 and i not in s:
+                M[sm.index[tuple(sorted(s + (i,)))], col] += v[i] * sign
+            ci = v[sm.m + i]
+            if ci != 0 and i in s:
+                M[sm.index[tuple(x for x in s if x != i)], col] += ci * sign
+    return M
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_form_gram_equals_loop_oracle(m):
+    sm = spin_module(m)
+    assert np.array_equal(sm.form_gram, _form_gram_loop(sm))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_rho_equals_loop_oracle(m):
+    sm = spin_module(m)
+    rng = np.random.default_rng(100 + m)
+    for _ in range(5):
+        v = _crandom(rng, 2 * m)
+        v[rng.random(2 * m) < 0.3] = 0
+        got, want = sm.rho(v), _rho_loop(sm, v)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+        assert sm.rho(v.real).tobytes() == _rho_loop(sm, v.real).tobytes()
+
+
+def test_form_gram_cached_read_only_and_fast():
+    sm = spin_module(10)
+    start = time.perf_counter()
+    spinor._form_gram.__wrapped__(10)  # cold build
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.05, f"form_gram at m=10 took {elapsed * 1e3:.1f} ms"
+    G = sm.form_gram
+    assert G is sm.form_gram  # built once per process
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 1
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_spin_module_rejects_m_below_one(m):
+    with pytest.raises(ValueError, match=f"m = {m}"):
+        spin_module(m)
