@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from .grading import Grading, diagram, compute_grading
+from .grading import ColouredDiagram, Grading, diagram, compute_grading
 from .rootsys import RootSystem
 from .walkdiag import CaseDataError, data_path
 
@@ -74,7 +74,7 @@ def scan_parabolics(rs: RootSystem) -> list[ScanRecord]:
     vertices = range(1, rs.rank + 1)
     for k in range(rs.rank):
         for black in combinations(vertices, k):
-            g = compute_grading(diagram(rs.name, black))
+            g = compute_grading(ColouredDiagram(rs, frozenset(black)))
             records.append(ScanRecord(black, len(g.positive_nonreduced_weights())))
     return records
 
@@ -93,7 +93,8 @@ class TableReport:
 
 def check_table(entries: Sequence[TableEntry] | None = None) -> TableReport:
     """Every table entry must have >= 2 non-reduced positive weights."""
-    entries = entries or load_table()
+    if entries is None:
+        entries = load_table()
     counts = {}
     for e in entries:
         g = compute_grading(diagram(e.group, e.black))
@@ -103,7 +104,8 @@ def check_table(entries: Sequence[TableEntry] | None = None) -> TableReport:
 
 def match_table_entry(group: str, black, entries: Sequence[TableEntry] | None = None) -> int | None:
     """Table entry whose colouring equals the given one, if any."""
-    entries = entries or load_table()
+    if entries is None:
+        entries = load_table()
     black = tuple(sorted(black))
     for e in entries:
         if e.group == group and tuple(sorted(e.black)) == black:

@@ -5,12 +5,17 @@ Restricting each root to its coefficients at the white vertices partitions
 the root set into components indexed by integer weight vectors; the zero
 weight collects the Levi roots.  Weights are plain tuples of ints, ordered
 by ascending white vertex index.
+
+A grading is computed from the positive roots alone: each gets one integer
+key whose order is the lexicographic order of its weight, one stable sort
+groups them, and the negative components are the positive ones negated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import pairwise
 
 import numpy as np
 
@@ -31,7 +36,7 @@ class ColouredDiagram:
         if self.black == vertices:
             raise ValueError("no white vertex: the parabolic subgroup must be proper")
 
-    @property
+    @cached_property
     def white(self) -> tuple[int, ...]:
         return tuple(sorted(set(range(1, self.rs.rank + 1)) - self.black))
 
@@ -55,32 +60,38 @@ class Grading:
     diagram: ColouredDiagram
     components: dict[Weight, tuple[Root, ...]] = field(repr=False)
     zero_component: tuple[Root, ...] = field(repr=False)
+    #: Nonzero weights with all coefficients >= 0, lexicographically sorted.
+    positive_weights: tuple[Weight, ...] = field(repr=False)
+    #: Component of each of rs.positive_roots: 0 for the Levi, k for
+    #: positive_weights[k - 1].
+    _component_of: np.ndarray = field(repr=False, compare=False)
 
     @property
     def rs(self) -> RootSystem:
         return self.diagram.rs
 
     @cached_property
-    def positive_weights(self) -> tuple[Weight, ...]:
-        """Nonzero weights with all coefficients >= 0, lexicographically sorted."""
-        return tuple(sorted(w for w in self.components if min(w) >= 0))
+    def _weight_ids(self) -> dict[Weight, int]:
+        return {w: k for k, w in enumerate(self.positive_weights, start=1)}
 
     @cached_property
-    def _component_indices(self) -> dict[Weight, np.ndarray]:
-        """Weight -> indices into rs.positive_roots (positive weights only)."""
-        index = {r: k for k, r in enumerate(self.rs.positive_roots)}
-        return {
-            w: np.array(sorted(index[r] for r in roots), dtype=np.intp)
-            for w, roots in self.components.items()
-            if min(w) >= 0
-        }
+    def _raisable(self) -> np.ndarray:
+        """Whether some positive Levi root added to each positive root gives
+        a root (the sum table is symmetric, so its Levi rows serve)."""
+        levi = np.flatnonzero(self._component_of == 0)
+        return self.rs.root_sum_is_root[levi].any(axis=0)
 
     @cached_property
-    def _levi_positive_indices(self) -> np.ndarray:
-        index = {r: k for k, r in enumerate(self.rs.positive_roots)}
-        return np.array(
-            sorted(index[r] for r in self.zero_component if sum(r) > 0), dtype=np.intp
-        )
+    def _highest_counts(self) -> list[int]:
+        """Number of roots in each component that no positive Levi root raises."""
+        return np.bincount(self._component_of[~self._raisable],
+                           minlength=len(self.positive_weights) + 1).tolist()
+
+    def component_indices(self, chi: Weight) -> np.ndarray | None:
+        """Indices into rs.positive_roots of the roots of weight chi, ascending;
+        None when chi is not a positive weight."""
+        k = self._weight_ids.get(tuple(chi))
+        return None if k is None else np.flatnonzero(self._component_of == k)
 
     def is_weight(self, chi: Weight) -> bool:
         return tuple(chi) in self.components
@@ -100,43 +111,109 @@ class Grading:
 
     def highest_root_of(self, chi: Weight) -> tuple[Root, ...]:
         """Roots of the component that no positive Levi root raises further."""
-        chi = tuple(chi)
-        if chi not in self._component_indices:
-            raise ValueError(f"{chi} is not a positive weight of {self.diagram}")
-        idx = self._component_indices[chi]
-        levi = self._levi_positive_indices
-        table = self.rs.root_sum_is_root
-        if len(levi) == 0:
-            raisable = np.zeros(len(idx), dtype=bool)
-        else:
-            raisable = table[np.ix_(idx, levi)].any(axis=1)
+        idx = self.component_indices(chi)
+        if idx is None:
+            raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
         pos = self.rs.positive_roots
-        return tuple(pos[i] for i in idx[~raisable])
+        return tuple(pos[i] for i in idx[~self._raisable[idx]])
 
     def is_irreducible_component(self, chi: Weight) -> bool:
         """True iff the component has a unique highest root under the Levi."""
-        return len(self.highest_root_of(chi)) == 1
+        k = self._weight_ids.get(tuple(chi))
+        if k is None:
+            raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
+        return self._highest_counts[k] == 1
 
     def weight_label(self, chi: Weight) -> str:
         """Coefficients in white-vertex order, e.g. '(0,1)'."""
         return "(" + ",".join(str(c) for c in chi) + ")"
 
 
+@dataclass(frozen=True)
+class _LexRoots:
+    """The positive roots of one type in lexicographic order."""
+
+    array: np.ndarray  # (N, rank) coefficients, one row per root
+    position: np.ndarray  # index of each row in rs.positive_roots
+    roots: tuple[Root, ...]  # the rows as tuples
+    negatives: tuple[Root, ...]  # the rows negated
+    bases: tuple[int, ...]  # 1 + the highest root's coefficient, per coordinate
+
+
+# Keys stay at most 2^62, so int64 arithmetic on them cannot overflow.
+_KEY_LIMIT = 1 << 62
+
+
+@lru_cache(maxsize=None)
+def _lex_roots(kind: str, rank: int) -> _LexRoots:
+    rs = build_root_system(kind, rank)
+    pos = rs.positive_roots
+    position = sorted(range(len(pos)), key=pos.__getitem__)
+    roots = tuple(pos[k] for k in position)
+    array = rs.positive_array[position]
+    array.setflags(write=False)  # shared by every grading of this type
+    return _LexRoots(
+        array=array,
+        position=np.array(position, dtype=np.intp),
+        roots=roots,
+        negatives=tuple(tuple(-c for c in r) for r in roots),
+        # Every positive root lies below the highest one, the last by height.
+        bases=tuple(c + 1 for c in pos[-1]),
+    )
+
+
+def _weight_keys(lex: _LexRoots, white: list[int]) -> np.ndarray:
+    """A key per positive root whose order is the lexicographic order of its
+    white coefficients: their mixed-radix value, first white coordinate most
+    significant.  If the radix would pass 2^62 (only at large ranks), the
+    value of the less significant coordinates is replaced by its dense rank,
+    which keeps its order, and the radix restarts at the number of roots."""
+    place = np.zeros(len(lex.bases), dtype=np.int64)
+    low, radix = 0, 1
+    for i in reversed(white):
+        if radix * lex.bases[i] > _KEY_LIMIT:
+            low = np.unique(lex.array @ place + low, return_inverse=True)[1]
+            place[:] = 0
+            radix = len(lex.array)
+        place[i] = radix
+        radix *= lex.bases[i]
+    return lex.array @ place + low
+
+
 def compute_grading(diag: ColouredDiagram) -> Grading:
-    rs = diag.rs
+    lex = _lex_roots(diag.rs.kind, diag.rs.rank)
     white = [w - 1 for w in diag.white]
-    components: dict[Weight, list[Root]] = {}
-    zero: list[Root] = []
-    for r in rs.roots:
-        w = tuple(r[i] for i in white)
-        if any(w):
-            components.setdefault(w, []).append(r)
-        else:
-            zero.append(r)
+    key = _weight_keys(lex, white)
+    # A stable sort keeps each component in the lexicographic root order.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    before = np.zeros_like(key)
+    before[1:] = key[:-1]
+    new = key != before  # a positive weight's first root
+    starts = np.flatnonzero(new)  # never empty: each white simple root is one
+    component_of = np.empty(len(key), dtype=np.intp)
+    component_of[lex.position[order]] = np.cumsum(new)
+
+    weights = lex.array[order[starts]][:, white]
+    positive = list(map(tuple, weights.tolist()))
+    negative = list(map(tuple, (-weights).tolist()))
+    rows = order.tolist()
+    n = len(rows)
+    pos = [lex.roots[i] for i in rows]
+    # neg[n - 1 - t] is pos[t] negated: negation reverses lexicographic order.
+    neg = [lex.negatives[i] for i in reversed(rows)]
+    bounds = starts.tolist() + [n]
+    spans = list(pairwise(bounds))
+    # Every weight with a negative coefficient sorts before every positive one.
+    components = dict(zip(negative[::-1], [tuple(neg[n - b:n - a]) for a, b in spans[::-1]]))
+    components.update(zip(positive, [tuple(pos[a:b]) for a, b in spans]))
+    levi = bounds[0]
     return Grading(
         diagram=diag,
-        components={w: tuple(sorted(rr)) for w, rr in sorted(components.items())},
-        zero_component=tuple(sorted(zero)),
+        components=components,
+        zero_component=tuple(neg[n - levi:] + pos[:levi]),
+        positive_weights=tuple(positive),
+        _component_of=component_of,
     )
 
 

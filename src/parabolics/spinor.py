@@ -47,12 +47,17 @@ class SpinModule:
         return 1 << self.m
 
     @property
-    def even_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, s in enumerate(self.basis) if len(s) % 2 == 0)
+    def even_indices(self) -> np.ndarray:
+        """Basis indices of S+, ascending (cached per m, read-only)."""
+        return _half_indices(self.m)[0]
 
     @property
-    def odd_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, s in enumerate(self.basis) if len(s) % 2 == 1)
+    def odd_indices(self) -> np.ndarray:
+        """Basis indices of S-, ascending (cached per m, read-only)."""
+        return _half_indices(self.m)[1]
+
+    def _side_indices(self, side: str) -> np.ndarray:
+        return self.even_indices if side == "+" else self.odd_indices
 
     def vector(self, *subsets, coeffs=None) -> np.ndarray:
         """Element of Lambda* U as a coordinate vector, e.g. vector((), (0,1))."""
@@ -102,32 +107,28 @@ class SpinModule:
         return _form_gram(self.m)
 
     def half_space(self, side: str) -> BilinearSpace:
-        """The form restricted to S+ (side='+') or S- (side='-')."""
+        """The form restricted to S+ (side='+') or S- (side='-'), cached per
+        (m, side) with a read-only Gram."""
         if self.m % 2:
             raise ValueError("the spinor form needs even m")
-        idx = self.even_indices if side == "+" else self.odd_indices
-        G = self.form_gram[np.ix_(idx, idx)]
-        return BilinearSpace(f"spinor-form({self.m}){side}", len(idx), G)
+        return _half_space(self.m, side)
 
     def half_basis_subsets(self, side: str) -> tuple[tuple[int, ...], ...]:
-        idx = self.even_indices if side == "+" else self.odd_indices
-        return tuple(self.basis[k] for k in idx)
+        return tuple(self.basis[k] for k in self._side_indices(side))
 
     def to_half(self, v: np.ndarray, side: str) -> np.ndarray:
-        idx = self.even_indices if side == "+" else self.odd_indices
-        return np.asarray(v)[list(idx)]
+        return np.asarray(v)[self._side_indices(side)]
 
     def from_half(self, v: np.ndarray, side: str) -> np.ndarray:
-        idx = self.even_indices if side == "+" else self.odd_indices
         out = np.zeros(self.dim, dtype=complex)
-        out[list(idx)] = v
+        out[self._side_indices(side)] = v
         return out
 
     def rho_half(self, v: np.ndarray, side: str) -> np.ndarray:
         """rho(v) as a map S(side) -> S(-side), in half coordinates."""
-        src = self.even_indices if side == "+" else self.odd_indices
+        src = self._side_indices(side)
         dst = self.odd_indices if side == "+" else self.even_indices
-        return self.rho(v)[np.ix_(dst, src)]
+        return self.rho(v)[dst[:, None], src]
 
 
 @lru_cache(maxsize=None)
@@ -138,6 +139,25 @@ def spin_module(m: int) -> SpinModule:
         s for r in range(m + 1) for s in combinations(range(m), r)
     )
     return SpinModule(m=m, basis=basis, index={s: k for k, s in enumerate(basis)})
+
+
+@lru_cache(maxsize=None)
+def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of the even and of the odd subsets."""
+    parity = np.array([len(s) % 2 for s in spin_module(m).basis])
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    even.setflags(write=False)
+    odd.setflags(write=False)
+    return even, odd
+
+
+@lru_cache(maxsize=None)
+def _half_space(m: int, side: str) -> BilinearSpace:
+    sm = spin_module(m)
+    idx = sm._side_indices(side)
+    G = sm.form_gram[idx[:, None], idx]
+    G.setflags(write=False)  # shared by every caller of this (m, side)
+    return BilinearSpace(f"spinor-form({m}){side}", len(idx), G)
 
 
 @lru_cache(maxsize=None)

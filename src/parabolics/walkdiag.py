@@ -65,8 +65,8 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
 
 def bracket_is_full(g: Grading, chi1: Weight, chi2: Weight) -> bool:
     """Whether some root of chi1 plus some root of chi2 is a root."""
-    i1 = g._component_indices.get(tuple(chi1))
-    i2 = g._component_indices.get(tuple(chi2))
+    i1 = g.component_indices(chi1)
+    i2 = g.component_indices(chi2)
     if i1 is None or i2 is None:
         return False
     return bool(g.rs.root_sum_is_root[np.ix_(i1, i2)].any())

@@ -111,3 +111,18 @@ def test_bundled_table_is_read_once(monkeypatch):
     # an explicit path is parsed every time
     load_table(reads[0])
     assert len(reads) == 2
+
+
+def test_check_table_of_no_entries_checks_nothing():
+    report = check_table([])
+    assert report.counts == {}
+    assert check_table(()).counts == {}
+    # one explicit entry is checked alone
+    assert list(check_table(load_table()[:1]).counts) == [load_table()[0].index]
+
+
+def test_match_table_entry_in_no_entries_finds_nothing():
+    first = load_table()[0]
+    assert match_table_entry(first.group, first.black) == first.index
+    assert match_table_entry(first.group, first.black, []) is None
+    assert match_table_entry(first.group, first.black, ()) is None

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,113 @@ def test_grading_components_sorted_deterministically():
     g2 = grade("E7", [2, 4, 5])
     assert list(g1.components) == list(g2.components)
     assert g1.positive_weights == g2.positive_weights
+
+
+# ------------------------------------------------ gradings: exactness oracle
+
+
+def _grading_loop(diag):
+    """Reference: weigh every root, positive and negative, one at a time."""
+    white = [w - 1 for w in diag.white]
+    components, zero = {}, []
+    for r in diag.rs.roots:
+        w = tuple(r[i] for i in white)
+        if any(w):
+            components.setdefault(w, []).append(r)
+        else:
+            zero.append(r)
+    return ({w: tuple(sorted(rr)) for w, rr in sorted(components.items())},
+            tuple(sorted(zero)))
+
+
+def _highest_roots_loop(g, chi):
+    """Reference: the component's indices into rs.positive_roots and the roots
+    no positive Levi root raises, from one np.ix_ slice of the sum table."""
+    rs = g.rs
+    index = {r: k for k, r in enumerate(rs.positive_roots)}
+    idx = np.array(sorted(index[r] for r in g.components[chi]), dtype=np.intp)
+    levi = np.array(sorted(index[r] for r in g.zero_component if sum(r) > 0), dtype=np.intp)
+    if len(levi) == 0:
+        raisable = np.zeros(len(idx), dtype=bool)
+    else:
+        raisable = rs.root_sum_is_root[np.ix_(idx, levi)].any(axis=1)
+    return idx, tuple(rs.positive_roots[i] for i in idx[~raisable])
+
+
+def _assert_matches_oracles(g):
+    components, zero = _grading_loop(g.diagram)
+    assert list(g.components) == list(components)
+    assert g.components == components
+    assert g.zero_component == zero
+    assert g.positive_weights == tuple(sorted(w for w in components if min(w) >= 0))
+    for w in g.positive_weights:
+        idx, tops = _highest_roots_loop(g, w)
+        assert g.component_indices(w).tolist() == idx.tolist()
+        assert g.highest_root_of(w) == tops
+        assert g.is_irreducible_component(w) is (len(tops) == 1)
+
+
+def _all_colourings(rank):
+    return [black for k in range(rank) for black in combinations(range(1, rank + 1), k)]
+
+
+def _seeded_colourings(rank, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        black = [v for v in range(1, rank + 1) if rng.random() < 0.5]
+        if len(black) < rank:
+            out.append(black)
+    return out
+
+
+EVERY_COLOURING = (
+    ["E6", "E7", "E8", "F4", "G2"]
+    + [f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 6)]
+    + [f"C{r}" for r in range(2, 6)] + [f"D{r}" for r in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("name", EVERY_COLOURING)
+def test_grading_equals_loop_oracle_every_colouring(name):
+    rank = int(name[1:])
+    for black in _all_colourings(rank):
+        _assert_matches_oracles(grade(name, black))
+
+
+@pytest.mark.parametrize("name", ["A20", "B14", "C14", "D24"])
+def test_grading_equals_loop_oracle_seeded(name):
+    for black in _seeded_colourings(int(name[1:]), 6, seed=int(name[1:])):
+        _assert_matches_oracles(grade(name, black))
+
+
+def test_grading_keys_fold_at_large_rank():
+    # 2^62 < 2^k for k >= 63 white vertices of A70 (every coefficient bound
+    # is 2), so the key folds its low coordinates into their rank once.
+    for black in ([], [5, 40], list(range(1, 8, 2))):
+        g = grade("A70", black)
+        components, zero = _grading_loop(g.diagram)
+        assert list(g.components) == list(components)
+        assert g.components == components and g.zero_component == zero
+    for w in g.positive_weights[:3] + g.positive_weights[-3:]:
+        idx, tops = _highest_roots_loop(g, w)
+        assert g.component_indices(w).tolist() == idx.tolist()
+        assert g.highest_root_of(w) == tops
+
+
+def test_component_indices_of_non_positive_weights():
+    g = grade("E7", [1, 3, 4, 6, 7])
+    assert g.component_indices((0, -1)) is None
+    assert g.component_indices((9, 9)) is None
+    assert g.component_indices((0, 0)) is None
+    with pytest.raises(ValueError):
+        g.highest_root_of((0, -1))
+    with pytest.raises(ValueError):
+        g.is_irreducible_component((0, 0))
+
+
+def test_borel_grading_has_empty_levi():
+    g = grade("E6", [])
+    assert g.zero_component == ()
+    assert len(g.positive_weights) == 36
+    assert all(g.is_irreducible_component(w) for w in g.positive_weights)

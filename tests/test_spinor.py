@@ -210,3 +210,35 @@ def test_form_gram_cached_read_only_and_fast():
 def test_spin_module_rejects_m_below_one(m):
     with pytest.raises(ValueError, match=f"m = {m}"):
         spin_module(m)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_half_indices_and_rho_half_equal_subset_parity(m):
+    sm = spin_module(m)
+    even = [k for k, s in enumerate(sm.basis) if len(s) % 2 == 0]
+    odd = [k for k, s in enumerate(sm.basis) if len(s) % 2 == 1]
+    assert sm.even_indices.tolist() == even and sm.odd_indices.tolist() == odd
+    assert not sm.even_indices.flags.writeable and not sm.odd_indices.flags.writeable
+    rng = np.random.default_rng(200 + m)
+    v = _crandom(rng, 2 * m)
+    v[rng.random(2 * m) < 0.3] = 0
+    R = sm.rho(v)
+    for side, src, dst in (("+", even, odd), ("-", odd, even)):
+        want = R[np.ix_(dst, src)]
+        assert sm.rho_half(v, side).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_half_space_cached_per_side_with_read_only_gram(m):
+    sm = spin_module(m)
+    for side, idx in (("+", sm.even_indices), ("-", sm.odd_indices)):
+        sp = sm.half_space(side)
+        assert sp is sm.half_space(side)
+        assert sp.kind == f"spinor-form({m}){side}" and sp.dim == len(idx)
+        assert np.array_equal(sp.gram, sm.form_gram[np.ix_(idx, idx)])
+        assert not sp.gram.flags.writeable
+        with pytest.raises(ValueError):
+            sp.gram[0, 0] = 1
+    assert sm.half_space("+") is not sm.half_space("-")
+    with pytest.raises(ValueError):
+        spin_module(m + 1).half_space("+")
