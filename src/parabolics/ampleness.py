@@ -6,29 +6,15 @@ space R.  A tensor is ample when the restriction of the form of R to the
 column span is nondegenerate or zero; every deformation search below
 re-checks that predicate on its candidate witness before reporting it.
 
-Variant catalogue (inputs -> witness; the deformed object in brackets):
-
-  1A  degenerate A: C^2->V, nontrivial B: C^2->C^p  ->  C  [A + CB]
-  1B  degenerate A, B: C^2->V                       ->  E  [A + BE]
-  1C  degenerate A, v off the cone                  ->  f  [A + v.f]
-  4A  non-ample A: C^k->C^n, nontrivial B: C^k->C^p ->  C  [A + CB]
-  4B  non-ample A: C^k->C^n, v != 0                 ->  f  [A + v.f]
-  5A  non-ample A: C^2->C^2xC^3, non-ample B        ->  E  [B + E o A]
-  5B  non-ample A: L2C^3->C^2xC^2, nontrivial B     ->  C  [A + B^C]
-  5C  v != 0, any B in L2C^3 x C^2                  ->  A  [B + v^A rank 2]
-  6A  non-ample A: C^2->L2C^4, non-ample B          ->  C  [B + A^C]
-  6B  non-ample A: L2C^4->C^2, non-ample B          ->  C  [A + B^C]
-  6C  non-ample A: C^2->L2C^4, w != 0               ->  B  [A + w^B]
-  6D  non-ample A in C^4xL2C^4, non-ample B         ->  C  [B + A^C]
-  6E  non-ample A in C^4xL2C^4, u != 0              ->  C  [A + C^u rowwise]
-  7A  non-ample A in C^k x S+, non-ample B (k=2,3)  ->  v  [B + rho(v)A]
-  7B  non-ample A in C^3 x S+, non-ample B in L2C^3 x S-  ->  x  [B + D(x)]
-  7C  non-ample A in C^3 x S-, nontrivial s in S+   ->  W  [A + rho(w_i)s]
+Each variant is one VariantSpec in SPECS, commented there with its inputs,
+its witness and, in brackets, the deformed object; deform() runs every one
+of them the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,12 +36,6 @@ AMPLE_NONDEG = "ample-nondeg"
 AMPLE_ISOTROPIC = "ample-isotropic"
 NOT_AMPLE = "not-ample"
 
-#: generic scaling sweep standing in for "for generic lambda"
-SWEEP = (1.0, 2.0, 3.0, 5.0, 7.0, 11.0)
-
-VARIANTS = ("1A", "1B", "1C", "4A", "4B", "5A", "5B", "5C",
-            "6A", "6B", "6C", "6D", "6E", "7A", "7B", "7C")
-
 
 class HypothesesNotMet(ValueError):
     """The task input does not satisfy the variant's hypotheses."""
@@ -73,29 +53,6 @@ def is_ample(A, space: BilinearSpace, rtol: float = DEFAULT_TOL) -> str:
 
 def ample(A, space: BilinearSpace, rtol: float = DEFAULT_TOL) -> bool:
     return is_ample(A, space, rtol) != NOT_AMPLE
-
-
-@dataclass(frozen=True)
-class AmpleInstance:
-    ambient: str
-    A: np.ndarray
-    classification: str
-
-
-def classify_instance(A, space: BilinearSpace) -> AmpleInstance:
-    return AmpleInstance(space.kind, np.asarray(A, dtype=complex), is_ample(A, space))
-
-
-def spinor_is_ample(A, side: str = "+", m: int = 4,
-                    rtol: float = DEFAULT_TOL) -> str:
-    """Ampleness of a tensor with columns in a half-spinor module.
-
-    Only even m carries the spinor form; m = 4 is the case the deformation
-    searches use.
-    """
-    if m % 2:
-        raise ValueError("the half-spinor modules carry no form for odd m")
-    return is_ample(A, spin_module(m).half_space(side), rtol)
 
 
 # -------------------------------------------------------- two-varieties
@@ -211,75 +168,38 @@ def wedge_vv3(u, v) -> np.ndarray:
     return out
 
 
-def _wedge3_mat(v) -> np.ndarray:
-    """Matrix of x -> v ^ x from C^3 to Lambda^2 C^3."""
-    return np.column_stack([wedge_vv3(v, np.eye(3)[c]) for c in range(3)])
-
-
-# ------------------------------------------------------------- the task
-
-
-@dataclass(frozen=True)
-class DeformationTask:
-    variant: str
-    inputs: dict
-    seed: int = 0
-    max_restarts: int = 1000
-
-
-@dataclass
-class DeformResult:
-    variant: str
-    witness: dict
-    verified: bool
-    restarts: int
-    detail: str = ""
-
-
-def _rnd(rng, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _prop1_spaces(variety_name: str):
-    if variety_name == "quadric":
-        sp = symmetric_space(4)
-        return QuadricVariety(sp), 4
-    if variety_name == "pf":
-        return QuadricVariety(pf_space()), 6
-    if variety_name == "segre":
-        return SegreVariety(3), 6
-    raise ValueError(f"unknown variety {variety_name!r}")
-
-
 def _unfold_5a(T) -> np.ndarray:
     """(2, n, 2) tensor -> columns in det space, one per middle index."""
-    return np.stack([T[:, c, :].reshape(4) for c in range(T.shape[1])], axis=1)
+    return T.transpose(0, 2, 1).reshape(4, T.shape[1])
+
+
+def _fold_5a(M) -> np.ndarray:
+    """Det-space columns -> the (2, n, 2) tensor with them as middle slices."""
+    return M.reshape(2, 2, M.shape[1]).transpose(0, 2, 1)
 
 
 def _compose_5a(E_terms, A) -> np.ndarray:
     """E o A for E = sum phi (x) v, embedding C^3 by v: x -> v ^ x."""
     out = np.zeros((2, 3, 2), dtype=complex)
     for phi, v in E_terms:
-        W = _wedge3_mat(v)
+        W = np.column_stack([wedge_vv3(v, e) for e in np.eye(3)])
         out += np.einsum("Bb,lc,bca->Bla", phi, W, A)
     return out
 
 
-def _canonical_7b_data():
-    sm = spin_module(4)
-    plus = {s: k for k, s in enumerate(sm.half_basis_subsets("+"))}
+# ------------------------------------------------- canonical witnesses
 
-    def sp(*subsets):
-        v = np.zeros(8, dtype=complex)
-        for s in subsets:
-            v[plus[s]] += 1
-        return v
+
+def _canonical_7b_data():
+    plus = {s: k for k, s in enumerate(spin_module(4).half_basis_subsets("+"))}
 
     def vv(*idx):
         v = np.zeros(8, dtype=complex)
-        for i in idx:
-            v[i] += 1
+        v[list(idx)] = 1
         return v
+
+    def sp(*subsets):  # in S+, by the subsets of its basis
+        return vv(*(plus[s] for s in subsets))
 
     A1 = np.column_stack([sp((0, 1), (2, 3)), sp(()), np.zeros(8)])
     A2 = np.column_stack([sp(()), sp((0, 1)), sp((2, 3))])
@@ -303,475 +223,41 @@ def _canonical_6a():
 
 
 def _canonical_6d():
-    A = np.zeros((6, 4), dtype=complex)
-    A[PF2.index((0, 1)), 0] = 1
-    A[PF2.index((2, 3)), 0] = 1
-    A[PF2.index((0, 2)), 1] = 1
+    A = np.hstack([_canonical_6a()[0], np.zeros((6, 2))])  # 6A's A, two zero columns
     C = np.zeros((4, 4), dtype=complex)
     C[2, 1] = 1  # e3 (x) f2
     C[3, 3] = 1  # e4 (x) f4
     return A, C
 
 
-def _matches(A, B, tol: float = 1e-12) -> bool:
-    return A.shape == B.shape and bool(np.allclose(A, B, atol=tol))
-
-
-def _wedge_6d(A, C) -> np.ndarray:
-    """A in C^4(e) x L2C^4(f) (cols a_i), C in C^4(e) x C^4(f) (rows c_i):
-    the (L2C^4(e), L3C^4(f)) tensor with entries from a_i ^ c_j - a_j ^ c_i."""
-    D = np.zeros((6, 4), dtype=complex)
-    for l, (i, j) in enumerate(PF2):
-        D[l] = wedge_bv4(A[:, i], C[j]) - wedge_bv4(A[:, j], C[i])
-    return D
-
-
-def _deform_7b(B, A, X, sm) -> np.ndarray:
-    """Columns of the Lambda^2 C^3 x S- deformation for witness rows X."""
-    D = np.zeros((8, 3), dtype=complex)
-    for q in range(3):
-        u, w = [x for x in range(3) if x != q]
-        ru = sm.rho_half(X[w], "+") @ A[:, u]
-        rw = sm.rho_half(X[u], "+") @ A[:, w]
-        D[:, q] = ru - rw
-    return B + D
-
-
-# ----------------------------------------------------------- the search
-
-
-def deform(task: DeformationTask) -> DeformResult:
-    """Search for the variant's witness; verified means the deformed object
-    was re-checked against the ampleness / rank / degeneracy predicate."""
-    rng = np.random.default_rng(task.seed)
-    variant = task.variant
-    inp = task.inputs
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    handler = _HANDLERS[variant]
-    return handler(inp, rng, task.max_restarts)
-
-
-def _run_search(variant, deterministic, random_gen, verify, max_restarts):
-    for witness in deterministic:
-        if verify(witness):
-            return DeformResult(variant, witness, True, 0)
-    for r in range(1, max_restarts + 1):
-        for witness in random_gen():
-            if verify(witness):
-                return DeformResult(variant, witness, True, r)
-    return DeformResult(variant, {}, False, max_restarts, "search exhausted")
-
-
-# --- Prop 1 family
-
-
-def _h_1a(inp, rng, max_restarts):
-    A, B = np.asarray(inp["A"], dtype=complex), np.asarray(inp["B"], dtype=complex)
-    variety, _ = _prop1_spaces(inp["variety"])
-    if not is_degenerate_line_map(A, variety):
-        raise HypothesesNotMet("A must be degenerate")
-    if np.linalg.norm(B) == 0:
-        raise HypothesesNotMet("B must be nontrivial")
-
-    def verify(w):
-        return not is_degenerate_line_map(A + w["C"] @ B, variety)
-
-    deterministic = [{"C": -A @ mp_inverse(B)}]
-
-    def gen():
-        C0 = _rnd(rng, A.shape[0], B.shape[0])
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("1A", deterministic, gen, verify, max_restarts)
-
-
-def _h_1b(inp, rng, max_restarts):
-    A, B = np.asarray(inp["A"], dtype=complex), np.asarray(inp["B"], dtype=complex)
-    variety, _ = _prop1_spaces(inp["variety"])
-    for name, M in (("A", A), ("B", B)):
-        if not is_degenerate_line_map(M, variety):
-            raise HypothesesNotMet(f"{name} must be degenerate")
-
-    def verify(w):
-        return not is_degenerate_line_map(A + B @ w["E"], variety)
-
-    deterministic = [{"E": -mp_inverse(B) @ A}]
-
-    def gen():
-        E0 = _rnd(rng, 2, 2)
-        return [{"E": lam * E0} for lam in SWEEP]
-
-    return _run_search("1B", deterministic, gen, verify, max_restarts)
-
-
-def _h_1c(inp, rng, max_restarts):
-    A, v = np.asarray(inp["A"], dtype=complex), np.asarray(inp["v"], dtype=complex)
-    variety, _ = _prop1_spaces(inp["variety"])
-    if not is_degenerate_line_map(A, variety):
-        raise HypothesesNotMet("A must be degenerate")
-    if isinstance(variety, QuadricVariety):
-        on_cone = abs(variety.space.quadratic(v)) <= 1e-10 * np.linalg.norm(v) ** 2
-    else:
-        sv = np.linalg.svd(v.reshape(2, variety.k), compute_uv=False)
-        on_cone = sv[1] <= 1e-10 * sv[0]
-    if np.linalg.norm(v) == 0 or on_cone:
-        raise HypothesesNotMet("v must lie off the cone over the variety")
-
-    def verify(w):
-        return not is_degenerate_line_map(A + np.outer(v, w["f"]), variety)
-
-    deterministic = []
-    coeff, res, *_ = np.linalg.lstsq(A, v, rcond=None)
-    if np.linalg.norm(A @ coeff - v) <= 1e-8 * np.linalg.norm(v):
-        # v inside Im A: cancel one column of A against v
-        alpha, beta = coeff
-        if abs(alpha) > abs(beta):
-            deterministic.append({"f": np.array([-1.0 / alpha, 0.0], dtype=complex)})
-        else:
-            deterministic.append({"f": np.array([0.0, -1.0 / beta], dtype=complex)})
-
-    def gen():
-        f0 = _rnd(rng, 2)
-        return [{"f": lam * f0} for lam in SWEEP]
-
-    return _run_search("1C", deterministic, gen, verify, max_restarts)
-
-
-# --- Prop 4 family
-
-
-def _h_4a(inp, rng, max_restarts):
-    A, B = np.asarray(inp["A"], dtype=complex), np.asarray(inp["B"], dtype=complex)
-    n, k = A.shape
-    sp = symmetric_space(n)
-    if not (k <= 3 or k == n == 4):
-        raise HypothesesNotMet("requires k <= 3 or k = n = 4")
-    if is_ample(A, sp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if np.linalg.norm(B) == 0:
-        raise HypothesesNotMet("B must be nontrivial")
-
-    def verify(w):
-        return ample(A + w["C"] @ B, sp)
-
-    deterministic = [{"C": -A @ mp_inverse(B)}]
-
-    def gen():
-        C0 = _rnd(rng, n, B.shape[0])
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("4A", deterministic, gen, verify, max_restarts)
-
-
-def _h_4b(inp, rng, max_restarts):
-    A, v = np.asarray(inp["A"], dtype=complex), np.asarray(inp["v"], dtype=complex)
-    n, k = A.shape
-    sp = symmetric_space(n)
-    if n > 4:
-        raise HypothesesNotMet("requires n <= 4")
-    if is_ample(A, sp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if np.linalg.norm(v) == 0:
-        raise HypothesesNotMet("v must be nontrivial")
-
-    def verify(w):
-        return ample(A + np.outer(v, w["f"]), sp)
-
-    def gen():
-        f0 = _rnd(rng, k)
-        return [{"f": lam * f0} for lam in SWEEP]
-
-    return _run_search("4B", [], gen, verify, max_restarts)
-
-
-# --- Prop 5 family
-
-
-def _h_5a(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (2, 3, 2)
-    B = np.asarray(inp["B"], dtype=complex)  # (2, 3, 2), middle = L2C3
-    dsp = det_space()
-    if is_ample(_unfold_5a(A), dsp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if is_ample(_unfold_5a(B), dsp) != NOT_AMPLE:
-        raise HypothesesNotMet("B must not be ample")
-
-    def verify(w):
-        return ample(_unfold_5a(B + _compose_5a(w["E"], A)), dsp)
-
-    def gen():
-        terms = [(_rnd(rng, 2, 2), _rnd(rng, 3))]
-        return [{"E": [(lam * phi, v) for phi, v in terms]} for lam in SWEEP]
-
-    return _run_search("5A", [], gen, verify, max_restarts)
-
-
-def _h_5b(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (4, 3): L2C3 -> det space
-    B = np.asarray(inp["B"], dtype=complex)  # (2, 3)
-    dsp = det_space()
-    if is_ample(A, dsp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if np.linalg.norm(B) == 0:
-        raise HypothesesNotMet("B must be nontrivial")
-
-    def bwedge(C):
-        D = np.zeros((4, 3), dtype=complex)
-        for l, (i, j) in enumerate(L2C3):
-            D[:, l] = (np.outer(B[:, i], C[:, j]) - np.outer(B[:, j], C[:, i])).reshape(4)
-        return D
-
-    def verify(w):
-        return ample(A + bwedge(w["C"]), dsp)
-
-    def gen():
-        C0 = _rnd(rng, 2, 3)
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("5B", [], gen, verify, max_restarts)
-
-
-def _h_5c(inp, rng, max_restarts):
-    v = np.asarray(inp["v"], dtype=complex)
-    B = np.asarray(inp["B"], dtype=complex)  # (3, 2): columns in L2C3
-    if np.linalg.norm(v) == 0:
-        raise HypothesesNotMet("v must be nonzero")
-
-    def verify(w):
-        D = np.column_stack([wedge_vv3(v, w["A"][:, 0]), wedge_vv3(v, w["A"][:, 1])])
-        s = np.linalg.svd(B + D, compute_uv=False)
-        return bool(s[1] > 1e-8 * max(s[0], 1e-30))
-
-    # complete v to a basis; the wedge by v of the completion has rank 2
-    _, _, Vh = np.linalg.svd(v[None, :])
-    u1, u2 = Vh.conj().T[:, 1], Vh.conj().T[:, 2]
-    deterministic = [{"A": lam * np.column_stack([u1, u2])} for lam in SWEEP]
-
-    def gen():
-        A0 = _rnd(rng, 3, 2)
-        return [{"A": lam * A0} for lam in SWEEP]
-
-    return _run_search("5C", deterministic, gen, verify, max_restarts)
-
-
-# --- Prop 6 family
-
-
-def _h_6a(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (6, 2)
-    B = np.asarray(inp["B"], dtype=complex)  # (4, 4): det coords x L3C4
-    psp, dsp = pf_space(), det_space()
-    if is_ample(A, psp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if is_ample(B, dsp) != NOT_AMPLE:
-        raise HypothesesNotMet("B must not be ample")
-
-    def awedge(C):
-        # rows of the det space are (alpha, beta) pairs, row-major
-        D = np.zeros((4, 4), dtype=complex)
-        for alpha in range(2):
-            for beta in range(2):
-                D[2 * alpha + beta] = wedge_bv4(A[:, alpha], C[:, beta])
-        return D
-
-    def verify(w):
-        return ample(B + awedge(w["C"]), dsp)
-
-    canonA, canonC = _canonical_6a()
-    deterministic = (
-        [{"C": lam * canonC} for lam in SWEEP] if _matches(A, canonA) else []
-    )
-
-    def gen():
-        C0 = _rnd(rng, 4, 2)
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("6A", deterministic, gen, verify, max_restarts)
-
-
-def _h_6b(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (2, 6): L2C4 -> C^2
-    B = np.asarray(inp["B"], dtype=complex)  # (4, 4): det coords x C^4
-    psp, dsp = pf_space(), det_space()
-    if is_ample(A.T, psp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if is_ample(B, dsp) != NOT_AMPLE:
-        raise HypothesesNotMet("B must not be ample")
-
-    def bwedge(C):
-        # (id (x) C(y)) B(x) with contraction on the second det factor
-        D = np.zeros((2, 6), dtype=complex)
-        for l, (p, q) in enumerate(PF2):
-            Mp, Mq = B[:, p].reshape(2, 2), B[:, q].reshape(2, 2)
-            D[:, l] = Mp @ C[:, q] - Mq @ C[:, p]
-        return D
-
-    def verify(w):
-        return ample((A + bwedge(w["C"])).T, psp)
-
-    def gen():
-        C0 = _rnd(rng, 2, 4)
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("6B", [], gen, verify, max_restarts)
-
-
-def _h_6c(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (6, 2)
-    wv = np.asarray(inp["w"], dtype=complex)  # (4,)
-    psp = pf_space()
-    if is_ample(A, psp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if np.linalg.norm(wv) == 0:
-        raise HypothesesNotMet("w must be nonzero")
-
-    def verify(w):
-        D = np.column_stack([wedge_vv4(wv, w["B"][:, 0]), wedge_vv4(wv, w["B"][:, 1])])
-        return ample(A + D, psp)
-
-    deterministic = []
-    # radical direction of the restricted form, in source coordinates
-    im = orth(A)
-    G = im.T @ psp.gram @ im
-    _, s, Vh = np.linalg.svd(G)
-    r = im @ Vh.conj().T[:, -1]  # spans the radical for the not-ample shapes
-    Wmat = np.column_stack([wedge_vv4(wv, np.eye(4)[c]) for c in range(4)])
-    x, _, rk, _ = np.linalg.lstsq(Wmat, r, rcond=None)
-    coeff, *_ = np.linalg.lstsq(A, r, rcond=None)
-    if np.linalg.norm(Wmat @ x - r) <= 1e-8 * np.linalg.norm(r):
-        # radical column is w ^ x: cancel it
-        g = np.column_stack([coeff, [-np.conj(coeff[1]), np.conj(coeff[0])]])
-        B = np.column_stack([-x, np.zeros(4)]) @ np.linalg.inv(g)
-        deterministic.append({"B": B})
-
-    def gen():
-        B0 = _rnd(rng, 4, 2)
-        return [{"B": lam * B0} for lam in SWEEP]
-
-    return _run_search("6C", deterministic, gen, verify, max_restarts)
-
-
-def _h_6d(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (6, 4): columns a_i in L2C4(f)
-    B = np.asarray(inp["B"], dtype=complex)  # (6, 4): L2C4(e) x L3C4(f)
-    psp = pf_space()
-    if is_ample(A, psp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if is_ample(B, psp) != NOT_AMPLE:
-        raise HypothesesNotMet("B must not be ample")
-
-    def verify(w):
-        return ample(B + _wedge_6d(A, w["C"]), psp)
-
-    canonA, canonC = _canonical_6d()
-    deterministic = (
-        [{"C": lam * canonC} for lam in SWEEP] if _matches(A, canonA) else []
-    )
-
-    def gen():
-        C0 = _rnd(rng, 4, 4)
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("6D", deterministic, gen, verify, max_restarts)
-
-
-def _h_6e(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (6, 4)
-    u = np.asarray(inp["u"], dtype=complex)  # (4,) in C^4(f)
-    psp = pf_space()
-    if is_ample(A, psp) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if np.linalg.norm(u) == 0:
-        raise HypothesesNotMet("u must be nonzero")
-
-    def verify(w):
-        D = np.column_stack([wedge_vv4(w["C"][i], u) for i in range(4)])
-        return ample(A + D, psp)
-
-    def gen():
-        C0 = _rnd(rng, 4, 4)
-        return [{"C": lam * C0} for lam in SWEEP]
-
-    return _run_search("6E", [], gen, verify, max_restarts)
-
-
-# --- Prop 7 family
-
-
-def _h_7a(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (8, k) in S+
-    B = np.asarray(inp["B"], dtype=complex)  # (8, k) in S-
-    sm = spin_module(4)
-    plus, minus = sm.half_space("+"), sm.half_space("-")
-    if A.shape[1] not in (2, 3):
-        raise HypothesesNotMet("k must be 2 or 3")
-    if is_ample(A, plus) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if is_ample(B, minus) != NOT_AMPLE:
-        raise HypothesesNotMet("B must not be ample")
-
-    def verify(w):
-        R = sm.rho_half(w["v"], "+")
-        return ample(B + R @ A, minus)
-
-    def gen():
-        v0 = _rnd(rng, 8)
-        return [{"v": lam * v0} for lam in SWEEP]
-
-    return _run_search("7A", [], gen, verify, max_restarts)
-
-
-def _h_7b(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (8, 3) in S+
-    B = np.asarray(inp["B"], dtype=complex)  # (8, 3) in S-, slot q = pair missing q
-    sm = spin_module(4)
-    plus, minus = sm.half_space("+"), sm.half_space("-")
-    if is_ample(A, plus) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if is_ample(B, minus) != NOT_AMPLE:
-        raise HypothesesNotMet("B must not be ample")
-
-    def verify(w):
-        return ample(_deform_7b(B, A, w["x"], sm), minus)
-
-    deterministic = []
-    for canonA, X in _canonical_7b_data():
-        if _matches(A, canonA):
-            deterministic = [{"x": lam * X} for lam in SWEEP]
-            break
-
-    def gen():
-        X0 = _rnd(rng, 3, 8)
-        return [{"x": lam * X0} for lam in SWEEP]
-
-    return _run_search("7B", deterministic, gen, verify, max_restarts)
-
-
-def _h_7c(inp, rng, max_restarts):
-    A = np.asarray(inp["A"], dtype=complex)  # (8, 3) in S-
-    s = np.asarray(inp["s"], dtype=complex)  # (8,) in S+ half coordinates
-    sm = spin_module(4)
-    plus, minus = sm.half_space("+"), sm.half_space("-")
-    if is_ample(A, minus) != NOT_AMPLE:
-        raise HypothesesNotMet("A must not be ample")
-    if np.linalg.norm(s) == 0:
-        raise HypothesesNotMet("s must be nontrivial")
-
-    def verify(w):
-        D = np.column_stack([sm.rho_half(w["W"][i], "+") @ s for i in range(3)])
-        return ample(A + D, minus)
-
+def _printed(canonical, key: str):
+    """The printed witness when A is the printed A (to 1e-12), else none."""
+    def witnesses(c, rng):
+        return [{key: X} for A, X in canonical()
+                if A.shape == c["A"].shape and np.allclose(c["A"], A, atol=1e-12)][:1]
+    return witnesses
+
+
+def _in_image_1c(c, rng):
+    """v inside Im A: cancel one column of A against v."""
+    A, v = c["A"], c["v"]
+    coeff = np.linalg.lstsq(A, v, rcond=None)[0]
+    if np.linalg.norm(A @ coeff - v) > 1e-8 * np.linalg.norm(v):
+        return []
+    alpha, beta = coeff
+    f = [-1.0 / alpha, 0.0] if abs(alpha) > abs(beta) else [0.0, -1.0 / beta]
+    return [{"f": np.array(f, dtype=complex)}]
+
+
+def _steer_7c(c, rng):
+    """W with rho(w_i)s = delta_i for a delta that makes A + delta ample."""
+    A, s, minus, sm = c["A"], c["s"], c["S-"], spin_module(4)
     # rho(.)s as a map V -> S-
     Rs = np.column_stack([sm.rho_half(np.eye(8, dtype=complex)[j], "+") @ s
                           for j in range(8)])
-    deterministic = []
-    svalue = plus.omega(s, s)
-    if abs(svalue) > 1e-10 * np.linalg.norm(s) ** 2:
+    if abs(c["S+"].omega(s, s)) > 1e-10 * np.linalg.norm(s) ** 2:
         # rho(V)s is all of S-: steer the columns to a random ample target
-        target = _rnd(rng, 8, 3)
-        W = np.linalg.lstsq(Rs, target - A, rcond=None)[0]
-        deterministic.append({"W": W.T})
+        delta = _rnd(rng, 8, 3) - A
     else:
         # rho(V)s is maximal isotropic: push the columns into an isotropic span
         U0 = orth(Rs)
@@ -780,39 +266,33 @@ def _h_7c(inp, rng, max_restarts):
         P = U0.T @ minus.gram @ R
         E = -(mp_inverse(P).T @ F.T) / 2
         delta = -U0 @ (U0.conj().T @ A) + U0 @ E
-        W = np.linalg.lstsq(Rs, delta, rcond=None)[0]
-        deterministic.append({"W": W.T})
-
-    def gen():
-        W0 = _rnd(rng, 3, 8)
-        return [{"W": lam * W0} for lam in SWEEP]
-
-    return _run_search("7C", deterministic, gen, verify, max_restarts)
-
-
-_HANDLERS = {
-    "1A": _h_1a, "1B": _h_1b, "1C": _h_1c, "4A": _h_4a, "4B": _h_4b,
-    "5A": _h_5a, "5B": _h_5b, "5C": _h_5c, "6A": _h_6a, "6B": _h_6b,
-    "6C": _h_6c, "6D": _h_6d, "6E": _h_6e, "7A": _h_7a, "7B": _h_7b,
-    "7C": _h_7c,
-}
+    return [{"W": np.linalg.lstsq(Rs, delta, rcond=None)[0].T}]
 
 
 # ------------------------------------------------------ input generators
 
 
-def _nonample_columns(space: BilinearSpace, k: int, rng,
-                      patterns=None) -> np.ndarray:
+def _rnd(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _prop1_spaces(variety_name: str):
+    if variety_name == "quadric":
+        sp = symmetric_space(4)
+        return QuadricVariety(sp), 4
+    if variety_name == "pf":
+        return QuadricVariety(pf_space()), 6
+    if variety_name == "segre":
+        return SegreVariety(3), 6
+    raise ValueError(f"unknown variety {variety_name!r}")
+
+
+def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
     """k columns whose span has a degenerate-but-nonzero restricted form."""
-    if patterns is None:
-        patterns = []
-        for r in range(2, min(k, space.dim - 1) + 1):
-            for j in range(1, r):
-                if j > space.dim - r:
-                    continue
-                if not space.symmetric and (r - j) % 2:
-                    continue
-                patterns.append((r, j))
+    # (rank, radical) with 0 < radical < rank that fit in the space; a skew
+    # form has an even-rank nondegenerate part
+    patterns = [(r, j) for r in range(2, min(k, space.dim - 1) + 1) for j in range(1, r)
+                if j <= space.dim - r and (space.symmetric or (r - j) % 2 == 0)]
     r, j = patterns[rng.integers(len(patterns))]
     M = span_with_invariants(space, r, j, rng)
     mix = _rnd(rng, r, k)
@@ -843,83 +323,334 @@ def _degenerate_line(variety, dim: int, rng) -> np.ndarray:
     raise RuntimeError("could not build a degenerate line map")
 
 
+def _off_cone_vector(variety, dim: int, rng) -> np.ndarray:
+    while True:
+        v = _rnd(rng, dim)
+        if isinstance(variety, QuadricVariety):
+            if abs(variety.space.quadratic(v)) > 1e-6:
+                return v
+        else:
+            sv = np.linalg.svd(v.reshape(2, variety.k), compute_uv=False)
+            if sv[1] > 1e-6 * sv[0]:
+                return v
+
+
+# ------------------------------------------------------- the spec table
+
+
+#: context entries built on a task's first use of them: the spaces the
+#: specs name, and for Prop 1 the variety and the dimension of its space
+_DERIVED = {
+    "sym": lambda c: symmetric_space(c["n"]),
+    "det": lambda c: det_space(),
+    "pf": lambda c: pf_space(),
+    "S+": lambda c: spin_module(4).half_space("+"),
+    "S-": lambda c: spin_module(4).half_space("-"),
+    "X": lambda c: _prop1_spaces(c["variety"])[0],
+    "d": lambda c: c["X"].space.dim if isinstance(c["X"], QuadricVariety) else 2 * c["X"].k,
+}
+
+
+class _Context(dict):
+    """A task's inputs and bound symbolic dimensions, plus the entries of
+    _DERIVED, each built on first use."""
+
+    def __missing__(self, name):
+        self[name] = _DERIVED[name](self)
+        return self[name]
+
+
+class InputSpec(NamedTuple):
+    """One input of a variant: its shape (a str dimension is bound on first
+    use; None marks a name, not an array), the hypothesis on it as
+    holds(c, x) and the words after "<name> must", and make(rng, c), which
+    draws a seeded value satisfying the hypothesis."""
+
+    shape: tuple | None
+    holds: Callable | None
+    must: str
+    make: Callable
+
+
+def _dims(c, shape) -> tuple:
+    return tuple(c[d] if isinstance(d, str) else d for d in shape)
+
+
+def _nonample(space: str, *shape, view=lambda M: M, unview=None) -> InputSpec:
+    """The columns of view(x) span a non-ample subspace of the space; the
+    seeded value is unview of as many non-ample columns as view(x) has."""
+    return InputSpec(
+        shape, lambda c, x: is_ample(view(x), c[space]) == NOT_AMPLE, "not be ample",
+        lambda rng, c: (unview or view)(_nonample_columns(
+            c[space], view(np.zeros(_dims(c, shape))).shape[1], rng)))
+
+
+def _random(*shape, word: str | None = "nontrivial") -> InputSpec:
+    """A random array with the hypothesis "<name> must be <word>" that it is
+    not zero, or with no hypothesis when word is None."""
+    return InputSpec(shape, word and (lambda c, x: np.linalg.norm(x) != 0), f"be {word}",
+                     lambda rng, c: _rnd(rng, *_dims(c, shape)))
+
+
+_LINE = InputSpec(("d", 2), lambda c, x: is_degenerate_line_map(x, c["X"]), "be degenerate",
+                  lambda rng, c: _degenerate_line(c["X"], c["d"], rng))
+_OFF_CONE = InputSpec(("d",), lambda c, x: _off_cone(c["X"], x),
+                      "lie off the cone over the variety",
+                      lambda rng, c: _off_cone_vector(c["X"], c["d"], rng))
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """One deformation variant; its callables take the task's _Context c."""
+
+    #: name -> InputSpec, in the order the shapes and hypotheses are
+    #: checked and the seeded inputs drawn
+    inputs: dict
+    #: (c, witness) -> the deformed object; (c, deformed) -> verified
+    deformed: Callable
+    predicate: Callable
+    #: (c, rng) -> one random candidate witness
+    draw: Callable
+    #: (holds(c), message) hypotheses checked before those on the inputs
+    requires: tuple = ()
+    #: (c, rng) -> the canonical witnesses, tried before any random one
+    witnesses: Callable = lambda c, rng: []
+    #: seed -> the names and dimensions random_task fixes before drawing
+    seeded: Callable = lambda seed: {}
+
+
+def _off_cone(X, v) -> bool:
+    if isinstance(X, QuadricVariety):
+        on_cone = abs(X.space.quadratic(v)) <= 1e-10 * np.linalg.norm(v) ** 2
+    else:
+        sv = np.linalg.svd(v.reshape(2, X.k), compute_uv=False)
+        on_cone = sv[1] <= 1e-10 * sv[0]
+    return not (np.linalg.norm(v) == 0 or on_cone)
+
+
+def _ample_in(space: str):
+    return lambda c, M: ample(M, c[space])
+
+
+def _rank_two(c, M) -> bool:
+    s = np.linalg.svd(M, compute_uv=False)
+    return bool(s[1] > 1e-8 * max(s[0], 1e-30))
+
+
+def _prop1(second: str, inp: InputSpec, **fields) -> VariantSpec:
+    """A Prop 1 variant: A a degenerate line map into the named variety."""
+    return VariantSpec(
+        inputs={"variety": InputSpec(None, None, "", lambda rng, c: c["variety"]),
+                "A": _LINE, second: inp},
+        predicate=lambda c, M: not is_degenerate_line_map(M, c["X"]),
+        seeded=lambda seed: {"variety": ("quadric", "segre", "pf")[seed % 3], "p": 2},
+        **fields)
+
+
+def _rho(v) -> np.ndarray:
+    return spin_module(4).rho_half(v, "+")
+
+
+def _prop4_seeded(seed: int) -> dict:
+    return dict(zip("nk", ((4, 2), (4, 3), (3, 2), (4, 4))[seed % 4]), p=2)
+
+
+SPECS = {
+    "1A": _prop1(  # degenerate A: C^2->V, nontrivial B: C^2->C^p -> C [A + CB]
+        "B", _random("p", 2), deformed=lambda c, w: c["A"] + w["C"] @ c["B"],
+        witnesses=lambda c, rng: [{"C": -c["A"] @ mp_inverse(c["B"])}],
+        draw=lambda c, rng: {"C": _rnd(rng, c["d"], c["p"])}),
+    "1B": _prop1(  # degenerate A, B: C^2->V -> E [A + BE]
+        "B", _LINE, deformed=lambda c, w: c["A"] + c["B"] @ w["E"],
+        witnesses=lambda c, rng: [{"E": -mp_inverse(c["B"]) @ c["A"]}],
+        draw=lambda c, rng: {"E": _rnd(rng, 2, 2)}),
+    "1C": _prop1(  # degenerate A, v off the cone -> f [A + v.f]
+        "v", _OFF_CONE, deformed=lambda c, w: c["A"] + np.outer(c["v"], w["f"]),
+        witnesses=_in_image_1c, draw=lambda c, rng: {"f": _rnd(rng, 2)}),
+    "4A": VariantSpec(  # non-ample A: C^k->C^n, nontrivial B: C^k->C^p -> C [A + CB]
+        inputs={"A": _nonample("sym", "n", "k"), "B": _random("p", "k")},
+        requires=((lambda c: c["k"] <= 3 or c["k"] == c["n"] == 4,
+                   "requires k <= 3 or k = n = 4"),),
+        deformed=lambda c, w: c["A"] + w["C"] @ c["B"], predicate=_ample_in("sym"),
+        witnesses=lambda c, rng: [{"C": -c["A"] @ mp_inverse(c["B"])}],
+        draw=lambda c, rng: {"C": _rnd(rng, c["n"], c["p"])}, seeded=_prop4_seeded),
+    "4B": VariantSpec(  # non-ample A: C^k->C^n, v != 0 -> f [A + v.f]
+        inputs={"A": _nonample("sym", "n", "k"), "v": _random("n")},
+        requires=((lambda c: c["n"] <= 4, "requires n <= 4"),),
+        deformed=lambda c, w: c["A"] + np.outer(c["v"], w["f"]),
+        predicate=_ample_in("sym"), draw=lambda c, rng: {"f": _rnd(rng, c["k"])},
+        seeded=_prop4_seeded),
+    "5A": VariantSpec(  # non-ample A: C^2->C^2xC^3, non-ample B -> E [B + E o A]
+        # (2, 3, 2) tensors, judged by their det-space columns; B's middle index in L2C3
+        inputs={"A": _nonample("det", 2, 3, 2, view=_unfold_5a, unview=_fold_5a),
+                "B": _nonample("det", 2, 3, 2, view=_unfold_5a, unview=_fold_5a)},
+        deformed=lambda c, w: _unfold_5a(c["B"] + _compose_5a(w["E"], c["A"])),
+        predicate=_ample_in("det"),
+        draw=lambda c, rng: {"E": [(_rnd(rng, 2, 2), _rnd(rng, 3))]}),
+    "5B": VariantSpec(  # non-ample A: L2C^3->C^2xC^2, nontrivial B -> C [A + B^C]
+        inputs={"A": _nonample("det", 4, 3), "B": _random(2, 3)},
+        deformed=lambda c, w: c["A"] + np.column_stack(
+            [(np.outer(c["B"][:, i], w["C"][:, j])
+              - np.outer(c["B"][:, j], w["C"][:, i])).reshape(4) for i, j in L2C3]),
+        predicate=_ample_in("det"), draw=lambda c, rng: {"C": _rnd(rng, 2, 3)}),
+    "5C": VariantSpec(  # v != 0, any B in L2C^3 x C^2 -> A [B + v^A rank 2]
+        inputs={"v": _random(3, word="nonzero"), "B": _random(3, 2, word=None)},
+        deformed=lambda c, w: c["B"] + np.column_stack(
+            [wedge_vv3(c["v"], w["A"][:, 0]), wedge_vv3(c["v"], w["A"][:, 1])]),
+        # complete v to a basis: the wedge by v of the completion has rank 2
+        witnesses=lambda c, rng: [{"A": np.linalg.svd(c["v"][None, :])[2].conj().T[:, 1:]}],
+        predicate=_rank_two,
+        draw=lambda c, rng: {"A": _rnd(rng, 3, 2)}),
+    "6A": VariantSpec(  # non-ample A: C^2->L2C^4, non-ample B -> C [B + A^C]
+        # B: det coordinates, rows (alpha, beta), x L3C^4
+        inputs={"A": _nonample("pf", 6, 2), "B": _nonample("det", 4, 4)},
+        deformed=lambda c, w: c["B"] + np.stack(
+            [wedge_bv4(c["A"][:, a], w["C"][:, b]) for a in range(2) for b in range(2)]),
+        predicate=_ample_in("det"), draw=lambda c, rng: {"C": _rnd(rng, 4, 2)},
+        witnesses=_printed(lambda: [_canonical_6a()], "C")),
+    "6B": VariantSpec(  # non-ample A: L2C^4->C^2, non-ample B -> C [A + B^C]
+        # B: det coordinates x C^4; B^C contracts the second det factor with C
+        inputs={"A": _nonample("pf", 2, 6, view=np.transpose), "B": _nonample("det", 4, 4)},
+        deformed=lambda c, w: (c["A"] + np.column_stack(
+            [c["B"][:, p].reshape(2, 2) @ w["C"][:, q]
+             - c["B"][:, q].reshape(2, 2) @ w["C"][:, p] for p, q in PF2])).T,
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": _rnd(rng, 2, 4)}),
+    "6C": VariantSpec(  # non-ample A: C^2->L2C^4, w != 0 -> B [A + w^B]
+        inputs={"A": _nonample("pf", 6, 2), "w": _random(4, word="nonzero")},
+        deformed=lambda c, w: c["A"] + np.column_stack(
+            [wedge_vv4(c["w"], w["B"][:, 0]), wedge_vv4(c["w"], w["B"][:, 1])]),
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"B": _rnd(rng, 4, 2)}),
+    "6D": VariantSpec(  # non-ample A in C^4xL2C^4, non-ample B -> C [B + A^C]
+        # A: columns a_i in L2C^4(f); B in L2C^4(e) x L3C^4(f); C: rows c_i
+        inputs={"A": _nonample("pf", 6, 4), "B": _nonample("pf", 6, 4)},
+        deformed=lambda c, w: c["B"] + np.stack(
+            [wedge_bv4(c["A"][:, i], w["C"][j]) - wedge_bv4(c["A"][:, j], w["C"][i])
+             for i, j in PF2]),
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": _rnd(rng, 4, 4)},
+        witnesses=_printed(lambda: [_canonical_6d()], "C")),
+    "6E": VariantSpec(  # non-ample A in C^4xL2C^4, u != 0 in C^4(f) -> C [A + C^u rowwise]
+        inputs={"A": _nonample("pf", 6, 4), "u": _random(4, word="nonzero")},
+        deformed=lambda c, w: c["A"] + np.column_stack(
+            [wedge_vv4(w["C"][i], c["u"]) for i in range(4)]),
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": _rnd(rng, 4, 4)}),
+    "7A": VariantSpec(  # non-ample A in C^k x S+, non-ample B (k=2,3) -> v [B + rho(v)A]
+        inputs={"A": _nonample("S+", 8, "k"), "B": _nonample("S-", 8, "k")},
+        requires=((lambda c: c["k"] in (2, 3), "k must be 2 or 3"),),
+        deformed=lambda c, w: c["B"] + _rho(w["v"]) @ c["A"],
+        predicate=_ample_in("S-"), draw=lambda c, rng: {"v": _rnd(rng, 8)},
+        seeded=lambda seed: {"k": 2 if seed % 2 == 0 else 3}),
+    "7B": VariantSpec(  # non-ample A in C^3 x S+, non-ample B in L2C^3 x S- -> x [B + D(x)]
+        # slot q of B is the pair missing q
+        inputs={"A": _nonample("S+", 8, 3), "B": _nonample("S-", 8, 3)},
+        deformed=lambda c, w: c["B"] + np.column_stack(
+            [_rho(w["x"][j]) @ c["A"][:, i] - _rho(w["x"][i]) @ c["A"][:, j]
+             for i, j in L2C3[::-1]]),
+        predicate=_ample_in("S-"), draw=lambda c, rng: {"x": _rnd(rng, 3, 8)},
+        witnesses=_printed(_canonical_7b_data, "x")),
+    "7C": VariantSpec(  # non-ample A in C^3 x S-, nontrivial s in S+ -> W [A + rho(w_i)s]
+        inputs={"A": _nonample("S-", 8, 3), "s": _random(8)},
+        deformed=lambda c, w: c["A"] + np.column_stack(
+            [_rho(w["W"][i]) @ c["s"] for i in range(3)]),
+        predicate=_ample_in("S-"), draw=lambda c, rng: {"W": _rnd(rng, 3, 8)},
+        witnesses=_steer_7c),
+}
+
+VARIANTS = tuple(SPECS)
+
+
+# ----------------------------------------------------------- the search
+
+
+@dataclass(frozen=True)
+class DeformationTask:
+    variant: str
+    inputs: dict
+    seed: int = 0
+    max_restarts: int = 1000
+
+
+@dataclass
+class DeformResult:
+    variant: str
+    witness: dict
+    verified: bool
+    restarts: int
+    detail: str = ""
+
+
+def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
+    """The inputs as complex arrays plus the dimensions they bind.  A missing
+    input or one off its declared shape is a ValueError naming it."""
+    for key in spec.inputs:
+        if key not in raw:
+            raise ValueError(f"variant {variant}: missing input {key!r}")
+    c = _Context()
+    for key, inp in spec.inputs.items():
+        if inp.shape is None:
+            c[key] = raw[key]
+            continue
+        c[key] = np.asarray(raw[key], dtype=complex)
+        # the declared shape with every dimension known so far filled in
+        want = tuple(c[d] if isinstance(d, str) and (d in c or d in _DERIVED) else d
+                     for d in inp.shape)
+        have = c[key].shape
+        if len(have) != len(want) or any(isinstance(d, int) and d != n
+                                         for n, d in zip(have, want)):
+            expected = str(want).replace("'", "")  # free dimensions by name
+            raise ValueError(f"variant {variant}: input {key!r} has shape {have}, "
+                             f"expected {expected}")
+        c.update((d, n) for n, d in zip(have, want) if isinstance(d, str))
+    return c
+
+
+def deform(task: DeformationTask) -> DeformResult:
+    """Search for the variant's witness; verified means the deformed object
+    was re-checked against the ampleness / rank / degeneracy predicate."""
+    if task.variant not in SPECS:
+        raise ValueError(f"unknown variant {task.variant!r}")
+    spec = SPECS[task.variant]
+    c = _context(task.variant, spec, task.inputs)
+    for holds, message in spec.requires:
+        if not holds(c):
+            raise HypothesesNotMet(message)
+    for key, inp in spec.inputs.items():
+        if inp.holds and not inp.holds(c, c[key]):
+            raise HypothesesNotMet(f"{key} must {inp.must}")
+    rng = np.random.default_rng(task.seed)
+    return _run_search(task.variant, spec.witnesses(c, rng), lambda: spec.draw(c, rng),
+                       lambda w: spec.predicate(c, spec.deformed(c, w)), task.max_restarts)
+
+
+def _run_search(variant, deterministic, random_gen, verify, max_restarts):
+    """The deterministic witnesses, then one random candidate per restart."""
+    for witness in deterministic:
+        if verify(witness):
+            return DeformResult(variant, witness, True, 0)
+    for r in range(1, max_restarts + 1):
+        witness = random_gen()
+        if verify(witness):
+            return DeformResult(variant, witness, True, r)
+    return DeformResult(variant, {}, False, max_restarts, "search exhausted")
+
+
+def _generated(variant: str, seed: int, fixed: dict, max_restarts: int) -> DeformationTask:
+    spec = SPECS[variant]
+    c = _Context(fixed)
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    inputs = {key: inp.make(rng, c) for key, inp in spec.inputs.items()}
+    return DeformationTask(variant, inputs, seed=seed, max_restarts=max_restarts)
+
+
 def random_task(variant: str, seed: int, max_restarts: int = 1000) -> DeformationTask:
     """A seeded random input satisfying the variant's hypotheses.
 
     For variant '7A' the tensor width alternates between k=2 and k=3 with
-    the seed; pass k explicitly via random_task_7a if needed.
+    the seed; random_task_7a fixes k.
     """
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    inp: dict
-    if variant in ("1A", "1B", "1C"):
-        vname = ("quadric", "segre", "pf")[seed % 3]
-        variety, dim = _prop1_spaces(vname)
-        A = _degenerate_line(variety, dim, rng)
-        if variant == "1A":
-            inp = {"A": A, "B": _rnd(rng, 2, 2), "variety": vname}
-        elif variant == "1B":
-            inp = {"A": A, "B": _degenerate_line(variety, dim, rng), "variety": vname}
-        else:
-            while True:
-                v = _rnd(rng, dim)
-                if isinstance(variety, QuadricVariety):
-                    if abs(variety.space.quadratic(v)) > 1e-6:
-                        break
-                else:
-                    sv = np.linalg.svd(v.reshape(2, variety.k), compute_uv=False)
-                    if sv[1] > 1e-6 * sv[0]:
-                        break
-            inp = {"A": A, "v": v, "variety": vname}
-    elif variant == "4A":
-        n, k = ((4, 2), (4, 3), (3, 2), (4, 4))[seed % 4]
-        inp = {"A": _nonample_columns(symmetric_space(n), k, rng),
-               "B": _rnd(rng, 2, k)}
-    elif variant == "4B":
-        n, k = ((4, 2), (4, 3), (3, 2), (4, 4))[seed % 4]
-        inp = {"A": _nonample_columns(symmetric_space(n), k, rng), "v": _rnd(rng, n)}
-    elif variant == "5A":
-        dsp = det_space()
-        # stack the three det-space columns as 2x2 blocks: [target, middle, source]
-        A = np.stack([c.reshape(2, 2) for c in _nonample_columns(dsp, 3, rng).T], axis=1)
-        B = np.stack([c.reshape(2, 2) for c in _nonample_columns(dsp, 3, rng).T], axis=1)
-        inp = {"A": A, "B": B}
-    elif variant == "5B":
-        inp = {"A": _nonample_columns(det_space(), 3, rng), "B": _rnd(rng, 2, 3)}
-    elif variant == "5C":
-        inp = {"v": _rnd(rng, 3), "B": _rnd(rng, 3, 2)}
-    elif variant == "6A":
-        inp = {"A": _nonample_columns(pf_space(), 2, rng),
-               "B": _nonample_columns(det_space(), 4, rng)}
-    elif variant == "6B":
-        inp = {"A": _nonample_columns(pf_space(), 2, rng).T,
-               "B": _nonample_columns(det_space(), 4, rng)}
-    elif variant == "6C":
-        inp = {"A": _nonample_columns(pf_space(), 2, rng), "w": _rnd(rng, 4)}
-    elif variant == "6D":
-        inp = {"A": _nonample_columns(pf_space(), 4, rng),
-               "B": _nonample_columns(pf_space(), 4, rng)}
-    elif variant == "6E":
-        inp = {"A": _nonample_columns(pf_space(), 4, rng), "u": _rnd(rng, 4)}
-    elif variant == "7A":
-        sm = spin_module(4)
-        k = 2 if seed % 2 == 0 else 3
-        inp = {"A": _nonample_columns(sm.half_space("+"), k, rng),
-               "B": _nonample_columns(sm.half_space("-"), k, rng)}
-    elif variant == "7B":
-        sm = spin_module(4)
-        inp = {"A": _nonample_columns(sm.half_space("+"), 3, rng),
-               "B": _nonample_columns(sm.half_space("-"), 3, rng)}
-    elif variant == "7C":
-        sm = spin_module(4)
-        inp = {"A": _nonample_columns(sm.half_space("-"), 3, rng), "s": _rnd(rng, 8)}
-    else:
+    if variant not in SPECS:
         raise ValueError(f"unknown variant {variant!r}")
-    return DeformationTask(variant, inp, seed=seed, max_restarts=max_restarts)
+    return _generated(variant, seed, SPECS[variant].seeded(seed), max_restarts)
 
 
 def random_task_7a(k: int, seed: int, max_restarts: int = 1000) -> DeformationTask:
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    sm = spin_module(4)
-    inp = {"A": _nonample_columns(sm.half_space("+"), k, rng),
-           "B": _nonample_columns(sm.half_space("-"), k, rng)}
-    return DeformationTask("7A", inp, seed=seed, max_restarts=max_restarts)
+    return _generated("7A", seed, {"k": k}, max_restarts)

@@ -111,44 +111,3 @@ def match_table_entry(group: str, black, entries: Sequence[TableEntry] | None = 
         if e.group == group and tuple(sorted(e.black)) == black:
             return e.index
     return None
-
-
-# ------------------------------------------------------------ ample facts
-#
-# Full weak-ampleness classification relies on an external list of ample
-# Levi-module shapes.  Only facts established by this package's own
-# constructions are shipped; the registry is pluggable so such a list can
-# be supplied without touching the classifier.
-
-
-@dataclass(frozen=True)
-class AmpleFact:
-    shape: str
-    ample: bool
-    source: str
-
-
-DEFAULT_AMPLE_FACTS: tuple[AmpleFact, ...] = (
-    AmpleFact("reduced weight component", True,
-              "basic reducedness criterion (g_{2chi} = 0)"),
-    AmpleFact("gl block Hom(V_i, V_j)", True,
-              "Moore-Penrose characteristic construction"),
-    AmpleFact("so/sp component g_{lambda_i} = Hom(U_i^-, W)", True,
-              "explicit B-from-A solution of the characteristic equations"),
-    AmpleFact("open orbit with codimension-1 complement", True,
-              "recorded criterion on the module shape; not computed here"),
-)
-
-
-class AmpleFactsRegistry:
-    def __init__(self, facts: tuple[AmpleFact, ...] = DEFAULT_AMPLE_FACTS):
-        self._facts = {f.shape: f for f in facts}
-
-    def register(self, fact: AmpleFact) -> None:
-        self._facts[fact.shape] = fact
-
-    def lookup(self, shape: str) -> AmpleFact | None:
-        return self._facts.get(shape)
-
-    def shapes(self) -> list[str]:
-        return sorted(self._facts)

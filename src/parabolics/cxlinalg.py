@@ -18,13 +18,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-_DET_KIND = "det-on-C2xC2"
-_PF_KIND = "pf-on-L2C4"
-
-#: Basis order for the pf kind: coordinates of Lambda^2 C^4.
-PF_BASIS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
 @dataclass(frozen=True)
 class BilinearSpace:
     """A nondegenerate bilinear form omega(x, y) = x^T gram y on C^dim."""
@@ -84,20 +77,11 @@ def pf_value(x) -> complex:
 
 
 def det_space() -> BilinearSpace:
-    return BilinearSpace(_DET_KIND, 4, _gram_from_quadratic(det_value, 4))
+    return BilinearSpace("det-on-C2xC2", 4, _gram_from_quadratic(det_value, 4))
 
 
 def pf_space() -> BilinearSpace:
-    return BilinearSpace(_PF_KIND, 6, _gram_from_quadratic(pf_value, 6))
-
-
-def quadratic_value(x, space: BilinearSpace) -> complex:
-    """Value of the canonical quadratic form of a det- or pf-kind space."""
-    if space.kind == _DET_KIND:
-        return det_value(x)
-    if space.kind == _PF_KIND:
-        return pf_value(x)
-    raise ValueError(f"no canonical quadratic form for kind {space.kind!r}")
+    return BilinearSpace("pf-on-L2C4", 6, _gram_from_quadratic(pf_value, 6))
 
 
 # ----------------------------------------------------------- Moore-Penrose
@@ -165,17 +149,16 @@ def restriction_invariants(S, space: BilinearSpace,
                            rtol: float = DEFAULT_TOL) -> tuple[int, int]:
     """(rank, radical dimension) of the form restricted to span(S).
 
-    S is a sequence of vectors or a matrix whose columns span the subspace.
-    The radical is the kernel of the restricted Gram matrix; its dimension
-    is basis-independent.
+    S is one vector of C^dim or a (dim, k) matrix whose columns span the
+    subspace; any other shape is a ValueError.  The radical is the kernel
+    of the restricted Gram matrix; its dimension is basis-independent.
     """
     S = np.asarray(S, dtype=complex)
+    if S.ndim not in (1, 2) or S.shape[0] != space.dim:
+        raise ValueError(f"expected a vector of C^{space.dim} or a ({space.dim}, k) "
+                         f"matrix, got shape {S.shape}")
     if S.ndim == 1:
         S = S[:, None]
-    elif S.shape[0] != space.dim:
-        S = S.T if S.shape[1] == space.dim else S
-    if S.shape[0] != space.dim:
-        raise ValueError(f"vectors must live in C^{space.dim}")
     B = orth(S, rtol)
     r = B.shape[1]
     if r == 0:
@@ -190,12 +173,13 @@ def restriction_invariants(S, space: BilinearSpace,
 
 
 def _solve_constraints(C: np.ndarray, dim: int, rtol: float) -> np.ndarray:
-    """Orthonormal basis of {x : C x = 0} (all of C^dim if C is empty)."""
-    if C.shape[0] == 0:
+    """Orthonormal basis of {x : C x = 0}; all of C^dim when C is zero or
+    has no rows.  Singular values up to rtol * s_max count as zero."""
+    if not C.any():
         return np.eye(dim, dtype=complex)
     _, s, Vh = np.linalg.svd(C)
     null_mask = np.zeros(dim, dtype=bool)
-    null_mask[: len(s)] = s <= rtol * max(s[0], 1.0)
+    null_mask[: len(s)] = s <= rtol * s[0]
     null_mask[len(s):] = True
     return Vh.conj().T[:, null_mask]
 
@@ -274,28 +258,3 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         if restriction_invariants(M, space, rtol) == (rank, radical):
             return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")
-
-
-def expm(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core."""
-    X = np.asarray(X, dtype=complex)
-    k = max(0, int(np.ceil(np.log2(max(np.linalg.norm(X, 1), 1e-300)))) + 1)
-    Y = X / (2.0 ** k)
-    E = np.eye(X.shape[0], dtype=complex)
-    term = np.eye(X.shape[0], dtype=complex)
-    for i in range(1, 24):
-        term = term @ Y / i
-        E = E + term
-    for _ in range(k):
-        E = E @ E
-    return E
-
-
-def form_preserving(space: BilinearSpace, rng: np.random.Generator,
-                    scale: float = 0.5) -> np.ndarray:
-    """A random invertible h with h^T gram h = gram (exp of a form-skew map)."""
-    n = space.dim
-    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    S = (S - S.T) / 2 if space.symmetric else (S + S.T) / 2
-    X = np.linalg.solve(space.gram, scale * S)
-    return expm(X)

@@ -28,6 +28,7 @@ import numpy as np
 from .cxlinalg import (
     DEFAULT_TOL,
     BilinearSpace,
+    _solve_constraints,
     mp_inverse,
     orth,
     sharp_adjoint,
@@ -258,16 +259,6 @@ class LemmaSolution:
     U2: np.ndarray
 
 
-def _null_basis(M: np.ndarray, dim: int, rtol: float) -> np.ndarray:
-    if M.shape[0] == 0 or np.linalg.norm(M) == 0.0:
-        return np.eye(dim, dtype=complex)
-    _, s, Vh = np.linalg.svd(M)
-    mask = np.zeros(dim, dtype=bool)
-    mask[: len(s)] = s <= rtol * s[0]
-    mask[len(s):] = True
-    return Vh.conj().T[:, mask]
-
-
 def lemma_B_from_A(A, space: BilinearSpace,
                    rtol: float = DEFAULT_TOL) -> LemmaSolution:
     """Solve the characteristic equations for A: U -> W.
@@ -296,11 +287,11 @@ def lemma_B_from_A(A, space: BilinearSpace,
     # W3 must be the omega-orthogonal leftover: the displayed action of
     # (AB)# on the four summands forces omega(W3, W0 + W1 + W2) = 0, and
     # Hermitian orthogonality of W3 against W0 and W2 then holds for free.
-    W3 = _null_basis(np.hstack([W0, W1, W2]).T @ G, k, rtol)
+    W3 = _solve_constraints(np.hstack([W0, W1, W2]).T @ G, k, rtol)
 
     Aplus = mp_inverse(A, rtol)              # inverts Im A -> Ker-perp
     U0, U1 = Aplus @ W0, Aplus @ W1
-    U2 = _null_basis(A, n, rtol)
+    U2 = _solve_constraints(A, n, rtol)
 
     T = np.hstack([orth(U0, rtol), orth(U1, rtol), U2])
     if T.shape[1] != n:

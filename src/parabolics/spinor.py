@@ -195,19 +195,3 @@ def _form_gram(m: int) -> np.ndarray:
         G[i, sm.index[complement]] = -sign if (k // 2) % 2 else sign
     G.setflags(write=False)  # shared by every half_space and caller
     return G
-
-
-def spin_form(u, v, m: int) -> complex:
-    """The bilinear form on Lambda* U for even m."""
-    if m % 2:
-        raise ValueError("the spinor form is only defined for even m")
-    sm = spin_module(m)
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    G = sm.form_gram
-    return complex(u @ G @ v)
-
-
-def rho_span(sm: SpinModule, s: np.ndarray) -> np.ndarray:
-    """Columns rho(v_j) s over the standard basis of V."""
-    cols = [sm.rho(np.eye(2 * sm.m, dtype=complex)[j]) @ s for j in range(2 * sm.m)]
-    return np.column_stack(cols)

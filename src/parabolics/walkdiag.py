@@ -75,7 +75,7 @@ def bracket_is_full(g: Grading, chi1: Weight, chi2: Weight) -> bool:
 def arrow_head(g: Grading, chi1: Weight, mu: Weight) -> Weight | None:
     """Head of the mu-labelled arrow at chi1, or None if there is no arrow."""
     chi1, mu = tuple(chi1), tuple(mu)
-    if not (g.is_weight(chi1) and g.is_weight(mu)):
+    if g.component_indices(chi1) is None or g.component_indices(mu) is None:
         raise ValueError("arrow endpoints must be positive weights")
     head = tuple(a + b for a, b in zip(chi1, mu))
     if not g.is_weight(head):
@@ -327,5 +327,6 @@ def verify_case(case: CaseSpec) -> CaseReport:
 
 
 def verify_all_cases(cases: dict[str, CaseSpec] | None = None) -> dict[str, CaseReport]:
-    cases = cases or load_cases()
+    if cases is None:
+        cases = load_cases()
     return {cid: verify_case(spec) for cid, spec in sorted(cases.items())}

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
+from linalg_helpers import form_preserving
 from parabolics import ampleness as am
-from parabolics.cxlinalg import (
-    det_space,
-    form_preserving,
-    pf_space,
-    symmetric_space,
-)
+from parabolics.cxlinalg import det_space, pf_space, symmetric_space
 from parabolics.spinor import spin_module
 
 
@@ -28,8 +24,6 @@ def test_is_ample_examples():
     assert am.is_ample(np.zeros((6, 2)), psp) != am.NOT_AMPLE
     iso = np.zeros((6, 1), dtype=complex); iso[1, 0] = 1
     assert am.is_ample(iso, psp) == am.AMPLE_ISOTROPIC
-    inst = am.classify_instance(B, psp)
-    assert inst.classification == am.NOT_AMPLE and inst.ambient == psp.kind
 
 
 @pytest.mark.parametrize("space", [symmetric_space(4), det_space(), pf_space()])
@@ -52,14 +46,13 @@ def test_is_ample_invariant_under_structure_group(space):
 
 def test_spinor_is_ample():
     sm = spin_module(4)
+    plus, minus = sm.half_space("+"), sm.half_space("-")
     s1 = sm.to_half(sm.vector(()), "+")
     s2 = sm.to_half(sm.vector((0, 1), (2, 3)), "+")
-    assert am.spinor_is_ample(np.column_stack([s1, s2])) == am.NOT_AMPLE
-    assert am.spinor_is_ample(np.zeros((8, 2))) != am.NOT_AMPLE
+    assert am.is_ample(np.column_stack([s1, s2]), plus) == am.NOT_AMPLE
+    assert am.is_ample(np.zeros((8, 2)), plus) != am.NOT_AMPLE
     rng = np.random.default_rng(8)
-    assert am.spinor_is_ample(_crandom(rng, 8, 3), side="-") == am.AMPLE_NONDEG
-    with pytest.raises(ValueError):
-        am.spinor_is_ample(np.zeros((4, 1)), m=3)
+    assert am.is_ample(_crandom(rng, 8, 3), minus) == am.AMPLE_NONDEG
 
 
 def test_degenerate_line_map_quadric_examples():
@@ -153,6 +146,33 @@ def test_canonical_6d_first_attempt_uses_printed_witness():
         assert res.verified and res.restarts == 0
         lam = res.witness["C"][2, 1]
         assert lam != 0 and np.allclose(res.witness["C"], lam * C)
+
+
+def test_1c_in_image_witness_cancels_one_column():
+    # v = A c lies in the image of A: the deterministic witness cancels one
+    # column of A against v, so no random restart is needed
+    for seed in range(30):
+        task = am.random_task("1C", seed)
+        c = _crandom(np.random.default_rng(130 + seed), 2)
+        inputs = dict(task.inputs, v=task.inputs["A"] @ c)
+        res = am.deform(am.DeformationTask("1C", inputs, seed=seed))
+        assert res.verified and res.restarts == 0, seed
+        assert np.count_nonzero(res.witness["f"]) == 1
+
+
+def test_7c_isotropic_spinor_witness():
+    # an isotropic s makes rho(V)s maximal isotropic; the deterministic
+    # witness then pushes the columns of A into an isotropic span
+    plus = spin_module(4).half_space("+")
+    rng = np.random.default_rng(140)
+    for seed in range(10):
+        a, b = _crandom(rng, 8), _crandom(rng, 8)
+        qa, qb, qab = plus.omega(a, a), plus.omega(b, b), plus.omega(a, b)
+        s = a + ((-qab + np.sqrt(qab ** 2 - qa * qb)) / qb) * b
+        assert abs(plus.omega(s, s)) < 1e-10 * np.linalg.norm(s) ** 2
+        A = am.random_task("7C", seed).inputs["A"]
+        res = am.deform(am.DeformationTask("7C", {"A": A, "s": s}, seed=seed))
+        assert res.verified and res.restarts == 0, seed
 
 
 def test_canonical_5c_first_attempt():

@@ -3,8 +3,6 @@ from pathlib import Path
 import pytest
 
 from parabolics.classify import (
-    AmpleFact,
-    AmpleFactsRegistry,
     check_table,
     load_table,
     match_table_entry,
@@ -80,15 +78,6 @@ def test_every_case_colouring_is_a_table_entry():
     for spec in load_cases().values():
         assert match_table_entry(spec.group, spec.black) is not None
     assert match_table_entry("E7", [1]) is None
-
-
-def test_ample_facts_registry():
-    reg = AmpleFactsRegistry()
-    assert reg.lookup("reduced weight component").ample
-    assert reg.lookup("no such shape") is None
-    reg.register(AmpleFact("custom shape", False, "external list"))
-    assert reg.lookup("custom shape").ample is False
-    assert "custom shape" in reg.shapes()
 
 
 def test_bundled_table_is_read_once(monkeypatch):

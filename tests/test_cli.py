@@ -91,6 +91,24 @@ def test_cli_deform():
     assert code == 0
 
 
+def test_cli_deform_input_missing_key(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"A": [[1, 0], [0, 1], [0, 0], [0, 0]]}))
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+    assert code == 2
+    assert "variant 4A" in out and "missing input 'B'" in out and "Traceback" not in out
+
+
+def test_cli_deform_input_wrong_shape(tmp_path):
+    # B must have as many columns as A (k = 2); a (4, 3) B is refused before numpy sees it
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"A": [[1, 0], [0, 1], [0, 0], [0, 0]],
+                                "B": [[1, 0, 0]] * 4}))
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+    assert code == 2
+    assert "variant 4A: input 'B' has shape (4, 3), expected (p, 2)" in out
+
+
 def test_cli_spinor():
     code, out = run_cli("spinor", "--m", "4")
     assert code == 0 and "overall: PASS" in out

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from linalg_helpers import expm, form_preserving
 from parabolics import cxlinalg as cx
+from parabolics.ampleness import PF2
 
 
 def _crandom(rng, *shape):
@@ -90,9 +92,19 @@ def test_sharp_adjoint_identity_and_antihomomorphism(space):
 
 def test_restriction_invariants_examples():
     sym3 = cx.symmetric_space(3)
-    assert cx.restriction_invariants([[1, 0, 0]], sym3) == (1, 0)
-    assert cx.restriction_invariants([[1, 1j, 0]], sym3) == (1, 1)
+    assert cx.restriction_invariants([1, 0, 0], sym3) == (1, 0)
+    assert cx.restriction_invariants([1, 1j, 0], sym3) == (1, 1)
     assert cx.restriction_invariants(np.zeros((3, 2)), sym3) == (0, 0)
+
+
+def test_restriction_invariants_rejects_row_vectors():
+    # a (k, dim) input is not read as k row vectors: only (dim, k) columns
+    sym3 = cx.symmetric_space(3)
+    rows = np.array([[1, 1j, 0], [0, 0, 1]])
+    assert cx.restriction_invariants(rows.T, sym3) == (2, 1)
+    for bad in (rows[:, :2], np.zeros((2, 3)), np.zeros(4), np.zeros((3, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            cx.restriction_invariants(bad, sym3)
 
 
 def test_restriction_invariants_basis_independent():
@@ -120,26 +132,24 @@ def test_witt_pairs_dim2_into_3():
 
 
 def test_quadratic_value_examples():
-    dsp, psp = cx.det_space(), cx.pf_space()
-    assert cx.quadratic_value([1, 0, 0, 1], dsp) == 1
-    assert cx.quadratic_value([1, 0, 0, 0, 0, 1], psp) == 1
-    assert cx.quadratic_value([1, 0, 0, 0, 0, 0], psp) == 0
+    assert cx.det_value([1, 0, 0, 1]) == 1
+    assert cx.pf_value([1, 0, 0, 0, 0, 1]) == 1
+    assert cx.pf_value([1, 0, 0, 0, 0, 0]) == 0
     with pytest.raises(ValueError):
-        cx.quadratic_value([1, 0, 0], dsp)
+        cx.det_value([1, 0, 0])
     with pytest.raises(ValueError):
-        cx.quadratic_value([1, 0, 0, 1], cx.symmetric_space(4))
+        cx.pf_value([1, 0, 0, 1])
 
 
 def test_pf_value_against_wedge_expansion():
     # oracle: expand x ^ x over the 15 basis pairs and read the top coefficient
     rng = np.random.default_rng(8)
-    basis = cx.PF_BASIS
     for _ in range(30):
         x = _crandom(rng, 6)
         top = 0.0
-        for a, (i1, j1) in enumerate(basis):
-            for b, (i2, j2) in enumerate(basis):
-                if {i1, j1} | {i2, j2} == {1, 2, 3, 4} and not {i1, j1} & {i2, j2}:
+        for a, (i1, j1) in enumerate(PF2):
+            for b, (i2, j2) in enumerate(PF2):
+                if {i1, j1} | {i2, j2} == {0, 1, 2, 3} and not {i1, j1} & {i2, j2}:
                     perm = (i1, j1, i2, j2)
                     inversions = sum(1 for p in range(4) for q in range(p + 1, 4)
                                      if perm[p] > perm[q])
@@ -149,10 +159,11 @@ def test_pf_value_against_wedge_expansion():
 
 @pytest.mark.parametrize("space", [cx.det_space(), cx.pf_space()])
 def test_polarization_gram_matches_quadratic(space):
+    value = cx.det_value if space.dim == 4 else cx.pf_value
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = _crandom(rng, space.dim)
-        assert abs(space.quadratic(x) - cx.quadratic_value(x, space)) < 1e-10
+        assert abs(space.quadratic(x) - value(x)) < 1e-10
     assert abs(np.linalg.det(space.gram)) > 1e-6
 
 
@@ -160,7 +171,7 @@ def test_form_preserving_preserves_gram():
     rng = np.random.default_rng(10)
     for space in (cx.symmetric_space(5), cx.symplectic_space(6),
                   cx.det_space(), cx.pf_space()):
-        h = cx.form_preserving(space, rng)
+        h = form_preserving(space, rng)
         assert np.allclose(h.T @ space.gram @ h, space.gram, atol=1e-10)
 
 
@@ -169,4 +180,4 @@ def test_expm_against_eigendecomposition():
     X = _crandom(rng, 5, 5)
     w, V = np.linalg.eig(X)
     expected = V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
-    assert np.allclose(cx.expm(X), expected, atol=1e-10)
+    assert np.allclose(expm(X), expected, atol=1e-10)

@@ -5,11 +5,20 @@ import pytest
 
 from parabolics import spinor
 from parabolics.cxlinalg import restriction_invariants
-from parabolics.spinor import rho_span, spin_form, spin_module
+from parabolics.spinor import spin_module
 
 
 def _crandom(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _form(sm, s, t):
+    return complex(s @ sm.form_gram @ t)
+
+
+def _rho_span(sm, s):
+    """Columns rho(v_j) s over the standard basis of V."""
+    return np.column_stack([sm.rho(e) @ s for e in np.eye(2 * sm.m, dtype=complex)])
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +78,8 @@ def test_rho_flips_parity_exactly(sm4):
 
 
 def test_spin_form_examples(sm4):
-    assert spin_form(sm4.vector(()), sm4.vector((0, 1, 2, 3)), 4) == 1
-    assert spin_form(sm4.vector((0, 1)), sm4.vector((0, 1)), 4) == 0
-    with pytest.raises(ValueError):
-        spin_form(np.zeros(8), np.zeros(8), 3)
+    assert _form(sm4, sm4.vector(()), sm4.vector((0, 1, 2, 3))) == 1
+    assert _form(sm4, sm4.vector((0, 1)), sm4.vector((0, 1))) == 0
 
 
 def test_form_symmetry_types():
@@ -121,8 +128,8 @@ def test_prop7c_dichotomy(sm4):
     od = list(sm4.odd_indices)
     for _ in range(20):
         s = sm4.from_half(_crandom(rng, 8), "+")
-        span = rho_span(sm4, s)[od, :]
-        if abs(spin_form(s, s, 4)) > 1e-8:
+        span = _rho_span(sm4, s)[od, :]
+        if abs(_form(sm4, s, s)) > 1e-8:
             assert np.linalg.matrix_rank(span, tol=1e-8) == 8
         else:
             assert restriction_invariants(span, minus) == (4, 4)
@@ -130,10 +137,10 @@ def test_prop7c_dichotomy(sm4):
     for _ in range(20):
         a = sm4.from_half(_crandom(rng, 8), "+")
         b = sm4.from_half(_crandom(rng, 8), "+")
-        qa, qb, qab = spin_form(a, a, 4), spin_form(b, b, 4), spin_form(a, b, 4)
+        qa, qb, qab = _form(sm4, a, a), _form(sm4, b, b), _form(sm4, a, b)
         s = a + ((-qab + np.sqrt(qab ** 2 - qa * qb)) / qb) * b
-        assert abs(spin_form(s, s, 4)) < 1e-6 * np.linalg.norm(s) ** 2
-        span = rho_span(sm4, s)[od, :]
+        assert abs(_form(sm4, s, s)) < 1e-6 * np.linalg.norm(s) ** 2
+        span = _rho_span(sm4, s)[od, :]
         assert restriction_invariants(span, minus) == (4, 4)
 
 

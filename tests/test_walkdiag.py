@@ -93,6 +93,19 @@ def test_arrow_head_examples(cases):
         arrow_head(g, (9, 9), (1, 0))
 
 
+def test_arrow_head_rejects_negative_weights():
+    # (0, -1) is a weight of this grading, but not a positive one
+    g = compute_grading(diagram("E7", (1, 3, 4, 6, 7)))
+    assert g.is_weight((0, -1))
+    for chi1, mu in (((1, 1), (0, -1)), ((0, -1), (1, 1))):
+        with pytest.raises(ValueError, match="positive weights"):
+            arrow_head(g, chi1, mu)
+
+
+def test_verify_all_cases_of_no_cases_verifies_nothing():
+    assert verify_all_cases({}) == {}
+
+
 def test_build_weight_diagram_matches_case_2a(cases):
     spec = cases["2A"]
     g = compute_grading(diagram("E7", spec.black))
