@@ -579,8 +579,9 @@ class DeformResult:
 
 
 def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
-    """The inputs as complex arrays plus the dimensions they bind.  A missing
-    input or one off its declared shape is a ValueError naming it."""
+    """The inputs as complex arrays ({"re": ..., "im": ...} is re + 1j im)
+    plus the dimensions they bind.  A missing input, one that is not
+    numeric or one off its declared shape is a ValueError naming it."""
     for key in spec.inputs:
         if key not in raw:
             raise ValueError(f"variant {variant}: missing input {key!r}")
@@ -589,7 +590,14 @@ def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
         if inp.shape is None:
             c[key] = raw[key]
             continue
-        c[key] = np.asarray(raw[key], dtype=complex)
+        v = raw[key]
+        try:
+            c[key] = (np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"], dtype=float)
+                      if isinstance(v, dict) and set(v) == {"re", "im"}
+                      else np.asarray(v, dtype=complex))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"variant {variant}: input {key!r} is not a complex "
+                             f"array ({exc})") from None
         # the declared shape with every dimension known so far filled in
         want = tuple(c[d] if isinstance(d, str) and (d in c or d in _DERIVED) else d
                      for d in inp.shape)

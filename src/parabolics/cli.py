@@ -215,16 +215,7 @@ def cmd_lemma(args) -> int:
 def cmd_deform(args) -> int:
     if args.input:
         with open(args.input) as fh:
-            raw = json.load(fh)
-
-        def from_json(v):
-            if isinstance(v, dict) and set(v) == {"re", "im"}:
-                return np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"])
-            if isinstance(v, list):
-                return np.asarray(v, dtype=complex)
-            return v
-
-        inputs = {k: from_json(v) for k, v in raw.items()}
+            inputs = json.load(fh)
         task = ampleness.DeformationTask(args.variant, inputs, seed=args.seed)
     elif args.variant == "7A" and args.k:
         task = ampleness.random_task_7a(args.k, args.seed)

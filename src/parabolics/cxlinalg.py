@@ -13,6 +13,7 @@ involved; exact arithmetic is never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,15 +21,27 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BilinearSpace:
-    """A nondegenerate bilinear form omega(x, y) = x^T gram y on C^dim."""
+    """A nondegenerate bilinear form omega(x, y) = x^T gram y on C^dim.  The
+    Gram is read-only (a writable one is copied first), so the constants
+    computed from it on first use cannot go stale."""
 
     kind: str
     dim: int
     gram: np.ndarray
 
-    @property
+    def __post_init__(self):
+        if self.gram.flags.writeable:  # the caller's array: freeze a copy
+            object.__setattr__(self, "gram", self.gram.copy())
+            self.gram.setflags(write=False)
+
+    @cached_property
     def symmetric(self) -> bool:
         return bool(np.array_equal(self.gram, self.gram.T))
+
+    @cached_property
+    def norm(self) -> float:
+        """The spectral norm of the Gram."""
+        return float(np.linalg.norm(self.gram, 2))
 
     def omega(self, x, y) -> complex:
         return complex(np.asarray(x) @ self.gram @ np.asarray(y))
@@ -37,10 +50,12 @@ class BilinearSpace:
         return self.omega(x, x)
 
 
+@lru_cache(maxsize=None)
 def symmetric_space(dim: int) -> BilinearSpace:
     return BilinearSpace("symmetric-Id", dim, np.eye(dim, dtype=complex))
 
 
+@lru_cache(maxsize=None)
 def symplectic_space(dim: int) -> BilinearSpace:
     if dim % 2:
         raise ValueError("symplectic form needs even dimension")
@@ -51,37 +66,22 @@ def symplectic_space(dim: int) -> BilinearSpace:
     return BilinearSpace("symplectic-I", dim, gram)
 
 
-def _gram_from_quadratic(q, dim: int) -> np.ndarray:
-    basis = np.eye(dim, dtype=complex)
-    gram = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            gram[i, j] = (q(basis[i] + basis[j]) - q(basis[i]) - q(basis[j])) / 2
-    return gram
+def _antidiagonal(signs) -> np.ndarray:
+    """The Gram pairing coordinate i with coordinate dim - 1 - i by sign / 2."""
+    return np.diag(np.array(signs) / 2)[:, ::-1].astype(complex)
 
 
-def det_value(x) -> complex:
-    """det of x in C^2 (x) C^2, coordinates in row-major matrix order."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (4,):
-        raise ValueError("det form lives on C^2 (x) C^2 = C^4")
-    return x[0] * x[3] - x[1] * x[2]
-
-
-def pf_value(x) -> complex:
-    """Pf of x in Lambda^2 C^4: half the e1^e2^e3^e4 coefficient of x^x."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (6,):
-        raise ValueError("pf form lives on Lambda^2 C^4 = C^6")
-    return x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
-
-
+@lru_cache(maxsize=None)
 def det_space() -> BilinearSpace:
-    return BilinearSpace("det-on-C2xC2", 4, _gram_from_quadratic(det_value, 4))
+    """det on C^2 (x) C^2 in row-major matrix coordinates: x0 x3 - x1 x2."""
+    return BilinearSpace("det-on-C2xC2", 4, _antidiagonal((1, -1, -1, 1)))
 
 
+@lru_cache(maxsize=None)
 def pf_space() -> BilinearSpace:
-    return BilinearSpace("pf-on-L2C4", 6, _gram_from_quadratic(pf_value, 6))
+    """Pf on Lambda^2 C^4, half the e1^e2^e3^e4 coefficient of x^x:
+    x0 x5 - x1 x4 + x2 x3 in the basis e12, e13, e14, e23, e24, e34."""
+    return BilinearSpace("pf-on-L2C4", 6, _antidiagonal((1, -1, 1, 1, -1, 1)))
 
 
 # ----------------------------------------------------------- Moore-Penrose
@@ -165,7 +165,7 @@ def restriction_invariants(S, space: BilinearSpace,
         return 0, 0
     G = B.T @ space.gram @ B
     s = np.linalg.svd(G, compute_uv=False)
-    gram_rank = int(np.sum(s > rtol * max(np.linalg.norm(space.gram, 2), 1.0)))
+    gram_rank = int(np.sum(s > rtol * max(space.norm, 1.0)))
     return r, r - gram_rank
 
 

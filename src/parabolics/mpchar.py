@@ -277,7 +277,7 @@ def lemma_B_from_A(A, space: BilinearSpace,
     Gr = im.T @ G @ im
     if im.shape[1]:
         _, s, Vh = np.linalg.svd(Gr)
-        small = s <= rtol * max(np.linalg.norm(G, 2), 1.0)
+        small = s <= rtol * max(space.norm, 1.0)
         W0 = im @ Vh.conj().T[:, small]
         W1 = im @ Vh.conj().T[:, ~small]
     else:

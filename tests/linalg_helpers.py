@@ -1,8 +1,35 @@
-"""Test helpers: random elements of the structure group of a bilinear space."""
+"""Test helpers: the det and pf forms with the polarisation loop that gives
+their Grams, and random elements of the structure group of a bilinear space."""
 
 import numpy as np
 
 from parabolics.cxlinalg import BilinearSpace
+
+
+def gram_from_quadratic(q, dim: int) -> np.ndarray:
+    """The Gram of the quadratic form q by polarisation on basis vectors."""
+    basis = np.eye(dim, dtype=complex)
+    gram = np.empty((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            gram[i, j] = (q(basis[i] + basis[j]) - q(basis[i]) - q(basis[j])) / 2
+    return gram
+
+
+def det_value(x) -> complex:
+    """det of x in C^2 (x) C^2, coordinates in row-major matrix order."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (4,):
+        raise ValueError("det form lives on C^2 (x) C^2 = C^4")
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def pf_value(x) -> complex:
+    """Pf of x in Lambda^2 C^4: half the e1^e2^e3^e4 coefficient of x^x."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (6,):
+        raise ValueError("pf form lives on Lambda^2 C^4 = C^6")
+    return x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
 
 
 def expm(X: np.ndarray) -> np.ndarray:

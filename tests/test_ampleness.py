@@ -109,6 +109,42 @@ def test_deform_verified_small_batch(variant):
         assert res.restarts <= 1000
 
 
+def _zero_like(witness):
+    if isinstance(witness, (list, tuple)):
+        return [_zero_like(x) for x in witness]
+    return np.zeros_like(witness)
+
+
+def _zero_witness_accepted(variant: str, seed: int) -> bool:
+    """Whether the variant's predicate accepts its object deformed by the
+    zero witness, which is the (non-ample or degenerate) input itself."""
+    spec = am.SPECS[variant]
+    task = am.random_task(variant, seed)
+    c = am._context(variant, spec, task.inputs)
+    zero = {k: _zero_like(v) for k, v in spec.draw(c, np.random.default_rng(seed)).items()}
+    return spec.predicate(c, spec.deformed(c, zero))
+
+
+# 5C is left out: its B is any element of L2C^3 x C^2, so B itself may
+# already have rank 2 and the zero witness may pass.
+_CONTROLLED = tuple(v for v in am.VARIANTS if v != "5C")
+
+
+@pytest.mark.parametrize("variant", _CONTROLLED)
+def test_predicate_rejects_zero_witness(variant):
+    for seed in range(4):
+        assert not _zero_witness_accepted(variant, seed), (variant, seed)
+
+
+def test_zero_witness_control_fails_when_ample_always_holds(monkeypatch):
+    # the planted defect "every tensor is ample" must not pass the control;
+    # the Prop 1 variants (1A-1C) judge line maps, not ampleness
+    monkeypatch.setattr(am, "ample", lambda *args, **kwargs: True)
+    by_ampleness = [v for v in _CONTROLLED if not v.startswith("1")]
+    assert len(by_ampleness) == 12
+    assert all(_zero_witness_accepted(v, 0) for v in by_ampleness)
+
+
 def test_deform_7a_both_widths():
     for k in (2, 3):
         for seed in range(4):

@@ -109,6 +109,28 @@ def test_cli_deform_input_wrong_shape(tmp_path):
     assert "variant 4A: input 'B' has shape (4, 3), expected (p, 2)" in out
 
 
+def test_cli_deform_input_not_numeric(tmp_path):
+    # a malformed entry is named by variant and input, in either encoding
+    path = tmp_path / "in.json"
+    for A in ([["x", 0], [0, 1], [0, 0], [0, 0]],
+              {"re": [[1, 0], [0, 1], [0, 0], [0, 0]], "im": [["x", 0], [0, 0], [0, 0], [0, 0]]}):
+        path.write_text(json.dumps({"A": A, "B": [[1, 0]]}))
+        code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+        assert code == 2
+        assert "variant 4A: input 'A' is not a complex array" in out and "Traceback" not in out
+
+
+def test_cli_deform_input_re_im_encoding(tmp_path):
+    # the --json witness encoding is accepted as input: 4A with a non-ample A
+    path = tmp_path / "in.json"
+    # columns e1 + i e2 (isotropic) and e3: rank 2, radical 1
+    path.write_text(json.dumps({"A": {"re": [[1, 0], [0, 0], [0, 1], [0, 0]],
+                                      "im": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+                                "B": [[1, 0], [0, 1]]}))
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path), "--json")
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 def test_cli_spinor():
     code, out = run_cli("spinor", "--m", "4")
     assert code == 0 and "overall: PASS" in out

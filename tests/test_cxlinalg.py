@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import expm, form_preserving
+from linalg_helpers import det_value, expm, form_preserving, gram_from_quadratic, pf_value
 from parabolics import cxlinalg as cx
 from parabolics.ampleness import PF2
+from parabolics.mpchar import build_classical_grading
+from parabolics.spinor import spin_module
 
 
 def _crandom(rng, *shape):
@@ -132,13 +134,13 @@ def test_witt_pairs_dim2_into_3():
 
 
 def test_quadratic_value_examples():
-    assert cx.det_value([1, 0, 0, 1]) == 1
-    assert cx.pf_value([1, 0, 0, 0, 0, 1]) == 1
-    assert cx.pf_value([1, 0, 0, 0, 0, 0]) == 0
+    assert det_value([1, 0, 0, 1]) == 1
+    assert pf_value([1, 0, 0, 0, 0, 1]) == 1
+    assert pf_value([1, 0, 0, 0, 0, 0]) == 0
     with pytest.raises(ValueError):
-        cx.det_value([1, 0, 0])
+        det_value([1, 0, 0])
     with pytest.raises(ValueError):
-        cx.pf_value([1, 0, 0, 1])
+        pf_value([1, 0, 0, 1])
 
 
 def test_pf_value_against_wedge_expansion():
@@ -154,12 +156,12 @@ def test_pf_value_against_wedge_expansion():
                     inversions = sum(1 for p in range(4) for q in range(p + 1, 4)
                                      if perm[p] > perm[q])
                     top += x[a] * x[b] * (-1) ** inversions
-        assert abs(top / 2 - cx.pf_value(x)) < 1e-10
+        assert abs(top / 2 - pf_value(x)) < 1e-10
 
 
 @pytest.mark.parametrize("space", [cx.det_space(), cx.pf_space()])
 def test_polarization_gram_matches_quadratic(space):
-    value = cx.det_value if space.dim == 4 else cx.pf_value
+    value = det_value if space.dim == 4 else pf_value
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = _crandom(rng, space.dim)
@@ -181,3 +183,54 @@ def test_expm_against_eigendecomposition():
     w, V = np.linalg.eig(X)
     expected = V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
     assert np.allclose(expm(X), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("space, value", [(cx.det_space(), det_value), (cx.pf_space(), pf_value)])
+def test_closed_form_gram_equals_polarisation_loop(space, value):
+    # byte for byte, so signed zeros count too
+    assert space.gram.tobytes() == gram_from_quadratic(value, space.dim).tobytes()
+
+
+@pytest.mark.parametrize("make, args", [(cx.symmetric_space, (5,)), (cx.symplectic_space, (6,)),
+                                        (cx.det_space, ()), (cx.pf_space, ())])
+def test_cached_constructor_returns_one_read_only_space(make, args):
+    space = make(*args)
+    assert make(*args) is space
+    assert not space.gram.flags.writeable
+    with pytest.raises(ValueError):
+        space.gram[0, 0] = 1
+
+
+def _spaces_with_constants():
+    yield from (cx.symmetric_space(n) for n in range(1, 9))
+    yield from (cx.symplectic_space(n) for n in range(2, 9, 2))
+    yield from (cx.det_space(), cx.pf_space())
+    yield from (spin_module(m).half_space(side) for m in (2, 4, 6) for side in "+-")
+    for u_dims, w_dim, kind in [((1, 2), 2, "symmetric"), ((2, 1), 3, "symmetric"),
+                                ((1, 1, 1), 0, "symmetric"), ((2,), 4, "skew"),
+                                ((1, 2), 2, "skew"), ((3,), 0, "skew")]:
+        yield build_classical_grading(u_dims, w_dim, kind).omega
+
+
+def test_space_constants_equal_recomputation():
+    for space in _spaces_with_constants():
+        G = space.gram
+        assert not G.flags.writeable, space.kind
+        assert space.symmetric == bool(np.array_equal(G, G.T)), space.kind
+        assert space.norm == np.linalg.norm(G, 2), space.kind
+        # a second read returns the cached value
+        assert space.norm is space.norm and space.symmetric is space.symmetric
+
+
+def test_space_from_writable_array_cannot_change():
+    gram = np.eye(3, dtype=complex)
+    space = cx.BilinearSpace("sym", 3, gram)
+    assert space.norm == 1.0 and space.symmetric
+    gram[0, 1] = 5
+    assert space.gram[0, 1] == 0 and space.symmetric
+    with pytest.raises(ValueError):
+        space.gram[0, 1] = 5
+    # a read-only Gram is shared, not copied
+    frozen = np.eye(3, dtype=complex)
+    frozen.setflags(write=False)
+    assert cx.BilinearSpace("sym", 3, frozen).gram is frozen
