@@ -19,11 +19,12 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearSpace:
     """A nondegenerate bilinear form omega(x, y) = x^T gram y on C^dim.  The
     Gram is read-only (a writable one is copied first), so the constants
-    computed from it on first use cannot go stale."""
+    computed from it on first use cannot go stale.  Spaces compare and hash
+    by identity."""
 
     kind: str
     dim: int

@@ -198,34 +198,34 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     """Construct the full root system for a valid simple (kind, rank).
 
     Positive roots are generated from the simple ones by root strings: for
-    a positive root b, b + alpha_i is a root iff p - <b, alpha_i^vee> > 0
-    where p is the largest k with b - k*alpha_i a root.
+    a positive root b, b + alpha_i is a root iff p_i - <b, alpha_i^vee> > 0
+    where p_i is the largest k with b - k*alpha_i a root.  The frontier
+    advances one height at a time and each root carries two int lists, its
+    pairings <b, alpha_j^vee> and its string lengths p_j.  The pairings of
+    c = b + alpha_i are those of b plus column i of C.  p_j(c) is
+    p_j(c - alpha_j) + 1 if c - alpha_j is a positive root and 0 otherwise;
+    each such c - alpha_j is one height lower, so its step to c is taken,
+    and p_j(c) set, before c itself is expanded.
     """
     C = cartan_matrix(kind, rank)
+    cols = C.T.tolist()  # cols[i][j] = <alpha_i, alpha_j^vee>
     simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    positive: set[Root] = set(simple)
-    frontier = list(simple)
+    # root -> (pairings with each alpha_j^vee, string lengths p_j)
+    positive = {r: (cols[i], [0] * rank) for i, r in enumerate(simple)}
+    frontier = simple
     while frontier:
         new: list[Root] = []
         for b in frontier:
-            bv = np.asarray(b, dtype=np.int64)
+            pairings, strings = positive[b]
             for i in range(rank):
-                k = int(np.dot(C[i], bv))
-                p = 0
-                probe = list(b)
-                while True:
-                    probe[i] -= 1
-                    if tuple(probe) in positive:
-                        p += 1
-                    else:
-                        break
-                if p - k > 0:
+                if strings[i] > pairings[i]:
                     up = list(b)
                     up[i] += 1
                     cand = tuple(up)
                     if cand not in positive:
-                        positive.add(cand)
+                        positive[cand] = ([x + y for x, y in zip(pairings, cols[i])], [0] * rank)
                         new.append(cand)
+                    positive[cand][1][i] = strings[i] + 1
         frontier = new
     pos_sorted = tuple(sorted(positive, key=lambda r: (_height(r), r)))
     negatives = tuple(tuple(-x for x in r) for r in pos_sorted)

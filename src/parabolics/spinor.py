@@ -23,20 +23,15 @@ import numpy as np
 from .cxlinalg import BilinearSpace
 
 
-def _sign_below(subset: tuple[int, ...], i: int) -> int:
-    """(-1)^(number of elements of subset below i): the sign of moving e_i
-    (or e*_i) past them, for wedging by e_i and contracting by e*_i alike."""
-    return -1 if sum(1 for s in subset if s < i) % 2 else 1
-
-
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     inv = sum(1 for x in a for y in b if x > y)
     return -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinModule:
-    """Basis bookkeeping for Lambda* U, U = C^m, and the Clifford action."""
+    """Basis bookkeeping for Lambda* U, U = C^m, and the Clifford action
+    (one per m; modules compare and hash by identity)."""
 
     m: int
     basis: tuple[tuple[int, ...], ...]
@@ -57,14 +52,22 @@ class SpinModule:
         return _half_indices(self.m)[1]
 
     def _side_indices(self, side: str) -> np.ndarray:
+        if side not in ("+", "-"):
+            raise ValueError(f"spinor side must be '+' or '-', got {side!r}")
         return self.even_indices if side == "+" else self.odd_indices
 
     def vector(self, *subsets, coeffs=None) -> np.ndarray:
         """Element of Lambda* U as a coordinate vector, e.g. vector((), (0,1))."""
         v = np.zeros(self.dim, dtype=complex)
-        coeffs = coeffs or [1.0] * len(subsets)
+        if coeffs is None:
+            coeffs = [1.0] * len(subsets)
+        elif len(coeffs) != len(subsets):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(subsets)} subsets")
         for c, s in zip(coeffs, subsets):
-            v[self.index[tuple(sorted(s))]] += c
+            k = self.index.get(tuple(sorted(s)))
+            if k is None:
+                raise ValueError(f"{tuple(s)} is not a set of distinct integers in range({self.m})")
+            v[k] += c
         return v
 
     # ---------------------------------------------------------- rho action
@@ -142,9 +145,22 @@ def spin_module(m: int) -> SpinModule:
 
 
 @lru_cache(maxsize=None)
+def _subset_bits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only bitmasks sum(1 << x for x in s) of the basis subsets, in
+    basis order, their inverse pos[mask] = index and bits[k, x] = [x in s_k]."""
+    masks = np.array([sum(1 << x for x in s) for s in spin_module(m).basis], dtype=np.int64)
+    pos = np.empty(1 << m, dtype=np.int64)
+    pos[masks] = np.arange(1 << m)
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    for a in (masks, pos, bits):
+        a.setflags(write=False)
+    return masks, pos, bits
+
+
+@lru_cache(maxsize=None)
 def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices of the even and of the odd subsets."""
-    parity = np.array([len(s) % 2 for s in spin_module(m).basis])
+    parity = _subset_bits(m)[2].sum(axis=1) % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     even.setflags(write=False)
     odd.setflags(write=False)
@@ -163,21 +179,15 @@ def _half_space(m: int, side: str) -> BilinearSpace:
 @lru_cache(maxsize=None)
 def _rho_scatter(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where rho(v) is nonzero: flat (row, col) positions, the coordinate of
-    v and the sign for each.  Column s gets e_i ^ s for each i not in s and
-    the contraction of s by e*_i for each i in s, so for a fixed column the
-    2m generators hit m distinct rows and no position is written twice."""
-    sm = spin_module(m)
-    flat, gen, sign = [], [], []
-    for col, s in enumerate(sm.basis):
-        for i in range(m):
-            if i in s:  # contract by e*_i
-                t, g = tuple(x for x in s if x != i), m + i
-            else:  # wedge by e_i
-                t, g = tuple(sorted(s + (i,))), i
-            flat.append(sm.index[t] * sm.dim + col)
-            gen.append(g)
-            sign.append(_sign_below(s, i))
-    return np.array(flat), np.array(gen), np.array(sign, dtype=float)
+    v and the sign for each, in (column, i) order.  Column s gets e_i ^ s for
+    i not in s and the contraction of s by e*_i for i in s, both at row
+    s ^ {i} with sign (-1)^(number of elements of s below i), so for a fixed
+    column no position is written twice."""
+    masks, pos, bits = _subset_bits(m)
+    i = np.arange(m)
+    flat = pos[masks[:, None] ^ (1 << i)] * (1 << m) + np.arange(1 << m)[:, None]
+    sign = 1.0 - 2.0 * ((np.cumsum(bits, axis=1) - bits) & 1)
+    return flat.ravel(), (i + m * bits).ravel(), sign.ravel()
 
 
 @lru_cache(maxsize=None)
@@ -185,13 +195,11 @@ def _form_gram(m: int) -> np.ndarray:
     """The form value on basis elements (s, t) is nonzero only for t the
     complement of s, so the Gram is a signed permutation matrix.  For
     |s| = k the merge of s with its complement has sum(s) - k(k-1)/2
-    inversions."""
-    sm = spin_module(m)
-    G = np.zeros((sm.dim, sm.dim), dtype=complex)
-    for i, s in enumerate(sm.basis):
-        k = len(s)
-        sign = -1 if (sum(s) - k * (k - 1) // 2) % 2 else 1
-        complement = tuple(x for x in range(m) if x not in s)
-        G[i, sm.index[complement]] = -sign if (k // 2) % 2 else sign
+    inversions, and the form adds the sign (-1)^[k/2]."""
+    masks, pos, bits = _subset_bits(m)
+    k = bits.sum(axis=1)
+    flips = bits @ np.arange(m) - k * (k - 1) // 2 + k // 2
+    G = np.zeros((1 << m, 1 << m), dtype=complex)
+    G[np.arange(1 << m), pos[masks ^ ((1 << m) - 1)]] = 1 - 2 * (flips & 1)
     G.setflags(write=False)  # shared by every half_space and caller
     return G

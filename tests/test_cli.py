@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from parabolics.cli import main, parse_diagram
@@ -188,3 +189,28 @@ def test_cli_spinor_rejects_m_below_one(m):
     assert code == 2
     assert f"m = {m}" in out
     assert "dim S+" not in out and "Traceback" not in out
+
+
+def test_flipped_rho_generator_fails_the_spinor_checks(monkeypatch):
+    # Mutation control: a rho whose generator e_1 has every sign flipped
+    # still squares to zero on its own, but breaks rho(v)^2 = (v, v) Id.
+    from parabolics import spinor
+
+    kernel = spinor._rho_scatter
+
+    def flipped(m):
+        flat, gen, sign = kernel(m)
+        return flat, gen, np.where(gen == 0, -sign, sign)
+
+    kernel.cache_clear()
+    monkeypatch.setattr(spinor, "_rho_scatter", flipped)
+    try:
+        code, out = run_cli("verify-all", "--trials", "10", "--json")
+        lines = {l["anchor"]: l["ok"] for l in json.loads(out)["lines"]}
+        assert code == 1 and lines["spinor rho(v)^2 = (v,v) Id (10 trials)"] is False
+        code, out = run_cli("spinor", "--m", "4")
+        assert code == 1 and "[FAIL] spinor m=4: rho(v)^2 = (v,v) Id" in out
+    finally:
+        monkeypatch.undo()
+        kernel.cache_clear()
+    assert run_cli("spinor", "--m", "4")[0] == 0

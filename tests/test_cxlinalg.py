@@ -3,7 +3,7 @@ import pytest
 
 from linalg_helpers import det_value, expm, form_preserving, gram_from_quadratic, pf_value
 from parabolics import cxlinalg as cx
-from parabolics.ampleness import PF2
+from parabolics.ampleness import PF2, QuadricVariety
 from parabolics.mpchar import build_classical_grading
 from parabolics.spinor import spin_module
 
@@ -234,3 +234,16 @@ def test_space_from_writable_array_cannot_change():
     frozen = np.eye(3, dtype=complex)
     frozen.setflags(write=False)
     assert cx.BilinearSpace("sym", 3, frozen).gram is frozen
+
+
+def test_spaces_and_spin_modules_compare_by_identity():
+    sp = cx.symmetric_space(3)
+    assert sp == cx.symmetric_space(3) and hash(sp) == hash(cx.symmetric_space(3))
+    a = cx.BilinearSpace("x", 2, np.eye(2, dtype=complex))
+    b = cx.BilinearSpace("x", 2, np.eye(2, dtype=complex))
+    assert a == a and a != b and len({a, b, sp}) == 3
+    assert QuadricVariety(sp) == QuadricVariety(sp) and QuadricVariety(a) != QuadricVariety(b)
+    assert hash(QuadricVariety(sp)) == hash(QuadricVariety(sp))
+    sm = spin_module(3)
+    assert sm == spin_module(3) and sm != spin_module(4)
+    assert hash(sm) == hash(spin_module(3))

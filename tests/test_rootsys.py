@@ -267,3 +267,65 @@ def test_cached_root_arrays_are_read_only(attr):
     with pytest.raises(ValueError):
         arr[0, 0] = not arr[0, 0]
     assert not arr.flags.writeable
+
+
+# ------------------------------------- root generation: exactness oracle
+
+
+def _root_strings_loop(kind, rank):
+    """Reference: the positive roots, probing each root string tuple by
+    tuple and pairing with one np.dot per (root, simple root)."""
+    C = cartan_matrix(kind, rank)
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    positive = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for b in frontier:
+            bv = np.asarray(b, dtype=np.int64)
+            for i in range(rank):
+                k = int(np.dot(C[i], bv))
+                p = 0
+                probe = list(b)
+                while True:
+                    probe[i] -= 1
+                    if tuple(probe) in positive:
+                        p += 1
+                    else:
+                        break
+                if p - k > 0:
+                    up = list(b)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in positive:
+                        positive.add(cand)
+                        new.append(cand)
+        frontier = new
+    return tuple(sorted(positive, key=lambda r: (sum(r), r)))
+
+
+GENERATION_ORACLE_TYPES = (
+    [("A", r) for r in range(1, 31)]
+    + [("B", r) for r in range(2, 21)]
+    + [("C", r) for r in range(2, 21)]
+    + [("D", r) for r in range(3, 31)]
+    + [("D", 40), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("kind,rank", GENERATION_ORACLE_TYPES)
+def test_root_generation_equals_string_probe_oracle(kind, rank):
+    rs = build_root_system(kind, rank)
+    positive = _root_strings_loop(kind, rank)
+    assert rs.positive_roots == positive
+    assert rs.roots == positive + tuple(tuple(-x for x in r) for r in positive)
+    want = cartan_matrix(kind, rank)
+    assert rs.cartan.dtype == want.dtype and rs.cartan.tobytes() == want.tobytes()
+
+
+def test_build_root_system_d60_budget():
+    start = time.perf_counter()
+    rs = rootsys.build_root_system.__wrapped__("D", 60)  # cold build
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"D60 root system took {elapsed:.2f} s"
+    assert len(rs.positive_roots) == POSITIVE_ROOT_COUNTS["D"](60)

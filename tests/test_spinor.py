@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -181,6 +182,58 @@ def _rho_loop(sm, v):
     return M
 
 
+def _rho_scatter_loop(m):
+    """Reference: the rho scatter tables entry by entry, column by column."""
+    sm = spin_module(m)
+    flat, gen, sign = [], [], []
+    for col, s in enumerate(sm.basis):
+        for i in range(m):
+            if i in s:  # contract by e*_i
+                t, g = tuple(x for x in s if x != i), m + i
+            else:  # wedge by e_i
+                t, g = tuple(sorted(s + (i,))), i
+            flat.append(sm.index[t] * sm.dim + col)
+            gen.append(g)
+            sign.append(-1 if sum(1 for x in s if x < i) % 2 else 1)
+    return np.array(flat), np.array(gen), np.array(sign, dtype=float)
+
+
+def _form_gram_complement_loop(m):
+    """Reference: the signed permutation Gram, one complement per row."""
+    sm = spin_module(m)
+    G = np.zeros((sm.dim, sm.dim), dtype=complex)
+    for i, s in enumerate(sm.basis):
+        k = len(s)
+        sign = -1 if (sum(s) - k * (k - 1) // 2) % 2 else 1
+        complement = tuple(x for x in range(m) if x not in s)
+        G[i, sm.index[complement]] = -sign if (k // 2) % 2 else sign
+    return G
+
+
+def _same_bytes(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_bitmask_tables_equal_loop_oracles(m):
+    for got, want in zip(spinor._rho_scatter(m), _rho_scatter_loop(m)):
+        assert _same_bytes(got, want)
+    assert _same_bytes(spinor._form_gram(m), _form_gram_complement_loop(m))
+    parity = np.array([len(s) % 2 for s in spin_module(m).basis])
+    for got, want in zip(spinor._half_indices(m), (parity == 0, parity == 1)):
+        assert _same_bytes(got, np.flatnonzero(want))
+
+
+def test_rho_scatter_cold_budget():
+    spin_module(11)
+    spinor._subset_bits.cache_clear()
+    start = time.perf_counter()
+    flat, gen, sign = spinor._rho_scatter.__wrapped__(11)  # cold build
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"rho scatter at m=11 took {elapsed * 1e3:.1f} ms"
+    assert len(flat) == len(gen) == len(sign) == 11 * 2 ** 11
+
+
 @pytest.mark.parametrize("m", range(1, 10))
 def test_form_gram_equals_loop_oracle(m):
     sm = spin_module(m)
@@ -249,3 +302,31 @@ def test_half_space_cached_per_side_with_read_only_gram(m):
     assert sm.half_space("+") is not sm.half_space("-")
     with pytest.raises(ValueError):
         spin_module(m + 1).half_space("+")
+
+
+@pytest.mark.parametrize("side", ["x", "", "+-", None])
+def test_unknown_spinor_side_rejected(sm4, side):
+    calls = (
+        lambda: sm4.half_space(side),
+        lambda: sm4.half_basis_subsets(side),
+        lambda: sm4.to_half(np.zeros(16), side),
+        lambda: sm4.from_half(np.zeros(8), side),
+        lambda: sm4.rho_half(np.zeros(8), side),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(side))):
+            call()
+
+
+def test_vector_checks_coefficients_and_subsets():
+    sm = spin_module(3)
+    v = sm.vector((0,), (2, 1), coeffs=np.array([2.0, 3.0]))
+    assert v[sm.index[(0,)]] == 2 and v[sm.index[(1, 2)]] == 3 and np.count_nonzero(v) == 2
+    assert not sm.vector(coeffs=[]).any()
+    with pytest.raises(ValueError, match="1 coefficients for 2 subsets"):
+        sm.vector((0,), (1,), coeffs=[1.0])
+    with pytest.raises(ValueError, match="0 coefficients for 1 subsets"):
+        sm.vector((0,), coeffs=[])
+    for bad in ((0, 5), (1, 1), (-1,)):
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not a set")):
+            sm.vector(bad)
