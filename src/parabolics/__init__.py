@@ -6,6 +6,7 @@ Modules by theme:
 * walkdiag / classify: weight-diagram calculus and the bundled case/table data
 * cxlinalg / mpchar: complex linear algebra, Moore-Penrose characteristics
 * spinor / ampleness: half-spinor modules and verified deformation searches
+* report: the verification report every check returns
 * cli: the `parabolics` command
 """
 

@@ -21,6 +21,7 @@ import numpy as np
 from .cxlinalg import (
     DEFAULT_TOL,
     BilinearSpace,
+    crandom,
     det_space,
     isotropic_vector_in,
     mp_inverse,
@@ -257,7 +258,7 @@ def _steer_7c(c, rng):
                           for j in range(8)])
     if abs(c["S+"].omega(s, s)) > 1e-10 * np.linalg.norm(s) ** 2:
         # rho(V)s is all of S-: steer the columns to a random ample target
-        delta = _rnd(rng, 8, 3) - A
+        delta = crandom(rng, 8, 3) - A
     else:
         # rho(V)s is maximal isotropic: push the columns into an isotropic span
         U0 = orth(Rs)
@@ -270,10 +271,6 @@ def _steer_7c(c, rng):
 
 
 # ------------------------------------------------------ input generators
-
-
-def _rnd(rng, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _prop1_spaces(variety_name: str):
@@ -295,9 +292,9 @@ def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
                 if j <= space.dim - r and (space.symmetric or (r - j) % 2 == 0)]
     r, j = patterns[rng.integers(len(patterns))]
     M = span_with_invariants(space, r, j, rng)
-    mix = _rnd(rng, r, k)
+    mix = crandom(rng, r, k)
     while np.linalg.matrix_rank(mix, tol=1e-8) < min(r, k):
-        mix = _rnd(rng, r, k)
+        mix = crandom(rng, r, k)
     return M @ mix
 
 
@@ -312,12 +309,12 @@ def _degenerate_line(variety, dim: int, rng) -> np.ndarray:
             C = np.vstack([C, (sp.gram.T @ x[:, None]).T])
             _, s, Vh = np.linalg.svd(C)
             basis = Vh.conj().T[:, 2:]
-            y = basis @ _rnd(rng, basis.shape[1])
-            A = np.column_stack([x, y]) @ (np.eye(2) + 0.1 * _rnd(rng, 2, 2))
+            y = basis @ crandom(rng, basis.shape[1])
+            A = np.column_stack([x, y]) @ (np.eye(2) + 0.1 * crandom(rng, 2, 2))
         else:
-            u, w = _rnd(rng, 2), _rnd(rng, variety.k)
+            u, w = crandom(rng, 2), crandom(rng, variety.k)
             x = np.outer(u, w).reshape(-1)
-            A = np.column_stack([x, _rnd(rng, 2 * variety.k)])
+            A = np.column_stack([x, crandom(rng, 2 * variety.k)])
         if is_degenerate_line_map(A, variety):
             return A
     raise RuntimeError("could not build a degenerate line map")
@@ -325,7 +322,7 @@ def _degenerate_line(variety, dim: int, rng) -> np.ndarray:
 
 def _off_cone_vector(variety, dim: int, rng) -> np.ndarray:
     while True:
-        v = _rnd(rng, dim)
+        v = crandom(rng, dim)
         if isinstance(variety, QuadricVariety):
             if abs(variety.space.quadratic(v)) > 1e-6:
                 return v
@@ -389,7 +386,7 @@ def _random(*shape, word: str | None = "nontrivial") -> InputSpec:
     """A random array with the hypothesis "<name> must be <word>" that it is
     not zero, or with no hypothesis when word is None."""
     return InputSpec(shape, word and (lambda c, x: np.linalg.norm(x) != 0), f"be {word}",
-                     lambda rng, c: _rnd(rng, *_dims(c, shape)))
+                     lambda rng, c: crandom(rng, *_dims(c, shape)))
 
 
 _LINE = InputSpec(("d", 2), lambda c, x: is_degenerate_line_map(x, c["X"]), "be degenerate",
@@ -459,26 +456,26 @@ SPECS = {
     "1A": _prop1(  # degenerate A: C^2->V, nontrivial B: C^2->C^p -> C [A + CB]
         "B", _random("p", 2), deformed=lambda c, w: c["A"] + w["C"] @ c["B"],
         witnesses=lambda c, rng: [{"C": -c["A"] @ mp_inverse(c["B"])}],
-        draw=lambda c, rng: {"C": _rnd(rng, c["d"], c["p"])}),
+        draw=lambda c, rng: {"C": crandom(rng, c["d"], c["p"])}),
     "1B": _prop1(  # degenerate A, B: C^2->V -> E [A + BE]
         "B", _LINE, deformed=lambda c, w: c["A"] + c["B"] @ w["E"],
         witnesses=lambda c, rng: [{"E": -mp_inverse(c["B"]) @ c["A"]}],
-        draw=lambda c, rng: {"E": _rnd(rng, 2, 2)}),
+        draw=lambda c, rng: {"E": crandom(rng, 2, 2)}),
     "1C": _prop1(  # degenerate A, v off the cone -> f [A + v.f]
         "v", _OFF_CONE, deformed=lambda c, w: c["A"] + np.outer(c["v"], w["f"]),
-        witnesses=_in_image_1c, draw=lambda c, rng: {"f": _rnd(rng, 2)}),
+        witnesses=_in_image_1c, draw=lambda c, rng: {"f": crandom(rng, 2)}),
     "4A": VariantSpec(  # non-ample A: C^k->C^n, nontrivial B: C^k->C^p -> C [A + CB]
         inputs={"A": _nonample("sym", "n", "k"), "B": _random("p", "k")},
         requires=((lambda c: c["k"] <= 3 or c["k"] == c["n"] == 4,
                    "requires k <= 3 or k = n = 4"),),
         deformed=lambda c, w: c["A"] + w["C"] @ c["B"], predicate=_ample_in("sym"),
         witnesses=lambda c, rng: [{"C": -c["A"] @ mp_inverse(c["B"])}],
-        draw=lambda c, rng: {"C": _rnd(rng, c["n"], c["p"])}, seeded=_prop4_seeded),
+        draw=lambda c, rng: {"C": crandom(rng, c["n"], c["p"])}, seeded=_prop4_seeded),
     "4B": VariantSpec(  # non-ample A: C^k->C^n, v != 0 -> f [A + v.f]
         inputs={"A": _nonample("sym", "n", "k"), "v": _random("n")},
         requires=((lambda c: c["n"] <= 4, "requires n <= 4"),),
         deformed=lambda c, w: c["A"] + np.outer(c["v"], w["f"]),
-        predicate=_ample_in("sym"), draw=lambda c, rng: {"f": _rnd(rng, c["k"])},
+        predicate=_ample_in("sym"), draw=lambda c, rng: {"f": crandom(rng, c["k"])},
         seeded=_prop4_seeded),
     "5A": VariantSpec(  # non-ample A: C^2->C^2xC^3, non-ample B -> E [B + E o A]
         # (2, 3, 2) tensors, judged by their det-space columns; B's middle index in L2C3
@@ -486,13 +483,13 @@ SPECS = {
                 "B": _nonample("det", 2, 3, 2, view=_unfold_5a, unview=_fold_5a)},
         deformed=lambda c, w: _unfold_5a(c["B"] + _compose_5a(w["E"], c["A"])),
         predicate=_ample_in("det"),
-        draw=lambda c, rng: {"E": [(_rnd(rng, 2, 2), _rnd(rng, 3))]}),
+        draw=lambda c, rng: {"E": [(crandom(rng, 2, 2), crandom(rng, 3))]}),
     "5B": VariantSpec(  # non-ample A: L2C^3->C^2xC^2, nontrivial B -> C [A + B^C]
         inputs={"A": _nonample("det", 4, 3), "B": _random(2, 3)},
         deformed=lambda c, w: c["A"] + np.column_stack(
             [(np.outer(c["B"][:, i], w["C"][:, j])
               - np.outer(c["B"][:, j], w["C"][:, i])).reshape(4) for i, j in L2C3]),
-        predicate=_ample_in("det"), draw=lambda c, rng: {"C": _rnd(rng, 2, 3)}),
+        predicate=_ample_in("det"), draw=lambda c, rng: {"C": crandom(rng, 2, 3)}),
     "5C": VariantSpec(  # v != 0, any B in L2C^3 x C^2 -> A [B + v^A rank 2]
         inputs={"v": _random(3, word="nonzero"), "B": _random(3, 2, word=None)},
         deformed=lambda c, w: c["B"] + np.column_stack(
@@ -500,13 +497,13 @@ SPECS = {
         # complete v to a basis: the wedge by v of the completion has rank 2
         witnesses=lambda c, rng: [{"A": np.linalg.svd(c["v"][None, :])[2].conj().T[:, 1:]}],
         predicate=_rank_two,
-        draw=lambda c, rng: {"A": _rnd(rng, 3, 2)}),
+        draw=lambda c, rng: {"A": crandom(rng, 3, 2)}),
     "6A": VariantSpec(  # non-ample A: C^2->L2C^4, non-ample B -> C [B + A^C]
         # B: det coordinates, rows (alpha, beta), x L3C^4
         inputs={"A": _nonample("pf", 6, 2), "B": _nonample("det", 4, 4)},
         deformed=lambda c, w: c["B"] + np.stack(
             [wedge_bv4(c["A"][:, a], w["C"][:, b]) for a in range(2) for b in range(2)]),
-        predicate=_ample_in("det"), draw=lambda c, rng: {"C": _rnd(rng, 4, 2)},
+        predicate=_ample_in("det"), draw=lambda c, rng: {"C": crandom(rng, 4, 2)},
         witnesses=_printed(lambda: [_canonical_6a()], "C")),
     "6B": VariantSpec(  # non-ample A: L2C^4->C^2, non-ample B -> C [A + B^C]
         # B: det coordinates x C^4; B^C contracts the second det factor with C
@@ -514,30 +511,30 @@ SPECS = {
         deformed=lambda c, w: (c["A"] + np.column_stack(
             [c["B"][:, p].reshape(2, 2) @ w["C"][:, q]
              - c["B"][:, q].reshape(2, 2) @ w["C"][:, p] for p, q in PF2])).T,
-        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": _rnd(rng, 2, 4)}),
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": crandom(rng, 2, 4)}),
     "6C": VariantSpec(  # non-ample A: C^2->L2C^4, w != 0 -> B [A + w^B]
         inputs={"A": _nonample("pf", 6, 2), "w": _random(4, word="nonzero")},
         deformed=lambda c, w: c["A"] + np.column_stack(
             [wedge_vv4(c["w"], w["B"][:, 0]), wedge_vv4(c["w"], w["B"][:, 1])]),
-        predicate=_ample_in("pf"), draw=lambda c, rng: {"B": _rnd(rng, 4, 2)}),
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"B": crandom(rng, 4, 2)}),
     "6D": VariantSpec(  # non-ample A in C^4xL2C^4, non-ample B -> C [B + A^C]
         # A: columns a_i in L2C^4(f); B in L2C^4(e) x L3C^4(f); C: rows c_i
         inputs={"A": _nonample("pf", 6, 4), "B": _nonample("pf", 6, 4)},
         deformed=lambda c, w: c["B"] + np.stack(
             [wedge_bv4(c["A"][:, i], w["C"][j]) - wedge_bv4(c["A"][:, j], w["C"][i])
              for i, j in PF2]),
-        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": _rnd(rng, 4, 4)},
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": crandom(rng, 4, 4)},
         witnesses=_printed(lambda: [_canonical_6d()], "C")),
     "6E": VariantSpec(  # non-ample A in C^4xL2C^4, u != 0 in C^4(f) -> C [A + C^u rowwise]
         inputs={"A": _nonample("pf", 6, 4), "u": _random(4, word="nonzero")},
         deformed=lambda c, w: c["A"] + np.column_stack(
             [wedge_vv4(w["C"][i], c["u"]) for i in range(4)]),
-        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": _rnd(rng, 4, 4)}),
+        predicate=_ample_in("pf"), draw=lambda c, rng: {"C": crandom(rng, 4, 4)}),
     "7A": VariantSpec(  # non-ample A in C^k x S+, non-ample B (k=2,3) -> v [B + rho(v)A]
         inputs={"A": _nonample("S+", 8, "k"), "B": _nonample("S-", 8, "k")},
         requires=((lambda c: c["k"] in (2, 3), "k must be 2 or 3"),),
         deformed=lambda c, w: c["B"] + _rho(w["v"]) @ c["A"],
-        predicate=_ample_in("S-"), draw=lambda c, rng: {"v": _rnd(rng, 8)},
+        predicate=_ample_in("S-"), draw=lambda c, rng: {"v": crandom(rng, 8)},
         seeded=lambda seed: {"k": 2 if seed % 2 == 0 else 3}),
     "7B": VariantSpec(  # non-ample A in C^3 x S+, non-ample B in L2C^3 x S- -> x [B + D(x)]
         # slot q of B is the pair missing q
@@ -545,13 +542,13 @@ SPECS = {
         deformed=lambda c, w: c["B"] + np.column_stack(
             [_rho(w["x"][j]) @ c["A"][:, i] - _rho(w["x"][i]) @ c["A"][:, j]
              for i, j in L2C3[::-1]]),
-        predicate=_ample_in("S-"), draw=lambda c, rng: {"x": _rnd(rng, 3, 8)},
+        predicate=_ample_in("S-"), draw=lambda c, rng: {"x": crandom(rng, 3, 8)},
         witnesses=_printed(_canonical_7b_data, "x")),
     "7C": VariantSpec(  # non-ample A in C^3 x S-, nontrivial s in S+ -> W [A + rho(w_i)s]
         inputs={"A": _nonample("S-", 8, 3), "s": _random(8)},
         deformed=lambda c, w: c["A"] + np.column_stack(
             [_rho(w["W"][i]) @ c["s"] for i in range(3)]),
-        predicate=_ample_in("S-"), draw=lambda c, rng: {"W": _rnd(rng, 3, 8)},
+        predicate=_ample_in("S-"), draw=lambda c, rng: {"W": crandom(rng, 3, 8)},
         witnesses=_steer_7c),
 }
 
@@ -618,15 +615,19 @@ def deform(task: DeformationTask) -> DeformResult:
         raise ValueError(f"unknown variant {task.variant!r}")
     spec = SPECS[task.variant]
     c = _context(task.variant, spec, task.inputs)
-    for holds, message in spec.requires:
-        if not holds(c):
-            raise HypothesesNotMet(message)
+    _check_requires(spec, c)
     for key, inp in spec.inputs.items():
         if inp.holds and not inp.holds(c, c[key]):
             raise HypothesesNotMet(f"{key} must {inp.must}")
     rng = np.random.default_rng(task.seed)
     return _run_search(task.variant, spec.witnesses(c, rng), lambda: spec.draw(c, rng),
                        lambda w: spec.predicate(c, spec.deformed(c, w)), task.max_restarts)
+
+
+def _check_requires(spec: VariantSpec, c: _Context) -> None:
+    for holds, message in spec.requires:
+        if not holds(c):
+            raise HypothesesNotMet(message)
 
 
 def _run_search(variant, deterministic, random_gen, verify, max_restarts):
@@ -644,6 +645,7 @@ def _run_search(variant, deterministic, random_gen, verify, max_restarts):
 def _generated(variant: str, seed: int, fixed: dict, max_restarts: int) -> DeformationTask:
     spec = SPECS[variant]
     c = _Context(fixed)
+    _check_requires(spec, c)  # the fixed dimensions, before any draw
     rng = np.random.default_rng(seed ^ 0x5EED)
     inputs = {key: inp.make(rng, c) for key, inp in spec.inputs.items()}
     return DeformationTask(variant, inputs, seed=seed, max_restarts=max_restarts)
@@ -653,7 +655,8 @@ def random_task(variant: str, seed: int, max_restarts: int = 1000) -> Deformatio
     """A seeded random input satisfying the variant's hypotheses.
 
     For variant '7A' the tensor width alternates between k=2 and k=3 with
-    the seed; random_task_7a fixes k.
+    the seed; random_task_7a fixes k.  A fixed dimension the variant does
+    not allow is a HypothesesNotMet, raised before any draw.
     """
     if variant not in SPECS:
         raise ValueError(f"unknown variant {variant!r}")

@@ -13,7 +13,8 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from .grading import ColouredDiagram, Grading, diagram, compute_grading
+from .grading import ColouredDiagram, diagram, compute_grading
+from .report import Report
 from .rootsys import RootSystem
 from .walkdiag import CaseDataError, data_path
 
@@ -53,11 +54,6 @@ def _parse_table(path: Path) -> tuple[TableEntry, ...]:
 _parse_default_table = lru_cache(maxsize=1)(_parse_table)
 
 
-def weakly_ample_by_basic_lemma(g: Grading) -> bool:
-    """True when at most one positive weight is non-reduced."""
-    return len(g.positive_nonreduced_weights()) <= 1
-
-
 @dataclass(frozen=True)
 class ScanRecord:
     black: tuple[int, ...]
@@ -79,27 +75,15 @@ def scan_parabolics(rs: RootSystem) -> list[ScanRecord]:
     return records
 
 
-@dataclass
-class TableReport:
-    counts: dict[int, int]
-
-    @property
-    def passed(self) -> bool:
-        return all(c >= 2 for c in self.counts.values())
-
-    def failures(self) -> list[int]:
-        return [i for i, c in self.counts.items() if c < 2]
-
-
-def check_table(entries: Sequence[TableEntry] | None = None) -> TableReport:
-    """Every table entry must have >= 2 non-reduced positive weights."""
+def check_table(entries: Sequence[TableEntry] | None = None) -> Report:
+    """One line per table entry: it must have >= 2 non-reduced positive weights."""
     if entries is None:
         entries = load_table()
-    counts = {}
+    report = Report()
     for e in entries:
-        g = compute_grading(diagram(e.group, e.black))
-        counts[e.index] = len(g.positive_nonreduced_weights())
-    return TableReport(counts)
+        count = len(compute_grading(diagram(e.group, e.black)).positive_nonreduced_weights())
+        report.add(f"table entry {e.index}", count >= 2, f"nonreduced count {count}")
+    return report
 
 
 def match_table_entry(group: str, black, entries: Sequence[TableEntry] | None = None) -> int | None:

@@ -10,48 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ampleness, classify, cxlinalg, mpchar, walkdiag
+from .cxlinalg import crandom
 from .grading import ColouredDiagram, compute_grading
-from .rootsys import POSITIVE_ROOT_COUNTS, InvalidTypeError, build_root_system, parse_type
-from .spinor import spin_module
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tolerance: float = 1e-10
-    output: str = "text"
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-class Report:
-    def __init__(self):
-        self.lines: list[dict] = []
-
-    def add(self, anchor: str, ok: bool, detail: str = "") -> None:
-        self.lines.append({"anchor": anchor, "ok": bool(ok), "detail": detail})
-
-    @property
-    def passed(self) -> bool:
-        return all(l["ok"] for l in self.lines)
-
-    def emit(self, output: str) -> int:
-        if output == "json":
-            print(json.dumps({"passed": self.passed, "lines": self.lines}, indent=2))
-        else:
-            for l in self.lines:
-                status = "PASS" if l["ok"] else "FAIL"
-                detail = f"  {l['detail']}" if l["detail"] else ""
-                print(f"[{status}] {l['anchor']}{detail}")
-            print(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return 0 if self.passed else 1
+from .report import Report
+from .rootsys import (POSITIVE_ROOT_COUNTS, ROOT_COUNT_TYPES, InvalidTypeError,
+                      build_root_system, parse_type)
+from .spinor import rho_square_defect, spin_module
 
 
 def parse_diagram(s: str) -> ColouredDiagram:
@@ -162,32 +130,21 @@ def cmd_verify_case(args) -> int:
             return 2
         wanted = [args.case]
     for cid in wanted:
-        r = walkdiag.verify_case(cases[cid])
+        for l in walkdiag.verify_case(cases[cid]).lines:
+            report.add(f"case {cid}: {l['anchor']}", l["ok"], "" if l["ok"] else l["detail"])
         entry = classify.match_table_entry(cases[cid].group, cases[cid].black)
-        for c in r.checks:
-            report.add(f"case {cid}: {c.item}", c.ok, "" if c.ok else c.detail)
         report.add(f"case {cid}: colouring matches table entry", entry is not None,
                    f"entry {entry}")
     return report.emit("json" if args.json else "text")
 
 
 def cmd_check_table(args) -> int:
-    tr = classify.check_table()
-    report = Report()
-    for idx, count in sorted(tr.counts.items()):
-        report.add(f"table entry {idx}", count >= 2, f"nonreduced count {count}")
-    return report.emit("json" if args.json else "text")
+    return classify.check_table().emit("json" if args.json else "text")
 
 
 def cmd_mp_triple(args) -> int:
     dims = tuple(int(x) for x in args.blocks.split(","))
-    rng = np.random.default_rng(args.seed)
-    blocks = {}
-    for i in range(1, len(dims)):
-        for j in range(i + 1, len(dims) + 1):
-            blocks[(i, j)] = (rng.standard_normal((dims[j - 1], dims[i - 1]))
-                              + 1j * rng.standard_normal((dims[j - 1], dims[i - 1])))
-    x = mpchar.BlockNilpotent(dims, blocks)
+    x = mpchar.random_block_nilpotent(np.random.default_rng(args.seed), dims)
     triples = mpchar.gl_hermitian_characteristic(x)
     report = Report()
     for (i, j), t in sorted(triples.items()):
@@ -199,25 +156,22 @@ def cmd_mp_triple(args) -> int:
 def cmd_lemma(args) -> int:
     space = (cxlinalg.symmetric_space(args.w) if args.form == "sym"
              else cxlinalg.symplectic_space(args.w))
-    rng = np.random.default_rng(args.seed)
+    worst = mpchar.lemma_worst_residual(np.random.default_rng(args.seed), space, args.u,
+                                        args.trials)
     report = Report()
-    worst = 0.0
-    for t in range(args.trials):
-        A = rng.standard_normal((args.w, args.u)) + 1j * rng.standard_normal((args.w, args.u))
-        sol = mpchar.lemma_B_from_A(A, space)
-        res = mpchar.lemma_residuals(sol, space)
-        worst = max(worst, max(res.values()))
     report.add(f"characteristic equations ({args.form}, {args.trials} trials)",
                worst < 1e-9, f"worst residual {worst:.2e}")
     return report.emit("json" if args.json else "text")
 
 
 def cmd_deform(args) -> int:
+    if args.k is not None and (args.variant != "7A" or args.input):
+        raise ValueError(f"--k {args.k}: k applies only to a random 7A task")
     if args.input:
         with open(args.input) as fh:
             inputs = json.load(fh)
         task = ampleness.DeformationTask(args.variant, inputs, seed=args.seed)
-    elif args.variant == "7A" and args.k:
+    elif args.k is not None:
         task = ampleness.random_task_7a(args.k, args.seed)
     else:
         task = ampleness.random_task(args.variant, args.seed)
@@ -247,15 +201,9 @@ def cmd_deform(args) -> int:
 
 
 def cmd_spinor(args) -> int:
-    rng = np.random.default_rng(args.seed)
     sm = spin_module(args.m)
+    worst = rho_square_defect(np.random.default_rng(args.seed), sm, 100)
     report = Report()
-    worst = 0.0
-    for _ in range(100):
-        v = rng.standard_normal(2 * args.m) + 1j * rng.standard_normal(2 * args.m)
-        R = sm.rho(v)
-        worst = max(worst, float(np.linalg.norm(
-            R @ R - sm.pairing(v, v) * np.eye(sm.dim))))
     report.add(f"spinor m={args.m}: rho(v)^2 = (v,v) Id", worst < 1e-10,
                f"worst residual {worst:.2e}")
     if args.m % 2 == 0:
@@ -268,86 +216,60 @@ def cmd_spinor(args) -> int:
     return report.emit("json" if args.json else "text")
 
 
-def _verify_all(cfg: RunConfig, trials: int) -> Report:
-    rng = np.random.default_rng(cfg.seed)
+def cmd_verify_all(args) -> int:
+    trials = args.trials
+    rng = np.random.default_rng(args.seed)
     report = Report()
 
     for fname in ("cases.txt", "table.txt"):
         report.add(f"data {fname}", True, f"sha256 {walkdiag.data_checksum(fname)}")
 
-    kinds = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
-             + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
-             + [("E", r) for r in (6, 7, 8)] + [("F", 4), ("G", 2)])
-    for kind, rank in kinds:
+    for kind, rank in ROOT_COUNT_TYPES:
         rs = build_root_system(kind, rank)
         want = POSITIVE_ROOT_COUNTS[kind](rank)
         report.add(f"root count {kind}{rank}", len(rs.positive_roots) == want,
                    f"{len(rs.positive_roots)} vs {want}")
 
     for cid, r in walkdiag.verify_all_cases().items():
-        report.add(f"case {cid}", r.passed,
-                   "" if r.passed else "; ".join(c.item for c in r.failures()))
+        report.add(f"case {cid}", r.passed, "; ".join(r.failures()))
 
-    tr = classify.check_table()
-    report.add("table: all 59 entries have >= 2 non-reduced weights", tr.passed,
-               f"failures {tr.failures()}" if not tr.passed else "")
+    table = classify.check_table()
+    report.add("table: all 59 entries have >= 2 non-reduced weights", table.passed,
+               "; ".join(table.failures()))
 
     worst = [0.0] * 4
     for _ in range(trials):
         m, n = rng.integers(1, 9, size=2)
-        F = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        F = crandom(rng, m, n)
         P = cxlinalg.mp_inverse(F)
         worst = [max(w, r) for w, r in zip(worst, cxlinalg.penrose_residuals(F, P))]
-    report.add(f"penrose equations ({trials} trials)", max(worst) < cfg.tolerance,
+    report.add(f"penrose equations ({trials} trials)", max(worst) < 1e-10,
                "worst " + ", ".join(f"{w:.1e}" for w in worst))
 
     bad = 0
     for t in range(trials):
-        dims = (2, 3, 2) if t % 2 == 0 else (1, 4, 2, 1)
-        blocks = {}
-        for i in range(1, len(dims)):
-            for j in range(i + 1, len(dims) + 1):
-                blocks[(i, j)] = (rng.standard_normal((dims[j - 1], dims[i - 1]))
-                                  + 1j * rng.standard_normal((dims[j - 1], dims[i - 1])))
-        triples = mpchar.gl_hermitian_characteristic(mpchar.BlockNilpotent(dims, blocks))
-        bad += any(not t2.accepted() for t2 in triples.values())
+        x = mpchar.random_block_nilpotent(rng, (2, 3, 2) if t % 2 == 0 else (1, 4, 2, 1))
+        bad += any(not t2.accepted() for t2 in mpchar.gl_hermitian_characteristic(x).values())
     report.add(f"gl characteristic ({trials} trials)", bad == 0, f"{bad} rejected")
 
     for form, space in (("sym", cxlinalg.symmetric_space(6)),
                         ("skew", cxlinalg.symplectic_space(6))):
-        w = 0.0
-        for _ in range(trials):
-            A = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-            sol = mpchar.lemma_B_from_A(A, space)
-            w = max(w, max(mpchar.lemma_residuals(sol, space).values()))
+        w = mpchar.lemma_worst_residual(rng, space, 4, trials)
         report.add(f"characteristic equations ({form}, {trials} trials)", w < 1e-9,
                    f"worst {w:.2e}")
 
-    sm = spin_module(4)
-    w = 0.0
-    for _ in range(trials):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        R = sm.rho(v)
-        w = max(w, float(np.linalg.norm(R @ R - sm.pairing(v, v) * np.eye(16))))
-    report.add(f"spinor rho(v)^2 = (v,v) Id ({trials} trials)", w < cfg.tolerance,
-               f"worst {w:.2e}")
+    w = rho_square_defect(rng, spin_module(4), trials)
+    report.add(f"spinor rho(v)^2 = (v,v) Id ({trials} trials)", w < 1e-10, f"worst {w:.2e}")
 
     for variant in ampleness.VARIANTS:
         ok = 0
         n_trials = max(1, trials // 10)
         for s in range(n_trials):
-            res = ampleness.deform(ampleness.random_task(variant, cfg.seed * 1000 + s))
+            res = ampleness.deform(ampleness.random_task(variant, args.seed * 1000 + s))
             ok += res.verified
         report.add(f"deform {variant} ({n_trials} trials)", ok == n_trials,
                    f"{ok}/{n_trials} verified")
-    return report
-
-
-def cmd_verify_all(args) -> int:
-    cfg = RunConfig(seed=args.seed, tolerance=args.tolerance,
-                    output="json" if args.json else "text")
-    report = _verify_all(cfg, trials=args.trials)
-    return report.emit(cfg.output)
+    return report.emit("json" if args.json else "text")
 
 
 def _positive_int(text: str) -> int:
@@ -412,7 +334,6 @@ def main(argv=None) -> int:
     sp = add("verify-all", cmd_verify_all, help="run every verification suite")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=_positive_int, default=100)
-    sp.add_argument("--tolerance", type=float, default=1e-10)
 
     args = p.parse_args(argv)
     try:

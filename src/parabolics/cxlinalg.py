@@ -19,6 +19,13 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
+
+def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
+    """A complex Gaussian array: the real parts are drawn first, then the
+    imaginary parts, so every seeded stream depends on this order."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class BilinearSpace:
     """A nondegenerate bilinear form omega(x, y) = x^T gram y on C^dim.  The
@@ -193,10 +200,10 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
     if k == 0:
         return None
     if not space.symmetric:
-        return basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        return basis @ crandom(rng, k)
     for _ in range(32):
-        a = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        b = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        a = basis @ crandom(rng, k)
+        b = basis @ crandom(rng, k)
         qa, qb = space.quadratic(a), space.quadratic(b)
         qab = space.omega(a, b)
         # q(a + t b) = qa + 2 t qab + t^2 qb
@@ -230,7 +237,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         attempts = 0
         while len(cols) < rank - radical and attempts < 200:
             attempts += 1
-            vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(step)]
+            vs = [crandom(rng, n) for _ in range(step)]
             trial = cols + [v / np.linalg.norm(v) for v in vs]
             M = np.column_stack(trial)
             G = M.T @ space.gram @ M

@@ -124,10 +124,6 @@ class Grading:
             raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
         return self._highest_counts[k] == 1
 
-    def weight_label(self, chi: Weight) -> str:
-        """Coefficients in white-vertex order, e.g. '(0,1)'."""
-        return "(" + ",".join(str(c) for c in chi) + ")"
-
 
 @dataclass(frozen=True)
 class _LexRoots:

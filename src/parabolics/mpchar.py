@@ -29,6 +29,7 @@ from .cxlinalg import (
     DEFAULT_TOL,
     BilinearSpace,
     _solve_constraints,
+    crandom,
     mp_inverse,
     orth,
     sharp_adjoint,
@@ -108,6 +109,13 @@ class BlockNilpotent:
         oi, oj = self.offset(i), self.offset(j)
         E[oj: oj + self.dims[j - 1], oi: oi + self.dims[i - 1]] = m
         return E
+
+
+def random_block_nilpotent(rng: np.random.Generator, dims: tuple[int, ...]) -> BlockNilpotent:
+    """Every block (i, j), i < j, a complex Gaussian, drawn in (i, j) order."""
+    return BlockNilpotent(dims, {(i, j): crandom(rng, dims[j - 1], dims[i - 1])
+                                 for i in range(1, len(dims))
+                                 for j in range(i + 1, len(dims) + 1)})
 
 
 def gl_hermitian_characteristic(x: BlockNilpotent) -> dict[tuple[int, int], Sl2Triple]:
@@ -325,3 +333,14 @@ def lemma_residuals(sol: LemmaSolution, space: BilinearSpace) -> dict[str, float
     X = AB - ABs
     herm_ab = np.linalg.norm(X - X.conj().T) / (1.0 + np.linalg.norm(X))
     return {"star_a": star_a, "star_b": star_b, "herm_ba": herm_ba, "herm_ab": herm_ab}
+
+
+def lemma_worst_residual(rng: np.random.Generator, space: BilinearSpace, u: int,
+                         trials: int) -> float:
+    """The largest lemma residual over `trials` complex Gaussian maps
+    A: C^u -> C^space.dim."""
+    worst = 0.0
+    for _ in range(trials):
+        sol = lemma_B_from_A(crandom(rng, space.dim, u), space)
+        worst = max(worst, max(lemma_residuals(sol, space).values()))
+    return worst

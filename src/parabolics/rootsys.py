@@ -38,6 +38,11 @@ POSITIVE_ROOT_COUNTS = {
     "G": lambda n: 6,
 }
 
+#: The 32 types whose positive-root counts the verification suite checks.
+ROOT_COUNT_TYPES = (*[("A", r) for r in range(1, 9)], *[("B", r) for r in range(2, 9)],
+                    *[("C", r) for r in range(2, 9)], *[("D", r) for r in range(4, 9)],
+                    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
 _VALID_RANKS = {
     "A": range(1, 100),
     "B": range(2, 100),
@@ -89,9 +94,10 @@ def cartan_matrix(kind: str, rank: int) -> np.ndarray:
     return C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable root system; safe to share across workers."""
+    """Immutable root system; safe to share across workers.  One is built
+    per type, so systems compare and hash by identity."""
 
     kind: str
     rank: int

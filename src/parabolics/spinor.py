@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cxlinalg import BilinearSpace
+from .cxlinalg import BilinearSpace, crandom
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -144,6 +144,17 @@ def spin_module(m: int) -> SpinModule:
     return SpinModule(m=m, basis=basis, index={s: k for k, s in enumerate(basis)})
 
 
+def rho_square_defect(rng: np.random.Generator, sm: SpinModule, trials: int) -> float:
+    """The largest ||rho(v)^2 - (v, v) Id|| over `trials` complex Gaussian v."""
+    I = np.eye(sm.dim)
+    worst = 0.0
+    for _ in range(trials):
+        v = crandom(rng, 2 * sm.m)
+        R = sm.rho(v)
+        worst = max(worst, float(np.linalg.norm(R @ R - sm.pairing(v, v) * I)))
+    return worst
+
+
 @lru_cache(maxsize=None)
 def _subset_bits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only bitmasks sum(1 << x for x in s) of the basis subsets, in
@@ -203,3 +214,4 @@ def _form_gram(m: int) -> np.ndarray:
     G[np.arange(1 << m), pos[masks ^ ((1 << m) - 1)]] = 1 - 2 * (flips & 1)
     G.setflags(write=False)  # shared by every half_space and caller
     return G
+

@@ -18,12 +18,13 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .grading import Grading, Weight, diagram, compute_grading
+from .report import Report
 
 #: Environment variable overriding the bundled data directory.
 DATA_DIR_ENV = "PARABOLICS_DATA_DIR"
@@ -223,30 +224,7 @@ def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
 # ------------------------------------------------------------ verification
 
 
-@dataclass
-class CheckLine:
-    item: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class CaseReport:
-    case_id: str
-    checks: list[CheckLine] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def add(self, item: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(CheckLine(item, ok, detail))
-
-    def failures(self) -> list[CheckLine]:
-        return [c for c in self.checks if not c.ok]
-
-
-def verify_case(case: CaseSpec) -> CaseReport:
+def verify_case(case: CaseSpec) -> Report:
     """Recompute one case from its colouring and compare with the transcript.
 
     Checked, per the acceptance contract: every named vector is a positive
@@ -256,7 +234,7 @@ def verify_case(case: CaseSpec) -> CaseReport:
     arrow set equals the printed one.  The printed Dynkin labels at black
     vertices are verified as well.
     """
-    report = CaseReport(case.case_id)
+    report = Report()
     g = compute_grading(diagram(case.group, case.black))
     named = case.all_named()
 
@@ -326,7 +304,7 @@ def verify_case(case: CaseSpec) -> CaseReport:
     return report
 
 
-def verify_all_cases(cases: dict[str, CaseSpec] | None = None) -> dict[str, CaseReport]:
+def verify_all_cases(cases: dict[str, CaseSpec] | None = None) -> dict[str, Report]:
     if cases is None:
         cases = load_cases()
     return {cid: verify_case(spec) for cid, spec in sorted(cases.items())}

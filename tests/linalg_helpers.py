@@ -3,7 +3,7 @@ their Grams, and random elements of the structure group of a bilinear space."""
 
 import numpy as np
 
-from parabolics.cxlinalg import BilinearSpace
+from parabolics.cxlinalg import BilinearSpace, crandom
 
 
 def gram_from_quadratic(q, dim: int) -> np.ndarray:
@@ -51,7 +51,7 @@ def form_preserving(space: BilinearSpace, rng: np.random.Generator,
                     scale: float = 0.5) -> np.ndarray:
     """A random invertible h with h^T gram h = gram (exp of a form-skew map)."""
     n = space.dim
-    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S = crandom(rng, n, n)
     S = (S - S.T) / 2 if space.symmetric else (S + S.T) / 2
     X = np.linalg.solve(space.gram, scale * S)
     return expm(X)

@@ -9,9 +9,10 @@ import time
 import numpy as np
 
 from parabolics import ampleness, classify, cxlinalg, mpchar, walkdiag
+from parabolics.cxlinalg import crandom
 from parabolics.grading import compute_grading, diagram
-from parabolics.rootsys import POSITIVE_ROOT_COUNTS, build_root_system
-from parabolics.spinor import spin_module
+from parabolics.rootsys import POSITIVE_ROOT_COUNTS, ROOT_COUNT_TYPES, build_root_system
+from parabolics.spinor import rho_square_defect, spin_module
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -19,24 +20,17 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def _crandom(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def test_criterion_1_root_counts():
     build_root_system.cache_clear()
     t0 = time.perf_counter()
-    kinds = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
-             + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
-             + [("E", 6), ("E", 7), ("E", 8)] + [("F", 4), ("G", 2)])
     bad = []
-    for kind, rank in kinds:
+    for kind, rank in ROOT_COUNT_TYPES:
         rs = build_root_system(kind, rank)
         if len(rs.positive_roots) != POSITIVE_ROOT_COUNTS[kind](rank):
             bad.append((kind, rank))
     elapsed = time.perf_counter() - t0
     _report("criterion 1 (root counts)", not bad and elapsed < 1.0,
-            f"{len(kinds)} types, {elapsed:.3f}s, mismatches {bad}")
+            f"{len(ROOT_COUNT_TYPES)} types, {elapsed:.3f}s, mismatches {bad}")
 
 
 def test_criterion_2_grading_partitions_and_irreducibility():
@@ -74,7 +68,7 @@ def test_criterion_4_table_check():
     t0 = time.perf_counter()
     report = classify.check_table()
     elapsed = time.perf_counter() - t0
-    ok = report.passed and len(report.counts) == 59 and elapsed < 5.0
+    ok = report.passed and len(report.lines) == 59 and elapsed < 5.0
     _report("criterion 4 (table)", ok,
             f"59 entries, failures {report.failures()}, {elapsed:.2f}s")
 
@@ -87,8 +81,8 @@ def test_criterion_5_penrose_suite():
     for trial in range(1000):
         m, n = rng.integers(1, 9, size=2)
         k = min(m, n)
-        U, _ = np.linalg.qr(_crandom(rng, m, m))
-        V, _ = np.linalg.qr(_crandom(rng, n, n))
+        U, _ = np.linalg.qr(crandom(rng, m, m))
+        V, _ = np.linalg.qr(crandom(rng, n, n))
         cond = 10.0 ** rng.uniform(0, 6)
         s = np.geomspace(1.0, 1.0 / cond, k)
         if trial % 5 == 0 and k > 1:
@@ -111,12 +105,8 @@ def test_criterion_6_gl_characteristic():
     rejected = 0
     worst_h = 0.0
     for trial in range(100):
-        dims = (2, 3, 2) if trial % 2 == 0 else (1, 4, 2, 1)
-        blocks = {}
-        for i in range(1, len(dims)):
-            for j in range(i + 1, len(dims) + 1):
-                blocks[(i, j)] = _crandom(rng, dims[j - 1], dims[i - 1])
-        triples = mpchar.gl_hermitian_characteristic(mpchar.BlockNilpotent(dims, blocks))
+        x = mpchar.random_block_nilpotent(rng, (2, 3, 2) if trial % 2 == 0 else (1, 4, 2, 1))
+        triples = mpchar.gl_hermitian_characteristic(x)
         for t in triples.values():
             if not t.accepted(1e-9):
                 rejected += 1
@@ -132,7 +122,7 @@ def test_criterion_7_so_sp_lemma():
     worst_split = 0.0
     for space in (cxlinalg.symmetric_space(6), cxlinalg.symplectic_space(6)):
         for _ in range(200):
-            A = _crandom(rng, 6, 4)
+            A = crandom(rng, 6, 4)
             sol = mpchar.lemma_B_from_A(A, space)
             worst = max(worst, max(mpchar.lemma_residuals(sol, space).values()))
             AB = A @ sol.B
@@ -147,14 +137,8 @@ def test_criterion_7_so_sp_lemma():
 
 
 def test_criterion_8_spinor_identities():
-    rng = np.random.default_rng(8)
     sm = spin_module(4)
-    I = np.eye(16)
-    worst = 0.0
-    for _ in range(100):
-        v = _crandom(rng, 8)
-        R = sm.rho(v)
-        worst = max(worst, float(np.linalg.norm(R @ R - sm.pairing(v, v) * I)))
+    worst = rho_square_defect(np.random.default_rng(8), sm, 100)
     G = sm.form_gram
     ev, od = list(sm.even_indices), list(sm.odd_indices)
     orth_exact = not G[np.ix_(ev, od)].any() and not G[np.ix_(od, ev)].any()
@@ -176,10 +160,10 @@ def test_criterion_9_witt_invariants():
     realized.add(cxlinalg.restriction_invariants(np.zeros((3, 2)), space))
     for (i, j) in [(1, 0), (1, 1), (2, 0), (2, 1)]:
         M = cxlinalg.span_with_invariants(space, i, j, rng)
-        cols = M if M.shape[1] == 2 else M @ _crandom(rng, M.shape[1], 2)
+        cols = M if M.shape[1] == 2 else M @ crandom(rng, M.shape[1], 2)
         realized.add(cxlinalg.restriction_invariants(cols, space))
     for _ in range(200):
-        realized.add(cxlinalg.restriction_invariants(_crandom(rng, 3, 2), space))
+        realized.add(cxlinalg.restriction_invariants(crandom(rng, 3, 2), space))
     ok = realized == allowed
     _report("criterion 9 (witt invariants)", ok,
             f"realized pairs {sorted(realized)}")
@@ -211,7 +195,7 @@ def test_criterion_10_deformation_suites():
         r = ampleness.deform(ampleness.DeformationTask("6D", {"A": A6, "B": B}, seed=seed))
         canonical_ok &= r.verified and r.restarts == 0
     for seed in range(10):
-        B = _crandom(np.random.default_rng(910 + seed), 3, 2)
+        B = crandom(np.random.default_rng(910 + seed), 3, 2)
         r = ampleness.deform(ampleness.DeformationTask(
             "5C", {"v": np.array([1.0, 0, 0], dtype=complex), "B": B}, seed=seed))
         canonical_ok &= r.verified and r.restarts == 0

@@ -3,12 +3,8 @@ import pytest
 
 from linalg_helpers import form_preserving
 from parabolics import ampleness as am
-from parabolics.cxlinalg import det_space, pf_space, symmetric_space
+from parabolics.cxlinalg import crandom, det_space, pf_space, symmetric_space
 from parabolics.spinor import spin_module
-
-
-def _crandom(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_is_ample_examples():
@@ -52,7 +48,7 @@ def test_spinor_is_ample():
     assert am.is_ample(np.column_stack([s1, s2]), plus) == am.NOT_AMPLE
     assert am.is_ample(np.zeros((8, 2)), plus) != am.NOT_AMPLE
     rng = np.random.default_rng(8)
-    assert am.is_ample(_crandom(rng, 8, 3), minus) == am.AMPLE_NONDEG
+    assert am.is_ample(crandom(rng, 8, 3), minus) == am.AMPLE_NONDEG
 
 
 def test_degenerate_line_map_quadric_examples():
@@ -61,7 +57,7 @@ def test_degenerate_line_map_quadric_examples():
     tangent = np.array([[1, 0], [0, 1], [0, 1j]], dtype=complex)
     assert am.is_degenerate_line_map(tangent, X)
     rng = np.random.default_rng(1)
-    generic = _crandom(rng, 3, 2)
+    generic = crandom(rng, 3, 2)
     assert not am.is_degenerate_line_map(generic, X)
     rank1 = np.column_stack([[1, 0, 0], [2, 0, 0]]).astype(complex)
     assert not am.is_degenerate_line_map(rank1, X)
@@ -77,17 +73,17 @@ def test_degenerate_line_map_segre():
     rng = np.random.default_rng(2)
     found = 0
     for _ in range(20):
-        x = np.outer(_crandom(rng, 2), _crandom(rng, 3)).reshape(6)
-        A = np.column_stack([x, _crandom(rng, 6)])
+        x = np.outer(crandom(rng, 2), crandom(rng, 3)).reshape(6)
+        A = np.column_stack([x, crandom(rng, 6)])
         found += am.is_degenerate_line_map(A, X)
     assert found >= 15
     # generic lines miss the rank-1 locus entirely
     for _ in range(10):
-        assert not am.is_degenerate_line_map(_crandom(rng, 6, 2), X)
+        assert not am.is_degenerate_line_map(crandom(rng, 6, 2), X)
     # a pencil inside the rank-1 locus is not a single point
-    u = _crandom(rng, 2)
-    inside = np.column_stack([np.outer(u, _crandom(rng, 3)).reshape(6),
-                              np.outer(u, _crandom(rng, 3)).reshape(6)])
+    u = crandom(rng, 2)
+    inside = np.column_stack([np.outer(u, crandom(rng, 3)).reshape(6),
+                              np.outer(u, crandom(rng, 3)).reshape(6)])
     assert not am.is_degenerate_line_map(inside, X)
 
 
@@ -154,7 +150,7 @@ def test_deform_7a_both_widths():
 
 def test_deform_hypotheses_not_met():
     rng = np.random.default_rng(4)
-    ample_A = _crandom(rng, 4, 2)  # generic: nondegenerate restriction
+    ample_A = crandom(rng, 4, 2)  # generic: nondegenerate restriction
     with pytest.raises(am.HypothesesNotMet):
         am.deform(am.DeformationTask("4A", {"A": ample_A, "B": np.ones((2, 2))}))
     bad = am.random_task("4A", 0)
@@ -189,7 +185,7 @@ def test_1c_in_image_witness_cancels_one_column():
     # column of A against v, so no random restart is needed
     for seed in range(30):
         task = am.random_task("1C", seed)
-        c = _crandom(np.random.default_rng(130 + seed), 2)
+        c = crandom(np.random.default_rng(130 + seed), 2)
         inputs = dict(task.inputs, v=task.inputs["A"] @ c)
         res = am.deform(am.DeformationTask("1C", inputs, seed=seed))
         assert res.verified and res.restarts == 0, seed
@@ -202,7 +198,7 @@ def test_7c_isotropic_spinor_witness():
     plus = spin_module(4).half_space("+")
     rng = np.random.default_rng(140)
     for seed in range(10):
-        a, b = _crandom(rng, 8), _crandom(rng, 8)
+        a, b = crandom(rng, 8), crandom(rng, 8)
         qa, qb, qab = plus.omega(a, a), plus.omega(b, b), plus.omega(a, b)
         s = a + ((-qab + np.sqrt(qab ** 2 - qa * qb)) / qb) * b
         assert abs(plus.omega(s, s)) < 1e-10 * np.linalg.norm(s) ** 2
@@ -215,7 +211,7 @@ def test_canonical_5c_first_attempt():
     v = np.array([1.0, 0, 0], dtype=complex)
     rng = np.random.default_rng(6)
     for seed in range(5):
-        B = _crandom(np.random.default_rng(60 + seed), 3, 2)
+        B = crandom(np.random.default_rng(60 + seed), 3, 2)
         res = am.deform(am.DeformationTask("5C", {"v": v, "B": B}, seed=seed))
         assert res.verified and res.restarts == 0
         # the witness columns lie in the plane spanned by e2 and e3
@@ -283,3 +279,9 @@ def test_wedge_tables():
     b2 = np.zeros(6); b2[am.PF2.index((0, 2))] = 1
     t2 = am.wedge_bv4(b2, e[1])
     assert t2[am.PF3.index((0, 1, 2))] == -1
+
+
+@pytest.mark.parametrize("k", [0, 1, -2, 4])
+def test_random_task_7a_rejects_k_before_drawing(k):
+    with pytest.raises(am.HypothesesNotMet, match="k must be 2 or 3"):
+        am.random_task_7a(k, 0)

@@ -7,22 +7,26 @@ from parabolics.classify import (
     load_table,
     match_table_entry,
     scan_parabolics,
-    weakly_ample_by_basic_lemma,
 )
 from parabolics.grading import grade
 from parabolics.rootsys import build_root_system
 from parabolics.walkdiag import load_cases
 
 
+def _scan_record(name: str, black: tuple[int, ...]):
+    [rec] = [r for r in scan_parabolics(build_root_system(name[0], int(name[1:])))
+             if r.black == black]
+    return rec
+
+
 def test_two_step_maximal_parabolic_is_weakly_ample():
     # one white vertex whose coefficient in the highest root is 1
-    g = grade("A4", [1, 2, 4])
-    assert g.positive_weights == ((1,),)
-    assert weakly_ample_by_basic_lemma(g)
+    assert grade("A4", [1, 2, 4]).positive_weights == ((1,),)
+    assert _scan_record("A4", (1, 2, 4)).basic_lemma_weakly_ample
 
 
 def test_case_2a_colouring_not_settled_by_count():
-    assert not weakly_ample_by_basic_lemma(grade("E7", [1, 3, 4, 6, 7]))
+    assert not _scan_record("E7", (1, 3, 4, 6, 7)).basic_lemma_weakly_ample
 
 
 def test_scan_counts():
@@ -46,14 +50,16 @@ def test_table_loads_59_entries():
 def test_check_table_counts():
     report = check_table()
     assert report.passed and not report.failures()
-    assert set(report.counts) == set(range(1, 60))
-    assert all(c in (2, 3, 4) for c in report.counts.values())
+    details = {l["anchor"]: l["detail"] for l in report.lines}
+    assert list(details) == [f"table entry {i}" for i in range(1, 60)]
+    assert set(details.values()) == {f"nonreduced count {c}" for c in (2, 3, 4)}
     # entries matching the bundled case colourings carry the printed counts
     cases = load_cases()
     for cid, want in [("2A", 2), ("2B", 2), ("5B", 4), ("5C", 4), ("4A", 2)]:
         spec = cases[cid]
         entry = match_table_entry(spec.group, spec.black)
-        assert report.counts[entry] == want == len(spec.nonreduced)
+        assert details[f"table entry {entry}"] == f"nonreduced count {want}"
+        assert want == len(spec.nonreduced)
 
 
 def test_table_is_exactly_the_multi_nonreduced_colourings():
@@ -68,10 +74,14 @@ def test_table_is_exactly_the_multi_nonreduced_colourings():
 
 
 def test_basic_lemma_set_disjoint_from_table():
-    entries = load_table()
-    for e in entries:
-        g = grade(e.group, e.black)
-        assert not weakly_ample_by_basic_lemma(g)
+    listed = {(e.group, tuple(sorted(e.black))) for e in load_table()}
+    seen = 0
+    for name in ("E7", "E8"):
+        for r in scan_parabolics(build_root_system(name[0], int(name[1]))):
+            if (name, r.black) in listed:
+                assert not r.basic_lemma_weakly_ample
+                seen += 1
+    assert seen == 59
 
 
 def test_every_case_colouring_is_a_table_entry():
@@ -104,10 +114,11 @@ def test_bundled_table_is_read_once(monkeypatch):
 
 def test_check_table_of_no_entries_checks_nothing():
     report = check_table([])
-    assert report.counts == {}
-    assert check_table(()).counts == {}
+    assert report.lines == [] and report.passed
+    assert check_table(()).lines == []
     # one explicit entry is checked alone
-    assert list(check_table(load_table()[:1]).counts) == [load_table()[0].index]
+    [line] = check_table(load_table()[:1]).lines
+    assert line["anchor"] == f"table entry {load_table()[0].index}"
 
 
 def test_match_table_entry_in_no_entries_finds_nothing():

@@ -92,6 +92,27 @@ def test_cli_deform():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--variant", "7A", "--k", "0"], "k must be 2 or 3"),
+    (["--variant", "7A", "--k", "1"], "k must be 2 or 3"),
+    (["--variant", "7A", "--k", "-2"], "k must be 2 or 3"),
+    (["--variant", "4A", "--k", "2"], "--k 2: k applies only to a random 7A task"),
+], ids=["7A-k0", "7A-k1", "7A-k-2", "4A-k2"])
+def test_cli_deform_rejects_bad_k(argv, message):
+    code, out = run_cli("deform", *argv)
+    assert code == 2 and message in out
+    assert "verified" not in out and "Traceback" not in out
+
+
+def test_cli_deform_k_with_input_rejected_and_valid_k_kept(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text("{}")
+    code, out = run_cli("deform", "--variant", "7A", "--k", "2", "--input", str(path))
+    assert code == 2 and "k applies only to a random 7A task" in out
+    code, out = run_cli("deform", "--variant", "7A", "--k", "3", "--json")
+    assert code == 0 and np.shape(json.loads(out)["witness"]["v"]["re"]) == (8,)
+
+
 def test_cli_deform_input_missing_key(tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"A": [[1, 0], [0, 1], [0, 0], [0, 0]]}))

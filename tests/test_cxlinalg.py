@@ -8,14 +8,10 @@ from parabolics.mpchar import build_classical_grading
 from parabolics.spinor import spin_module
 
 
-def _crandom(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _constructed_svd(rng, m, n, cond):
     k = min(m, n)
-    U, _ = np.linalg.qr(_crandom(rng, m, m))
-    V, _ = np.linalg.qr(_crandom(rng, n, n))
+    U, _ = np.linalg.qr(cx.crandom(rng, m, m))
+    V, _ = np.linalg.qr(cx.crandom(rng, n, n))
     s = np.geomspace(1.0, 1.0 / cond, k)
     return (U[:, :k] * s) @ V[:, :k].conj().T
 
@@ -29,7 +25,7 @@ def test_mp_inverse_scalar_and_zero():
 def test_penrose_residuals_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        F = _crandom(rng, 5, 3)
+        F = cx.crandom(rng, 5, 3)
         P = cx.mp_inverse(F)
         assert max(cx.penrose_residuals(F, P)) < 1e-10
 
@@ -37,7 +33,7 @@ def test_penrose_residuals_random():
 def test_invertible_case_equals_inverse():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        F = _crandom(rng, 4, 4)
+        F = cx.crandom(rng, 4, 4)
         P = cx.mp_inverse(F)
         inv = np.linalg.inv(F)
         assert np.linalg.norm(P - inv) < 1e-8 * np.linalg.norm(inv)
@@ -56,8 +52,8 @@ def test_mp_uniqueness_against_normal_equation_limit():
 
 def test_mp_rank_cut_drops_tiny_singular_values():
     rng = np.random.default_rng(3)
-    U, _ = np.linalg.qr(_crandom(rng, 4, 4))
-    V, _ = np.linalg.qr(_crandom(rng, 4, 4))
+    U, _ = np.linalg.qr(cx.crandom(rng, 4, 4))
+    V, _ = np.linalg.qr(cx.crandom(rng, 4, 4))
     F = (U * np.array([1.0, 0.5, 1e-14, 0.0])) @ V.conj().T
     P = cx.mp_inverse(F)
     assert np.linalg.norm(P, 2) < 3.0  # the 1e-14 direction is treated as zero
@@ -65,7 +61,7 @@ def test_mp_rank_cut_drops_tiny_singular_values():
 
 def test_sharp_adjoint_symmetric_and_symplectic():
     rng = np.random.default_rng(4)
-    A = _crandom(rng, 4, 4)
+    A = cx.crandom(rng, 4, 4)
     sym, sp = cx.symmetric_space(4), cx.symplectic_space(4)
     assert np.allclose(cx.sharp_adjoint(A, sym), A.T)
     I = sp.gram
@@ -79,7 +75,7 @@ def test_sharp_adjoint_symmetric_and_symplectic():
 def test_sharp_adjoint_identity_and_antihomomorphism(space):
     rng = np.random.default_rng(5)
     n = space.dim
-    A, B = _crandom(rng, n, n), _crandom(rng, n, n)
+    A, B = cx.crandom(rng, n, n), cx.crandom(rng, n, n)
     As = cx.sharp_adjoint(A, space)
     basis = np.eye(n)
     for i in range(n):
@@ -114,7 +110,7 @@ def test_restriction_invariants_basis_independent():
     sp = cx.pf_space()
     M = cx.span_with_invariants(sp, 3, 1, rng)
     for _ in range(20):
-        mix = _crandom(rng, 3, 5)
+        mix = cx.crandom(rng, 3, 5)
         assert cx.restriction_invariants(M @ mix, sp) == (3, 1)
 
 
@@ -125,7 +121,7 @@ def test_witt_pairs_dim2_into_3():
     realized = {cx.restriction_invariants(np.zeros((3, 2)), sym3)}
     for (i, j) in [(1, 0), (1, 1), (2, 0), (2, 1)]:
         M = cx.span_with_invariants(sym3, i, j, rng)
-        cols = M @ _crandom(rng, i, 2) if i < 2 else M
+        cols = M @ cx.crandom(rng, i, 2) if i < 2 else M
         assert cx.restriction_invariants(cols, sym3) == (i, j)
         realized.add((i, j))
     assert realized == {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)}
@@ -147,7 +143,7 @@ def test_pf_value_against_wedge_expansion():
     # oracle: expand x ^ x over the 15 basis pairs and read the top coefficient
     rng = np.random.default_rng(8)
     for _ in range(30):
-        x = _crandom(rng, 6)
+        x = cx.crandom(rng, 6)
         top = 0.0
         for a, (i1, j1) in enumerate(PF2):
             for b, (i2, j2) in enumerate(PF2):
@@ -164,7 +160,7 @@ def test_polarization_gram_matches_quadratic(space):
     value = det_value if space.dim == 4 else pf_value
     rng = np.random.default_rng(9)
     for _ in range(20):
-        x = _crandom(rng, space.dim)
+        x = cx.crandom(rng, space.dim)
         assert abs(space.quadratic(x) - value(x)) < 1e-10
     assert abs(np.linalg.det(space.gram)) > 1e-6
 
@@ -179,7 +175,7 @@ def test_form_preserving_preserves_gram():
 
 def test_expm_against_eigendecomposition():
     rng = np.random.default_rng(11)
-    X = _crandom(rng, 5, 5)
+    X = cx.crandom(rng, 5, 5)
     w, V = np.linalg.eig(X)
     expected = V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
     assert np.allclose(expm(X), expected, atol=1e-10)

@@ -111,13 +111,6 @@ def test_irreducibility_all_components_of_sample_parabolics():
             assert g.is_irreducible_component(w), (name, black, w)
 
 
-def test_weight_label():
-    g = grade("E7", [1, 3, 4, 6, 7])
-    assert g.weight_label((0, 1)) == "(0,1)"
-    assert g.weight_label((1, 0)) == "(1,0)"
-    assert g.weight_label(tuple(0 for _ in g.diagram.white)) == "(0,0)"
-
-
 def test_diagram_validation():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError):

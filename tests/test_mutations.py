@@ -1,0 +1,93 @@
+"""Mutation controls for `verify-all`: each test plants one defect and
+asserts that exactly the report lines checking it turn to FAIL and that
+the command exits 1.  A clean run passes, so each failure is the plant's.
+
+Every cache in the package is cleared before and after a test, so no
+result computed with a plant outlives it and none computed before it
+hides it.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import shutil
+import sys
+
+import numpy as np
+import pytest
+
+from parabolics import cli, cxlinalg, mpchar, walkdiag
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parabolics"):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    _clear_caches()
+    yield monkeypatch
+    monkeypatch.undo()
+    _clear_caches()
+
+
+def _verify_all() -> tuple[int, list[str]]:
+    """The exit code of `verify-all --trials 10` and its failed anchors."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-all", "--trials", "10", "--json"])
+    return code, [l["anchor"] for l in json.loads(out.getvalue())["lines"] if not l["ok"]]
+
+
+def _data_copy(tmp_path, plant, filename, old, new):
+    """Point the loaders at a copy of the bundled data whose first `old`
+    in `filename` reads `new`."""
+    for name in ("cases.txt", "table.txt"):
+        shutil.copy(walkdiag.data_path(name), tmp_path / name)
+    text = (tmp_path / filename).read_text()
+    assert old in text
+    (tmp_path / filename).write_text(text.replace(old, new, 1))
+    plant.setenv(walkdiag.DATA_DIR_ENV, str(tmp_path))
+
+
+def test_clean_run_passes(plant):
+    assert _verify_all() == (0, [])
+
+
+def test_scaled_adjoint_for_mp_inverse_fails_penrose(plant):
+    def scaled_adjoint(F, rtol=cxlinalg.DEFAULT_TOL):
+        F = np.asarray(F, dtype=complex)
+        return F.conj().T / np.linalg.norm(F) ** 2
+
+    plant.setattr(cxlinalg, "mp_inverse", scaled_adjoint)
+    assert _verify_all() == (1, ["penrose equations (10 trials)"])
+
+
+def test_scaled_lemma_b_fails_both_characteristic_lines(plant):
+    solve = mpchar.lemma_B_from_A
+
+    def scaled_b(A, space, rtol=cxlinalg.DEFAULT_TOL):
+        sol = solve(A, space, rtol)
+        return dataclasses.replace(sol, B=sol.B * (1 + 1e-6))
+
+    plant.setattr(mpchar, "lemma_B_from_A", scaled_b)
+    assert _verify_all() == (1, ["characteristic equations (sym, 10 trials)",
+                                 "characteristic equations (skew, 10 trials)"])
+
+
+def test_changed_case_arrow_fails_its_case(plant, tmp_path):
+    # the first "arrow B 1 a" is case 2A's
+    _data_copy(tmp_path, plant, "cases.txt", "arrow B 1 a", "arrow B 1 B")
+    assert _verify_all() == (1, ["case 2A"])
+
+
+def test_table_entry_below_two_nonreduced_weights_fails_the_table(plant, tmp_path):
+    # E7/1,2,3,4,5,6 has exactly one non-reduced positive weight
+    _data_copy(tmp_path, plant, "table.txt", "entry 1 E7 black 1,3,5,7\n",
+               "entry 1 E7 black 1,2,3,4,5,6\n")
+    assert _verify_all() == (1, ["table: all 59 entries have >= 2 non-reduced weights"])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from parabolics import rootsys
+from parabolics.grading import diagram
 from parabolics.rootsys import (
     POSITIVE_ROOT_COUNTS,
+    ROOT_COUNT_TYPES,
     InvalidTypeError,
     build_root_system,
     cartan_matrix,
@@ -13,24 +15,14 @@ from parabolics.rootsys import (
     parse_type,
 )
 
-ALL_TYPES = (
-    [("A", r) for r in range(1, 9)]
-    + [("B", r) for r in range(2, 9)]
-    + [("C", r) for r in range(2, 9)]
-    + [("D", r) for r in range(4, 9)]
-    + [("E", r) for r in (6, 7, 8)]
-    + [("F", 4), ("G", 2)]
-)
-
-
-@pytest.mark.parametrize("kind,rank", ALL_TYPES)
+@pytest.mark.parametrize("kind,rank", ROOT_COUNT_TYPES)
 def test_positive_root_counts(kind, rank):
     rs = build_root_system(kind, rank)
     assert len(rs.positive_roots) == POSITIVE_ROOT_COUNTS[kind](rank)
     assert len(rs.roots) == 2 * len(rs.positive_roots)
 
 
-@pytest.mark.parametrize("kind,rank", ALL_TYPES)
+@pytest.mark.parametrize("kind,rank", ROOT_COUNT_TYPES)
 def test_negation_closure_and_uniqueness(kind, rank):
     rs = build_root_system(kind, rank)
     roots = set(rs.roots)
@@ -329,3 +321,14 @@ def test_build_root_system_d60_budget():
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"D60 root system took {elapsed:.2f} s"
     assert len(rs.positive_roots) == POSITIVE_ROOT_COUNTS["D"](60)
+
+
+def test_root_systems_compare_and_hash_by_identity():
+    rs = build_root_system("A", 2)
+    twin = build_root_system.__wrapped__("A", 2)  # an uncached build
+    assert hash(rs) == hash(build_root_system("A", 2)) and rs == build_root_system("A", 2)
+    assert rs != twin and len({rs, twin}) == 2
+    # a coloured diagram holds its root system and inherits the semantics
+    d = diagram("E7", [1])
+    assert d == diagram("E7", [1]) and hash(d) == hash(diagram("E7", [1]))
+    assert len({d, diagram("E7", [2])}) == 2

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from parabolics import spinor
-from parabolics.cxlinalg import restriction_invariants
+from parabolics.cxlinalg import crandom, restriction_invariants
 from parabolics.spinor import spin_module
-
-
-def _crandom(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _form(sm, s, t):
@@ -47,7 +43,7 @@ def test_rho_wedge_and_contraction_examples(sm4):
 
 def test_rho_linear_in_v(sm4):
     rng = np.random.default_rng(0)
-    v, w = _crandom(rng, 8), _crandom(rng, 8)
+    v, w = crandom(rng, 8), crandom(rng, 8)
     a, b = rng.standard_normal(2)
     assert np.allclose(sm4.rho(a * v + b * w), a * sm4.rho(v) + b * sm4.rho(w))
 
@@ -63,7 +59,7 @@ def test_clifford_relation(m):
     rng = np.random.default_rng(m)
     I = np.eye(sm.dim)
     for _ in range(50):
-        v, w = _crandom(rng, 2 * m), _crandom(rng, 2 * m)
+        v, w = crandom(rng, 2 * m), crandom(rng, 2 * m)
         Rv, Rw = sm.rho(v), sm.rho(w)
         assert np.linalg.norm(Rv @ Rv - sm.pairing(v, v) * I) < 1e-10 * sm.dim
         assert np.linalg.norm(Rv @ Rw + Rw @ Rv - 2 * sm.pairing(v, w) * I) < 1e-10 * sm.dim
@@ -73,7 +69,7 @@ def test_rho_flips_parity_exactly(sm4):
     rng = np.random.default_rng(1)
     ev, od = list(sm4.even_indices), list(sm4.odd_indices)
     for _ in range(10):
-        R = sm4.rho(_crandom(rng, 8))
+        R = sm4.rho(crandom(rng, 8))
         assert not R[np.ix_(ev, ev)].any()
         assert not R[np.ix_(od, od)].any()
 
@@ -117,7 +113,7 @@ def test_spinor_ampleness_normal_form(sm4):
     rng = np.random.default_rng(2)
     got_nondeg = 0
     for _ in range(10):
-        cols = _crandom(rng, 8, 3)
+        cols = crandom(rng, 8, 3)
         r, j = restriction_invariants(cols, plus)
         got_nondeg += (r, j) == (3, 0)
     assert got_nondeg == 10  # random 3-dim images are nondegenerate
@@ -128,7 +124,7 @@ def test_prop7c_dichotomy(sm4):
     minus = sm4.half_space("-")
     od = list(sm4.odd_indices)
     for _ in range(20):
-        s = sm4.from_half(_crandom(rng, 8), "+")
+        s = sm4.from_half(crandom(rng, 8), "+")
         span = _rho_span(sm4, s)[od, :]
         if abs(_form(sm4, s, s)) > 1e-8:
             assert np.linalg.matrix_rank(span, tol=1e-8) == 8
@@ -136,8 +132,8 @@ def test_prop7c_dichotomy(sm4):
             assert restriction_invariants(span, minus) == (4, 4)
     # isotropic spinors: solve for a root of the quadratic form
     for _ in range(20):
-        a = sm4.from_half(_crandom(rng, 8), "+")
-        b = sm4.from_half(_crandom(rng, 8), "+")
+        a = sm4.from_half(crandom(rng, 8), "+")
+        b = sm4.from_half(crandom(rng, 8), "+")
         qa, qb, qab = _form(sm4, a, a), _form(sm4, b, b), _form(sm4, a, b)
         s = a + ((-qab + np.sqrt(qab ** 2 - qa * qb)) / qb) * b
         assert abs(_form(sm4, s, s)) < 1e-6 * np.linalg.norm(s) ** 2
@@ -147,8 +143,8 @@ def test_prop7c_dichotomy(sm4):
 
 def test_rho_half_consistency(sm4):
     rng = np.random.default_rng(4)
-    v = _crandom(rng, 8)
-    s_half = _crandom(rng, 8)
+    v = crandom(rng, 8)
+    s_half = crandom(rng, 8)
     full = sm4.from_half(s_half, "+")
     out_full = sm4.rho(v) @ full
     assert np.allclose(sm4.to_half(out_full, "-"), sm4.rho_half(v, "+") @ s_half)
@@ -245,7 +241,7 @@ def test_rho_equals_loop_oracle(m):
     sm = spin_module(m)
     rng = np.random.default_rng(100 + m)
     for _ in range(5):
-        v = _crandom(rng, 2 * m)
+        v = crandom(rng, 2 * m)
         v[rng.random(2 * m) < 0.3] = 0
         got, want = sm.rho(v), _rho_loop(sm, v)
         assert np.array_equal(got, want)
@@ -280,7 +276,7 @@ def test_half_indices_and_rho_half_equal_subset_parity(m):
     assert sm.even_indices.tolist() == even and sm.odd_indices.tolist() == odd
     assert not sm.even_indices.flags.writeable and not sm.odd_indices.flags.writeable
     rng = np.random.default_rng(200 + m)
-    v = _crandom(rng, 2 * m)
+    v = crandom(rng, 2 * m)
     v[rng.random(2 * m) < 0.3] = 0
     R = sm.rho(v)
     for side, src, dst in (("+", even, odd), ("-", odd, even)):

@@ -45,7 +45,7 @@ def test_case_shapes(cases):
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_verify_case_passes(cases, cid):
     report = verify_case(cases[cid])
-    assert report.passed, [(c.item, c.detail) for c in report.failures()]
+    assert report.passed, [l for l in report.lines if not l["ok"]]
 
 
 def test_verify_all_cases(cases):
@@ -58,9 +58,9 @@ def test_corrupted_arrow_fails_with_offending_triple(cases):
     bad = dataclasses.replace(spec, arrows=(("A", "1", "B"), ("A", "1", "a")))
     report = verify_case(bad)
     assert not report.passed
-    [failure] = [c for c in report.checks if not c.ok]
-    assert failure.item == "arrow set matches"
-    assert "('A', '1', 'a')" in failure.detail and "('B', '1', 'a')" in failure.detail
+    [failure] = [l for l in report.lines if not l["ok"]]
+    assert failure["anchor"] == "arrow set matches" and report.failures() == [failure["anchor"]]
+    assert "('A', '1', 'a')" in failure["detail"] and "('B', '1', 'a')" in failure["detail"]
 
 
 def test_corrupted_weight_fails(cases):
