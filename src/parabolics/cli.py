@@ -143,8 +143,7 @@ def cmd_check_table(args) -> int:
 
 
 def cmd_mp_triple(args) -> int:
-    dims = tuple(int(x) for x in args.blocks.split(","))
-    x = mpchar.random_block_nilpotent(np.random.default_rng(args.seed), dims)
+    x = mpchar.random_block_nilpotent(np.random.default_rng(args.seed), args.blocks)
     triples = mpchar.gl_hermitian_characteristic(x)
     report = Report()
     for (i, j), t in sorted(triples.items()):
@@ -200,7 +199,14 @@ def cmd_deform(args) -> int:
     return 0 if res.verified else 1
 
 
+# `spinor --m` on a 2-core 2.1 GHz Xeon: 2.5 s at m = 9, 12 s at m = 10, 88 s at m = 11.
+SPINOR_M_MAX = 9
+
+
 def cmd_spinor(args) -> int:
+    if args.m > SPINOR_M_MAX:
+        raise ValueError(f"--m {args.m}: the spinor checks multiply 2^m x 2^m matrices; "
+                         f"m must be at most {SPINOR_M_MAX}")
     sm = spin_module(args.m)
     worst = rho_square_defect(np.random.default_rng(args.seed), sm, 100)
     report = Report()
@@ -282,6 +288,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _block_dims(text: str) -> tuple[int, ...]:
+    """Two or more comma-separated block dimensions, each at least 1."""
+    dims = tuple(_positive_int(x) for x in text.split(","))
+    if len(dims) < 2:
+        raise argparse.ArgumentTypeError(f"needs at least two blocks, got {text!r}")
+    return dims
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="parabolics",
                                 description="Parabolic grading and characteristic checks")
@@ -311,12 +325,12 @@ def main(argv=None) -> int:
     add("check-table", cmd_check_table, help="non-reduced counts for the 59 entries")
 
     sp = add("mp-triple", cmd_mp_triple, help="block nilpotent sl2 triples")
-    sp.add_argument("--blocks", default="2,3,2")
+    sp.add_argument("--blocks", type=_block_dims, default="2,3,2")
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("lemma", cmd_lemma, help="solve the characteristic equations")
-    sp.add_argument("--u", type=int, default=4)
-    sp.add_argument("--w", type=int, default=6)
+    sp.add_argument("--u", type=_positive_int, default=4)
+    sp.add_argument("--w", type=_positive_int, default=6)
     sp.add_argument("--form", choices=("sym", "skew"), default="sym")
     sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=0)

@@ -7,8 +7,12 @@ weight collects the Levi roots.  Weights are plain tuples of ints, ordered
 by ascending white vertex index.
 
 A grading is computed from the positive roots alone: each gets one integer
-key whose order is the lexicographic order of its weight, one stable sort
-groups them, and the negative components are the positive ones negated.
+key whose order is the lexicographic order of its weight, and one stable
+sort groups them into the component of each positive root.  Reducedness,
+irreducibility and component indices need only the positive weights and
+that component array; the root tuples (`components`, `zero_component`)
+are built on first access, the negative components as the positive ones
+negated.
 """
 
 from __future__ import annotations
@@ -54,17 +58,50 @@ class Grading:
     """The weight partition of the roots of diagram.rs.
 
     components maps every nonzero weight to its roots; zero_component holds
-    the Levi roots.  All tuples are sorted for determinism.
+    the Levi roots.  All tuples are sorted for determinism, and built on
+    first access.  Two gradings are equal when they have the same diagram
+    and the same partition.
     """
 
     diagram: ColouredDiagram
-    components: dict[Weight, tuple[Root, ...]] = field(repr=False)
-    zero_component: tuple[Root, ...] = field(repr=False)
     #: Nonzero weights with all coefficients >= 0, lexicographically sorted.
     positive_weights: tuple[Weight, ...] = field(repr=False)
     #: Component of each of rs.positive_roots: 0 for the Levi, k for
     #: positive_weights[k - 1].
     _component_of: np.ndarray = field(repr=False, compare=False)
+    #: Rows of the lexicographic root order sorted by weight, and where the
+    #: rows of each positive weight start in it, then their end.
+    _order: np.ndarray = field(repr=False, compare=False)
+    _bounds: tuple[int, ...] = field(repr=False, compare=False)
+    #: positive_weights as a (len(positive_weights), len(white)) array.
+    _weight_array: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Grading):
+            return NotImplemented
+        return (self.diagram == other.diagram and self.positive_weights == other.positive_weights
+                and np.array_equal(self._component_of, other._component_of))
+
+    @cached_property
+    def components(self) -> dict[Weight, tuple[Root, ...]]:
+        lex = _lex_roots(self.rs.kind, self.rs.rank)
+        rows = self._order.tolist()
+        n = len(rows)
+        pos = [lex.roots[i] for i in rows]
+        # neg[n - 1 - t] is pos[t] negated: negation reverses lexicographic order.
+        neg = [lex.negatives[i] for i in reversed(rows)]
+        spans = list(pairwise(self._bounds))
+        # Every weight with a negative coefficient sorts before every positive one.
+        negative = list(map(tuple, (-self._weight_array).tolist()))
+        components = dict(zip(negative[::-1], [tuple(neg[n - b:n - a]) for a, b in spans[::-1]]))
+        components.update(zip(self.positive_weights, [tuple(pos[a:b]) for a, b in spans]))
+        return components
+
+    @cached_property
+    def zero_component(self) -> tuple[Root, ...]:
+        lex = _lex_roots(self.rs.kind, self.rs.rank)
+        levi = self._order[:self._bounds[0]].tolist()
+        return tuple([lex.negatives[i] for i in reversed(levi)] + [lex.roots[i] for i in levi])
 
     @property
     def rs(self) -> RootSystem:
@@ -94,17 +131,21 @@ class Grading:
         return None if k is None else np.flatnonzero(self._component_of == k)
 
     def is_weight(self, chi: Weight) -> bool:
-        return tuple(chi) in self.components
+        """Whether chi or -chi is a positive weight."""
+        chi = tuple(chi)
+        return chi in self._weight_ids or tuple(-c for c in chi) in self._weight_ids
 
     def roots_of(self, chi: Weight) -> tuple[Root, ...]:
         return self.components[tuple(chi)]
 
     def is_reduced(self, chi: Weight) -> bool:
         """A nonzero weight chi is reduced when 2*chi is not a weight."""
-        chi = tuple(chi)
-        if chi not in self.components:
-            raise ValueError(f"{chi} is not a weight of {self.diagram}")
-        return tuple(2 * c for c in chi) not in self.components
+        pos = tuple(chi)
+        if pos not in self._weight_ids:
+            pos = tuple(-c for c in pos)  # -chi is reduced when chi is
+            if pos not in self._weight_ids:
+                raise ValueError(f"{tuple(chi)} is not a weight of {self.diagram}")
+        return tuple(2 * c for c in pos) not in self._weight_ids
 
     def positive_nonreduced_weights(self) -> tuple[Weight, ...]:
         return tuple(w for w in self.positive_weights if not self.is_reduced(w))
@@ -189,28 +230,10 @@ def compute_grading(diag: ColouredDiagram) -> Grading:
     starts = np.flatnonzero(new)  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
     component_of[lex.position[order]] = np.cumsum(new)
-
     weights = lex.array[order[starts]][:, white]
-    positive = list(map(tuple, weights.tolist()))
-    negative = list(map(tuple, (-weights).tolist()))
-    rows = order.tolist()
-    n = len(rows)
-    pos = [lex.roots[i] for i in rows]
-    # neg[n - 1 - t] is pos[t] negated: negation reverses lexicographic order.
-    neg = [lex.negatives[i] for i in reversed(rows)]
-    bounds = starts.tolist() + [n]
-    spans = list(pairwise(bounds))
-    # Every weight with a negative coefficient sorts before every positive one.
-    components = dict(zip(negative[::-1], [tuple(neg[n - b:n - a]) for a, b in spans[::-1]]))
-    components.update(zip(positive, [tuple(pos[a:b]) for a, b in spans]))
-    levi = bounds[0]
-    return Grading(
-        diagram=diag,
-        components=components,
-        zero_component=tuple(neg[n - levi:] + pos[:levi]),
-        positive_weights=tuple(positive),
-        _component_of=component_of,
-    )
+    return Grading(diagram=diag, positive_weights=tuple(map(tuple, weights.tolist())),
+                   _component_of=component_of, _order=order,
+                   _bounds=(*starts.tolist(), len(order)), _weight_array=weights)
 
 
 def grade(type_name: str, black) -> Grading:

@@ -1,16 +1,23 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import parabolics
+from parabolics import classify
 from parabolics.classify import (
     check_table,
     load_table,
     match_table_entry,
+    nonreduced_counts,
     scan_parabolics,
 )
-from parabolics.grading import grade
-from parabolics.rootsys import build_root_system
-from parabolics.walkdiag import load_cases
+from parabolics.grading import ColouredDiagram, compute_grading, grade
+from parabolics.rootsys import ROOT_COUNT_TYPES, build_root_system
+from parabolics.walkdiag import load_cases, verify_all_cases
 
 
 def _scan_record(name: str, black: tuple[int, ...]):
@@ -126,3 +133,121 @@ def test_match_table_entry_in_no_entries_finds_nothing():
     assert match_table_entry(first.group, first.black) == first.index
     assert match_table_entry(first.group, first.black, []) is None
     assert match_table_entry(first.group, first.black, ()) is None
+
+
+# ------------------------------------------- the counting kernel: oracles
+
+
+def _nonreduced_oracle(rs, black):
+    """The count as the scan made it before the kernel: a full grading per
+    colouring, whose positive weight is non-reduced when its double is a
+    weight of the components."""
+    g = compute_grading(ColouredDiagram(rs, frozenset(black)))
+    return sum(tuple(2 * c for c in w) in g.components for w in g.positive_weights)
+
+
+@pytest.mark.parametrize("kind, rank", ROOT_COUNT_TYPES,
+                         ids=[f"{k}{r}" for k, r in ROOT_COUNT_TYPES])
+def test_scan_equals_grading_oracle_every_colouring(kind, rank):
+    rs = build_root_system(kind, rank)
+    records = scan_parabolics(rs)
+    assert len(records) == 2 ** rank - 1
+    assert [r.nonreduced for r in records] == [_nonreduced_oracle(rs, r.black) for r in records]
+    assert all(type(r.nonreduced) is int for r in records)
+
+
+@pytest.mark.parametrize("name", ["E8", "D6", "C5", "G2", "A1"])
+def test_scan_in_blocks_of_one_colouring(name, monkeypatch):
+    rs = build_root_system(name[0], int(name[1:]))
+    default = scan_parabolics(rs)
+    monkeypatch.setattr(classify, "_SCAN_BLOCK", 1)
+    assert scan_parabolics(rs) == default
+
+
+@pytest.mark.parametrize("name, narrow, wide", [
+    # radix 3 at every white vertex, blocks of 3 colourings: 38 white
+    # vertices are too many
+    ("A99", [tuple(range(1, 80)), tuple(range(1, 63))],
+     [(), (50,), tuple(range(1, 100, 2)), tuple(range(1, 61))]),
+    # radix 5 past vertex 1, blocks of 10 colourings: 25 of those are too
+    # many; white tails carry non-reduced weights (e_i and e_i + e_j, i < j)
+    ("B40", [tuple(range(1, 36)), tuple(range(1, 20))],
+     [tuple(range(1, 14)), tuple(range(1, 10)), (), (3, 39)]),
+])
+def test_wide_keys_take_the_grading_branch(name, narrow, wide, monkeypatch):
+    rs = build_root_system(name[0], int(name[1:]))
+    graded = []
+    grading = classify.compute_grading
+
+    def counting_grading(diag):
+        graded.append(tuple(sorted(diag.black)))
+        return grading(diag)
+
+    monkeypatch.setattr(classify, "compute_grading", counting_grading)
+    blacks = [narrow[0], *wide, *narrow[1:]]
+    counts = nonreduced_counts(rs, blacks)
+    assert graded == wide
+    assert counts.tolist() == [_nonreduced_oracle(rs, b) for b in blacks]
+    assert any(counts) or name == "A99"  # type A has no non-reduced weight
+
+
+def test_nonreduced_counts_of_named_colourings():
+    rs = build_root_system("E", 7)
+    assert nonreduced_counts(rs, []).tolist() == []
+    assert nonreduced_counts(rs, [(1, 3, 4, 6, 7), [1, 2, 3, 4, 5, 6]]).tolist() == [2, 1]
+    for bad in ([(0,)], [(1, 8)], [tuple(range(1, 8))]):
+        with pytest.raises(ValueError):
+            nonreduced_counts(rs, bad)
+
+
+def test_scan_builds_no_root_tuples(monkeypatch):
+    from parabolics.grading import Grading
+
+    def refuse(g):
+        raise AssertionError(f"root tuples of {g.diagram} built")
+
+    monkeypatch.setattr(Grading, "components", property(refuse))
+    monkeypatch.setattr(Grading, "zero_component", property(refuse))
+    scan = scan_parabolics(build_root_system("E", 8))
+    assert len(scan) == 255
+    assert check_table().passed
+    assert all(r.passed for r in verify_all_cases().values())
+    for black in ([1, 3], [2, 4, 5, 7], []):
+        g = grade("E8", black)
+        weights = g.positive_weights
+        reduced = [g.is_reduced(w) for w in weights]
+        assert reduced == [not g.is_weight(tuple(2 * c for c in w)) for w in weights]
+        assert g.positive_nonreduced_weights() == tuple(
+            w for w, r in zip(weights, reduced) if not r)
+        assert all(g.is_irreducible_component(w) for w in weights)
+        assert all(len(g.highest_root_of(w)) == 1 for w in weights)
+    for lazy in ("components", "zero_component"):
+        with pytest.raises(AssertionError, match="root tuples"):
+            getattr(g, lazy)
+
+
+# Peak RSS growth of `classify A14` over the bare import when the scan built
+# a grading per colouring (Python 3.11, numpy 2.4, 2-core Xeon).
+PARENT_CLASSIFY_A14_MB = 11.1
+
+
+def test_classify_a14_peak_rss_is_bounded():
+    # The blocked kernel keeps `classify A14` (16,383 colourings) within
+    # 5 MB of the per-colouring scan's growth, in a fresh interpreter.
+    script = (
+        "import contextlib, io\n"
+        "from parabolics import cli\n"
+        "def hwm():\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            return int(line.split()[1]) / 1024\n"
+        "base = hwm()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['classify', 'A14']) == 0\n"
+        "print(hwm() - base)\n"
+    )
+    src = str(Path(parabolics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert float(out) <= PARENT_CLASSIFY_A14_MB + 5

@@ -235,3 +235,48 @@ def test_flipped_rho_generator_fails_the_spinor_checks(monkeypatch):
         monkeypatch.undo()
         kernel.cache_clear()
     assert run_cli("spinor", "--m", "4")[0] == 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["lemma", "--u", "-1"], "--u"),
+    (["lemma", "--w", "-2"], "--w"),
+    (["mp-triple", "--blocks", "2,-1"], "--blocks"),
+    (["mp-triple", "--blocks", "2,x"], "--blocks"),
+], ids=["u-1", "w-2", "blocks-negative", "blocks-not-int"])
+def test_cli_dimension_errors_name_the_option(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"argument {option}:" in err
+    assert "negative dimensions" not in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["mp-triple", "--blocks", "3"], "--blocks"),
+    (["lemma", "--w", "0"], "--w"),
+    (["lemma", "--u", "0"], "--u"),
+], ids=["one-block", "w0", "u0"])
+def test_cli_checks_over_nothing_are_rejected(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and f"argument {option}:" in captured.err
+    assert "PASS" not in captured.out + captured.err
+
+
+def test_cli_spinor_bounds_m_before_any_work(monkeypatch):
+    from parabolics import cli
+
+    class Built(Exception):
+        pass
+
+    def refuse(m):
+        raise Built(m)
+
+    monkeypatch.setattr(cli, "spin_module", refuse)
+    code, out = run_cli("spinor", "--m", "40")
+    assert code == 2
+    assert "--m 40" in out and f"at most {cli.SPINOR_M_MAX}" in out
+    # the bound itself is admitted: the work starts
+    with pytest.raises(Built):
+        run_cli("spinor", "--m", str(cli.SPINOR_M_MAX))

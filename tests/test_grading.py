@@ -236,3 +236,17 @@ def test_borel_grading_has_empty_levi():
     assert g.zero_component == ()
     assert len(g.positive_weights) == 36
     assert all(g.is_irreducible_component(w) for w in g.positive_weights)
+
+
+def test_grading_equality_is_diagram_and_partition():
+    import dataclasses
+
+    g = grade("E7", [1, 3, 4, 6, 7])
+    again = grade("E7", [1, 3, 4, 6, 7])
+    assert g == again and hash(g) == hash(again)
+    assert g != grade("E7", [1, 3, 4, 6]) and g != grade("E6", [1, 3, 4, 6])
+    moved = g._component_of.copy()
+    moved[[0, -1]] = moved[[-1, 0]]
+    assert moved.tolist() != g._component_of.tolist()
+    assert g != dataclasses.replace(g, _component_of=moved)
+    assert g != dataclasses.replace(g, positive_weights=g.positive_weights[::-1])

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from parabolics import cli, cxlinalg, mpchar, walkdiag
+from parabolics import classify, cli, cxlinalg, mpchar, walkdiag
 
 
 def _clear_caches():
@@ -90,4 +90,10 @@ def test_table_entry_below_two_nonreduced_weights_fails_the_table(plant, tmp_pat
     # E7/1,2,3,4,5,6 has exactly one non-reduced positive weight
     _data_copy(tmp_path, plant, "table.txt", "entry 1 E7 black 1,3,5,7\n",
                "entry 1 E7 black 1,2,3,4,5,6\n")
+    assert _verify_all() == (1, ["table: all 59 entries have >= 2 non-reduced weights"])
+
+
+def test_nonreduced_count_one_short_fails_the_table(plant):
+    count = classify.nonreduced_counts
+    plant.setattr(classify, "nonreduced_counts", lambda rs, blacks: count(rs, blacks) - 1)
     assert _verify_all() == (1, ["table: all 59 entries have >= 2 non-reduced weights"])
