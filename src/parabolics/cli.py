@@ -8,6 +8,7 @@ traceable to a single claim.  Runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,7 +48,8 @@ def parse_diagram(s: str) -> ColouredDiagram:
 
 
 def _parse_weights(s: str) -> list[tuple[int, ...]]:
-    return [tuple(int(x) for x in part.split(",")) for part in s.split(";") if part]
+    """Semicolon-separated weights of non-negative coordinates, e.g. '1,0;0,1'."""
+    return [tuple(map(_non_negative_int, part.split(","))) for part in s.split(";") if part]
 
 
 # ------------------------------------------------------------ subcommands
@@ -99,8 +101,7 @@ def cmd_classify(args) -> int:
 
 def cmd_diagram(args) -> int:
     g = compute_grading(parse_diagram(args.diagram))
-    twisting = _parse_weights(args.twisting)
-    wd = walkdiag.build_weight_diagram(g, twisting)
+    wd = walkdiag.build_weight_diagram(g, args.twisting)
     payload = {
         "diagram": str(g.diagram),
         "twisting": [list(t) for t in wd.twisting],
@@ -252,10 +253,7 @@ def cmd_verify_all(args) -> int:
     report.add(f"penrose equations ({trials} trials)", max(worst) < 1e-10,
                "worst " + ", ".join(f"{w:.1e}" for w in worst))
 
-    bad = 0
-    for t in range(trials):
-        x = mpchar.random_block_nilpotent(rng, (2, 3, 2) if t % 2 == 0 else (1, 4, 2, 1))
-        bad += any(not t2.accepted() for t2 in mpchar.gl_hermitian_characteristic(x).values())
+    bad = mpchar.gl_characteristic_trials(rng, trials)[0]
     report.add(f"gl characteristic ({trials} trials)", bad == 0, f"{bad} rejected")
 
     for form, space in (("sym", cxlinalg.symmetric_space(6)),
@@ -278,14 +276,18 @@ def cmd_verify_all(args) -> int:
     return report.emit("json" if args.json else "text")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+_positive_int = functools.partial(_int_at_least, low=1)
+_non_negative_int = functools.partial(_int_at_least, low=0)
 
 
 def _block_dims(text: str) -> tuple[int, ...]:
@@ -315,38 +317,39 @@ def main(argv=None) -> int:
 
     sp = add("diagram", cmd_diagram, help="weight diagram for chosen twisting weights")
     sp.add_argument("diagram")
-    sp.add_argument("--twisting", required=True,
+    sp.add_argument("--twisting", required=True, type=_parse_weights,
                     help="semicolon-separated weights, e.g. '1,0;0,1'")
 
     sp = add("verify-case", cmd_verify_case, help="verify bundled cases")
-    sp.add_argument("--case")
-    sp.add_argument("--all", action="store_true")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--case")
+    which.add_argument("--all", action="store_true")
 
     add("check-table", cmd_check_table, help="non-reduced counts for the 59 entries")
 
     sp = add("mp-triple", cmd_mp_triple, help="block nilpotent sl2 triples")
     sp.add_argument("--blocks", type=_block_dims, default="2,3,2")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
 
     sp = add("lemma", cmd_lemma, help="solve the characteristic equations")
     sp.add_argument("--u", type=_positive_int, default=4)
     sp.add_argument("--w", type=_positive_int, default=6)
     sp.add_argument("--form", choices=("sym", "skew"), default="sym")
     sp.add_argument("--trials", type=_positive_int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
 
     sp = add("deform", cmd_deform, help="run one deformation search")
     sp.add_argument("--variant", required=True, choices=ampleness.VARIANTS)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
     sp.add_argument("--k", type=int, help="tensor width for 7A")
     sp.add_argument("--input", help="JSON file with explicit inputs")
 
     sp = add("spinor", cmd_spinor, help="spinor identities")
     sp.add_argument("--m", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
 
     sp = add("verify-all", cmd_verify_all, help="run every verification suite")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
     sp.add_argument("--trials", type=_positive_int, default=100)
 
     args = p.parse_args(argv)

@@ -100,14 +100,32 @@ def mp_inverse(F, rtol: float = DEFAULT_TOL) -> np.ndarray:
 
     Singular vectors with singular value > rtol * s_max span the Hermitian
     complements of Ker F and of the complement of Im F; F restricted to
-    them is inverted, the rest is sent to zero.
+    them is inverted, the rest is sent to zero.  F may be a (..., m, n)
+    stack; each slice equals the inverse of that slice alone, bit for bit.
     """
     F = np.asarray(F, dtype=complex)
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
+    if F.ndim > 2:  # slices with no rank cut share one product; the rest go alone
+        full = (s > rtol * s[..., :1]).all(axis=-1)
+        P = np.empty(F.shape[:-2] + (F.shape[-1], F.shape[-2]), dtype=complex)
+        P[full] = (Vh[full].conj().swapaxes(-1, -2) / s[full][..., None, :]) @ \
+            U[full].conj().swapaxes(-1, -2)
+        for idx in zip(*np.nonzero(~full)):
+            P[idx] = mp_inverse(F[idx], rtol)
+        return P
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[1], F.shape[0]), dtype=complex)
     keep = s > rtol * s[0]
     return (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
+
+
+def frobenius(X) -> np.ndarray | np.float64:
+    """The Frobenius norm of each matrix of a (..., m, n) stack (a float for
+    one matrix), summed in the order np.linalg.norm sums a C-ordered one."""
+    rows = np.ascontiguousarray(X).reshape(np.shape(X)[:-2] + (1, -1))
+    # a (1, k) @ (k, 1) product is the same strided dot that norm takes
+    sq = sum(p @ p.swapaxes(-1, -2) for p in (rows.real, rows.imag))
+    return np.sqrt(sq[..., 0, 0])
 
 
 def penrose_residuals(F, P) -> tuple[float, float, float, float]:

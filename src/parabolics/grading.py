@@ -124,6 +124,26 @@ class Grading:
         return np.bincount(self._component_of[~self._raisable],
                            minlength=len(self.positive_weights) + 1).tolist()
 
+    def is_positive_weight(self, chi: Weight) -> bool:
+        return tuple(chi) in self._weight_ids
+
+    @cached_property
+    def _reach(self) -> dict[int, frozenset[Weight]]:
+        """bracket_reach by component; made on first use, not per grading."""
+        return {}
+
+    def bracket_reach(self, chi: Weight) -> frozenset[Weight]:
+        """The positive weights chi2 such that some root of chi plus some root
+        of chi2 is a root; cached per chi."""
+        k = self._weight_ids.get(tuple(chi))
+        if k is None:
+            raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
+        if k not in self._reach:
+            sums = self.rs.root_sum_is_root[self._component_of == k].any(axis=0)
+            hit = set(self._component_of[sums].tolist()) - {0}  # the Levi is not positive
+            self._reach[k] = frozenset(self.positive_weights[c - 1] for c in hit)
+        return self._reach[k]
+
     def component_indices(self, chi: Weight) -> np.ndarray | None:
         """Indices into rs.positive_roots of the roots of weight chi, ascending;
         None when chi is not a positive weight."""

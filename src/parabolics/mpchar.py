@@ -30,6 +30,7 @@ from .cxlinalg import (
     BilinearSpace,
     _solve_constraints,
     crandom,
+    frobenius,
     mp_inverse,
     orth,
     sharp_adjoint,
@@ -46,13 +47,16 @@ def _comm(x, y):
 
 @dataclass(frozen=True)
 class Sl2Triple:
+    """An sl2-triple, or a (T, n, n) stack of T triples."""
+
     e: np.ndarray
     h: np.ndarray
     f: np.ndarray
-    #: absolute norms of [e,f]-h, [h,e]-2e, [h,f]+2f, h-h*
-    residuals: tuple[float, float, float, float]
+    #: norms of [e,f]-h, [h,e]-2e, [h,f]+2f, h-h* (length-T arrays for a stack)
+    residuals: tuple
 
     def accepted(self, tol: float = DEFAULT_SL2_TOL, hermitian: bool = True) -> bool:
+        """Whether every residual of one triple is below tol."""
         checked = self.residuals if hermitian else self.residuals[:3]
         return all(r < tol for r in checked)
 
@@ -60,16 +64,17 @@ class Sl2Triple:
 def verify_sl2(e, h, f, hermitian: bool = True) -> Sl2Triple:
     """Package (e, h, f) with the residuals of the sl2 relations.
 
-    Zero triples are fine; shapes must agree.
+    Zero triples are fine; shapes must agree.  Stacks of square matrices
+    give one residual per matrix, each equal to that matrix's alone.
     """
     e, h, f = (np.asarray(m, dtype=complex) for m in (e, h, f))
-    if not (e.shape == h.shape == f.shape) or e.shape[0] != e.shape[1]:
+    if not (e.shape == h.shape == f.shape) or e.ndim < 2 or e.shape[-1] != e.shape[-2]:
         raise ValueError("e, h, f must be square matrices of equal size")
     residuals = (
-        float(np.linalg.norm(_comm(e, f) - h)),
-        float(np.linalg.norm(_comm(h, e) - 2 * e)),
-        float(np.linalg.norm(_comm(h, f) + 2 * f)),
-        float(np.linalg.norm(h - h.conj().T)) if hermitian else 0.0,
+        frobenius(_comm(e, f) - h),
+        frobenius(_comm(h, e) - 2 * e),
+        frobenius(_comm(h, f) + 2 * f),
+        frobenius(h - h.conj().swapaxes(-1, -2)) if hermitian else 0.0,
     )
     return Sl2Triple(e, h, f, residuals)
 
@@ -82,7 +87,8 @@ class BlockNilpotent:
     """Strictly upper-triangular block element of gl(V), V = V_1 + ... + V_k.
 
     blocks maps (i, j) with i < j (1-based) to a matrix V_i -> V_j of shape
-    (dims[j-1], dims[i-1]).
+    (dims[j-1], dims[i-1]), or, for T elements at once, to a stack of T such
+    matrices.
     """
 
     dims: tuple[int, ...]
@@ -93,7 +99,7 @@ class BlockNilpotent:
             if not 1 <= i < j <= len(self.dims):
                 raise ValueError(f"block index {(i, j)} out of range")
             want = (self.dims[j - 1], self.dims[i - 1])
-            if np.shape(m) != want:
+            if np.shape(m)[-2:] != want or np.ndim(m) > 3:
                 raise ValueError(f"block {(i, j)} has shape {np.shape(m)}, expected {want}")
 
     @property
@@ -104,10 +110,10 @@ class BlockNilpotent:
         return sum(self.dims[: i - 1])
 
     def embed(self, i: int, j: int, m) -> np.ndarray:
-        """Place a V_i -> V_j block into End(V)."""
-        E = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        """Place a V_i -> V_j block (or a stack of them) into End(V)."""
+        E = np.zeros(np.shape(m)[:-2] + (self.total_dim, self.total_dim), dtype=complex)
         oi, oj = self.offset(i), self.offset(j)
-        E[oj: oj + self.dims[j - 1], oi: oi + self.dims[i - 1]] = m
+        E[..., oj: oj + self.dims[j - 1], oi: oi + self.dims[i - 1]] = m
         return E
 
 
@@ -119,7 +125,8 @@ def random_block_nilpotent(rng: np.random.Generator, dims: tuple[int, ...]) -> B
 
 
 def gl_hermitian_characteristic(x: BlockNilpotent) -> dict[tuple[int, int], Sl2Triple]:
-    """Per-block sl2-triples f = e+, h = [e, f], embedded in End(V)."""
+    """Per-block sl2-triples f = e+, h = [e, f], embedded in End(V); for a
+    stacked x, stacks of triples, each slice equal to its element's alone."""
     triples = {}
     for (i, j), e_block in sorted(x.blocks.items()):
         f_block = mp_inverse(e_block)
@@ -127,6 +134,25 @@ def gl_hermitian_characteristic(x: BlockNilpotent) -> dict[tuple[int, int], Sl2T
         f = x.embed(j, i, f_block)
         triples[(i, j)] = verify_sl2(e, _comm(e, f), f)
     return triples
+
+
+GL_TRIAL_DIMS = ((2, 3, 2), (1, 4, 2, 1))
+
+
+def gl_characteristic_trials(rng: np.random.Generator, trials: int) -> tuple[int, float]:
+    """The number of `trials` random block nilpotents (trial t of dims
+    GL_TRIAL_DIMS[t % 2]) whose characteristic has a rejected triple, and the
+    largest h - h* defect.  All are drawn first; each dims runs as one stack."""
+    xs = [random_block_nilpotent(rng, GL_TRIAL_DIMS[t % 2]) for t in range(trials)]
+    rejected, worst_h = 0, 0.0
+    for first, dims in enumerate(GL_TRIAL_DIMS[:trials]):
+        group = xs[first::len(GL_TRIAL_DIMS)]
+        stack = BlockNilpotent(dims, {ij: np.stack([x.blocks[ij] for x in group])
+                                      for ij in group[0].blocks})
+        res = np.array([t.residuals for t in gl_hermitian_characteristic(stack).values()])
+        rejected += int(np.count_nonzero(~(res < DEFAULT_SL2_TOL).all(axis=(0, 1))))
+        worst_h = max(worst_h, float(res[:, 3].max()))
+    return rejected, worst_h
 
 
 # ------------------------------------------------- orthogonal/symplectic

@@ -21,8 +21,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .grading import Grading, Weight, diagram, compute_grading
 from .report import Report
 
@@ -66,17 +64,13 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
 
 def bracket_is_full(g: Grading, chi1: Weight, chi2: Weight) -> bool:
     """Whether some root of chi1 plus some root of chi2 is a root."""
-    i1 = g.component_indices(chi1)
-    i2 = g.component_indices(chi2)
-    if i1 is None or i2 is None:
-        return False
-    return bool(g.rs.root_sum_is_root[np.ix_(i1, i2)].any())
+    return g.is_positive_weight(chi1) and tuple(chi2) in g.bracket_reach(chi1)
 
 
 def arrow_head(g: Grading, chi1: Weight, mu: Weight) -> Weight | None:
     """Head of the mu-labelled arrow at chi1, or None if there is no arrow."""
     chi1, mu = tuple(chi1), tuple(mu)
-    if g.component_indices(chi1) is None or g.component_indices(mu) is None:
+    if not (g.is_positive_weight(chi1) and g.is_positive_weight(mu)):
         raise ValueError("arrow endpoints must be positive weights")
     head = tuple(a + b for a, b in zip(chi1, mu))
     if not g.is_weight(head):

@@ -1,9 +1,20 @@
 """Test helpers: the det and pf forms with the polarisation loop that gives
-their Grams, and random elements of the structure group of a bilinear space."""
+their Grams, random elements of the structure group of a bilinear space,
+and the one-matrix Moore-Penrose inverse that stacked inverses must match."""
 
 import numpy as np
 
-from parabolics.cxlinalg import BilinearSpace, crandom
+from parabolics.cxlinalg import DEFAULT_TOL, BilinearSpace, crandom
+
+
+def mp_inverse_2d(F, rtol=DEFAULT_TOL) -> np.ndarray:
+    """The one-matrix Moore-Penrose inverse as written before stacks."""
+    F = np.asarray(F, dtype=complex)
+    U, s, Vh = np.linalg.svd(F, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((F.shape[1], F.shape[0]), dtype=complex)
+    keep = s > rtol * s[0]
+    return (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
 
 
 def gram_from_quadratic(q, dim: int) -> np.ndarray:

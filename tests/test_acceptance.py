@@ -101,16 +101,7 @@ def test_criterion_5_penrose_suite():
 
 
 def test_criterion_6_gl_characteristic():
-    rng = np.random.default_rng(6)
-    rejected = 0
-    worst_h = 0.0
-    for trial in range(100):
-        x = mpchar.random_block_nilpotent(rng, (2, 3, 2) if trial % 2 == 0 else (1, 4, 2, 1))
-        triples = mpchar.gl_hermitian_characteristic(x)
-        for t in triples.values():
-            if not t.accepted(1e-9):
-                rejected += 1
-            worst_h = max(worst_h, float(np.linalg.norm(t.h - t.h.conj().T)))
+    rejected, worst_h = mpchar.gl_characteristic_trials(np.random.default_rng(6), 100)
     ok = rejected == 0 and worst_h < 1e-10
     _report("criterion 6 (gl characteristic)", ok,
             f"100 block nilpotents, rejected {rejected}, worst h defect {worst_h:.1e}")

@@ -280,3 +280,31 @@ def test_cli_spinor_bounds_m_before_any_work(monkeypatch):
     # the bound itself is admitted: the work starts
     with pytest.raises(Built):
         run_cli("spinor", "--m", str(cli.SPINOR_M_MAX))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mp-triple"], ["lemma"], ["deform", "--variant", "4A"], ["spinor"], ["verify-all"],
+], ids=lambda argv: argv[0])
+def test_cli_negative_seed_names_the_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --seed:" in err
+    assert "non-negative integer" not in err
+
+
+def test_cli_twisting_error_names_the_option_and_token(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagram", "E7/1,3,4,6,7", "--twisting", "1,x"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --twisting:" in err and "'x'" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--case", "2A", "--all"]], ids=["neither", "both"])
+def test_cli_verify_case_takes_exactly_one_of_case_and_all(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-case"] + argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and "--case" in captured.err and "--all" in captured.err
+    assert "PASS" not in captured.out + captured.err and "unknown case" not in captured.err

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import det_value, expm, form_preserving, gram_from_quadratic, pf_value
+from linalg_helpers import (det_value, expm, form_preserving, gram_from_quadratic,
+                            mp_inverse_2d, pf_value)
 from parabolics import cxlinalg as cx
 from parabolics.ampleness import PF2, QuadricVariety
 from parabolics.mpchar import build_classical_grading
@@ -243,3 +244,37 @@ def test_spaces_and_spin_modules_compare_by_identity():
     sm = spin_module(3)
     assert sm == spin_module(3) and sm != spin_module(4)
     assert hash(sm) == hash(spin_module(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 6), (8, 8), (1, 4)])
+def test_mp_inverse_stack_equals_each_slice(shape):
+    rng = np.random.default_rng(sum(shape))
+    m, n = shape
+    F = cx.crandom(rng, 40, m, n)
+    F[3] = 0  # zero slice
+    u, v = cx.crandom(rng, m), cx.crandom(rng, n)
+    F[5] = np.outer(u, v.conj())  # rank 1: a cut unless min(m, n) == 1
+    for t in range(6, 12):  # rank cuts at conditioning up to 1e14
+        F[t] = _constructed_svd(rng, m, n, 10.0 ** rng.uniform(0, 14))
+    P = cx.mp_inverse(F)
+    assert P.shape == (40, n, m)
+    for t in range(40):
+        assert P[t].tobytes() == mp_inverse_2d(F[t]).tobytes()
+        assert P[t].tobytes() == cx.mp_inverse(F[t]).tobytes()
+    deep = cx.mp_inverse(F.reshape(4, 10, m, n))
+    assert deep.tobytes() == P.tobytes()
+    if min(m, n) > 1:  # the stack held slices with and without a cut
+        s = np.linalg.svd(F, compute_uv=False)
+        cut = (s <= cx.DEFAULT_TOL * s[:, :1]).any(axis=1)
+        assert cut.any() and not cut.all()
+
+
+def test_frobenius_equals_norm_of_each_matrix():
+    rng = np.random.default_rng(3)
+    for shape in [(30, 7, 7), (12, 2, 9), (5, 16, 16), (2, 3, 4, 4)]:
+        X = cx.crandom(rng, *shape)
+        got = cx.frobenius(X - X.conj().swapaxes(-1, -2) if shape[-1] == shape[-2] else X)
+        for idx in np.ndindex(shape[:-2]):
+            Y = X[idx] - X[idx].conj().T if shape[-1] == shape[-2] else X[idx]
+            assert got[idx] == np.linalg.norm(Y)
+    assert cx.frobenius(np.eye(3)) == float(np.linalg.norm(np.eye(3)))

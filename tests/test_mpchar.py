@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linalg_helpers import mp_inverse_2d
 from parabolics import cxlinalg as cx
 from parabolics import mpchar as mc
 
@@ -196,3 +197,68 @@ def test_lemma_embeds_to_hermitian_sl2_in_classical_grading(kind):
         HV[cg.w_slice, cg.w_slice] = np.eye(6)
         herm = np.linalg.norm(h.conj().T @ HV - HV @ h)
         assert herm < 1e-8 * (1 + np.linalg.norm(h)), herm
+
+
+def _gl_characteristic_per_trial(x):
+    """The one-element gl characteristic as written before stacks: the 2-D
+    Moore-Penrose expression, embedding and residual norms."""
+    def embed(i, j, m):
+        E = np.zeros((x.total_dim, x.total_dim), dtype=complex)
+        oi, oj = x.offset(i), x.offset(j)
+        E[oj: oj + x.dims[j - 1], oi: oi + x.dims[i - 1]] = m
+        return E
+
+    out = {}
+    for (i, j), b in sorted(x.blocks.items()):
+        e, f = embed(i, j, b), embed(j, i, mp_inverse_2d(b))
+        h = e @ f - f @ e
+        out[(i, j)] = (e, h, f, (
+            float(np.linalg.norm((e @ f - f @ e) - h)),
+            float(np.linalg.norm((h @ e - e @ h) - 2 * e)),
+            float(np.linalg.norm((h @ f - f @ h) + 2 * f)),
+            float(np.linalg.norm(h - h.conj().T)),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("dims", mc.GL_TRIAL_DIMS)
+def test_stacked_gl_characteristic_equals_per_trial_loop(dims):
+    rng = np.random.default_rng(11)
+    xs = [mc.random_block_nilpotent(rng, dims) for _ in range(25)]
+    wide = max(xs[0].blocks, key=lambda ij: min(xs[0].blocks[ij].shape))
+    xs[2].blocks[wide][...] = 0
+    r, c = xs[4].blocks[wide].shape
+    xs[4].blocks[wide][...] = np.outer(cx.crandom(rng, r), cx.crandom(rng, c))
+    s = np.linalg.svd(xs[4].blocks[wide], compute_uv=False)
+    assert s[1] <= cx.DEFAULT_TOL * s[0]  # rank 1 in a block of rank 2: a cut
+    stack = mc.BlockNilpotent(dims, {ij: np.stack([x.blocks[ij] for x in xs])
+                                     for ij in xs[0].blocks})
+    got = mc.gl_hermitian_characteristic(stack)
+    for t, x in enumerate(xs):
+        want = _gl_characteristic_per_trial(x)
+        assert sorted(got) == sorted(want)
+        for ij, (e, h, f, res) in want.items():
+            g = got[ij]
+            for a, b in ((g.e[t], e), (g.h[t], h), (g.f[t], f)):
+                assert a.tobytes() == b.tobytes()
+            assert tuple(float(r[t]) for r in g.residuals) == res
+            single = mc.gl_hermitian_characteristic(x)[ij]
+            assert single.residuals == res and single.f.tobytes() == f.tobytes()
+    assert all((np.array(g.residuals) < mc.DEFAULT_SL2_TOL).all() for g in got.values())
+
+
+@pytest.mark.parametrize("trials", [1, 2, 31])
+def test_gl_characteristic_trials_equal_the_per_trial_loop(trials):
+    rng = np.random.default_rng(trials)
+    rejected, worst_h = 0, 0.0
+    for t in range(trials):
+        x = mc.random_block_nilpotent(rng, (2, 3, 2) if t % 2 == 0 else (1, 4, 2, 1))
+        res = [r for *_, r in _gl_characteristic_per_trial(x).values()]
+        rejected += any(max(r) >= mc.DEFAULT_SL2_TOL for r in res)
+        worst_h = max(worst_h, *(r[3] for r in res))
+    assert mc.gl_characteristic_trials(np.random.default_rng(trials), trials) == (rejected, worst_h)
+
+
+def test_block_nilpotent_takes_one_stack_axis():
+    with pytest.raises(ValueError, match="expected"):
+        mc.BlockNilpotent((1, 1), {(1, 2): np.zeros((2, 3, 1, 1))})

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from parabolics import classify, cli, cxlinalg, mpchar, walkdiag
+from parabolics import classify, cli, cxlinalg, grading, mpchar, walkdiag
 
 
 def _clear_caches():
@@ -97,3 +97,31 @@ def test_nonreduced_count_one_short_fails_the_table(plant):
     count = classify.nonreduced_counts
     plant.setattr(classify, "nonreduced_counts", lambda rs, blacks: count(rs, blacks) - 1)
     assert _verify_all() == (1, ["table: all 59 entries have >= 2 non-reduced weights"])
+
+
+def test_dropped_bracket_component_fails_its_case(plant):
+    # case 2A's printed arrow A -1-> B needs the twisting weight 1 in the
+    # bracket reach of A; only 2A uses the diagram E7/1,3,4,6,7
+    case = walkdiag.load_cases()["2A"]
+    tail, mu = case.nonreduced["A"], case.twisting["1"]
+    reach = grading.Grading.bracket_reach
+
+    def dropped(g, chi):
+        r = reach(g, chi)
+        if str(g.diagram) == "E7/1,3,4,6,7" and tuple(chi) == tail:
+            assert mu in r
+            return r - {mu}
+        return r
+
+    plant.setattr(grading.Grading, "bracket_reach", dropped)
+    assert _verify_all() == (1, ["case 2A"])
+
+
+def test_scaled_f_fails_only_the_gl_line(plant):
+    embed = mpchar.BlockNilpotent.embed
+
+    def scaled_f(x, i, j, m):
+        return embed(x, i, j, m) * (1 + 1e-6 if i > j else 1)
+
+    plant.setattr(mpchar.BlockNilpotent, "embed", scaled_f)
+    assert _verify_all() == (1, ["gl characteristic (10 trials)"])

@@ -326,3 +326,32 @@ def test_vector_checks_coefficients_and_subsets():
     for bad in ((0, 5), (1, 1), (-1,)):
         with pytest.raises(ValueError, match=re.escape(f"{bad} is not a set")):
             sm.vector(bad)
+
+
+def _rho_square_defect_loop(rng, sm, trials):
+    """rho(v)^2 - (v, v) Id one dense v at a time, as written before stacks."""
+    I = np.eye(sm.dim)
+    worst = 0.0
+    for _ in range(trials):
+        v = crandom(rng, 2 * sm.m)
+        R = sm.rho(v)
+        worst = max(worst, float(np.linalg.norm(R @ R - sm.pairing(v, v) * I)))
+    return worst
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("stack_bytes", [spinor._RHO_STACK_BYTES, 3 * 16 * 4 ** 6])
+def test_rho_square_defect_equals_dense_loop(m, stack_bytes, monkeypatch):
+    # the small stack size splits m = 6 into stacks of 3 (and a last of 1)
+    monkeypatch.setattr(spinor, "_RHO_STACK_BYTES", stack_bytes)
+    for seed, trials in ((m, 100), (m + 1, 1)):
+        got = spinor.rho_square_defect(np.random.default_rng(seed), spin_module(m), trials)
+        assert got == _rho_square_defect_loop(np.random.default_rng(seed), spin_module(m), trials)
+
+
+def test_rho_square_defect_reports_nan():
+    sm = spin_module(2)
+    flat, gen, sign = spinor._rho_scatter(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spinor, "_rho_scatter", lambda m: (flat, gen, sign * np.nan))
+        assert np.isnan(spinor.rho_square_defect(np.random.default_rng(0), sm, 3))

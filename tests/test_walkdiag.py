@@ -1,11 +1,13 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from parabolics.grading import compute_grading, diagram
+from parabolics.grading import Grading, compute_grading, diagram, grade
 from parabolics.walkdiag import (
     CaseDataError,
     arrow_head,
+    bracket_is_full,
     build_weight_diagram,
     data_checksum,
     data_path,
@@ -162,3 +164,56 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
     (tmp_path / "cases.txt").write_text("case X\n  bogus line\nend\n")
     with pytest.raises(CaseDataError):
         load_cases()
+
+
+def _bracket_probe(g, chi1, chi2):
+    """Whether some root of chi1 plus some root of chi2 is a root, by one
+    probe of the sum table, as written before the reach was cached."""
+    i1, i2 = g.component_indices(chi1), g.component_indices(chi2)
+    if i1 is None or i2 is None:
+        return False
+    return bool(g.rs.root_sum_is_root[np.ix_(i1, i2)].any())
+
+
+def _seeded_gradings():
+    rng = np.random.default_rng(10)
+    for name in ("B5", "C5", "D6", "F4", "G2"):
+        rank = int(name[1:])
+        for _ in range(4):
+            black = [v for v in range(1, rank + 1) if rng.random() < 0.5]
+            if len(black) < rank:
+                yield grade(name, black)
+
+
+def test_bracket_reach_equals_the_table_probe(cases):
+    gradings = [compute_grading(diagram(c.group, c.black)) for c in cases.values()]
+    pairs = 0
+    for g in gradings + list(_seeded_gradings()):
+        for chi1 in g.positive_weights:
+            reach = g.bracket_reach(chi1)
+            assert g.bracket_reach(chi1) is reach  # cached
+            for chi2 in g.positive_weights:
+                want = _bracket_probe(g, chi1, chi2)
+                assert (chi2 in reach) == want == bracket_is_full(g, chi1, chi2)
+                head = tuple(a + b for a, b in zip(chi1, chi2))
+                assert arrow_head(g, chi1, chi2) == (head if want and g.is_weight(head) else None)
+                pairs += 1
+    assert pairs > 5000
+
+
+def test_bracket_of_non_positive_weights():
+    g = compute_grading(diagram("E7", (1, 3, 4, 6, 7)))
+    for chi1, chi2 in (((0, -1), (1, 1)), ((1, 1), (0, -1)), ((9, 9), (1, 0)), ((0, 0), (0, 1))):
+        assert bracket_is_full(g, chi1, chi2) is False
+    with pytest.raises(ValueError, match="not a positive weight"):
+        g.bracket_reach((0, -1))
+
+
+def test_diagram_without_vertices_does_no_bracket_work(monkeypatch):
+    def refuse(g, chi):
+        raise AssertionError("bracket work on a diagram with no vertices")
+
+    monkeypatch.setattr(Grading, "bracket_reach", refuse)
+    g = grade("A5", [2, 4])  # type A: every weight is reduced
+    wd = build_weight_diagram(g, [(1, 0, 0), (0, 1, 0)])
+    assert wd.vertices == () and wd.arrows == ()
