@@ -155,17 +155,22 @@ def penrose_residuals(F, P) -> tuple[float, float, float, float]:
 
 
 def sharp_adjoint(A, space: BilinearSpace) -> np.ndarray:
-    """Adjoint w.r.t. the bilinear form: omega(Ax, y) = omega(x, A# y)."""
+    """Adjoint w.r.t. the bilinear form: omega(Ax, y) = omega(x, A# y).  A
+    may be a (..., dim, dim) stack; each slice equals its matrix's alone."""
     A = np.asarray(A, dtype=complex)
-    if A.shape != (space.dim, space.dim):
+    if A.shape[-2:] != (space.dim, space.dim):
         raise ValueError(f"expected a {space.dim}x{space.dim} matrix, got {A.shape}")
-    return np.linalg.solve(space.gram, A.T @ space.gram)
+    return np.linalg.solve(space.gram, A.mT @ space.gram)
 
 
 def orth(M, rtol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of M."""
+    """Orthonormal basis (columns) of the column span of M.  For a
+    (..., m, n) stack, each slice has min(m, n) columns: its basis, which
+    equals that slice's alone, then zero columns."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
+    if M.ndim > 2:
+        return np.where(s[..., None, :] > rtol * s[..., None, :1], U, 0)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     return U[:, s > rtol * s[0]]

@@ -139,7 +139,9 @@ class Grading:
         if k is None:
             raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
         if k not in self._reach:
-            sums = self.rs.root_sum_is_root[self._component_of == k].any(axis=0)
+            table, rows = self.rs.root_sum_is_root, np.flatnonzero(self._component_of == k)
+            sums = np.any([table[rows[b: b + 64]].any(axis=0)  # 64 rows at a time, no copy of all
+                           for b in range(0, rows.size, 64)], axis=0)
             hit = set(self._component_of[sums].tolist()) - {0}  # the Levi is not positive
             self._reach[k] = frozenset(self.positive_weights[c - 1] for c in hit)
         return self._reach[k]

@@ -13,15 +13,16 @@ Three constructions live here:
       2A = 2ABA - (AB)#A,   2B = 2BAB - B(AB)#,
       BA and AB - (AB)# Hermitian,
 
-  by splitting W into the radical of the restricted form on Im A, its
-  Hermitian complement in Im A, the conjugated copy of the radical, and
-  the leftover, and setting B to the scaled section of A on the first two
-  pieces and zero on the rest.
+  by splitting W into the radical W0 of the restricted form on Im A, its
+  Hermitian complement W1 in Im A, the conjugated copy of the radical and
+  the leftover, and setting B = A+ (P0 + 2 P1), with P0 the projection
+  onto W0 along the rest and P1 the omega-orthogonal one onto W1.  A stack
+  of maps is solved with one call per step for all its generic maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,15 +125,28 @@ def random_block_nilpotent(rng: np.random.Generator, dims: tuple[int, ...]) -> B
                                  for j in range(i + 1, len(dims) + 1)})
 
 
+def _projector(M):
+    """The orthogonal projector onto the span of M, or of each slice of a
+    stack; a slice with a rank cut goes alone (orth's zero columns round)."""
+    Q = orth(M)
+    P = Q @ Q.conj().mT
+    if Q.ndim > 2:
+        for idx in zip(*np.nonzero(~Q[..., -1].any(-1))):
+            P[idx] = _projector(M[idx])
+    return P
+
+
 def gl_hermitian_characteristic(x: BlockNilpotent) -> dict[tuple[int, int], Sl2Triple]:
-    """Per-block sl2-triples f = e+, h = [e, f], embedded in End(V); for a
+    """Per-block sl2-triples f = e+, h = the image minus the coimage projector
+    of e (so ||[e, f] - h|| compares two routes), embedded in End(V); for a
     stacked x, stacks of triples, each slice equal to its element's alone."""
     triples = {}
     for (i, j), e_block in sorted(x.blocks.items()):
-        f_block = mp_inverse(e_block)
+        e_block = np.asarray(e_block, dtype=complex)
         e = x.embed(i, j, e_block)
-        f = x.embed(j, i, f_block)
-        triples[(i, j)] = verify_sl2(e, _comm(e, f), f)
+        f = x.embed(j, i, mp_inverse(e_block))
+        h = x.embed(j, j, _projector(e_block)) - x.embed(i, i, _projector(e_block.conj().mT))
+        triples[(i, j)] = verify_sl2(e, h, f)
     return triples
 
 
@@ -278,7 +292,8 @@ def build_classical_grading(u_dims, w_dim: int, kind: str) -> ClassicalGrading:
 
 @dataclass(frozen=True)
 class LemmaSolution:
-    """Output of lemma_B_from_A, with the splitting used to build it."""
+    """Output of lemma_B_from_A, with the splitting used to build it; for a
+    stack of maps, each splitting field is an object array of matrices."""
 
     A: np.ndarray
     B: np.ndarray
@@ -298,75 +313,91 @@ def lemma_B_from_A(A, space: BilinearSpace,
     """Solve the characteristic equations for A: U -> W.
 
     space must be the symmetric or symplectic form on W in its standard
-    Gram; the Hermitian product on W is the standard coordinate one.
-    Total: works for every A, including A = 0.
+    Gram G; the Hermitian product on W is the standard coordinate one.
+    B = A+ (P0 + 2 P1): P0 = W0 W0* projects onto W0 along the rest, and
+    P1 = W1 N W1^T G onto W1 omega-orthogonally, with N the inverse of the
+    omega-Gram of W1 given back that Gram's symmetry.  Total: works for
+    every A, including A = 0.  A may be a (..., k, n) stack: generic slices
+    (full column rank, no radical, no rank cut) share each step, the others
+    go alone, and each slice equals its map's solution alone, bit for bit.
     """
     A = np.asarray(A, dtype=complex)
-    k, n = A.shape
+    k, n = A.shape[-2:]
     if k != space.dim:
         raise ValueError(f"A maps into C^{k} but the form lives on C^{space.dim}")
     G = space.gram
-
     im = orth(A, rtol)                       # Hermitian-orthonormal basis of Im A
-    Gr = im.T @ G @ im
-    if im.shape[1]:
-        _, s, Vh = np.linalg.svd(Gr)
-        small = s <= rtol * max(space.norm, 1.0)
-        W0 = im @ Vh.conj().T[:, small]
-        W1 = im @ Vh.conj().T[:, ~small]
-    else:
-        W0 = np.zeros((k, 0), dtype=complex)
-        W1 = np.zeros((k, 0), dtype=complex)
-    W2 = G @ W0.conj()
-    # W3 must be the omega-orthogonal leftover: the displayed action of
-    # (AB)# on the four summands forces omega(W3, W0 + W1 + W2) = 0, and
-    # Hermitian orthogonality of W3 against W0 and W2 then holds for free.
-    W3 = _solve_constraints(np.hstack([W0, W1, W2]).T @ G, k, rtol)
-
+    _, s, Vh = np.linalg.svd(im.mT @ G @ im)
+    V, cut = Vh.conj().mT, rtol * max(space.norm, 1.0)
     Aplus = mp_inverse(A, rtol)              # inverts Im A -> Ker-perp
-    U0, U1 = Aplus @ W0, Aplus @ W1
-    U2 = _solve_constraints(A, n, rtol)
+    if A.ndim > 2:  # every slice as if generic; the others are redone below
+        W0 = W2 = im[..., :0]
+        U0 = U2 = Aplus[..., :0]
+        W1 = im @ V
+        U1 = Aplus @ W1
+        _, s3, Vh3 = np.linalg.svd(W1.mT @ G)
+        W3 = Vh3.conj().mT[..., n:]
+        T = orth(U1, rtol)
+        # a stacked orth pads the basis of a slice with a rank cut with zeros
+        generic = ((n <= k) & im[..., -1].any(-1) & (s[..., -1] > cut)
+                   & (s3[..., -1] > rtol * s3[..., 0]) & T[..., -1].any(-1))
+    else:
+        r = int(np.count_nonzero(s > cut))  # W0: the radical of the form on Im A
+        W0, W1 = im @ V[:, r:], im @ V[:, :r]
+        W2 = G @ W0.conj()
+        # W3 must be the omega-orthogonal leftover: the displayed action of
+        # (AB)# on the four summands forces omega(W3, W0 + W1 + W2) = 0, and
+        # Hermitian orthogonality of W3 against W0 and W2 then holds for free.
+        W3 = _solve_constraints(np.hstack([W0, W1, W2]).T @ G, k, rtol)
+        U0, U1 = Aplus @ W0, Aplus @ W1
+        U2 = _solve_constraints(A, n, rtol) if im.shape[1] < n else Aplus[:, :0]
+        T = np.hstack([orth(U0, rtol), orth(U1, rtol), U2])
+        if T.shape[1] != n:
+            raise RuntimeError("U0 + U1 + U2 failed to fill U; rank tolerance too tight")
+        generic = np.True_
 
-    T = np.hstack([orth(U0, rtol), orth(U1, rtol), U2])
-    if T.shape[1] != n:
-        raise RuntimeError("U0 + U1 + U2 failed to fill U; rank tolerance too tight")
-    hermitian_u = np.linalg.inv(T @ T.conj().T)
+    def inv(M):  # a slice that is not generic inverts Id here
+        return np.linalg.inv(np.where(generic[..., None, None], M, np.eye(M.shape[-1])))
 
-    S = np.hstack([W0, W1, W2, W3])
-    if S.shape[1] != k:
-        raise RuntimeError("W0..W3 failed to fill W; rank tolerance too tight")
-    images = np.hstack([
-        Aplus @ W0,
-        2 * (Aplus @ W1),
-        np.zeros((n, W2.shape[1] + W3.shape[1]), dtype=complex),
-    ])
-    B = images @ np.linalg.inv(S)
-    return LemmaSolution(A, B, hermitian_u, W0, W1, W2, W3, U0, U1, U2)
+    hermitian_u = inv(T @ T.conj().mT)
+    N = inv(W1.mT @ G @ W1)
+    N = (N + N.mT) / 2 if space.symmetric else (N - N.mT) / 2
+    B = Aplus @ (W0 @ W0.conj().mT + 2 * (W1 @ N @ W1.mT @ G))
+    split = [W0, W1, W2, W3, U0, U1, U2]
+    if A.ndim > 2:
+        stacked, split = split, [np.empty(A.shape[:-2], dtype=object) for _ in split]
+        for idx in np.ndindex(A.shape[:-2]):
+            parts = [W[idx] for W in stacked]
+            if not generic[idx]:
+                sol = lemma_B_from_A(A[idx], space, rtol)
+                B[idx], hermitian_u[idx] = sol.B, sol.hermitian_u
+                parts = [getattr(sol, f.name) for f in fields(sol)[3:]]  # W0 .. U2
+            for out, part in zip(split, parts):
+                out[idx] = part
+    return LemmaSolution(A, B, hermitian_u, *split)
 
 
 def lemma_residuals(sol: LemmaSolution, space: BilinearSpace) -> dict[str, float]:
     """Scale-normalized residuals of the two equations and both
-    Hermitianity conditions."""
+    Hermitianity conditions; for a stacked solution, one array per name."""
     A, B, H = sol.A, sol.B, sol.hermitian_u
     AB = A @ B
     ABs = sharp_adjoint(AB, space)
-    nA, nB = np.linalg.norm(A), np.linalg.norm(B)
+    nA, nB = frobenius(A), frobenius(B)
     scale = 1.0 + nA + nB + nA * nB * (1.0 + nA)
-    star_a = np.linalg.norm(2 * A - 2 * AB @ A + ABs @ A) / scale
-    star_b = np.linalg.norm(2 * B - 2 * B @ AB + B @ ABs) / scale
+    star_a = frobenius(2 * A - 2 * AB @ A + ABs @ A) / scale
+    star_b = frobenius(2 * B - 2 * B @ AB + B @ ABs) / scale
     BA = B @ A
-    herm_ba = np.linalg.norm(BA.conj().T @ H - H @ BA) / (1.0 + np.linalg.norm(H) * np.linalg.norm(BA))
+    herm_ba = frobenius(BA.conj().mT @ H - H @ BA) / (1.0 + frobenius(H) * frobenius(BA))
     X = AB - ABs
-    herm_ab = np.linalg.norm(X - X.conj().T) / (1.0 + np.linalg.norm(X))
+    herm_ab = frobenius(X - X.conj().mT) / (1.0 + frobenius(X))
     return {"star_a": star_a, "star_b": star_b, "herm_ba": herm_ba, "herm_ab": herm_ab}
 
 
 def lemma_worst_residual(rng: np.random.Generator, space: BilinearSpace, u: int,
                          trials: int) -> float:
     """The largest lemma residual over `trials` complex Gaussian maps
-    A: C^u -> C^space.dim."""
-    worst = 0.0
-    for _ in range(trials):
-        sol = lemma_B_from_A(crandom(rng, space.dim, u), space)
-        worst = max(worst, max(lemma_residuals(sol, space).values()))
-    return worst
+    A: C^u -> C^space.dim, all drawn first and solved as one stack."""
+    A = np.stack([crandom(rng, space.dim, u) for _ in range(trials)])
+    res = lemma_residuals(lemma_B_from_A(A, space), space)
+    return float(max(r.max() for r in res.values()))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from parabolics import cxlinalg, mpchar
 from parabolics.cli import main, parse_diagram
 
 
@@ -168,6 +169,27 @@ def test_cli_verify_all_deterministic_and_passing():
     anchors = [l["anchor"] for l in payload["lines"]]
     assert sum(1 for a in anchors if a.startswith("case ")) == 15
     assert any(a.startswith("data cases.txt") for a in anchors)
+
+
+def test_cli_verify_all_seed_1_passes(monkeypatch):
+    # skew trial 15 at seed 1 has an omega-Gram on Im A with singular values
+    # down to 9.35e-4.  A B built through an inverse of the whole splitting
+    # squared that conditioning into herm_ab: 1.85e-09 against the 1e-9
+    # gate, 938 u ||A|| ||B||.  Without the symmetry given back to N it is
+    # 161 u ||A|| ||B||; the rounding of A @ B alone stays under 64.
+    solved, solve = [], mpchar.lemma_B_from_A
+
+    def recorded(A, space, rtol=cxlinalg.DEFAULT_TOL):
+        solved.append((solve(A, space, rtol), space))
+        return solved[-1][0]
+
+    monkeypatch.setattr(mpchar, "lemma_B_from_A", recorded)
+    code, out = run_cli("verify-all", "--seed", "1", "--trials", "100", "--json")
+    assert code == 0, [l for l in json.loads(out)["lines"] if not l["ok"]]
+    assert {space.kind for _, space in solved} == {"symmetric-Id", "symplectic-I"}
+    for sol, space in solved:
+        floor = np.finfo(float).eps * cxlinalg.frobenius(sol.A) * cxlinalg.frobenius(sol.B)
+        assert (mpchar.lemma_residuals(sol, space)["herm_ab"] <= 64 * floor).all()
 
 
 def test_cli_verify_all_detects_corrupt_data(tmp_path, monkeypatch):

@@ -278,3 +278,24 @@ def test_frobenius_equals_norm_of_each_matrix():
             Y = X[idx] - X[idx].conj().T if shape[-1] == shape[-2] else X[idx]
             assert got[idx] == np.linalg.norm(Y)
     assert cx.frobenius(np.eye(3)) == float(np.linalg.norm(np.eye(3)))
+
+
+def test_orth_and_sharp_adjoint_stacks_equal_each_slice():
+    rng = np.random.default_rng(21)
+    M = cx.crandom(rng, 30, 6, 4)
+    M[2] = 0
+    M[4] = np.outer(cx.crandom(rng, 6), cx.crandom(rng, 4))
+    Q = cx.orth(M)
+    assert Q.shape == (30, 6, 4)
+    for t in range(30):  # each basis, then zero columns up to min(m, n)
+        q = cx.orth(M[t])
+        assert Q[t, :, :q.shape[1]].tobytes() == q.tobytes()
+        assert not Q[t, :, q.shape[1]:].any()
+    assert cx.orth(M[4]).shape[1] == 1 and cx.orth(M[2]).shape[1] == 0
+    space = cx.symplectic_space(6)
+    X = cx.crandom(rng, 10, 6, 6)
+    S = cx.sharp_adjoint(X, space)
+    for t in range(10):
+        assert S[t].tobytes() == cx.sharp_adjoint(X[t], space).tobytes()
+    with pytest.raises(ValueError):
+        cx.sharp_adjoint(X[0, 0], space)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,19 +201,111 @@ def test_lemma_embeds_to_hermitian_sl2_in_classical_grading(kind):
         assert herm < 1e-8 * (1 + np.linalg.norm(h)), herm
 
 
+def _space(kind):
+    return cx.symmetric_space(6) if kind == "sym" else cx.symplectic_space(6)
+
+
+def _assert_stack_equals_each_slice(A, space):
+    """Every field and residual of the stacked solution equals, slice by
+    slice, a lone call on that slice: shape, dtype and bytes."""
+    sol = mc.lemma_B_from_A(A, space)
+    res = mc.lemma_residuals(sol, space)
+    for idx in np.ndindex(A.shape[:-2]):
+        one = mc.lemma_B_from_A(A[idx], space)
+        for field in dataclasses.fields(mc.LemmaSolution):
+            got, want = getattr(sol, field.name)[idx], getattr(one, field.name)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        for name, value in mc.lemma_residuals(one, space).items():
+            got = np.asarray(res[name][idx])
+            assert got.dtype == np.asarray(value).dtype and got.tobytes() == np.asarray(value).tobytes()
+    return sol
+
+
+@pytest.mark.parametrize("kind,u", [("sym", 4), ("skew", 4), ("sym", 8), ("skew", 3)])
+def test_lemma_stack_equals_each_slice(kind, u):
+    # u = 8 > 6 leaves a kernel in every slice and an odd u gives every
+    # skew restricted Gram a radical, so those stacks have no generic slice
+    space, rng = _space(kind), np.random.default_rng(12)
+    A = cx.crandom(rng, 24, 6, u)
+    A[1] = 0
+    A[3] = cx.crandom(rng, 6, 2) @ cx.crandom(rng, 2, u)
+    A[5] = cx.span_with_invariants(space, 2, 2, rng) @ cx.crandom(rng, 2, u)
+    sol = _assert_stack_equals_each_slice(A, space)
+    generic = [not (sol.W0[t].size or sol.U2[t].size) for t in range(24)]
+    assert not (generic[1] or generic[3] or generic[5])
+    assert sol.W0[5].shape[1] > 0  # the isotropic image is its own radical
+    assert any(generic) == (u == 4)
+    deep = mc.lemma_B_from_A(A.reshape(4, 6, 6, u), space)
+    assert deep.B.tobytes() == sol.B.tobytes()
+    assert all(deep.W3[idx].tobytes() == sol.W3[6 * idx[0] + idx[1]].tobytes()
+               for idx in np.ndindex(4, 6))
+
+
+@pytest.mark.parametrize("kind", ["sym", "skew"])
+def test_lemma_worst_residual_equals_stacks_of_one(kind):
+    space, rng = _space(kind), np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(40):
+        res = mc.lemma_residuals(mc.lemma_B_from_A(cx.crandom(rng, 6, 4)[None], space), space)
+        worst = max(worst, *(float(r[0]) for r in res.values()))
+    assert mc.lemma_worst_residual(np.random.default_rng(13), space, 4, 40) == worst
+
+
+def _near_isotropic_maps(space, eps, count=300):
+    """A = P M + eps N: P a basis of a totally isotropic 2-plane, M and N
+    complex Gaussian."""
+    rng = np.random.default_rng(14)
+    return np.stack([cx.span_with_invariants(space, 2, 2, rng) @ cx.crandom(rng, 2, 4)
+                     + eps * cx.crandom(rng, 6, 4) for _ in range(count)])
+
+
+@pytest.mark.parametrize("kind", ["sym", "skew"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_lemma_near_isotropic_images_pass_the_gate(kind, eps):
+    space = _space(kind)
+    res = mc.lemma_residuals(mc.lemma_B_from_A(_near_isotropic_maps(space, eps), space), space)
+    assert max(float(r.max()) for r in res.values()) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["sym", "skew"])
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+def test_lemma_near_isotropic_herm_ab_stays_at_the_rounding_of_ab(kind, eps):
+    # AB - (AB)# vanishes in exact arithmetic here (no radical), so herm_ab
+    # is the rounding of forming A @ B, about u ||A|| ||B||, which grows like 1/eps
+    space = _space(kind)
+    sol = mc.lemma_B_from_A(_near_isotropic_maps(space, eps), space)
+    floor = np.finfo(float).eps * cx.frobenius(sol.A) * cx.frobenius(sol.B)
+    assert (mc.lemma_residuals(sol, space)["herm_ab"] <= 64 * floor).all()
+
+
+def test_planted_inexact_inverse_fails_the_gl_bracket_residual(monkeypatch):
+    # h comes from orthonormal bases of Im e and Im e*, not from f, so a
+    # wrong f shows in ||[e, f] - h||
+    monkeypatch.setattr(mc, "mp_inverse", lambda F, rtol=cx.DEFAULT_TOL: 1.001 * cx.mp_inverse(F, rtol))
+    x = mc.random_block_nilpotent(np.random.default_rng(15), (2, 3, 2))
+    for t in mc.gl_hermitian_characteristic(x).values():
+        assert t.residuals[0] > mc.DEFAULT_SL2_TOL
+
+
 def _gl_characteristic_per_trial(x):
     """The one-element gl characteristic as written before stacks: the 2-D
-    Moore-Penrose expression, embedding and residual norms."""
+    Moore-Penrose expression, the image and coimage projectors from 2-D
+    bases, embedding and residual norms."""
     def embed(i, j, m):
         E = np.zeros((x.total_dim, x.total_dim), dtype=complex)
         oi, oj = x.offset(i), x.offset(j)
         E[oj: oj + x.dims[j - 1], oi: oi + x.dims[i - 1]] = m
         return E
 
+    def projector(m):
+        q = cx.orth(m)
+        return q @ q.conj().T
+
     out = {}
     for (i, j), b in sorted(x.blocks.items()):
         e, f = embed(i, j, b), embed(j, i, mp_inverse_2d(b))
-        h = e @ f - f @ e
+        h = embed(j, j, projector(b)) - embed(i, i, projector(b.conj().T))
         out[(i, j)] = (e, h, f, (
             float(np.linalg.norm((e @ f - f @ e) - h)),
             float(np.linalg.norm((h @ e - e @ h) - 2 * e)),
