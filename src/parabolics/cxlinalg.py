@@ -23,7 +23,8 @@ DEFAULT_TOL = 1e-10
 def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
     """A complex Gaussian array: the real parts are drawn first, then the
     imaginary parts, so every seeded stream depends on this order."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = rng.standard_normal((2, *shape))  # one draw of both, in that order
+    return x[0] + 1j * x[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,14 +191,18 @@ def restriction_invariants(S, space: BilinearSpace,
                          f"matrix, got shape {S.shape}")
     if S.ndim == 1:
         S = S[:, None]
-    B = orth(S, rtol)
-    r = B.shape[1]
-    if r == 0:
+    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    return _span_invariants(U, s, space, rtol)
+
+
+def _span_invariants(U, s, space: BilinearSpace, rtol: float) -> tuple[int, int]:
+    """restriction_invariants from one SVD U, s of the spanning matrix: the
+    span is the columns of U whose singular value passes rtol * s_max."""
+    if s.size == 0 or s[0] == 0.0:
         return 0, 0
-    G = B.T @ space.gram @ B
-    s = np.linalg.svd(G, compute_uv=False)
-    gram_rank = int(np.sum(s > rtol * max(space.norm, 1.0)))
-    return r, r - gram_rank
+    B = U[:, s > rtol * s[0]]
+    t = np.linalg.svd(B.T @ space.gram @ B, compute_uv=False)
+    return B.shape[1], B.shape[1] - int(np.count_nonzero(t > rtol * max(space.norm, 1.0)))
 
 
 # ------------------------------------------- structured subspace builders
@@ -227,8 +232,8 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
     for _ in range(32):
         a = basis @ crandom(rng, k)
         b = basis @ crandom(rng, k)
-        qa, qb = space.quadratic(a), space.quadratic(b)
-        qab = space.omega(a, b)
+        aG = a @ space.gram  # omega(a, .) as omega computes it, taken once
+        qa, qb, qab = complex(aG @ a), space.quadratic(b), complex(aG @ b)
         # q(a + t b) = qa + 2 t qab + t^2 qb
         if abs(qb) > rtol:
             disc = np.sqrt(qab * qab - qa * qb)
@@ -238,8 +243,9 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
             v = a - qa / (2 * qab) * b
         else:
             v = b
-        if np.linalg.norm(v) > rtol and abs(space.quadratic(v / np.linalg.norm(v))) < 1e-8:
-            return v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if norm > rtol and abs(space.quadratic(u := v / norm)) < 1e-8:
+            return u
     return None
 
 
@@ -247,7 +253,12 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
                          rng: np.random.Generator,
                          rtol: float = DEFAULT_TOL) -> np.ndarray:
     """Columns spanning a rank-dim subspace whose restricted form has the
-    given radical dimension.  Raises if the pattern is not realizable."""
+    given radical dimension.  Raises if the pattern is not realizable.
+
+    A draw is kept when the Gram of its nondegenerate part has singular
+    values above 1e-6, its columns have `rank` singular values above the
+    absolute cut 1e-8, and restriction_invariants gives (rank, radical)
+    with its relative cut rtol * s_max; both rank cuts use one SVD."""
     n = space.dim
     if not (0 <= radical <= rank <= n and radical <= n - rank):
         raise ValueError(f"(rank, radical) = ({rank}, {radical}) not realizable in dim {n}")
@@ -270,22 +281,17 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         if len(cols) < rank - radical:
             continue
         # radical part: isotropic vectors orthogonal to everything chosen so far
-        ok = True
         for _ in range(radical):
             M = np.column_stack(cols) if cols else np.zeros((n, 0))
-            C = (space.gram @ M).T if M.shape[1] else np.zeros((0, n), dtype=complex)
-            C = np.vstack([C, (space.gram.T @ M).T]) if M.shape[1] else C
-            free = _solve_constraints(C, n, rtol)
-            v = isotropic_vector_in(space, free, rng, rtol)
+            C = np.vstack([(space.gram @ M).T, (space.gram.T @ M).T])
+            v = isotropic_vector_in(space, _solve_constraints(C, n, rtol), rng, rtol)
             if v is None:
-                ok = False
                 break
             cols.append(v)
-        if not ok:
-            continue
-        M = np.column_stack(cols)
-        if np.linalg.matrix_rank(M, tol=1e-8) != rank:
-            continue
-        if restriction_invariants(M, space, rtol) == (rank, radical):
-            return M
+        else:  # every radical vector found: both rank cuts from one SVD
+            M = np.column_stack(cols)
+            U, s, _ = np.linalg.svd(M, full_matrices=False)
+            if np.count_nonzero(s > 1e-8) == rank and \
+                    _span_invariants(U, s, space, rtol) == (rank, radical):
+                return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")

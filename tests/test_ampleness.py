@@ -3,7 +3,8 @@ import pytest
 
 from linalg_helpers import form_preserving
 from parabolics import ampleness as am
-from parabolics.cxlinalg import crandom, det_space, pf_space, symmetric_space
+from parabolics.cxlinalg import (DEFAULT_TOL, _solve_constraints, crandom, det_space, orth,
+                                 pf_space, symmetric_space)
 from parabolics.spinor import spin_module
 
 
@@ -285,3 +286,212 @@ def test_wedge_tables():
 def test_random_task_7a_rejects_k_before_drawing(k):
     with pytest.raises(am.HypothesesNotMet, match="k must be 2 or 3"):
         am.random_task_7a(k, 0)
+
+
+# --------------------------------------- seeded draws against the oracles
+
+
+def _restriction_invariants_orth(S, space, rtol=DEFAULT_TOL):
+    """Reference: the restriction invariants through orth, with their own SVD."""
+    S = np.asarray(S, dtype=complex)
+    B = orth(S[:, None] if S.ndim == 1 else S, rtol)
+    r = B.shape[1]
+    if r == 0:
+        return 0, 0
+    s = np.linalg.svd(B.T @ space.gram @ B, compute_uv=False)
+    return r, r - int(np.sum(s > rtol * max(space.norm, 1.0)))
+
+
+def _isotropic_vector_in_loop(space, basis, rng, rtol=DEFAULT_TOL):
+    """Reference: isotropic_vector_in as written with three norms of v."""
+    k = basis.shape[1]
+    if k == 0:
+        return None
+    if not space.symmetric:
+        return basis @ crandom(rng, k)
+    for _ in range(32):
+        a = basis @ crandom(rng, k)
+        b = basis @ crandom(rng, k)
+        qa, qb = space.quadratic(a), space.quadratic(b)
+        qab = space.omega(a, b)
+        if abs(qb) > rtol:
+            disc = np.sqrt(qab * qab - qa * qb)
+            t = (-qab + disc) / qb
+            v = a + t * b
+        elif abs(qab) > rtol:
+            v = a - qa / (2 * qab) * b
+        else:
+            v = b
+        if np.linalg.norm(v) > rtol and abs(space.quadratic(v / np.linalg.norm(v))) < 1e-8:
+            return v / np.linalg.norm(v)
+    return None
+
+
+def _span_with_invariants_two_svds(space, rank, radical, rng, rtol=DEFAULT_TOL):
+    """Reference: span_with_invariants as written with matrix_rank and then
+    restriction_invariants, each factoring the columns."""
+    n = space.dim
+    step = 1 if space.symmetric else 2
+    for _ in range(64):
+        cols = []
+        attempts = 0
+        while len(cols) < rank - radical and attempts < 200:
+            attempts += 1
+            vs = [crandom(rng, n) for _ in range(step)]
+            trial = cols + [v / np.linalg.norm(v) for v in vs]
+            M = np.column_stack(trial)
+            G = M.T @ space.gram @ M
+            s = np.linalg.svd(G, compute_uv=False)
+            if s[-1] > 1e-6:
+                cols = trial
+        if len(cols) < rank - radical:
+            continue
+        ok = True
+        for _ in range(radical):
+            M = np.column_stack(cols) if cols else np.zeros((n, 0))
+            C = (space.gram @ M).T if M.shape[1] else np.zeros((0, n), dtype=complex)
+            C = np.vstack([C, (space.gram.T @ M).T]) if M.shape[1] else C
+            free = _solve_constraints(C, n, rtol)
+            v = _isotropic_vector_in_loop(space, free, rng, rtol)
+            if v is None:
+                ok = False
+                break
+            cols.append(v)
+        if not ok:
+            continue
+        M = np.column_stack(cols)
+        if np.linalg.matrix_rank(M, tol=1e-8) != rank:
+            continue
+        if _restriction_invariants_orth(M, space, rtol) == (rank, radical):
+            return M
+    raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")
+
+
+def _nonample_columns_matrix_rank(space, k, rng):
+    """Reference: _nonample_columns as written with matrix_rank."""
+    patterns = [(r, j) for r in range(2, min(k, space.dim - 1) + 1) for j in range(1, r)
+                if j <= space.dim - r and (space.symmetric or (r - j) % 2 == 0)]
+    r, j = patterns[rng.integers(len(patterns))]
+    M = _span_with_invariants_two_svds(space, r, j, rng)
+    mix = crandom(rng, r, k)
+    while np.linalg.matrix_rank(mix, tol=1e-8) < min(r, k):
+        mix = crandom(rng, r, k)
+    return M @ mix
+
+
+def _same_bits(x, y) -> bool:
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_bits(x[key], y[key]) for key in x)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(map(_same_bits, x, y))
+    if isinstance(x, np.ndarray):
+        return (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+    return type(x) is type(y) and x == y
+
+
+_DRAW_CONFIGS = [(v, None) for v in am.VARIANTS] + [("7A", 2), ("7A", 3)]
+
+
+def _seeded_runs(variant, k, seeds):
+    runs = []
+    for seed in seeds:
+        task = am.random_task_7a(k, seed) if k else am.random_task(variant, seed)
+        res = am.deform(task)
+        runs.append((task.inputs, res.witness, res.verified, res.restarts))
+    return runs
+
+
+@pytest.mark.parametrize("variant, k", _DRAW_CONFIGS)
+def test_seeded_draws_and_witnesses_equal_the_reference(variant, k, monkeypatch):
+    got = _seeded_runs(variant, k, range(40))
+    monkeypatch.setattr(am, "_nonample_columns", _nonample_columns_matrix_rank)
+    monkeypatch.setattr(am, "isotropic_vector_in", _isotropic_vector_in_loop)
+    monkeypatch.setattr(am, "restriction_invariants", _restriction_invariants_orth)
+    want = _seeded_runs(variant, k, range(40))
+    for seed, (g, w) in enumerate(zip(got, want)):
+        assert _same_bits(g, w), (variant, k, seed)
+
+
+# ------------------------------------------------- canonical witnesses
+
+
+@pytest.mark.parametrize("variant, canonical, key", [
+    ("6A", lambda: [am._canonical_6a()], "C"),
+    ("6D", lambda: [am._canonical_6d()], "C"),
+    ("7B", am._canonical_7b_data, "x"),
+])
+def test_mutated_canonical_witness_does_not_change_the_next_result(variant, canonical, key):
+    for A, X in canonical():
+        assert not A.flags.writeable and not X.flags.writeable
+    A, X = canonical()[-1]
+    task = am.random_task(variant, 0)
+    task = am.DeformationTask(variant, dict(task.inputs, A=A.copy()), seed=0)
+    first = am.deform(task)
+    assert first.restarts == 0 and np.array_equal(first.witness[key], X)
+    first.witness[key][...] = 7  # the caller's copy
+    second = am.deform(task)
+    assert second.restarts == 0 and np.array_equal(second.witness[key], X)
+    assert not np.shares_memory(first.witness[key], second.witness[key])
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-13, 2e-12, 1e-6, 3e-5, 1e-3, np.nan, np.inf, -np.inf])
+def test_printed_witness_match_is_allclose(delta):
+    # the printed 6A A perturbed at one zero entry and at one unit entry
+    A = am._canonical_6a()[0]
+    witnesses = am.SPECS["6A"].witnesses
+    for entry in [(1, 0), (0, 0)]:
+        given = A.copy()
+        given[entry] += delta
+        matched = witnesses({"A": given}, None) != []
+        assert matched == np.allclose(given, A, atol=1e-12), (delta, entry)
+
+
+# ------------------------------------------------------ Prop 1 geometry
+
+
+def _projective_roots_spy(monkeypatch):
+    calls = []
+    real = am._projective_roots
+
+    def spy(*args):
+        calls.append((args[:3], real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(am, "_projective_roots", spy)
+    return calls
+
+
+def test_projective_roots_special_cases():
+    assert am._projective_roots(0, 0, 0, 1e-8) is None
+    assert am._projective_roots(0, 2, 3, 1e-8) == [(1.0, 0.0), (-1.5, 1.0)]
+    assert am._projective_roots(0, 0, 3, 1e-8) == [(1.0, 0.0)]
+
+
+def test_line_inside_the_pf_quadric_is_not_degenerate(monkeypatch):
+    # span(e12, e13) is isotropic for Pf: the restriction is identically zero
+    calls = _projective_roots_spy(monkeypatch)
+    A = 2 * np.eye(6, dtype=complex)[:, :2]
+    assert not am.is_degenerate_line_map(A, am.QuadricVariety(pf_space()))
+    assert calls == [((0j, 0j, 0j), None)]
+
+
+@pytest.mark.parametrize("second, degenerate", [(5, False), ([2, 3], True)])
+def test_line_through_a_root_at_infinity(second, degenerate, monkeypatch):
+    # the first column e12 lies on the Pf quadric, so c0 = 0: with e34 the
+    # line is a secant (c1 != 0, two points), with e14 + e23 a tangent
+    calls = _projective_roots_spy(monkeypatch)
+    A = np.zeros((6, 2), dtype=complex)
+    A[0, 0] = 2
+    A[second, 1] = 1
+    assert am.is_degenerate_line_map(A, am.QuadricVariety(pf_space())) == degenerate
+    ((c0, c1, _), roots), = calls
+    assert c0 == 0 and (c1 != 0) == (not degenerate)
+    assert roots[0] == (1.0, 0.0) and len(roots) == 1 + (not degenerate)
+
+
+def test_segre_line_of_rank_one_matrices_is_not_degenerate(monkeypatch):
+    # every matrix of the pencil s E11 + t E12 has a zero second row, so all
+    # its 2x2 minors vanish identically and no root is sought
+    calls = _projective_roots_spy(monkeypatch)
+    A = np.eye(6, dtype=complex)[:, :2]
+    assert not am.is_degenerate_line_map(A, am.SegreVariety(3))
+    assert calls == []

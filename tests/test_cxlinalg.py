@@ -299,3 +299,125 @@ def test_orth_and_sharp_adjoint_stacks_equal_each_slice():
         assert S[t].tobytes() == cx.sharp_adjoint(X[t], space).tobytes()
     with pytest.raises(ValueError):
         cx.sharp_adjoint(X[0, 0], space)
+
+
+def _counting(monkeypatch, name):
+    """Wrap cxlinalg.<name> so that each call's result is recorded."""
+    real, results = getattr(cx, name), []
+
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(cx, name, wrapper)
+    return results
+
+
+def test_span_with_invariants_degenerate_gram_exhausts_every_retry(monkeypatch):
+    # a zero Gram has no nondegenerate part: each of the 64 rounds makes 200
+    # attempts, one draw each, and then the pattern is reported unrealizable
+    zero = cx.BilinearSpace("zero", 2, np.zeros((2, 2), dtype=complex))
+    draws = _counting(monkeypatch, "crandom")
+    with pytest.raises(RuntimeError, match=r"could not realize \(rank, radical\) = \(1, 0\)"):
+        cx.span_with_invariants(zero, 1, 0, np.random.default_rng(0))
+    assert len(draws) == 64 * 200
+
+
+@pytest.mark.parametrize("scale, realized", [(1e-7, False), (1e-5, True)])
+def test_span_nondegenerate_part_cut_is_absolute(scale, realized):
+    # unit columns under a Gram of norm 1e-7 have restricted singular values
+    # below the 1e-6 cut, so every nondegenerate part is rejected
+    small = cx.BilinearSpace("small", 3, scale * np.eye(3, dtype=complex))
+    rng = np.random.default_rng(1)
+    if realized:
+        assert cx.restriction_invariants(cx.span_with_invariants(small, 2, 1, rng), small) == (2, 1)
+    else:
+        with pytest.raises(RuntimeError):
+            cx.span_with_invariants(small, 2, 1, rng)
+
+
+def _general_gram(n, seed):
+    """A Gram that is neither symmetric nor skew."""
+    return cx.BilinearSpace("general", n, cx.crandom(np.random.default_rng(seed), n, n))
+
+
+def test_span_retries_when_no_radical_vector_exists(monkeypatch):
+    # a general Gram makes the two columns of the nondegenerate part impose
+    # four independent conditions on C^4, so no radical vector is left
+    found = _counting(monkeypatch, "isotropic_vector_in")
+    with pytest.raises(RuntimeError):
+        cx.span_with_invariants(_general_gram(4, 2), 3, 1, np.random.default_rng(2))
+    assert len(found) == 64 and all(v is None for v in found)
+
+
+def test_span_retries_when_the_invariants_differ(monkeypatch):
+    # under a general Gram the random "radical" vectors are not isotropic, so
+    # every round's columns have full rank but a nondegenerate restricted form
+    space = _general_gram(4, 3)
+    found = _counting(monkeypatch, "isotropic_vector_in")
+    with pytest.raises(RuntimeError):
+        cx.span_with_invariants(space, 2, 2, np.random.default_rng(3))
+    assert len(found) == 64 * 2
+    M = np.column_stack(found[-2:])
+    assert np.linalg.svd(M, compute_uv=False)[-1] > 1e-8
+    assert cx.restriction_invariants(M, space) == (2, 0)
+
+
+@pytest.mark.parametrize("plant", ["copy", "scaled"])
+def test_span_rejects_planted_rank_deficient_columns(plant, monkeypatch):
+    # the first round's second radical vector is planted: a copy of the first
+    # (rank 1) or scaled by 1e-9, which only the absolute 1e-8 cut rejects:
+    # its relative singular value passes rtol and its span is (2, 2)
+    sp = cx.symmetric_space(4)
+    real, found = cx.isotropic_vector_in, []
+
+    def planted(*args):
+        found.append(real(*args))
+        if len(found) == 2:
+            found[1] = found[0].copy() if plant == "copy" else 1e-9 * found[1]
+        return found[-1]
+    monkeypatch.setattr(cx, "isotropic_vector_in", planted)
+    M = cx.span_with_invariants(sp, 2, 2, np.random.default_rng(4))
+    bad = np.column_stack(found[:2])
+    s = np.linalg.svd(bad, compute_uv=False)
+    if plant == "scaled":
+        assert cx.DEFAULT_TOL * s[0] < s[1] < 1e-8
+        assert cx.restriction_invariants(bad, sp) == (2, 2)
+    assert len(found) == 4 and np.array_equal(M, np.column_stack(found[2:]))
+    assert np.linalg.svd(M, compute_uv=False)[-1] > 1e-8
+    assert cx.restriction_invariants(M, sp) == (2, 2)
+
+
+def _first_draws(basis, seed):
+    rng = np.random.default_rng(seed)
+    k = basis.shape[1]
+    return basis @ cx.crandom(rng, k), basis @ cx.crandom(rng, k)
+
+
+def test_isotropic_vector_in_totally_isotropic_span():
+    # on span(e12, e13) the Pfaffian form vanishes: q(b) = omega(a, b) = 0,
+    # and the second draw b itself is returned, normalized
+    basis = np.eye(6, dtype=complex)[:, :2]
+    v = cx.isotropic_vector_in(cx.pf_space(), basis, np.random.default_rng(5))
+    _, b = _first_draws(basis, 5)
+    assert np.array_equal(v, b / np.linalg.norm(b))
+
+
+def test_isotropic_vector_in_linear_branch():
+    # a form of size 1e-10: q(b) falls under rtol while omega(a, b) does not,
+    # so q(a + t b) is solved as linear in t, and that vector is returned
+    space = cx.BilinearSpace("tiny", 2, 1e-10 * np.array([[0, 1], [1, 0]], dtype=complex))
+    basis = np.eye(2, dtype=complex)
+    a, b = _first_draws(basis, 4)
+    qa, qb, qab = space.quadratic(a), space.quadratic(b), space.omega(a, b)
+    assert abs(qb) <= cx.DEFAULT_TOL < abs(qab)
+    w = a - qa / (2 * qab) * b
+    v = cx.isotropic_vector_in(space, basis, np.random.default_rng(4))
+    assert np.array_equal(v, w / np.linalg.norm(w))
+
+
+def test_isotropic_vector_in_gives_up_on_a_tiny_basis():
+    # a basis of norm 1e-6 makes every q value fall under rtol, and no draw
+    # b / |b| is isotropic for the identity form
+    basis = 1e-6 * np.eye(3, dtype=complex)
+    assert cx.isotropic_vector_in(cx.symmetric_space(3), basis, np.random.default_rng(7)) is None
+    assert cx.isotropic_vector_in(cx.symmetric_space(3), basis[:, :0], np.random.default_rng(7)) is None

@@ -355,3 +355,18 @@ def test_rho_square_defect_reports_nan():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spinor, "_rho_scatter", lambda m: (flat, gen, sign * np.nan))
         assert np.isnan(spinor.rho_square_defect(np.random.default_rng(0), sm, 3))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_form_is_exactly_invariant_under_every_generator(m):
+    # rho(e_a)^T G = G rho(e_a) for all 2m generators of V: both sides are
+    # signed permutations, so equality is exact
+    sm = spin_module(m)
+    G = sm.form_gram
+    flipped = G.copy()
+    flipped[0] *= -1  # one sign of the Gram planted wrong
+    for e in np.eye(2 * m, dtype=complex):
+        R = sm.rho(e)
+        assert np.count_nonzero(G @ R) == np.count_nonzero(R) == sm.dim // 2
+        assert np.array_equal(R.T @ G, G @ R)
+        assert not np.array_equal(R.T @ flipped, flipped @ R)
