@@ -74,11 +74,13 @@ class SegreVariety:
     k: int
 
 
-def _projective_roots(c0: complex, c1: complex, c2: complex, rtol: float):
-    """Distinct projective roots (s : t) of c0 s^2 + c1 st + c2 t^2."""
+def _projective_roots(c0: complex, c1: complex, c2: complex, rtol: float,
+                      norm: float = 0.0):
+    """Distinct projective roots (s : t) of c0 s^2 + c1 st + c2 t^2; None if no
+    coefficient exceeds rtol * norm, the norm of a form giving them on unit vectors."""
     scale = max(abs(c0), abs(c1), abs(c2))
-    if scale == 0:
-        return None  # identically zero
+    if scale <= rtol * norm:
+        return None
     roots = []
     if abs(c0) <= rtol * scale:
         roots.append((1.0, 0.0))
@@ -112,7 +114,8 @@ def is_degenerate_line_map(A, variety, rtol: float = 1e-8) -> bool:
     a, b = U[:, 0], U[:, 1]
     if isinstance(variety, QuadricVariety):
         sp = variety.space
-        roots = _projective_roots(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b), rtol)
+        roots = _projective_roots(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b), rtol,
+                                  sp.norm)
         return roots is not None and len(roots) == 1
     if isinstance(variety, SegreVariety):
         M1, M2 = a.reshape(2, variety.k), b.reshape(2, variety.k)
@@ -122,7 +125,7 @@ def is_degenerate_line_map(A, variety, rtol: float = 1e-8) -> bool:
                 d = lambda X, Y: X[0, c1] * Y[1, c2] - X[1, c1] * Y[0, c2]
                 coeffs.append((d(M1, M1), d(M1, M2) + d(M2, M1), d(M2, M2)))
         best = max(coeffs, key=lambda c: max(abs(x) for x in c))
-        if max(abs(x) for x in best) == 0:
+        if max(abs(x) for x in best) <= rtol:  # the minors of unit a, b are at most 2
             return False  # the whole line consists of rank <= 1 matrices
         candidates = _projective_roots(*best, rtol)
         points = 0

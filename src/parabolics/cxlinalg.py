@@ -264,6 +264,8 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         raise ValueError(f"(rank, radical) = ({rank}, {radical}) not realizable in dim {n}")
     if not space.symmetric and (rank - radical) % 2:
         raise ValueError("skew form: the nondegenerate part must have even rank")
+    if rank == 0:
+        return np.zeros((n, 0), dtype=complex)
     step = 1 if space.symmetric else 2  # odd skew Grams are always singular
     for _ in range(64):
         cols: list[np.ndarray] = []

@@ -462,6 +462,8 @@ def _projective_roots_spy(monkeypatch):
 
 def test_projective_roots_special_cases():
     assert am._projective_roots(0, 0, 0, 1e-8) is None
+    assert am._projective_roots(1e-9, 0, 0, 1e-8, 1.0) is None
+    assert am._projective_roots(1e-9, 0, 0, 1e-8, 0.01) == [(0.0, 1.0)]
     assert am._projective_roots(0, 2, 3, 1e-8) == [(1.0, 0.0), (-1.5, 1.0)]
     assert am._projective_roots(0, 0, 3, 1e-8) == [(1.0, 0.0)]
 
@@ -495,3 +497,26 @@ def test_segre_line_of_rank_one_matrices_is_not_degenerate(monkeypatch):
     A = np.eye(6, dtype=complex)[:, :2]
     assert not am.is_degenerate_line_map(A, am.SegreVariety(3))
     assert calls == []
+
+
+def test_line_inside_the_quadric_with_rounded_coefficients(monkeypatch):
+    # span(e1 + i e2, e3 + i e4) is isotropic for the symmetric form, but the
+    # SVD basis gives q(a) = -2.8e-16: zero relative to the form's norm
+    calls = _projective_roots_spy(monkeypatch)
+    A = np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
+    assert not am.is_degenerate_line_map(A, am.QuadricVariety(symmetric_space(4)))
+    ((c0, c1, c2), roots), = calls
+    assert 0 < max(abs(c0), abs(c1), abs(c2)) < 1e-15 and roots is None
+
+
+def test_segre_pencils_inside_the_rank_one_locus_are_not_degenerate():
+    # u (x) (s w1 + t w2) is rank one for every (s : t); its minors in the SVD
+    # basis are rounding, not a quadratic with one double root
+    rng = np.random.default_rng(0)
+    found = 0
+    for _ in range(500):
+        u = crandom(rng, 2)
+        A = np.column_stack([np.outer(u, crandom(rng, 3)).reshape(6),
+                             np.outer(u, crandom(rng, 3)).reshape(6)])
+        found += am.is_degenerate_line_map(A, am.SegreVariety(3))
+    assert found == 0

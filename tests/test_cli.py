@@ -154,6 +154,16 @@ def test_cli_deform_input_re_im_encoding(tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+def test_cli_deform_refuses_a_line_inside_the_quadric(tmp_path):
+    # every point of span(e1 + i e2, e3 + i e4) is isotropic: A is not degenerate
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"variety": "quadric", "B": [[1, 0], [0, 1]],
+                                "A": {"re": [[1, 0], [0, 0], [0, 1], [0, 0]],
+                                      "im": [[0, 0], [1, 0], [0, 0], [0, 1]]}}))
+    code, out = run_cli("deform", "--variant", "1A", "--input", str(path))
+    assert code == 2 and "A must be degenerate" in out and "verified" not in out
+
+
 def test_cli_spinor():
     code, out = run_cli("spinor", "--m", "4")
     assert code == 0 and "overall: PASS" in out

@@ -130,6 +130,16 @@ def test_witt_pairs_dim2_into_3():
         cx.span_with_invariants(sym3, 2, 2, rng)  # j > dim - rank
 
 
+@pytest.mark.parametrize("space", [cx.symmetric_space(3), cx.symplectic_space(4)])
+def test_span_with_invariants_empty_span(space):
+    # (0, 0) is realizable in any space: the span is empty and takes no draw
+    rng = np.random.default_rng(5)
+    M = cx.span_with_invariants(space, 0, 0, rng)
+    assert M.shape == (space.dim, 0)
+    assert cx.restriction_invariants(M, space) == (0, 0)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
 def test_quadratic_value_examples():
     assert det_value([1, 0, 0, 1]) == 1
     assert pf_value([1, 0, 0, 0, 0, 1]) == 1

@@ -210,7 +210,7 @@ def _sum_table_loop(rs):
     n = len(pos)
     table = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        sums = pos[i] + pos
+        sums = (pos[i] + pos).tolist()
         for j in range(n):
             if tuple(sums[j]) in index:
                 table[i, j] = True
@@ -224,6 +224,7 @@ ORACLE_TYPES = (
     + [("D", r) for r in range(3, 15)]
     + [("E", r) for r in (6, 7, 8)]
     + [("F", 4), ("G", 2)]
+    + [("A", 30), ("B", 20), ("C", 20), ("D", 30)]
 )
 
 
@@ -231,6 +232,81 @@ ORACLE_TYPES = (
 def test_root_sum_table_equals_loop_oracle(kind, rank):
     rs = build_root_system(kind, rank)
     assert np.array_equal(rs.root_sum_is_root, _sum_table_loop(rs))
+
+
+# ------------------------------------------- root-sum table: length filter
+
+TYPES_TO_RANK_30 = [(kind, rank) for kind, ranks in rootsys._VALID_RANKS.items()
+                    for rank in ranks if rank <= 30]
+
+
+@pytest.mark.parametrize("kind,rank", TYPES_TO_RANK_30 + [("A", 99)])
+def test_half_lengths_symmetrise_the_cartan_matrix(kind, rank):
+    rs = build_root_system(kind, rank)
+    half = rootsys._half_lengths(kind, rank)
+    form = np.diag(half) @ rs.cartan
+    assert np.array_equal(form, form.T)
+    pos = rs.positive_array
+    assert set(((pos @ form) * pos).sum(axis=1).tolist()) <= {2 * h for h in half}
+
+
+def _length_candidates(rs):
+    """Pairs (i, j) whose sum has a root's squared length."""
+    half = rootsys._half_lengths(rs.kind, rs.rank)
+    pos = rs.positive_array
+    gram = pos @ np.diag(half) @ rs.cartan @ pos.T
+    norms = np.diag(gram)
+    return np.isin(norms[:, None] + norms[None, :] + 2 * gram, [2 * h for h in half])
+
+
+@pytest.mark.parametrize("kind,rank", TYPES_TO_RANK_30)
+def test_length_filter_is_exact_outside_c4_and_up(kind, rank):
+    # The filter never drops a root sum; outside C_n, n >= 4, it keeps no
+    # other pair.  C_n has e1+e2 and e3+e4 from rank 4 on.
+    rs = build_root_system(kind, rank)
+    candidates, table = _length_candidates(rs), rs.root_sum_is_root
+    assert not (table & ~candidates).any()
+    assert np.array_equal(candidates, table) == (kind != "C" or rank < 4)
+
+
+def test_length_filter_shares():
+    upper = lambda m: int(np.triu(m).sum())
+    d24 = _length_candidates(build_root_system("D", 24))
+    assert (upper(d24), upper(np.ones_like(d24))) == (8096, 152628)
+    for rank, share in ((14, 0.71), (30, 0.85)):
+        c = _length_candidates(build_root_system("C", rank))
+        assert round(upper(c) / upper(np.ones_like(c)), 2) == share
+
+
+@pytest.mark.parametrize("rank", [4, 6, 10])
+def test_c_n_sums_of_root_length_that_are_not_roots(rank):
+    # In e-coordinates (alpha_s = e_s - e_(s+1), alpha_n = 2 e_n) roots have
+    # squared length 2 or 4.  The pairs whose sum has one of these lengths
+    # but is no root pass the length filter, and only the key search and
+    # coefficient check can mark them False.
+    rs = build_root_system("C", rank)
+    to_e = np.eye(rank, dtype=np.int64) - np.eye(rank, k=1, dtype=np.int64)
+    to_e[-1, -1] = 2
+    vec = rs.positive_array @ to_e
+    roots = {tuple(v) for v in vec.tolist() + (-vec).tolist()}
+    sums = vec[:, None, :] + vec[None, :, :]
+    lengths = (sums ** 2).sum(axis=2)
+    pairs = [(i, j) for i, j in zip(*np.nonzero((lengths == 2) | (lengths == 4)))
+             if tuple(sums[i, j].tolist()) not in roots]
+    e1234 = tuple([1] * 4 + [0] * (rank - 4))
+    assert any(tuple(sums[i, j].tolist()) == e1234 for i, j in pairs)
+    table = rs.root_sum_is_root
+    assert not any(table[i, j] for i, j in pairs)
+
+
+def test_root_sum_table_d60_budget():
+    # 0.2-0.4 s on a 2-core 2.1 GHz Xeon; searching every pair took 1.0 s
+    build_root_system("D", 60)
+    start = time.perf_counter()
+    table = rootsys._sum_table_cached.__wrapped__(("D", 60))  # cold build
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"D60 root-sum table took {elapsed:.2f} s"
+    assert int(table.sum()) == 2 * sum(sum(r) - 1 for r in build_root_system("D", 60).positive_roots)
 
 
 def test_root_sum_table_d40_counts_and_budget():
