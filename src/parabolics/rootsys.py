@@ -154,6 +154,14 @@ def _splitmix64(i: int) -> int:
     return z ^ (z >> 31)
 
 
+def _root_keys(pos: np.ndarray) -> np.ndarray:
+    """sum_k pos[:, k] _splitmix64(k) mod 2^64, a column at a time (less peak RSS)."""
+    keys = np.zeros(len(pos), dtype=np.uint64)
+    for k in range(pos.shape[1]):
+        keys += pos[:, k].astype(np.uint64) * np.uint64(_splitmix64(k))
+    return keys
+
+
 def _half_lengths(kind: str, rank: int) -> list[int]:
     """half[s] = |alpha_s|^2 / 2, whole numbers with half[0] = 2: (alpha_a,
     alpha_b) = half[a] C[a, b] is symmetric, which fixes half[b] along each
@@ -186,8 +194,7 @@ def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
     """
     pos = _positive_array_cached(key)
     n, rank = pos.shape
-    weights = np.array([_splitmix64(k) for k in range(rank)], dtype=np.uint64)
-    keys = (pos.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    keys = _root_keys(pos)
     # A stable sort and a set test keep numpy's SIMD quicksort and reduction
     # code out of memory: about 0.4 MB of peak RSS on a small run.
     order = np.argsort(keys, kind="stable")

@@ -10,6 +10,9 @@ For even m the module carries the bilinear form whose value on (u, v) is
 the top-degree coefficient of (-1)^[deg u / 2] u ^ v; it is symmetric on
 the halves when m = 4k and symplectic when m = 4k + 2, and the halves are
 orthogonal to each other.
+
+The half-space forms and the blocks of rho(v) between the halves are built
+on the 2^(m-1) coordinates of a half; the full Gram only when it is read.
 """
 
 from __future__ import annotations
@@ -74,14 +77,17 @@ class SpinModule:
 
     def rho(self, v: np.ndarray) -> np.ndarray:
         """Matrix of rho(v) on Lambda* U for v in V = U + U' (length 2m)."""
+        return self._scatter(v, _rho_scatter(self.m), self.dim)
+
+    def _scatter(self, v, table, n: int) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape != (2 * self.m,):
             raise ValueError(f"vector must live in C^{2 * self.m}")
-        flat, gen, sign = _rho_scatter(self.m)
-        M = np.zeros((self.dim, self.dim), dtype=complex)
+        flat, gen, sign = table
+        M = np.zeros((n, n), dtype=complex)
         # Adding to a zero entry, as an entry-wise build does, turns the
         # -0.0 parts of v[gen] * sign into +0.0.
-        M.flat[flat] = 0 + v[gen] * sign
+        M.reshape(-1)[flat] = 0 + v[gen] * sign
         return M
 
     def pairing(self, v, w) -> complex:
@@ -129,9 +135,7 @@ class SpinModule:
 
     def rho_half(self, v: np.ndarray, side: str) -> np.ndarray:
         """rho(v) as a map S(side) -> S(-side), in half coordinates."""
-        src = self._side_indices(side)
-        dst = self.odd_indices if side == "+" else self.even_indices
-        return self.rho(v)[dst[:, None], src]
+        return self._scatter(v, _rho_half_scatter(self.m, side), self.dim // 2)
 
 
 @lru_cache(maxsize=None)
@@ -169,31 +173,38 @@ def rho_square_defect(rng: np.random.Generator, sm: SpinModule, trials: int) -> 
 @lru_cache(maxsize=None)
 def _subset_bits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only bitmasks sum(1 << x for x in s) of the basis subsets, in
-    basis order, their inverse pos[mask] = index and bits[k, x] = [x in s_k]."""
-    masks = np.array([sum(1 << x for x in s) for s in spin_module(m).basis], dtype=np.int64)
+    basis order (by size, then by descending bit-reversed mask, which is
+    lexicographic), their inverse pos[mask] = index and bits[k, x] = [x in s_k]."""
+    every = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    desc, size = every[::-1, ::-1] @ (1 << np.arange(m)), every[::-1].sum(axis=1)
+    masks = np.concatenate([desc[size == k] for k in range(m + 1)])
     pos = np.empty(1 << m, dtype=np.int64)
     pos[masks] = np.arange(1 << m)
-    bits = (masks[:, None] >> np.arange(m)) & 1
+    bits = every[masks]
     for a in (masks, pos, bits):
         a.setflags(write=False)
     return masks, pos, bits
 
 
 @lru_cache(maxsize=None)
-def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of the even and of the odd subsets."""
+def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis indices of the even and of the odd subsets, and each index's place in its half."""
     parity = _subset_bits(m)[2].sum(axis=1) % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    even.setflags(write=False)
-    odd.setflags(write=False)
-    return even, odd
+    where = np.empty(1 << m, dtype=np.int64)
+    where[even], where[odd] = np.arange(len(even)), np.arange(len(odd))
+    for a in (even, odd, where):
+        a.setflags(write=False)
+    return even, odd, where
 
 
 @lru_cache(maxsize=None)
 def _half_space(m: int, side: str) -> BilinearSpace:
-    sm = spin_module(m)
-    idx = sm._side_indices(side)
-    G = sm.form_gram[idx[:, None], idx]
+    """The Gram on S(side), scattered directly (for even m s and its complement share parity)."""
+    idx, where = spin_module(m)._side_indices(side), _half_indices(m)[2]
+    partner, sign = _form_partner(m)
+    G = np.zeros((len(idx), len(idx)), dtype=complex)
+    G[np.arange(len(idx)), where[partner[idx]]] = sign[idx]
     G.setflags(write=False)  # shared by every caller of this (m, side)
     return BilinearSpace(f"spinor-form({m}){side}", len(idx), G)
 
@@ -213,16 +224,32 @@ def _rho_scatter(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _form_gram(m: int) -> np.ndarray:
-    """The form value on basis elements (s, t) is nonzero only for t the
-    complement of s, so the Gram is a signed permutation matrix.  For
+def _rho_half_scatter(m: int, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of _rho_scatter(m) in the columns of S(side), in its (column, i)
+    order, with flat positions (row = flat >> m) moved to the block S(side) -> S(-side)."""
+    src, where = spin_module(m)._side_indices(side), _half_indices(m)[2]
+    flat, gen, sign = (a.reshape(1 << m, m)[src].ravel() for a in _rho_scatter(m))
+    return where[flat >> m] * len(src) + np.repeat(np.arange(len(src)), m), gen, sign
+
+
+@lru_cache(maxsize=None)
+def _form_partner(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The form on basis elements (s, t) is nonzero only for t the complement
+    of s: for each basis index, the index of its complement and the sign.  For
     |s| = k the merge of s with its complement has sum(s) - k(k-1)/2
     inversions, and the form adds the sign (-1)^[k/2]."""
     masks, pos, bits = _subset_bits(m)
     k = bits.sum(axis=1)
     flips = bits @ np.arange(m) - k * (k - 1) // 2 + k // 2
+    return pos[masks ^ ((1 << m) - 1)], 1 - 2 * (flips & 1)
+
+
+@lru_cache(maxsize=None)
+def _form_gram(m: int) -> np.ndarray:
+    """The full Gram, built only when form_gram is read."""
+    partner, sign = _form_partner(m)
     G = np.zeros((1 << m, 1 << m), dtype=complex)
-    G[np.arange(1 << m), pos[masks ^ ((1 << m) - 1)]] = 1 - 2 * (flips & 1)
-    G.setflags(write=False)  # shared by every half_space and caller
+    G[np.arange(1 << m), partner] = sign
+    G.setflags(write=False)  # shared by every caller
     return G
 

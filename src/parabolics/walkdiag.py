@@ -168,12 +168,16 @@ def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
         if not line or line.startswith("#"):
             continue
         try:
+            if cur is None and not line.startswith("case "):
+                raise ValueError(f"{line.split()[0]!r} line before any 'case' line")
             if line.startswith("case "):
                 cur = {
                     "case_id": line.split()[1], "nonreduced": {}, "twisting": {},
                     "rubbish": {}, "black_labels": {}, "arrows": [], "note": "",
                 }
             elif line == "end":
+                if missing := sorted({"group", "parabolic", "covers", "black"} - set(cur)):
+                    raise ValueError(f"case {cur['case_id']} has no {missing[0]!r} line")
                 parsed = CaseSpec(
                     case_id=cur["case_id"], group=cur["group"],
                     parabolic=cur["parabolic"], covers=cur["covers"],
@@ -196,6 +200,8 @@ def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
                 cur["black"] = _parse_vector(line.split()[1])
             elif line.startswith(("nonreduced ", "twisting ", "rubbish ")):
                 role, name, _eq, rest = line.split(None, 3)
+                if rest.count(";") != 1:
+                    raise ValueError(f"{role} {name} needs one '; labels' part")
                 vec_part, labels_part = rest.split(";")
                 cur[role][name] = _parse_vector(vec_part.strip())
                 cur["black_labels"][name] = _parse_vector(labels_part.split()[1])
@@ -233,7 +239,7 @@ def verify_case(case: CaseSpec) -> Report:
     named = case.all_named()
 
     for name, vec in named.items():
-        if not g.is_weight(vec):
+        if not g.is_positive_weight(vec):
             report.add(f"weight {name}", False, f"{vec} is not a positive weight")
             return report
     report.add("all named vectors are positive weights", True)

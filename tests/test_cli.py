@@ -213,6 +213,23 @@ def test_cli_verify_all_detects_corrupt_data(tmp_path, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+def test_cli_negative_case_weight_fails_only_its_case(tmp_path, monkeypatch):
+    import parabolics.walkdiag as wd
+
+    clean = json.loads(run_cli("verify-all", "--trials", "1", "--json")[1])["lines"]
+    src = wd.data_path("cases.txt").read_text()
+    assert "  rubbish a = 2,1 ;" in src.split("case 2A")[1].split("end")[0]
+    (tmp_path / "cases.txt").write_text(src.replace("rubbish a = 2,1 ;", "rubbish a = -2,-1 ;", 1))
+    (tmp_path / "table.txt").write_text(wd.data_path("table.txt").read_text())
+    monkeypatch.setenv(wd.DATA_DIR_ENV, str(tmp_path))
+    code, out = run_cli("verify-all", "--trials", "1", "--json")
+    lines = json.loads(out)["lines"]
+    assert code == 1 and [l["anchor"] for l in lines] == [l["anchor"] for l in clean]
+    assert [l["anchor"] for l in lines if not l["ok"]] == ["case 2A"]
+    code, out = run_cli("verify-case", "--case", "2A")
+    assert code == 1 and "[FAIL] case 2A: weight a" in out and "error:" not in out
+
+
 def test_parse_diagram_reports_bad_token_position():
     for text, pos in [("E7/1,x", 5), ("E7/x", 3), ("E7/1,3, y", 8), ("E7/1,,3", 5)]:
         with pytest.raises(ValueError, match=rf"\(position {pos}\)"):
@@ -256,6 +273,7 @@ def test_flipped_rho_generator_fails_the_spinor_checks(monkeypatch):
         return flat, gen, np.where(gen == 0, -sign, sign)
 
     kernel.cache_clear()
+    spinor._rho_half_scatter.cache_clear()  # rho_half's tables are taken from the kernel
     monkeypatch.setattr(spinor, "_rho_scatter", flipped)
     try:
         code, out = run_cli("verify-all", "--trials", "10", "--json")
@@ -266,6 +284,7 @@ def test_flipped_rho_generator_fails_the_spinor_checks(monkeypatch):
     finally:
         monkeypatch.undo()
         kernel.cache_clear()
+        spinor._rho_half_scatter.cache_clear()
     assert run_cli("spinor", "--m", "4")[0] == 0
 
 

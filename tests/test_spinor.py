@@ -370,3 +370,75 @@ def test_form_is_exactly_invariant_under_every_generator(m):
         assert np.count_nonzero(G @ R) == np.count_nonzero(R) == sm.dim // 2
         assert np.array_equal(R.T @ G, G @ R)
         assert not np.array_equal(R.T @ flipped, flipped @ R)
+
+
+# ------------------------------------ half-space builds against full ones
+
+
+def _masks_loop(m):
+    """Reference: the bitmask of each basis subset, one subset at a time."""
+    return np.array([sum(1 << x for x in s) for s in spin_module(m).basis], dtype=np.int64)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_subset_masks_equal_per_subset_loop(m):
+    masks, pos, bits = spinor._subset_bits(m)
+    assert _same_bytes(masks, _masks_loop(m))
+    assert not (masks.flags.writeable or pos.flags.writeable or bits.flags.writeable)
+
+
+@pytest.mark.parametrize("m", range(2, 13, 2))
+def test_half_gram_equals_block_of_full_gram(m):
+    # m = 12 has a 256 MB full Gram: build it uncached, compare 256 rows at a time
+    sm, full = spin_module(m), spinor._form_gram.__wrapped__(m)
+    for side in "+-":
+        idx = sm._side_indices(side)
+        got = spinor._half_space.__wrapped__(m, side).gram
+        assert (got.dtype, got.shape, got.flags.writeable) == (full.dtype, (len(idx),) * 2, False)
+        for a in range(0, len(idx), 256):
+            assert got[a:a + 256].tobytes() == full[idx[a:a + 256, None], idx].tobytes()
+        if m <= 10:
+            assert sm.half_space(side).gram.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rho_half_equals_block_of_rho(m):
+    sm = spin_module(m)
+    rng = np.random.default_rng(300 + m)
+    v = crandom(rng, 2 * m)
+    v[rng.random(2 * m) < 0.3] = 0
+    v[0] = complex(-0.0, -0.0)
+    nan = v.copy()
+    nan[-1] = complex(np.nan, 1.0)
+    for side, src, dst in (("+", sm.even_indices, sm.odd_indices),
+                           ("-", sm.odd_indices, sm.even_indices)):
+        for w in (v, -v, v.real, nan):
+            assert _same_bytes(sm.rho_half(w, side), sm.rho(w)[dst[:, None], src])
+
+
+def test_half_space_builds_no_full_gram():
+    before = spinor._form_gram.cache_info()
+    spin_module(10).half_space("+")
+    spinor._half_space.__wrapped__(10, "-")  # a cold build, whatever is cached
+    assert spinor._form_gram.cache_info() == before
+
+
+def test_rho_half_follows_a_flip_planted_in_rho_scatter(monkeypatch):
+    sm = spin_module(4)
+    v = np.arange(1, 9, dtype=complex)
+    kernel, before = spinor._rho_scatter, sm.rho_half(v, "+")
+
+    def flipped(m):
+        flat, gen, sign = kernel(m)
+        return flat, gen, np.where(gen == 0, -sign, sign)
+
+    monkeypatch.setattr(spinor, "_rho_scatter", flipped)
+    spinor._rho_half_scatter.cache_clear()
+    try:
+        after = sm.rho_half(v, "+")
+        assert not np.array_equal(after, before)
+        assert _same_bytes(after, sm.rho(v)[sm.odd_indices[:, None], sm.even_indices])
+    finally:
+        monkeypatch.undo()
+        spinor._rho_half_scatter.cache_clear()
+    assert _same_bytes(sm.rho_half(v, "+"), before)

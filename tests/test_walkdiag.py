@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,34 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
     (tmp_path / "cases.txt").write_text("case X\n  bogus line\nend\n")
     with pytest.raises(CaseDataError):
         load_cases()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("case X\n  parabolic 1\n  covers 1\n  black 1\nend\n", ":5: case X has no 'group' line"),
+    ("case X\n  group E7\n  parabolic 1\n  covers 1\nend\n", ":5: case X has no 'black' line"),
+    ("  group E7\ncase X\nend\n", ":1: 'group' line before any 'case' line"),
+    ("end\n", ":1: 'end' line before any 'case' line"),
+    ("case X\n  twisting 1 = 1,0\nend\n", ":2: twisting 1 needs one '; labels' part"),
+    ("case X\n  rubbish a = 1 ; labels 1 ; 2\nend\n", ":2: rubbish a needs one '; labels' part"),
+    ("case X\n  parabolic one\nend\n", ":2: invalid literal for int()"),
+    ("case X\n  bogus line\nend\n", "unrecognised line: '  bogus line'"),
+    ("case X\n  group E7\n", "unterminated case stanza X"),
+    ("# comments only\n", "no case stanzas found"),
+], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
+        "two-labels", "bad-int", "unrecognised", "unterminated", "empty"])
+def test_load_cases_errors_name_the_fault(tmp_path, text, message):
+    path = tmp_path / "cases.txt"
+    path.write_text(text)
+    with pytest.raises(CaseDataError, match=re.escape(message)) as exc:
+        load_cases(path)
+    assert "NoneType" not in str(exc.value) and "unpack" not in str(exc.value)
+
+
+def test_negative_named_weight_is_not_a_positive_weight(cases):
+    case = dataclasses.replace(cases["2A"], rubbish={"a": (-2, -1)})
+    report = verify_case(case)
+    assert not report.passed and report.failures() == ["weight a"]
+    assert "(-2, -1) is not a positive weight" in report.lines[-1]["detail"]
 
 
 def _bracket_probe(g, chi1, chi2):
