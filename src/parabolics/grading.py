@@ -13,6 +13,10 @@ irreducibility and component indices need only the positive weights and
 that component array; the root tuples (`components`, `zero_component`)
 are built on first access, the negative components as the positive ones
 negated.
+
+A component is irreducible when exactly one of its roots is raised by no
+positive Levi root.  Levi root vectors are brackets of black simple ones, so
+this reads `RootSystem.raised_by`, never the N x N root-sum table.
 """
 
 from __future__ import annotations
@@ -113,10 +117,11 @@ class Grading:
 
     @cached_property
     def _raisable(self) -> np.ndarray:
-        """Whether some positive Levi root added to each positive root gives
-        a root (the sum table is symmetric, so its Levi rows serve)."""
-        levi = np.flatnonzero(self._component_of == 0)
-        return self.rs.root_sum_is_root[levi].any(axis=0)
+        """Whether some positive Levi root added to each positive root beta
+        gives a root.  ad(e_gamma) for a positive Levi root gamma lies in the
+        Lie algebra generated by the ad(e_alpha_b) of the black simple roots,
+        so this holds iff beta + alpha_b is a root for some black b."""
+        return self.rs.raised_by[:, [b - 1 for b in self.diagram.black]].any(axis=1)
 
     @cached_property
     def _highest_counts(self) -> list[int]:

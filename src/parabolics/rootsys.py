@@ -105,6 +105,8 @@ class RootSystem:
     roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
     _root_set: frozenset[Root] = field(repr=False)
+    #: raised_by[k, i]: positive_roots[k] + alpha_{i+1} is a root (read-only).
+    raised_by: np.ndarray = field(repr=False)
 
     @property
     def name(self) -> str:
@@ -125,6 +127,10 @@ class RootSystem:
 
     def pairing(self, v: Root, i: int) -> int:
         """<v, alpha_i^vee> for a 1-based vertex i."""
+        if i not in range(1, self.rank + 1):
+            raise ValueError(f"vertex {i!r} is not one of 1..{self.rank} of {self.name}")
+        if len(v) != self.rank:
+            raise ValueError(f"expected a vector of length {self.rank}, got {len(v)}: {tuple(v)}")
         return int(np.dot(self.cartan[i - 1], np.asarray(v, dtype=np.int64)))
 
 
@@ -251,31 +257,41 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     c = b + alpha_i are those of b plus column i of C.  p_j(c) is
     p_j(c - alpha_j) + 1 if c - alpha_j is a positive root and 0 otherwise;
     each such c - alpha_j is one height lower, so its step to c is taken,
-    and p_j(c) set, before c itself is expanded.
+    and p_j(c) set, before c itself is expanded.  Every accepted step
+    (b, i) is kept as raised_by, the simple-root raises of each root.
     """
     C = cartan_matrix(kind, rank)
     cols = C.T.tolist()  # cols[i][j] = <alpha_i, alpha_j^vee>
     simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    # root -> (pairings with each alpha_j^vee, string lengths p_j)
-    positive = {r: (cols[i], [0] * rank) for i, r in enumerate(simple)}
+    # root -> (pairings with each alpha_j^vee, string lengths p_j, insertion index)
+    positive = {r: (cols[i], [0] * rank, i) for i, r in enumerate(simple)}
+    raises: list[int] = []  # k * rank + i for each accepted step of the k-th root
     frontier = simple
     while frontier:
         new: list[Root] = []
         for b in frontier:
-            pairings, strings = positive[b]
+            pairings, strings, k = positive[b]
             for i in range(rank):
                 if strings[i] > pairings[i]:
+                    raises.append(k * rank + i)
                     up = list(b)
                     up[i] += 1
                     cand = tuple(up)
                     if cand not in positive:
-                        positive[cand] = ([x + y for x, y in zip(pairings, cols[i])], [0] * rank)
+                        positive[cand] = ([x + y for x, y in zip(pairings, cols[i])], [0] * rank,
+                                          len(positive))
                         new.append(cand)
                     positive[cand][1][i] = strings[i] + 1
         frontier = new
-    pos_sorted = tuple(sorted(positive, key=lambda r: (_height(r), r)))
+    found = list(positive)  # in insertion order
+    order = sorted(range(len(found)), key=lambda k: (_height(found[k]), found[k]))
+    pos_sorted = tuple(found[k] for k in order)
     negatives = tuple(tuple(-x for x in r) for r in pos_sorted)
     roots = pos_sorted + negatives
+    raised = np.zeros(len(found) * rank, dtype=bool)
+    raised[raises] = True
+    raised_by = raised.reshape(-1, rank)[order]
+    raised_by.setflags(write=False)  # shared by every grading of this type
     return RootSystem(
         kind=kind,
         rank=rank,
@@ -283,15 +299,19 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         roots=roots,
         positive_roots=pos_sorted,
         _root_set=frozenset(roots),
+        raised_by=raised_by,
     )
 
 
 def is_root(rs: RootSystem, v) -> bool:
     """Whether the integer vector v is a root of rs."""
-    v = tuple(int(x) for x in v)
+    v = tuple(v)
     if len(v) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(v)}")
-    return rs.contains(v)
+    for k, x in enumerate(v, start=1):
+        if not float(x).is_integer():
+            raise ValueError(f"coordinate {k} of {v} is {x!r}, not an integer")
+    return rs.contains(tuple(int(x) for x in v))
 
 
 def parse_type(name: str) -> tuple[str, int]:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parabolics
+from parabolics import rootsys
 from parabolics.grading import compute_grading, diagram, grade
 from parabolics.rootsys import build_root_system
 
@@ -159,7 +165,16 @@ def _highest_roots_loop(g, chi):
     return idx, tuple(rs.positive_roots[i] for i in idx[~raisable])
 
 
+def _raisable_levi_rows(g):
+    """Reference: a positive root is raisable when some positive Levi root
+    added to it gives a root, read from the Levi rows of the full sum table
+    (the table is symmetric)."""
+    levi = np.flatnonzero(g._component_of == 0)
+    return g.rs.root_sum_is_root[levi].any(axis=0)
+
+
 def _assert_matches_oracles(g):
+    assert np.array_equal(g._raisable, _raisable_levi_rows(g))  # Levi roots included
     components, zero = _grading_loop(g.diagram)
     assert list(g.components) == list(components)
     assert g.components == components
@@ -204,6 +219,46 @@ def test_grading_equals_loop_oracle_every_colouring(name):
 def test_grading_equals_loop_oracle_seeded(name):
     for black in _seeded_colourings(int(name[1:]), 6, seed=int(name[1:])):
         _assert_matches_oracles(grade(name, black))
+
+
+def test_irreducibility_builds_no_root_sum_table():
+    rootsys._sum_table_cached.cache_clear()
+    for name in ("A20", "D24"):
+        for black in _seeded_colourings(int(name[1:]), 6, seed=int(name[1:])):
+            g = grade(name, black)
+            for w in g.positive_weights:
+                g.is_irreducible_component(w)
+                g.highest_root_of(w)
+    assert rootsys._sum_table_cached.cache_info().currsize == 0
+
+
+def test_cold_a99_irreducibility_budget():
+    # A fresh interpreter grades A99/1,50 and decides all 4,753 components.
+    # Measured on a 2-core 2.1 GHz Xeon: 0.28-0.37 s and 34.2-34.5 MB of peak
+    # RSS growth; from the Levi rows of the root-sum table it took 0.72-0.95 s
+    # and 61.5 MB.
+    script = (
+        "import time\n"
+        "from parabolics.grading import grade\n"
+        "def hwm():\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            return int(line.split()[1]) / 1024\n"
+        "base = hwm()\n"
+        "start = time.perf_counter()\n"
+        "g = grade('A99', [1, 50])\n"
+        "irr = [g.is_irreducible_component(w) for w in g.positive_weights]\n"
+        "elapsed = time.perf_counter() - start\n"
+        "print(len(irr), sum(irr), elapsed, hwm() - base)\n"
+    )
+    src = str(Path(parabolics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split()
+    count, irreducible, elapsed, grown = int(out[0]), int(out[1]), float(out[2]), float(out[3])
+    assert count == irreducible == 4753  # type A: every component is irreducible
+    assert elapsed < 1.0, f"cold A99/1,50 irreducibility took {elapsed:.2f} s"
+    assert grown < 48, f"cold A99/1,50 irreducibility grew peak RSS by {grown:.1f} MB"
 
 
 def test_grading_keys_fold_at_large_rank():

@@ -173,6 +173,28 @@ def test_is_root_examples():
         is_root(a2, (1, 0, 0))
 
 
+def test_is_root_rejects_non_integral_coordinates():
+    a2 = build_root_system("A", 2)
+    assert is_root(a2, (1.0, 1)) and is_root(a2, np.array([0, -1]))
+    for v, bad in [((1.5, 0), "coordinate 1"), ((0.9, 1.2), "coordinate 1"),
+                   ((1, 1.2), "coordinate 2"), ((1, float("nan")), "coordinate 2"),
+                   ((float("inf"), 0), "coordinate 1")]:
+        with pytest.raises(ValueError, match=bad):
+            is_root(a2, v)
+
+
+def test_pairing_rejects_vertices_out_of_range_and_wrong_lengths():
+    a3 = build_root_system("A", 3)
+    assert [a3.pairing((1, 0, 0), i) for i in (1, 2, 3)] == [2, -1, 0]
+    assert a3.pairing(np.array([1, 1, 1]), np.int64(3)) == 1
+    for i in (-1, 0, 4, 1.5):
+        with pytest.raises(ValueError, match=rf"vertex {i!r} is not one of 1\.\.3 of A3"):
+            a3.pairing((1, 0, 0), i)
+    for v in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"length 3, got {len(v)}"):
+            a3.pairing(v, 1)
+
+
 def test_positive_roots_sorted_by_height_then_lex():
     rs = build_root_system("D", 5)
     keys = [(sum(r), r) for r in rs.positive_roots]
@@ -398,6 +420,16 @@ def test_root_generation_equals_string_probe_oracle(kind, rank):
     assert rs.roots == positive + tuple(tuple(-x for x in r) for r in positive)
     want = cartan_matrix(kind, rank)
     assert rs.cartan.dtype == want.dtype and rs.cartan.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,rank", GENERATION_ORACLE_TYPES)
+def test_raised_by_equals_set_test(kind, rank):
+    rs = build_root_system(kind, rank)
+    roots = set(rs.roots)
+    want = [[tuple(c + (k == i) for k, c in enumerate(r)) in roots for i in range(rank)]
+            for r in rs.positive_roots]
+    assert rs.raised_by.dtype == bool and rs.raised_by.tolist() == want
+    assert not rs.raised_by.flags.writeable
 
 
 def test_build_root_system_d60_budget():
