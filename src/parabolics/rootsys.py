@@ -127,7 +127,7 @@ class RootSystem:
 
     def pairing(self, v: Root, i: int) -> int:
         """<v, alpha_i^vee> for a 1-based vertex i."""
-        if i not in range(1, self.rank + 1):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 1 <= i <= self.rank:
             raise ValueError(f"vertex {i!r} is not one of 1..{self.rank} of {self.name}")
         if len(v) != self.rank:
             raise ValueError(f"expected a vector of length {self.rank}, got {len(v)}: {tuple(v)}")

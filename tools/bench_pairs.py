@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent HEAD --plan scale_grade:1-10 \\
         --plan deform:1-5 --plan verify_all:1,2,9001 \\
-        [--seconds 15] [--note TEXT] [--out BENCH_5.json]
+        [--note TEXT] [--out BENCH_5.json]
 
 The parent revision is unpacked with `git archive` into a temporary
 directory, and the change, the working tree (every file git tracks or does
@@ -10,9 +10,10 @@ not ignore), is copied into a second one, so both sides run from fresh
 directories of the same shape.  Unlike a `git worktree`, an archive leaves
 nothing registered in the repository if the run is interrupted.  Each
 `--plan WORKLOAD:SEEDS` adds one pair per seed; pair k runs the parent
-first when k is odd and the change first when k is even, one run at a time.  A run is the benchmark command of `BENCHMARK.json`
-(`perfbench/run.py --workload W --seed N --seconds S --trace 0`) in that
-side's copy, and its last stdout line is its JSON result.
+first when k is odd and the change first when k is even, one run at a time.
+A run is the benchmark command of `BENCHMARK.json` (`perfbench/run.py
+--workload W --seed N --seconds S --trace 0`, S being its `run_seconds`) in
+that side's copy, and its last stdout line is its JSON result.
 
 The output file (default: the next free `BENCH_<n>.json` at the repository
 root) holds every run and, per workload and end-to-end metric, both sides'
@@ -150,7 +151,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="the revision to compare against")
     p.add_argument("--plan", type=parse_plan, action="append", required=True,
                    metavar="WORKLOAD:SEEDS", help="e.g. scale_grade:1-10; repeatable")
-    p.add_argument("--seconds", type=float, help="per run; BENCHMARK.json's run_seconds by default")
     p.add_argument("--note", default="", help="what the change is, for the output file")
     p.add_argument("--out", type=Path, help="output file; the next free BENCH_<n>.json by default")
     args = p.parse_args(argv)
@@ -166,9 +166,7 @@ def main(argv=None) -> int:
     metrics = [m["name"] for m in bench["end_to_end"]]
     if any(m["better"] != "lower" for m in bench["end_to_end"]):
         p.error("BENCHMARK.json: every end-to-end metric must be lower-is-better")
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    if seconds <= 0:
-        p.error("--seconds must be positive")
+    seconds = bench["run_seconds"]
     try:
         parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
     except subprocess.CalledProcessError as exc:
