@@ -108,6 +108,16 @@ class Grading:
         return tuple([lex.negatives[i] for i in reversed(levi)] + [lex.roots[i] for i in levi])
 
     @property
+    def component_sizes(self) -> list[int]:
+        """Number of roots of each positive weight, in positive_weights order."""
+        return np.diff(self._bounds).tolist()
+
+    @property
+    def levi_size(self) -> int:
+        """len(zero_component), without building it."""
+        return 2 * self._bounds[0]
+
+    @property
     def rs(self) -> RootSystem:
         return self.diagram.rs
 
@@ -182,8 +192,7 @@ class Grading:
         idx = self.component_indices(chi)
         if idx is None:
             raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
-        pos = self.rs.positive_roots
-        return tuple(pos[i] for i in idx[~self._raisable[idx]])
+        return tuple(map(tuple, self.rs.positive_array[idx[~self._raisable[idx]]].tolist()))
 
     def is_irreducible_component(self, chi: Weight) -> bool:
         """True iff the component has a unique highest root under the Levi."""
@@ -199,9 +208,15 @@ class _LexRoots:
 
     array: np.ndarray  # (N, rank) coefficients, one row per root
     position: np.ndarray  # index of each row in rs.positive_roots
-    roots: tuple[Root, ...]  # the rows as tuples
-    negatives: tuple[Root, ...]  # the rows negated
     bases: tuple[int, ...]  # 1 + the highest root's coefficient, per coordinate
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    @cached_property
+    def negatives(self) -> tuple[Root, ...]:
+        return tuple(map(tuple, (-self.array).tolist()))
 
 
 # Keys stay at most 2^62, so int64 arithmetic on them cannot overflow.
@@ -210,20 +225,12 @@ _KEY_LIMIT = 1 << 62
 
 @lru_cache(maxsize=None)
 def _lex_roots(kind: str, rank: int) -> _LexRoots:
-    rs = build_root_system(kind, rank)
-    pos = rs.positive_roots
-    position = sorted(range(len(pos)), key=pos.__getitem__)
-    roots = tuple(pos[k] for k in position)
-    array = rs.positive_array[position]
+    pos = build_root_system(kind, rank).positive_array
+    position = np.lexsort(pos.T[::-1])
+    array = pos[position]
     array.setflags(write=False)  # shared by every grading of this type
-    return _LexRoots(
-        array=array,
-        position=np.array(position, dtype=np.intp),
-        roots=roots,
-        negatives=tuple(tuple(-c for c in r) for r in roots),
-        # Every positive root lies below the highest one, the last by height.
-        bases=tuple(c + 1 for c in pos[-1]),
-    )
+    # Every positive root lies below the highest one, the last by height.
+    return _LexRoots(array=array, position=position, bases=tuple((pos[-1] + 1).tolist()))
 
 
 def _weight_keys(lex: _LexRoots, white: list[int]) -> np.ndarray:

@@ -16,12 +16,18 @@ The E_7/E_8 branch placement is not a free choice: it is the unique
 assignment under which the bundled weight-diagram case data (vertex
 colours, reduced/non-reduced statuses, arrow lists) is reproduced by
 computation.  tests/test_walkdiag.py exercises that match in full.
+
+A root system is held as arrays: the positive roots as one read-only
+(N, rank) int array, by height and then lexicographically, built one
+height level at a time with whole-array steps, and the simple-root raises
+of each.  The root tuples, the negative roots and the root set are views
+built on first read; gradings and colouring scans never need them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,33 +103,42 @@ def cartan_matrix(kind: str, rank: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Immutable root system; safe to share across workers.  One is built
-    per type, so systems compare and hash by identity."""
+    per type, so systems compare and hash by identity.  The arrays are the
+    data; the tuple views are made on first read and then kept."""
 
     kind: str
     rank: int
     cartan: np.ndarray
-    roots: tuple[Root, ...]
-    positive_roots: tuple[Root, ...]
-    _root_set: frozenset[Root] = field(repr=False)
-    #: raised_by[k, i]: positive_roots[k] + alpha_{i+1} is a root (read-only).
+    #: The positive roots as an (N, rank) int64 array, by height and then
+    #: lexicographically (read-only).
+    positive_array: np.ndarray = field(repr=False)
+    #: raised_by[k, i]: positive root k + alpha_{i+1} is a root (read-only).
     raised_by: np.ndarray = field(repr=False)
 
     @property
     def name(self) -> str:
         return f"{self.kind}{self.rank}"
 
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        return tuple(map(tuple, self.positive_array.tolist()))
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        """The positive roots, then each of them negated."""
+        return self.positive_roots + tuple(map(tuple, (-self.positive_array).tolist()))
+
+    @cached_property
+    def _root_set(self) -> frozenset[Root]:
+        return frozenset(self.roots)
+
     def contains(self, v: Root) -> bool:
         return tuple(v) in self._root_set
 
     @property
-    def positive_array(self) -> np.ndarray:
-        """Positive roots as an (N, rank) int array (cached)."""
-        return _positive_array(self)
-
-    @property
     def root_sum_is_root(self) -> np.ndarray:
         """Boolean table T[i, j]: positive root i + positive root j is a root."""
-        return _sum_table(self)
+        return _sum_table_cached((self.kind, self.rank))
 
     def pairing(self, v: Root, i: int) -> int:
         """<v, alpha_i^vee> for a 1-based vertex i."""
@@ -132,18 +147,6 @@ class RootSystem:
         if len(v) != self.rank:
             raise ValueError(f"expected a vector of length {self.rank}, got {len(v)}: {tuple(v)}")
         return int(np.dot(self.cartan[i - 1], np.asarray(v, dtype=np.int64)))
-
-
-@lru_cache(maxsize=None)
-def _positive_array_cached(key: tuple[str, int]) -> np.ndarray:
-    rs = build_root_system(*key)
-    pos = np.array(rs.positive_roots, dtype=np.int64)
-    pos.setflags(write=False)  # shared by every caller of this type
-    return pos
-
-
-def _positive_array(rs: RootSystem) -> np.ndarray:
-    return _positive_array_cached((rs.kind, rs.rank))
 
 
 _MASK64 = (1 << 64) - 1
@@ -198,7 +201,7 @@ def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
     A sum of two positive roots is never a negative root.
     Blocks are sized for C_n, where nearly every pair passes.
     """
-    pos = _positive_array_cached(key)
+    pos = build_root_system(*key).positive_array
     n, rank = pos.shape
     keys = _root_keys(pos)
     # A stable sort and a set test keep numpy's SIMD quicksort and reduction
@@ -237,70 +240,47 @@ def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
     return table
 
 
-def _sum_table(rs: RootSystem) -> np.ndarray:
-    return _sum_table_cached((rs.kind, rs.rank))
-
-
-def _height(v: Root) -> int:
-    return sum(v)
-
-
 @lru_cache(maxsize=None)
 def build_root_system(kind: str, rank: int) -> RootSystem:
     """Construct the full root system for a valid simple (kind, rank).
 
     Positive roots are generated from the simple ones by root strings: for
     a positive root b, b + alpha_i is a root iff p_i - <b, alpha_i^vee> > 0
-    where p_i is the largest k with b - k*alpha_i a root.  The frontier
-    advances one height at a time and each root carries two int lists, its
-    pairings <b, alpha_j^vee> and its string lengths p_j.  The pairings of
-    c = b + alpha_i are those of b plus column i of C.  p_j(c) is
-    p_j(c - alpha_j) + 1 if c - alpha_j is a positive root and 0 otherwise;
-    each such c - alpha_j is one height lower, so its step to c is taken,
-    and p_j(c) set, before c itself is expanded.  Every accepted step
-    (b, i) is kept as raised_by, the simple-root raises of each root.
+    where p_i is the largest k with b - k*alpha_i a root (Humphreys, Lie
+    Algebras, 9.4 and 10.2).  One height level is one lexicographically
+    sorted int array, with the string lengths strings[k, j] = p_j of its
+    roots; the pairings are level @ C.T.  The accepted steps (k, i) of a
+    level are its rows of raised_by, and their targets level[k] + alpha_i,
+    sorted and without repeats, are the next level.  p_i of a target is
+    p_i(target - alpha_i) + 1 when target - alpha_i is a positive root,
+    i.e. exactly when the step (target - alpha_i, i) is taken, and 0
+    otherwise.  The levels in turn are the positive roots by height, then
+    lexicographically.
     """
     C = cartan_matrix(kind, rank)
-    cols = C.T.tolist()  # cols[i][j] = <alpha_i, alpha_j^vee>
-    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    # root -> (pairings with each alpha_j^vee, string lengths p_j, insertion index)
-    positive = {r: (cols[i], [0] * rank, i) for i, r in enumerate(simple)}
-    raises: list[int] = []  # k * rank + i for each accepted step of the k-th root
-    frontier = simple
-    while frontier:
-        new: list[Root] = []
-        for b in frontier:
-            pairings, strings, k = positive[b]
-            for i in range(rank):
-                if strings[i] > pairings[i]:
-                    raises.append(k * rank + i)
-                    up = list(b)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in positive:
-                        positive[cand] = ([x + y for x, y in zip(pairings, cols[i])], [0] * rank,
-                                          len(positive))
-                        new.append(cand)
-                    positive[cand][1][i] = strings[i] + 1
-        frontier = new
-    found = list(positive)  # in insertion order
-    order = sorted(range(len(found)), key=lambda k: (_height(found[k]), found[k]))
-    pos_sorted = tuple(found[k] for k in order)
-    negatives = tuple(tuple(-x for x in r) for r in pos_sorted)
-    roots = pos_sorted + negatives
-    raised = np.zeros(len(found) * rank, dtype=bool)
-    raised[raises] = True
-    raised_by = raised.reshape(-1, rank)[order]
-    raised_by.setflags(write=False)  # shared by every grading of this type
-    return RootSystem(
-        kind=kind,
-        rank=rank,
-        cartan=C,
-        roots=roots,
-        positive_roots=pos_sorted,
-        _root_set=frozenset(roots),
-        raised_by=raised_by,
-    )
+    level = np.eye(rank, dtype=np.int64)[::-1]  # the simple roots, lexicographically
+    strings = np.zeros((rank, rank), dtype=np.int64)
+    levels, raises = [], []
+    while len(level):
+        step = strings > level @ C.T
+        levels.append(level)
+        raises.append(step)
+        k, i = step.nonzero()
+        up = level[k]
+        up[np.arange(len(k)), i] += 1
+        order = np.lexsort(up.T[::-1])
+        up, k, i = up[order], k[order], i[order]
+        first = np.ones(len(up), dtype=bool)
+        first[1:] = (up[1:] != up[:-1]).any(axis=1)
+        # Each (target, i) is written once: by the step (target - alpha_i, i).
+        lengths = np.zeros((first.sum(), rank), dtype=np.int64)
+        lengths[np.cumsum(first) - 1, i] = strings[k, i] + 1
+        level, strings = up[first], lengths
+    positive, raised_by = np.concatenate(levels), np.concatenate(raises)
+    positive.setflags(write=False)  # shared by every caller of this type
+    raised_by.setflags(write=False)
+    return RootSystem(kind=kind, rank=rank, cartan=C, positive_array=positive,
+                      raised_by=raised_by)
 
 
 def is_root(rs: RootSystem, v) -> bool:

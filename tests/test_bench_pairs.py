@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,65 @@ def test_summarise_counts_pairs_and_skips_incomplete_ones():
     assert out["attempted"] == {"parent": 16, "change": 12}
     assert out["incomplete_runs"] == {"parent": 0, "change": 1}
     assert out["correct"] is False
+
+
+def _stub_checkouts(monkeypatch, runs_seen):
+    """Replace git and the runs: no checkout is made and no benchmark runs.
+    A stub run's op_p50_ms is one lower on the change side."""
+    def fake_run(checkout, command, workload, seed, seconds):
+        runs_seen.append((workload, seed, checkout.name))
+        ms = 10.0 + seed % 7 - (checkout.name == "change")
+        metrics = {m: {"value": ms, "unit": "x"} for m in ("setup_s", "peak_rss_mb", "op_p50_ms")}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "f" * 40 + "\n")
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "machine", lambda: {})
+
+
+def test_held_out_pairs_go_into_their_own_section(monkeypatch, tmp_path):
+    seen = []
+    _stub_checkouts(monkeypatch, seen)
+    out = tmp_path / "BENCH_9.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--plan", "scale_grade:1-2", "--plan", "deform:3",
+                             "--held-out", "scale_grade:9001-9002", "--out", str(out)]) == 0
+    assert seen == [("scale_grade", 1, "parent"), ("scale_grade", 1, "change"),
+                    ("scale_grade", 2, "change"), ("scale_grade", 2, "parent"),
+                    ("deform", 3, "parent"), ("deform", 3, "change"),
+                    ("scale_grade", 9001, "parent"), ("scale_grade", 9001, "change"),
+                    ("scale_grade", 9002, "change"), ("scale_grade", 9002, "parent")]
+    report = json.loads(out.read_text())
+    assert list(report["summary"]) == ["scale_grade", "deform"]
+    assert [r["seed"] for r in report["runs"]] == [1, 1, 2, 2, 3, 3]
+    held = report["held_out"]
+    assert list(held) == ["what", "summary", "runs"]
+    assert held["what"].endswith("scale_grade seeds 9001,9002")
+    assert [(r["seed"], r["pair"], r["side"]) for r in held["runs"]] == [
+        (9001, 1, "parent"), (9001, 1, "change"), (9002, 2, "change"), (9002, 2, "parent")]
+    ms = held["summary"]["scale_grade"]["op_p50_ms"]
+    assert (ms["pairs"], ms["change_lower_in_pairs"]) == (2, 2)
+    assert ms["parent_median"] == 10.0 + (9001 % 7 + 9002 % 7) / 2
+
+
+def test_no_held_out_section_without_the_option(monkeypatch, tmp_path):
+    _stub_checkouts(monkeypatch, [])
+    out = tmp_path / "BENCH_9.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--plan", "deform:1", "--out", str(out)]) == 0
+    assert "held_out" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--held-out", "scale_grade:1", "--held-out", "scale_grade:2"],
+     "--held-out: give each workload once"),
+    (["--held-out", "nope:1"], "--held-out: unknown workload 'nope'"),
+    (["--held-out", "scale_grade"], "argument --held-out: 'scale_grade': expected WORKLOAD:SEEDS"),
+])
+def test_bad_held_out_plans_are_rejected(monkeypatch, tmp_path, capsys, argv, message):
+    seen = []
+    _stub_checkouts(monkeypatch, seen)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD", "--plan", "deform:1", *argv,
+                          "--out", str(tmp_path / "BENCH_9.json")])
+    assert message in capsys.readouterr().err and seen == []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from parabolics import cxlinalg, mpchar
+from parabolics import cxlinalg, grading, mpchar, rootsys
 from parabolics.cli import main, parse_diagram
 
 
@@ -33,6 +33,20 @@ def test_cli_grade():
     code, out = run_cli("grade", "E7/1,3,4,6,7", "--json")
     payload = json.loads(out)
     assert payload["nonreduced"] == [[0, 1], [1, 1]]
+
+
+def test_grade_builds_no_root_tuples():
+    # `grade` reads the root arrays only: on a freshly built type neither the
+    # root tuples nor the root set exist after it, text or --json.
+    rootsys.build_root_system.cache_clear()
+    grading._lex_roots.cache_clear()
+    for argv in (("grade", "D30/1,15"), ("grade", "D30/1,15", "--json")):
+        assert run_cli(*argv)[0] == 0
+    rs, lex = rootsys.build_root_system("D", 30), grading._lex_roots("D", 30)
+    assert not {"positive_roots", "roots", "_root_set"} & set(rs.__dict__)
+    assert not {"roots", "negatives"} & set(lex.__dict__)
+    assert rs.contains((1,) + (0,) * 29)  # the views appear once read
+    assert {"positive_roots", "roots", "_root_set"} <= set(rs.__dict__)
 
 
 def test_cli_grade_invalid_type():

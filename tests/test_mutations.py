@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from parabolics import classify, cli, cxlinalg, grading, mpchar, walkdiag
+from parabolics import ampleness, classify, cli, cxlinalg, grading, mpchar, walkdiag
 
 
 def _clear_caches():
@@ -36,12 +36,18 @@ def plant(monkeypatch):
     _clear_caches()
 
 
-def _verify_all() -> tuple[int, list[str]]:
-    """The exit code of `verify-all --trials 10` and its failed anchors."""
+def _verify_all_lines() -> tuple[int, list[dict]]:
+    """The exit code of `verify-all --trials 10` and its failed lines."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify-all", "--trials", "10", "--json"])
-    return code, [l["anchor"] for l in json.loads(out.getvalue())["lines"] if not l["ok"]]
+    return code, [l for l in json.loads(out.getvalue())["lines"] if not l["ok"]]
+
+
+def _verify_all() -> tuple[int, list[str]]:
+    """The exit code of `verify-all --trials 10` and its failed anchors."""
+    code, failed = _verify_all_lines()
+    return code, [l["anchor"] for l in failed]
 
 
 def _data_copy(tmp_path, plant, filename, old, new):
@@ -125,3 +131,16 @@ def test_scaled_f_fails_only_the_gl_line(plant):
 
     plant.setattr(mpchar.BlockNilpotent, "embed", scaled_f)
     assert _verify_all() == (1, ["gl characteristic (10 trials)"])
+
+
+def test_refused_degenerate_line_maps_fail_the_1abc_lines(plant):
+    # Variants 1A-1C draw a degenerate line map for their input; with every
+    # map refused the draw raises, and each trial counts as unverified.
+    plant.setattr(ampleness, "is_degenerate_line_map", lambda *args, **kwargs: False)
+    code, failed = _verify_all_lines()
+    assert code == 1
+    assert [l["anchor"] for l in failed] == [f"deform {v} (1 trials)" for v in ("1A", "1B", "1C")]
+    for l in failed:
+        variant = l["anchor"].split()[1]
+        assert l["detail"] == (f"0/1 verified; {variant} seed 0: RuntimeError: "
+                               "could not build a degenerate line map")

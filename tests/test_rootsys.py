@@ -142,23 +142,33 @@ def test_string_property_exhaustive(kind, rank):
             assert (tuple(av + bv) in roots) == (p - pairing > 0), (a, b)
 
 
-def test_string_property_sampled_e8():
+def test_string_property_all_pairs_e8():
+    # Every ordered pair (a, b) of E8 roots with b != +-a, 57,120 of them:
+    # a + b is a root iff p - <a, b^vee> > 0, p the length of the b-string
+    # down from a.  Roots are keyed by their coefficients in base 13 (each
+    # lies in -6..6), so membership is one searchsorted per probe.
     rs = build_root_system("E", 8)
     B = _pairing_matrix("E", 8)
-    roots = set(rs.roots)
-    rng = np.random.default_rng(0)
-    all_roots = rs.roots
-    for _ in range(100_000):
-        a = all_roots[rng.integers(len(all_roots))]
-        b = all_roots[rng.integers(len(all_roots))]
-        if b == a or b == tuple(-x for x in a):
-            continue
-        av, bv = np.array(a), np.array(b)
-        pairing = 2 * (av @ B @ bv) / (bv @ B @ bv)
-        p = 0
-        while tuple(av - (p + 1) * bv) in roots:
-            p += 1
-        assert (tuple(av + bv) in roots) == (p - pairing > 0)
+    roots = np.array(rs.roots, dtype=np.int64)
+    assert np.abs(roots).max() == 6
+    place = 13 ** np.arange(8, dtype=np.int64)
+    keys = np.sort((roots + 6) @ place)
+
+    def in_roots(v):
+        k = (v + 6) @ place
+        at = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return (np.abs(v) <= 6).all(axis=1) & (keys[at] == k)
+
+    a, b = np.repeat(roots, len(roots), axis=0), np.tile(roots, (len(roots), 1))
+    keep = (a != b).any(axis=1) & (a != -b).any(axis=1)
+    a, b = a[keep], b[keep]
+    assert len(a) == 57_120
+    pairing = 2 * np.einsum("ij,jk,ik->i", a, B, b) / np.einsum("ij,jk,ik->i", b, B, b)
+    p, alive = np.zeros(len(a), dtype=np.int64), np.ones(len(a), dtype=bool)
+    while alive.any():
+        alive &= in_roots(a - (p + 1)[:, None] * b)
+        p += alive
+    assert np.array_equal(in_roots(a + b), p - pairing > 0)
 
 
 # ------------------------------------------------------------- is_root api

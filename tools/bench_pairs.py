@@ -1,8 +1,8 @@
 """Benchmark a change against its parent revision in alternating pairs.
 
     python3 tools/bench_pairs.py --parent HEAD --plan scale_grade:1-10 \\
-        --plan deform:1-5 --plan verify_all:1,2,9001 \\
-        [--note TEXT] [--out BENCH_5.json]
+        --plan deform:1-5 --plan verify_all:1,2 \\
+        [--held-out scale_grade:9001-9002] [--note TEXT] [--out BENCH_5.json]
 
 The parent revision is unpacked with `git archive` into a temporary
 directory, and the change, the working tree (every file git tracks or does
@@ -11,6 +11,9 @@ directories of the same shape.  Unlike a `git worktree`, an archive leaves
 nothing registered in the repository if the run is interrupted.  Each
 `--plan WORKLOAD:SEEDS` adds one pair per seed; pair k runs the parent
 first when k is odd and the change first when k is even, one run at a time.
+`--held-out WORKLOAD:SEEDS` adds pairs the same way, after the plan, for
+seeds that were not used while the change was written; they are reported
+apart, in the file's `held_out` section.
 A run is the benchmark command of `BENCHMARK.json` (`perfbench/run.py
 --workload W --seed N --seconds S --trace 0`, S being its `run_seconds`) in
 that side's copy, and its last stdout line is its JSON result.
@@ -18,7 +21,8 @@ that side's copy, and its last stdout line is its JSON result.
 The output file (default: the next free `BENCH_<n>.json` at the repository
 root) holds every run and, per workload and end-to-end metric, both sides'
 medians and quartiles, the parent's interquartile distance and the number
-of pairs in which the change is lower.  The temporary directories, and the
+of pairs in which the change is lower; the held-out pairs have their own
+`what`, `summary` and `runs`.  The temporary directories, and the
 raw `perfbench/out/` files written in them, are removed at the end.
 """
 
@@ -68,11 +72,11 @@ def parse_plan(text: str) -> tuple[str, list[int]]:
     for part in spec.split(","):
         m = re.fullmatch(r"\s*(\d+)\s*(?:-\s*(\d+)\s*)?", part)
         if not sep or not workload or m is None:
-            raise argparse.ArgumentTypeError(f"--plan {text!r}: expected WORKLOAD:SEEDS, "
+            raise argparse.ArgumentTypeError(f"{text!r}: expected WORKLOAD:SEEDS, "
                                              "seeds like 1-10 or 1,2,9001")
         first, last = int(m[1]), int(m[2] or m[1])
         if last < first:
-            raise argparse.ArgumentTypeError(f"--plan {text!r}: empty seed range {part.strip()}")
+            raise argparse.ArgumentTypeError(f"{text!r}: empty seed range {part.strip()}")
         seeds += range(first, last + 1)
     return workload, seeds
 
@@ -146,23 +150,57 @@ def next_bench_path() -> Path:
     return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
+def run_pairs(sides: dict[str, Path], command: list[str], plan: list[tuple[str, list[int]]],
+              seconds: float) -> list[dict]:
+    """One pair of runs per seed of each workload, alternating which side goes first."""
+    runs: list[dict] = []
+    for workload, seeds in plan:
+        for pair, seed in enumerate(seeds, start=1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], command, workload, seed, seconds)
+                runs.append({"workload": workload, "seed": seed, "pair": pair,
+                             "side": side, "result": result})
+                value = result.get("metrics", {}).get("op_p50_ms", {}).get("value")
+                print(f"{workload} seed {seed} pair {pair} {side}: "
+                      f"op_p50_ms {value if value is None else round(value, 3)}",
+                      file=sys.stderr, flush=True)
+    return runs
+
+
+def section(plan: list[tuple[str, list[int]]], runs: list[dict], metrics: list[str]) -> dict:
+    """What one set of pairs ran, its summary per workload, and its runs."""
+    plan_text = ", ".join(f"{w} seeds {','.join(map(str, s))}" for w, s in plan)
+    return {
+        "what": "perfbench end-to-end runs, parent and change in alternating pairs "
+                f"(odd pairs run the parent first): {plan_text}",
+        "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
+                    for w, _ in plan},
+        "runs": runs,
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="the revision to compare against")
     p.add_argument("--plan", type=parse_plan, action="append", required=True,
                    metavar="WORKLOAD:SEEDS", help="e.g. scale_grade:1-10; repeatable")
+    p.add_argument("--held-out", type=parse_plan, action="append", default=[],
+                   metavar="WORKLOAD:SEEDS",
+                   help="e.g. scale_grade:9001-9002, reported under held_out; repeatable")
     p.add_argument("--note", default="", help="what the change is, for the output file")
     p.add_argument("--out", type=Path, help="output file; the next free BENCH_<n>.json by default")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = {w["name"] for w in bench["workloads"]}
-    names = [workload for workload, _ in args.plan]
-    if len(set(names)) < len(names):
-        p.error("--plan: give each workload once, with all of its seeds")
-    for workload in names:
-        if workload not in known:
-            p.error(f"--plan: unknown workload {workload!r}; BENCHMARK.json has {sorted(known)}")
+    for option, plan in (("--plan", args.plan), ("--held-out", args.held_out)):
+        names = [workload for workload, _ in plan]
+        if len(set(names)) < len(names):
+            p.error(f"{option}: give each workload once, with all of its seeds")
+        for workload in names:
+            if workload not in known:
+                p.error(f"{option}: unknown workload {workload!r}; BENCHMARK.json has {sorted(known)}")
     metrics = [m["name"] for m in bench["end_to_end"]]
     if any(m["better"] != "lower" for m in bench["end_to_end"]):
         p.error("BENCHMARK.json: every end-to-end metric must be lower-is-better")
@@ -179,34 +217,23 @@ def main(argv=None) -> int:
             path.mkdir()
         unpack(parent_sha, sides["parent"])
         copy_working_tree(sides["change"])
+        runs = run_pairs(sides, bench["command"], args.plan, seconds)
+        held_runs = run_pairs(sides, bench["command"], args.held_out, seconds)
 
-        runs: list[dict] = []
-        for workload, seeds in args.plan:
-            for pair, seed in enumerate(seeds, start=1):
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
-                for side in order:
-                    result = run_once(sides[side], bench["command"], workload, seed, seconds)
-                    runs.append({"workload": workload, "seed": seed, "pair": pair,
-                                 "side": side, "result": result})
-                    value = result.get("metrics", {}).get("op_p50_ms", {}).get("value")
-                    print(f"{workload} seed {seed} pair {pair} {side}: "
-                          f"op_p50_ms {value if value is None else round(value, 3)}",
-                          file=sys.stderr, flush=True)
-
-    plan_text = ", ".join(f"{w} seeds {','.join(map(str, s))}" for w, s in args.plan)
+    main_section = section(args.plan, runs, metrics)
     report = {
-        "what": "perfbench end-to-end runs, parent and change in alternating pairs "
-                f"(odd pairs run the parent first): {plan_text}",
+        "what": main_section["what"],
         "command": " ".join(bench["command"] + ["--workload", "W", "--seed", "N",
                                                 "--seconds", f"{seconds:g}", "--trace", "0"]),
         "parent": parent_sha,
         "change": f"working tree on {git('rev-parse', 'HEAD').strip()}",
         "note": args.note,
         "machine": machine(),
-        "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
-                    for w in names},
+        "summary": main_section["summary"],
         "runs": runs,
     }
+    if args.held_out:
+        report["held_out"] = section(args.held_out, held_runs, metrics)
     out_path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
