@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cxlinalg import (
-    DEFAULT_TOL,
     BilinearSpace,
     crandom,
     det_space,
@@ -43,9 +42,9 @@ class HypothesesNotMet(ValueError):
     """The task input does not satisfy the variant's hypotheses."""
 
 
-def is_ample(A, space: BilinearSpace, rtol: float = DEFAULT_TOL) -> str:
+def is_ample(A, space: BilinearSpace) -> str:
     """Classify the restriction of the form to the column span of A."""
-    rank, radical = restriction_invariants(np.asarray(A, dtype=complex), space, rtol)
+    rank, radical = restriction_invariants(np.asarray(A, dtype=complex), space)
     if 0 < radical < rank:
         return NOT_AMPLE
     if radical == 0:
@@ -53,8 +52,8 @@ def is_ample(A, space: BilinearSpace, rtol: float = DEFAULT_TOL) -> str:
     return AMPLE_ISOTROPIC
 
 
-def ample(A, space: BilinearSpace, rtol: float = DEFAULT_TOL) -> bool:
-    return is_ample(A, space, rtol) != NOT_AMPLE
+def ample(A, space: BilinearSpace) -> bool:
+    return is_ample(A, space) != NOT_AMPLE
 
 
 # -------------------------------------------------------- two-varieties
@@ -74,21 +73,26 @@ class SegreVariety:
     k: int
 
 
-def _projective_roots(c0: complex, c1: complex, c2: complex, rtol: float,
-                      norm: float = 0.0):
+#: The relative cut below which is_degenerate_line_map takes a singular
+#: value, a quadratic coefficient or a discriminant for zero.
+LINE_MAP_TOL = 1e-8
+
+
+def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
     """Distinct projective roots (s : t) of c0 s^2 + c1 st + c2 t^2; None if no
-    coefficient exceeds rtol * norm, the norm of a form giving them on unit vectors."""
+    coefficient exceeds LINE_MAP_TOL * norm, the norm of a form giving them
+    on unit vectors."""
     scale = max(abs(c0), abs(c1), abs(c2))
-    if scale <= rtol * norm:
+    if scale <= LINE_MAP_TOL * norm:
         return None
     roots = []
-    if abs(c0) <= rtol * scale:
+    if abs(c0) <= LINE_MAP_TOL * scale:
         roots.append((1.0, 0.0))
-        if abs(c1) > rtol * scale:
+        if abs(c1) > LINE_MAP_TOL * scale:
             roots.append((-c2 / c1, 1.0))
     else:
         disc = c1 * c1 - 4 * c0 * c2
-        if abs(disc) <= rtol * scale * scale:
+        if abs(disc) <= LINE_MAP_TOL * scale * scale:
             roots.append((-c1 / (2 * c0), 1.0))
         else:
             sq = np.sqrt(disc)
@@ -102,19 +106,19 @@ def _projective_roots(c0: complex, c1: complex, c2: complex, rtol: float,
     return distinct
 
 
-def is_degenerate_line_map(A, variety, rtol: float = 1e-8) -> bool:
+def is_degenerate_line_map(A, variety) -> bool:
     """rank A = 2 and the projective line P(Im A) meets the variety in
     exactly one point."""
     A = np.asarray(A, dtype=complex)
     if A.shape[1] != 2:
         raise ValueError("a line map has exactly two columns")
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0 or s[1] <= rtol * s[0]:
+    if s[0] == 0 or s[1] <= LINE_MAP_TOL * s[0]:
         return False
     a, b = U[:, 0], U[:, 1]
     if isinstance(variety, QuadricVariety):
         sp = variety.space
-        roots = _projective_roots(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b), rtol,
+        roots = _projective_roots(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b),
                                   sp.norm)
         return roots is not None and len(roots) == 1
     if isinstance(variety, SegreVariety):
@@ -125,9 +129,9 @@ def is_degenerate_line_map(A, variety, rtol: float = 1e-8) -> bool:
                 d = lambda X, Y: X[0, c1] * Y[1, c2] - X[1, c1] * Y[0, c2]
                 coeffs.append((d(M1, M1), d(M1, M2) + d(M2, M1), d(M2, M2)))
         best = max(coeffs, key=lambda c: max(abs(x) for x in c))
-        if max(abs(x) for x in best) <= rtol:  # the minors of unit a, b are at most 2
+        if max(abs(x) for x in best) <= LINE_MAP_TOL:  # the minors of unit a, b are at most 2
             return False  # the whole line consists of rank <= 1 matrices
-        candidates = _projective_roots(*best, rtol)
+        candidates = _projective_roots(*best)
         points = 0
         for ss, tt in candidates:
             M = ss * M1 + tt * M2
@@ -594,10 +598,18 @@ class DeformResult:
 def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
     """The inputs as complex arrays ({"re": ..., "im": ...} is re + 1j im)
     plus the dimensions they bind.  A missing input, one that is not
-    numeric or one off its declared shape is a ValueError naming it."""
+    numeric or one off its declared shape is a ValueError naming it, as is
+    raw that is not a dict or that names an input the variant does not declare."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"variant {variant}: inputs must map input names to values, "
+                         f"got {type(raw).__name__}")
     for key in spec.inputs:
         if key not in raw:
             raise ValueError(f"variant {variant}: missing input {key!r}")
+    unknown = sorted(map(str, set(raw) - set(spec.inputs)))
+    if unknown:
+        raise ValueError(f"variant {variant}: unknown inputs {unknown}; "
+                         f"it takes {sorted(spec.inputs)}")
     c = _Context()
     for key, inp in spec.inputs.items():
         if inp.shape is None:

@@ -174,8 +174,11 @@ def cmd_deform(args) -> int:
     if args.k is not None and (args.variant != "7A" or args.input):
         raise ValueError(f"--k {args.k}: k applies only to a random 7A task")
     if args.input:
-        with open(args.input) as fh:
-            inputs = json.load(fh)
+        try:
+            with open(args.input) as fh:
+                inputs = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise ValueError(f"--input {args.input}: {exc}") from None
         task = ampleness.DeformationTask(args.variant, inputs, seed=args.seed)
     elif args.k is not None:
         task = ampleness.random_task_7a(args.k, args.seed)

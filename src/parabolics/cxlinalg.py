@@ -96,10 +96,10 @@ def pf_space() -> BilinearSpace:
 # ----------------------------------------------------------- Moore-Penrose
 
 
-def mp_inverse(F, rtol: float = DEFAULT_TOL) -> np.ndarray:
+def mp_inverse(F) -> np.ndarray:
     """Moore-Penrose inverse via the kernel/image decomposition.
 
-    Singular vectors with singular value > rtol * s_max span the Hermitian
+    Singular vectors with singular value > DEFAULT_TOL * s_max span the Hermitian
     complements of Ker F and of the complement of Im F; F restricted to
     them is inverted, the rest is sent to zero.  F may be a (..., m, n)
     stack; each slice equals the inverse of that slice alone, bit for bit.
@@ -107,16 +107,16 @@ def mp_inverse(F, rtol: float = DEFAULT_TOL) -> np.ndarray:
     F = np.asarray(F, dtype=complex)
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
     if F.ndim > 2:  # slices with no rank cut share one product; the rest go alone
-        full = (s > rtol * s[..., :1]).all(axis=-1)
+        full = (s > DEFAULT_TOL * s[..., :1]).all(axis=-1)
         P = np.empty(F.shape[:-2] + (F.shape[-1], F.shape[-2]), dtype=complex)
         P[full] = (Vh[full].conj().swapaxes(-1, -2) / s[full][..., None, :]) @ \
             U[full].conj().swapaxes(-1, -2)
         for idx in zip(*np.nonzero(~full)):
-            P[idx] = mp_inverse(F[idx], rtol)
+            P[idx] = mp_inverse(F[idx])
         return P
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[1], F.shape[0]), dtype=complex)
-    keep = s > rtol * s[0]
+    keep = s > DEFAULT_TOL * s[0]
     return (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
 
 
@@ -164,21 +164,20 @@ def sharp_adjoint(A, space: BilinearSpace) -> np.ndarray:
     return np.linalg.solve(space.gram, A.mT @ space.gram)
 
 
-def orth(M, rtol: float = DEFAULT_TOL) -> np.ndarray:
+def orth(M) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of M.  For a
     (..., m, n) stack, each slice has min(m, n) columns: its basis, which
     equals that slice's alone, then zero columns."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     if M.ndim > 2:
-        return np.where(s[..., None, :] > rtol * s[..., None, :1], U, 0)
+        return np.where(s[..., None, :] > DEFAULT_TOL * s[..., None, :1], U, 0)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[0], 0), dtype=complex)
-    return U[:, s > rtol * s[0]]
+    return U[:, s > DEFAULT_TOL * s[0]]
 
 
-def restriction_invariants(S, space: BilinearSpace,
-                           rtol: float = DEFAULT_TOL) -> tuple[int, int]:
+def restriction_invariants(S, space: BilinearSpace) -> tuple[int, int]:
     """(rank, radical dimension) of the form restricted to span(S).
 
     S is one vector of C^dim or a (dim, k) matrix whose columns span the
@@ -192,37 +191,36 @@ def restriction_invariants(S, space: BilinearSpace,
     if S.ndim == 1:
         S = S[:, None]
     U, s, _ = np.linalg.svd(S, full_matrices=False)
-    return _span_invariants(U, s, space, rtol)
+    return _span_invariants(U, s, space)
 
 
-def _span_invariants(U, s, space: BilinearSpace, rtol: float) -> tuple[int, int]:
+def _span_invariants(U, s, space: BilinearSpace) -> tuple[int, int]:
     """restriction_invariants from one SVD U, s of the spanning matrix: the
-    span is the columns of U whose singular value passes rtol * s_max."""
+    span is the columns of U whose singular value passes DEFAULT_TOL * s_max."""
     if s.size == 0 or s[0] == 0.0:
         return 0, 0
-    B = U[:, s > rtol * s[0]]
+    B = U[:, s > DEFAULT_TOL * s[0]]
     t = np.linalg.svd(B.T @ space.gram @ B, compute_uv=False)
-    return B.shape[1], B.shape[1] - int(np.count_nonzero(t > rtol * max(space.norm, 1.0)))
+    return B.shape[1], B.shape[1] - int(np.count_nonzero(t > DEFAULT_TOL * max(space.norm, 1.0)))
 
 
 # ------------------------------------------- structured subspace builders
 
 
-def _solve_constraints(C: np.ndarray, dim: int, rtol: float) -> np.ndarray:
+def _solve_constraints(C: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of {x : C x = 0}; all of C^dim when C is zero or
-    has no rows.  Singular values up to rtol * s_max count as zero."""
+    has no rows.  Singular values up to DEFAULT_TOL * s_max count as zero."""
     if not C.any():
         return np.eye(dim, dtype=complex)
     _, s, Vh = np.linalg.svd(C)
     null_mask = np.zeros(dim, dtype=bool)
-    null_mask[: len(s)] = s <= rtol * s[0]
+    null_mask[: len(s)] = s <= DEFAULT_TOL * s[0]
     null_mask[len(s):] = True
     return Vh.conj().T[:, null_mask]
 
 
 def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
-                        rng: np.random.Generator,
-                        rtol: float = DEFAULT_TOL) -> np.ndarray | None:
+                        rng: np.random.Generator) -> np.ndarray | None:
     """A nonzero isotropic vector inside the column span of basis."""
     k = basis.shape[1]
     if k == 0:
@@ -235,30 +233,29 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
         aG = a @ space.gram  # omega(a, .) as omega computes it, taken once
         qa, qb, qab = complex(aG @ a), space.quadratic(b), complex(aG @ b)
         # q(a + t b) = qa + 2 t qab + t^2 qb
-        if abs(qb) > rtol:
+        if abs(qb) > DEFAULT_TOL:
             disc = np.sqrt(qab * qab - qa * qb)
             t = (-qab + disc) / qb
             v = a + t * b
-        elif abs(qab) > rtol:
+        elif abs(qab) > DEFAULT_TOL:
             v = a - qa / (2 * qab) * b
         else:
             v = b
         norm = np.linalg.norm(v)
-        if norm > rtol and abs(space.quadratic(u := v / norm)) < 1e-8:
+        if norm > DEFAULT_TOL and abs(space.quadratic(u := v / norm)) < 1e-8:
             return u
     return None
 
 
 def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
-                         rng: np.random.Generator,
-                         rtol: float = DEFAULT_TOL) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """Columns spanning a rank-dim subspace whose restricted form has the
     given radical dimension.  Raises if the pattern is not realizable.
 
     A draw is kept when the Gram of its nondegenerate part has singular
     values above 1e-6, its columns have `rank` singular values above the
     absolute cut 1e-8, and restriction_invariants gives (rank, radical)
-    with its relative cut rtol * s_max; both rank cuts use one SVD."""
+    with its relative cut DEFAULT_TOL * s_max; both rank cuts use one SVD."""
     n = space.dim
     if not (0 <= radical <= rank <= n and radical <= n - rank):
         raise ValueError(f"(rank, radical) = ({rank}, {radical}) not realizable in dim {n}")
@@ -286,7 +283,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         for _ in range(radical):
             M = np.column_stack(cols) if cols else np.zeros((n, 0))
             C = np.vstack([(space.gram @ M).T, (space.gram.T @ M).T])
-            v = isotropic_vector_in(space, _solve_constraints(C, n, rtol), rng, rtol)
+            v = isotropic_vector_in(space, _solve_constraints(C, n), rng)
             if v is None:
                 break
             cols.append(v)
@@ -294,6 +291,6 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
             M = np.column_stack(cols)
             U, s, _ = np.linalg.svd(M, full_matrices=False)
             if np.count_nonzero(s > 1e-8) == rank and \
-                    _span_invariants(U, s, space, rtol) == (rank, radical):
+                    _span_invariants(U, s, space) == (rank, radical):
                 return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")

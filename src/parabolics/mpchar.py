@@ -1,12 +1,10 @@
 """Hermitian characteristics of nilpotent elements.
 
-Three constructions live here:
+Two constructions live here:
 
 * block-triangular nilpotents in gl(V): each block is completed to an
   sl2-triple by its Moore-Penrose inverse, giving the unique Hermitian
   multiple characteristic for the standard products;
-* the graded components of an orthogonal/symplectic algebra attached to an
-  isotropic flag, as explicit form-skew matrices;
 * the B-from-A solver: given A: U -> W and a symmetric or symplectic form
   on W, produce a Hermitian form on U and B: W -> U solving
 
@@ -22,7 +20,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,8 +33,6 @@ from .cxlinalg import (
     mp_inverse,
     orth,
     sharp_adjoint,
-    symmetric_space,
-    symplectic_space,
 )
 
 DEFAULT_SL2_TOL = 1e-9
@@ -56,13 +52,12 @@ class Sl2Triple:
     #: norms of [e,f]-h, [h,e]-2e, [h,f]+2f, h-h* (length-T arrays for a stack)
     residuals: tuple
 
-    def accepted(self, tol: float = DEFAULT_SL2_TOL, hermitian: bool = True) -> bool:
-        """Whether every residual of one triple is below tol."""
-        checked = self.residuals if hermitian else self.residuals[:3]
-        return all(r < tol for r in checked)
+    def accepted(self) -> bool:
+        """Whether every residual of one triple is below DEFAULT_SL2_TOL."""
+        return all(r < DEFAULT_SL2_TOL for r in self.residuals)
 
 
-def verify_sl2(e, h, f, hermitian: bool = True) -> Sl2Triple:
+def verify_sl2(e, h, f) -> Sl2Triple:
     """Package (e, h, f) with the residuals of the sl2 relations.
 
     Zero triples are fine; shapes must agree.  Stacks of square matrices
@@ -75,7 +70,7 @@ def verify_sl2(e, h, f, hermitian: bool = True) -> Sl2Triple:
         frobenius(_comm(e, f) - h),
         frobenius(_comm(h, e) - 2 * e),
         frobenius(_comm(h, f) + 2 * f),
-        frobenius(h - h.conj().swapaxes(-1, -2)) if hermitian else 0.0,
+        frobenius(h - h.conj().swapaxes(-1, -2)),
     )
     return Sl2Triple(e, h, f, residuals)
 
@@ -169,124 +164,6 @@ def gl_characteristic_trials(rng: np.random.Generator, trials: int) -> tuple[int
     return rejected, worst_h
 
 
-# ------------------------------------------------- orthogonal/symplectic
-
-
-@dataclass(frozen=True)
-class ClassicalGrading:
-    """Basis layout U_1^+ .. U_k^+, U_1^- .. U_k^-, W with the flag form.
-
-    The pairing is omega(u_i^+, u_i^-) = delta; the W block carries the
-    identity (symmetric) or the standard symplectic matrix (skew).
-    """
-
-    u_dims: tuple[int, ...]
-    w_dim: int
-    kind: str  # "symmetric" | "skew"
-    omega: BilinearSpace = field(repr=False)
-
-    @property
-    def total_dim(self) -> int:
-        return 2 * sum(self.u_dims) + self.w_dim
-
-    def plus_slice(self, i: int) -> slice:
-        o = sum(self.u_dims[: i - 1])
-        return slice(o, o + self.u_dims[i - 1])
-
-    def minus_slice(self, i: int) -> slice:
-        o = sum(self.u_dims) + sum(self.u_dims[: i - 1])
-        return slice(o, o + self.u_dims[i - 1])
-
-    @property
-    def w_slice(self) -> slice:
-        return slice(2 * sum(self.u_dims), self.total_dim)
-
-    @property
-    def w_gram(self) -> np.ndarray:
-        return self.omega.gram[self.w_slice, self.w_slice]
-
-    def _blank(self) -> np.ndarray:
-        return np.zeros((self.total_dim, self.total_dim), dtype=complex)
-
-    # each embed_* returns an omega-skew-symmetric element of End(V)
-
-    def embed_between_plus(self, i: int, j: int, A) -> np.ndarray:
-        """A: U_i^+ -> U_j^+ extended by -A^T on U_j^- -> U_i^-  (g_{l_j - l_i})."""
-        A = np.asarray(A, dtype=complex)
-        M = self._blank()
-        M[self.plus_slice(j), self.plus_slice(i)] = A
-        M[self.minus_slice(i), self.minus_slice(j)] = -A.T
-        return M
-
-    def embed_e_lambda(self, i: int, A) -> np.ndarray:
-        """A: U_i^- -> W extended to g_{l_i} by the skewness-forced dual block.
-
-        Signs are fixed so that a pair (A, B) solving the characteristic
-        equations embeds via (embed_e_lambda, embed_f_lambda) into an
-        honest sl2 triple; the equations only determine the pair up to a
-        simultaneous sign flip.
-        """
-        A = np.asarray(A, dtype=complex)
-        M = self._blank()
-        M[self.w_slice, self.minus_slice(i)] = A
-        M[self.plus_slice(i), self.w_slice] = -A.T @ self.w_gram.T
-        return M
-
-    def embed_f_lambda(self, i: int, B) -> np.ndarray:
-        """B: W -> U_i^- extended to g_{-l_i}: dual map -A on U_i^+ -> W."""
-        B = np.asarray(B, dtype=complex)
-        M = self._blank()
-        sign = -1.0 if self.kind == "symmetric" else 1.0
-        M[self.minus_slice(i), self.w_slice] = B
-        M[self.w_slice, self.plus_slice(i)] = sign * np.linalg.solve(self.w_gram, B.T)
-        return M
-
-    def embed_b_pair(self, i: int, j: int, B) -> np.ndarray:
-        """B: U_i^- -> U_j^+ extended to g_{l_i + l_j} (i != j)."""
-        B = np.asarray(B, dtype=complex)
-        M = self._blank()
-        sign = -1.0 if self.kind == "symmetric" else 1.0
-        M[self.plus_slice(j), self.minus_slice(i)] = B
-        M[self.plus_slice(i), self.minus_slice(j)] = sign * B.T
-        return M
-
-    def embed_b_single(self, i: int, B, rtol: float = DEFAULT_TOL) -> np.ndarray:
-        """B: U_i^- -> U_i^+, antisymmetric (symmetric form) or symmetric
-        (skew form), extended to g_{2 l_i}."""
-        B = np.asarray(B, dtype=complex)
-        want_sign = -1.0 if self.kind == "symmetric" else 1.0
-        if np.linalg.norm(B - want_sign * B.T) > rtol * (1 + np.linalg.norm(B)):
-            raise ValueError("block violates the symmetry the form imposes")
-        M = self._blank()
-        M[self.plus_slice(i), self.minus_slice(i)] = B
-        return M
-
-    def g2lambda_dim(self, i: int) -> int:
-        u = self.u_dims[i - 1]
-        return u * (u - 1) // 2 if self.kind == "symmetric" else u * (u + 1) // 2
-
-
-def build_classical_grading(u_dims, w_dim: int, kind: str) -> ClassicalGrading:
-    if kind not in ("symmetric", "skew"):
-        raise ValueError("kind must be 'symmetric' or 'skew'")
-    u_dims = tuple(int(d) for d in u_dims)
-    if any(d <= 0 for d in u_dims) or w_dim < 0:
-        raise ValueError("inconsistent dimensions")
-    if kind == "skew" and w_dim % 2:
-        raise ValueError("skew form needs even-dimensional W")
-    s = sum(u_dims)
-    n = 2 * s + w_dim
-    gram = np.zeros((n, n), dtype=complex)
-    eye = np.eye(s)
-    gram[:s, s: 2 * s] = eye
-    gram[s: 2 * s, :s] = eye if kind == "symmetric" else -eye
-    if w_dim:
-        wg = (symmetric_space(w_dim) if kind == "symmetric" else symplectic_space(w_dim)).gram
-        gram[2 * s:, 2 * s:] = wg
-    space = BilinearSpace(f"flag-{kind}", n, gram)
-    return ClassicalGrading(u_dims, w_dim, kind, space)
-
-
 # --------------------------------------------------------------- the lemma
 
 
@@ -308,8 +185,7 @@ class LemmaSolution:
     U2: np.ndarray
 
 
-def lemma_B_from_A(A, space: BilinearSpace,
-                   rtol: float = DEFAULT_TOL) -> LemmaSolution:
+def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
     """Solve the characteristic equations for A: U -> W.
 
     space must be the symmetric or symplectic form on W in its standard
@@ -326,10 +202,10 @@ def lemma_B_from_A(A, space: BilinearSpace,
     if k != space.dim:
         raise ValueError(f"A maps into C^{k} but the form lives on C^{space.dim}")
     G = space.gram
-    im = orth(A, rtol)                       # Hermitian-orthonormal basis of Im A
+    im = orth(A)  # Hermitian-orthonormal basis of Im A
     _, s, Vh = np.linalg.svd(im.mT @ G @ im)
-    V, cut = Vh.conj().mT, rtol * max(space.norm, 1.0)
-    Aplus = mp_inverse(A, rtol)              # inverts Im A -> Ker-perp
+    V, cut = Vh.conj().mT, DEFAULT_TOL * max(space.norm, 1.0)
+    Aplus = mp_inverse(A)  # inverts Im A -> Ker-perp
     if A.ndim > 2:  # every slice as if generic; the others are redone below
         W0 = W2 = im[..., :0]
         U0 = U2 = Aplus[..., :0]
@@ -337,10 +213,10 @@ def lemma_B_from_A(A, space: BilinearSpace,
         U1 = Aplus @ W1
         _, s3, Vh3 = np.linalg.svd(W1.mT @ G)
         W3 = Vh3.conj().mT[..., n:]
-        T = orth(U1, rtol)
+        T = orth(U1)
         # a stacked orth pads the basis of a slice with a rank cut with zeros
         generic = ((n <= k) & im[..., -1].any(-1) & (s[..., -1] > cut)
-                   & (s3[..., -1] > rtol * s3[..., 0]) & T[..., -1].any(-1))
+                   & (s3[..., -1] > DEFAULT_TOL * s3[..., 0]) & T[..., -1].any(-1))
     else:
         r = int(np.count_nonzero(s > cut))  # W0: the radical of the form on Im A
         W0, W1 = im @ V[:, r:], im @ V[:, :r]
@@ -348,10 +224,10 @@ def lemma_B_from_A(A, space: BilinearSpace,
         # W3 must be the omega-orthogonal leftover: the displayed action of
         # (AB)# on the four summands forces omega(W3, W0 + W1 + W2) = 0, and
         # Hermitian orthogonality of W3 against W0 and W2 then holds for free.
-        W3 = _solve_constraints(np.hstack([W0, W1, W2]).T @ G, k, rtol)
+        W3 = _solve_constraints(np.hstack([W0, W1, W2]).T @ G, k)
         U0, U1 = Aplus @ W0, Aplus @ W1
-        U2 = _solve_constraints(A, n, rtol) if im.shape[1] < n else Aplus[:, :0]
-        T = np.hstack([orth(U0, rtol), orth(U1, rtol), U2])
+        U2 = _solve_constraints(A, n) if im.shape[1] < n else Aplus[:, :0]
+        T = np.hstack([orth(U0), orth(U1), U2])
         if T.shape[1] != n:
             raise RuntimeError("U0 + U1 + U2 failed to fill U; rank tolerance too tight")
         generic = np.True_
@@ -369,7 +245,7 @@ def lemma_B_from_A(A, space: BilinearSpace,
         for idx in np.ndindex(A.shape[:-2]):
             parts = [W[idx] for W in stacked]
             if not generic[idx]:
-                sol = lemma_B_from_A(A[idx], space, rtol)
+                sol = lemma_B_from_A(A[idx], space)
                 B[idx], hermitian_u[idx] = sol.B, sol.hermitian_u
                 parts = [getattr(sol, f.name) for f in fields(sol)[3:]]  # W0 .. U2
             for out, part in zip(split, parts):

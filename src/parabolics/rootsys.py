@@ -27,6 +27,7 @@ built on first read; gradings and colouring scans never need them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -284,12 +285,13 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
 
 
 def is_root(rs: RootSystem, v) -> bool:
-    """Whether the integer vector v is a root of rs."""
+    """Whether the integer vector v is a root of rs.  A coordinate must be a
+    real number of integral value: bool, str and complex are refused."""
     v = tuple(v)
     if len(v) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(v)}")
     for k, x in enumerate(v, start=1):
-        if not float(x).is_integer():
+        if isinstance(x, bool) or not isinstance(x, Real) or not float(x).is_integer():
             raise ValueError(f"coordinate {k} of {v} is {x!r}, not an integer")
     return rs.contains(tuple(int(x) for x in v))
 

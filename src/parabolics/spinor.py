@@ -26,11 +26,6 @@ import numpy as np
 from .cxlinalg import BilinearSpace, crandom, frobenius
 
 
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    inv = sum(1 for x in a for y in b if x > y)
-    return -1 if inv % 2 else 1
-
-
 @dataclass(frozen=True, eq=False)
 class SpinModule:
     """Basis bookkeeping for Lambda* U, U = C^m, and the Clifford action
@@ -38,7 +33,6 @@ class SpinModule:
 
     m: int
     basis: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
 
     @property
     def dim(self) -> int:
@@ -58,20 +52,6 @@ class SpinModule:
         if side not in ("+", "-"):
             raise ValueError(f"spinor side must be '+' or '-', got {side!r}")
         return self.even_indices if side == "+" else self.odd_indices
-
-    def vector(self, *subsets, coeffs=None) -> np.ndarray:
-        """Element of Lambda* U as a coordinate vector, e.g. vector((), (0,1))."""
-        v = np.zeros(self.dim, dtype=complex)
-        if coeffs is None:
-            coeffs = [1.0] * len(subsets)
-        elif len(coeffs) != len(subsets):
-            raise ValueError(f"{len(coeffs)} coefficients for {len(subsets)} subsets")
-        for c, s in zip(coeffs, subsets):
-            k = self.index.get(tuple(sorted(s)))
-            if k is None:
-                raise ValueError(f"{tuple(s)} is not a set of distinct integers in range({self.m})")
-            v[k] += c
-        return v
 
     # ---------------------------------------------------------- rho action
 
@@ -103,13 +83,6 @@ class SpinModule:
 
     # ------------------------------------------------------------ the form
 
-    def form_value(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        """Form on basis elements: top coefficient of (-1)^[|s|/2] e_s ^ e_t."""
-        if set(s) & set(t) or len(s) + len(t) != self.m:
-            return 0
-        sign = _merge_sign(s, t)
-        return -sign if (len(s) // 2) % 2 else sign
-
     @property
     def form_gram(self) -> np.ndarray:
         """Gram matrix of the form on the basis (cached per m, read-only)."""
@@ -125,14 +98,6 @@ class SpinModule:
     def half_basis_subsets(self, side: str) -> tuple[tuple[int, ...], ...]:
         return tuple(self.basis[k] for k in self._side_indices(side))
 
-    def to_half(self, v: np.ndarray, side: str) -> np.ndarray:
-        return np.asarray(v)[self._side_indices(side)]
-
-    def from_half(self, v: np.ndarray, side: str) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[self._side_indices(side)] = v
-        return out
-
     def rho_half(self, v: np.ndarray, side: str) -> np.ndarray:
         """rho(v) as a map S(side) -> S(-side), in half coordinates."""
         return self._scatter(v, _rho_half_scatter(self.m, side), self.dim // 2)
@@ -145,7 +110,7 @@ def spin_module(m: int) -> SpinModule:
     basis = tuple(
         s for r in range(m + 1) for s in combinations(range(m), r)
     )
-    return SpinModule(m=m, basis=basis, index={s: k for k, s in enumerate(basis)})
+    return SpinModule(m=m, basis=basis)
 
 
 #: Bytes of the rho(v) stack that rho_square_defect squares at once: stacks

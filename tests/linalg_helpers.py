@@ -1,19 +1,22 @@
 """Test helpers: the det and pf forms with the polarisation loop that gives
 their Grams, random elements of the structure group of a bilinear space,
-and the one-matrix Moore-Penrose inverse that stacked inverses must match."""
+the one-matrix Moore-Penrose inverse that stacked inverses must match, the
+flag form of an orthogonal/symplectic grading with its g_lambda and
+g_-lambda embeddings, and spinors named by basis subsets."""
 
 import numpy as np
 
-from parabolics.cxlinalg import DEFAULT_TOL, BilinearSpace, crandom
+from parabolics.cxlinalg import (DEFAULT_TOL, BilinearSpace, crandom, symmetric_space,
+                                 symplectic_space)
 
 
-def mp_inverse_2d(F, rtol=DEFAULT_TOL) -> np.ndarray:
+def mp_inverse_2d(F) -> np.ndarray:
     """The one-matrix Moore-Penrose inverse as written before stacks."""
     F = np.asarray(F, dtype=complex)
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[1], F.shape[0]), dtype=complex)
-    keep = s > rtol * s[0]
+    keep = s > DEFAULT_TOL * s[0]
     return (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
 
 
@@ -66,3 +69,49 @@ def form_preserving(space: BilinearSpace, rng: np.random.Generator,
     S = (S - S.T) / 2 if space.symmetric else (S + S.T) / 2
     X = np.linalg.solve(space.gram, scale * S)
     return expm(X)
+
+
+def flag_space(u: int, w: int, kind: str) -> BilinearSpace:
+    """The form on V = U+ + U- + W (dimensions u, u, w, in that order) with
+    omega(u_i^+, u_i^-) = 1 and the identity ("symmetric") or the standard
+    symplectic Gram ("skew") on W."""
+    symmetric = kind == "symmetric"
+    gram = np.zeros((2 * u + w, 2 * u + w), dtype=complex)
+    gram[:u, u: 2 * u] = np.eye(u)
+    gram[u: 2 * u, :u] = np.eye(u) if symmetric else -np.eye(u)
+    gram[2 * u:, 2 * u:] = (symmetric_space(w) if symmetric else symplectic_space(w)).gram
+    return BilinearSpace(f"flag-{kind}", 2 * u + w, gram)
+
+
+def embed_e_lambda(A, space: BilinearSpace) -> np.ndarray:
+    """A: U- -> W extended to g_lambda of the flag space by the block on
+    W -> U+ that makes it omega-skew."""
+    A = np.asarray(A, dtype=complex)
+    u = A.shape[1]
+    M = np.zeros((space.dim, space.dim), dtype=complex)
+    M[2 * u:, u: 2 * u] = A
+    M[:u, 2 * u:] = -A.T @ space.gram[2 * u:, 2 * u:].T
+    return M
+
+
+def embed_f_lambda(B, space: BilinearSpace) -> np.ndarray:
+    """B: W -> U- extended to g_-lambda of the flag space by the block on
+    U+ -> W that makes it omega-skew.  The signs make a pair (A, B) solving
+    the characteristic equations embed, with embed_e_lambda, to an sl2
+    triple; the equations fix the pair only up to a common sign."""
+    B = np.asarray(B, dtype=complex)
+    u = B.shape[0]
+    M = np.zeros((space.dim, space.dim), dtype=complex)
+    M[u: 2 * u, 2 * u:] = B
+    sign = -1.0 if space.symmetric else 1.0
+    M[2 * u:, :u] = sign * np.linalg.solve(space.gram[2 * u:, 2 * u:], B.T)
+    return M
+
+
+def spinor_vector(sm, *subsets) -> np.ndarray:
+    """The sum of the basis vectors e_s of Lambda* U over the given subsets,
+    each a sorted tuple as in sm.basis."""
+    v = np.zeros(sm.dim, dtype=complex)
+    for s in subsets:
+        v[sm.basis.index(s)] += 1
+    return v

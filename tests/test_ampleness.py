@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import form_preserving
+from linalg_helpers import form_preserving, spinor_vector
 from parabolics import ampleness as am
 from parabolics.cxlinalg import (DEFAULT_TOL, _solve_constraints, crandom, det_space, orth,
                                  pf_space, symmetric_space)
@@ -44,8 +44,8 @@ def test_is_ample_invariant_under_structure_group(space):
 def test_spinor_is_ample():
     sm = spin_module(4)
     plus, minus = sm.half_space("+"), sm.half_space("-")
-    s1 = sm.to_half(sm.vector(()), "+")
-    s2 = sm.to_half(sm.vector((0, 1), (2, 3)), "+")
+    s1, s2 = (spinor_vector(sm, *subsets)[sm.even_indices]
+              for subsets in [((),), ((0, 1), (2, 3))])
     assert am.is_ample(np.column_stack([s1, s2]), plus) == am.NOT_AMPLE
     assert am.is_ample(np.zeros((8, 2)), plus) != am.NOT_AMPLE
     rng = np.random.default_rng(8)
@@ -291,18 +291,18 @@ def test_random_task_7a_rejects_k_before_drawing(k):
 # --------------------------------------- seeded draws against the oracles
 
 
-def _restriction_invariants_orth(S, space, rtol=DEFAULT_TOL):
+def _restriction_invariants_orth(S, space):
     """Reference: the restriction invariants through orth, with their own SVD."""
     S = np.asarray(S, dtype=complex)
-    B = orth(S[:, None] if S.ndim == 1 else S, rtol)
+    B = orth(S[:, None] if S.ndim == 1 else S)
     r = B.shape[1]
     if r == 0:
         return 0, 0
     s = np.linalg.svd(B.T @ space.gram @ B, compute_uv=False)
-    return r, r - int(np.sum(s > rtol * max(space.norm, 1.0)))
+    return r, r - int(np.sum(s > DEFAULT_TOL * max(space.norm, 1.0)))
 
 
-def _isotropic_vector_in_loop(space, basis, rng, rtol=DEFAULT_TOL):
+def _isotropic_vector_in_loop(space, basis, rng):
     """Reference: isotropic_vector_in as written with three norms of v."""
     k = basis.shape[1]
     if k == 0:
@@ -314,20 +314,20 @@ def _isotropic_vector_in_loop(space, basis, rng, rtol=DEFAULT_TOL):
         b = basis @ crandom(rng, k)
         qa, qb = space.quadratic(a), space.quadratic(b)
         qab = space.omega(a, b)
-        if abs(qb) > rtol:
+        if abs(qb) > DEFAULT_TOL:
             disc = np.sqrt(qab * qab - qa * qb)
             t = (-qab + disc) / qb
             v = a + t * b
-        elif abs(qab) > rtol:
+        elif abs(qab) > DEFAULT_TOL:
             v = a - qa / (2 * qab) * b
         else:
             v = b
-        if np.linalg.norm(v) > rtol and abs(space.quadratic(v / np.linalg.norm(v))) < 1e-8:
+        if np.linalg.norm(v) > DEFAULT_TOL and abs(space.quadratic(v / np.linalg.norm(v))) < 1e-8:
             return v / np.linalg.norm(v)
     return None
 
 
-def _span_with_invariants_two_svds(space, rank, radical, rng, rtol=DEFAULT_TOL):
+def _span_with_invariants_two_svds(space, rank, radical, rng):
     """Reference: span_with_invariants as written with matrix_rank and then
     restriction_invariants, each factoring the columns."""
     n = space.dim
@@ -351,8 +351,8 @@ def _span_with_invariants_two_svds(space, rank, radical, rng, rtol=DEFAULT_TOL):
             M = np.column_stack(cols) if cols else np.zeros((n, 0))
             C = (space.gram @ M).T if M.shape[1] else np.zeros((0, n), dtype=complex)
             C = np.vstack([C, (space.gram.T @ M).T]) if M.shape[1] else C
-            free = _solve_constraints(C, n, rtol)
-            v = _isotropic_vector_in_loop(space, free, rng, rtol)
+            free = _solve_constraints(C, n)
+            v = _isotropic_vector_in_loop(space, free, rng)
             if v is None:
                 ok = False
                 break
@@ -362,7 +362,7 @@ def _span_with_invariants_two_svds(space, rank, radical, rng, rtol=DEFAULT_TOL):
         M = np.column_stack(cols)
         if np.linalg.matrix_rank(M, tol=1e-8) != rank:
             continue
-        if _restriction_invariants_orth(M, space, rtol) == (rank, radical):
+        if _restriction_invariants_orth(M, space) == (rank, radical):
             return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")
 
@@ -461,11 +461,12 @@ def _projective_roots_spy(monkeypatch):
 
 
 def test_projective_roots_special_cases():
-    assert am._projective_roots(0, 0, 0, 1e-8) is None
-    assert am._projective_roots(1e-9, 0, 0, 1e-8, 1.0) is None
-    assert am._projective_roots(1e-9, 0, 0, 1e-8, 0.01) == [(0.0, 1.0)]
-    assert am._projective_roots(0, 2, 3, 1e-8) == [(1.0, 0.0), (-1.5, 1.0)]
-    assert am._projective_roots(0, 0, 3, 1e-8) == [(1.0, 0.0)]
+    assert am.LINE_MAP_TOL == 1e-8
+    assert am._projective_roots(0, 0, 0) is None
+    assert am._projective_roots(1e-9, 0, 0, 1.0) is None
+    assert am._projective_roots(1e-9, 0, 0, 0.01) == [(0.0, 1.0)]
+    assert am._projective_roots(0, 2, 3) == [(1.0, 0.0), (-1.5, 1.0)]
+    assert am._projective_roots(0, 0, 3) == [(1.0, 0.0)]
 
 
 def test_line_inside_the_pf_quadric_is_not_degenerate(monkeypatch):

@@ -136,6 +136,32 @@ def test_cli_deform_input_missing_key(tmp_path):
     assert "variant 4A" in out and "missing input 'B'" in out and "Traceback" not in out
 
 
+@pytest.mark.parametrize("text,message", [
+    ("null", "inputs must map input names to values, got NoneType"),
+    ('"AB"', "inputs must map input names to values, got str"),
+    ("[1, 2]", "inputs must map input names to values, got list"),
+    ('{"A": [[1, 0], [0, 1], [0, 0], [0, 0]], "B": [[1, 0]], "C": 1}',
+     "unknown inputs ['C']; it takes ['A', 'B']"),
+])
+def test_cli_deform_input_not_an_object_or_unknown_key(tmp_path, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+    assert code == 2 and f"variant 4A: {message}" in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe", "dir"])
+def test_cli_deform_unreadable_input_names_the_file(tmp_path, content):
+    # missing, not JSON, not UTF-8, a directory
+    path = tmp_path / "in.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+    assert code == 2 and out.startswith(f"error: --input {path}: ") and "Traceback" not in out
+
+
 def test_cli_deform_input_wrong_shape(tmp_path):
     # B must have as many columns as A (k = 2); a (4, 3) B is refused before numpy sees it
     path = tmp_path / "in.json"
@@ -203,8 +229,8 @@ def test_cli_verify_all_seed_1_passes(monkeypatch):
     # 161 u ||A|| ||B||; the rounding of A @ B alone stays under 64.
     solved, solve = [], mpchar.lemma_B_from_A
 
-    def recorded(A, space, rtol=cxlinalg.DEFAULT_TOL):
-        solved.append((solve(A, space, rtol), space))
+    def recorded(A, space):
+        solved.append((solve(A, space), space))
         return solved[-1][0]
 
     monkeypatch.setattr(mpchar, "lemma_B_from_A", recorded)

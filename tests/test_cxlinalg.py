@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import (det_value, expm, form_preserving, gram_from_quadratic,
-                            mp_inverse_2d, pf_value)
+from linalg_helpers import (det_value, expm, flag_space, form_preserving,
+                            gram_from_quadratic, mp_inverse_2d, pf_value)
 from parabolics import cxlinalg as cx
 from parabolics.ampleness import PF2, QuadricVariety
-from parabolics.mpchar import build_classical_grading
 from parabolics.spinor import spin_module
 
 
@@ -213,10 +212,9 @@ def _spaces_with_constants():
     yield from (cx.symplectic_space(n) for n in range(2, 9, 2))
     yield from (cx.det_space(), cx.pf_space())
     yield from (spin_module(m).half_space(side) for m in (2, 4, 6) for side in "+-")
-    for u_dims, w_dim, kind in [((1, 2), 2, "symmetric"), ((2, 1), 3, "symmetric"),
-                                ((1, 1, 1), 0, "symmetric"), ((2,), 4, "skew"),
-                                ((1, 2), 2, "skew"), ((3,), 0, "skew")]:
-        yield build_classical_grading(u_dims, w_dim, kind).omega
+    for u, w, kind in [(3, 2, "symmetric"), (3, 3, "symmetric"), (3, 0, "symmetric"),
+                       (2, 4, "skew"), (3, 2, "skew"), (3, 0, "skew")]:
+        yield flag_space(u, w, kind)
 
 
 def test_space_constants_equal_recomputation():
@@ -376,7 +374,7 @@ def test_span_retries_when_the_invariants_differ(monkeypatch):
 def test_span_rejects_planted_rank_deficient_columns(plant, monkeypatch):
     # the first round's second radical vector is planted: a copy of the first
     # (rank 1) or scaled by 1e-9, which only the absolute 1e-8 cut rejects:
-    # its relative singular value passes rtol and its span is (2, 2)
+    # its relative singular value passes DEFAULT_TOL and its span is (2, 2)
     sp = cx.symmetric_space(4)
     real, found = cx.isotropic_vector_in, []
 
@@ -413,7 +411,7 @@ def test_isotropic_vector_in_totally_isotropic_span():
 
 
 def test_isotropic_vector_in_linear_branch():
-    # a form of size 1e-10: q(b) falls under rtol while omega(a, b) does not,
+    # a form of size 1e-10: q(b) falls under DEFAULT_TOL while omega(a, b) does not,
     # so q(a + t b) is solved as linear in t, and that vector is returned
     space = cx.BilinearSpace("tiny", 2, 1e-10 * np.array([[0, 1], [1, 0]], dtype=complex))
     basis = np.eye(2, dtype=complex)
@@ -426,7 +424,7 @@ def test_isotropic_vector_in_linear_branch():
 
 
 def test_isotropic_vector_in_gives_up_on_a_tiny_basis():
-    # a basis of norm 1e-6 makes every q value fall under rtol, and no draw
+    # a basis of norm 1e-6 makes every q value fall under DEFAULT_TOL, and no draw
     # b / |b| is isotropic for the identity form
     basis = 1e-6 * np.eye(3, dtype=complex)
     assert cx.isotropic_vector_in(cx.symmetric_space(3), basis, np.random.default_rng(7)) is None

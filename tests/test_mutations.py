@@ -66,7 +66,7 @@ def test_clean_run_passes(plant):
 
 
 def test_scaled_adjoint_for_mp_inverse_fails_penrose(plant):
-    def scaled_adjoint(F, rtol=cxlinalg.DEFAULT_TOL):
+    def scaled_adjoint(F):
         F = np.asarray(F, dtype=complex)
         return F.conj().T / np.linalg.norm(F) ** 2
 
@@ -77,8 +77,8 @@ def test_scaled_adjoint_for_mp_inverse_fails_penrose(plant):
 def test_scaled_lemma_b_fails_both_characteristic_lines(plant):
     solve = mpchar.lemma_B_from_A
 
-    def scaled_b(A, space, rtol=cxlinalg.DEFAULT_TOL):
-        sol = solve(A, space, rtol)
+    def scaled_b(A, space):
+        sol = solve(A, space)
         return dataclasses.replace(sol, B=sol.B * (1 + 1e-6))
 
     plant.setattr(mpchar, "lemma_B_from_A", scaled_b)

@@ -189,7 +189,10 @@ def test_is_root_rejects_non_integral_coordinates():
     assert is_root(a2, (1.0, 1)) and is_root(a2, np.array([0, -1]))
     for v, bad in [((1.5, 0), "coordinate 1"), ((0.9, 1.2), "coordinate 1"),
                    ((1, 1.2), "coordinate 2"), ((1, float("nan")), "coordinate 2"),
-                   ((float("inf"), 0), "coordinate 1")]:
+                   ((float("inf"), 0), "coordinate 1"), (("1", "0"), "coordinate 1"),
+                   ((True, False), "coordinate 1"), ((1, np.True_), "coordinate 2"),
+                   ((1j, 0), "coordinate 1"), ((0, 1 + 0j), "coordinate 2"),
+                   ((1, b"0"), "coordinate 2")]:
         with pytest.raises(ValueError, match=bad):
             is_root(a2, v)
 

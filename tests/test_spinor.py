@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from linalg_helpers import spinor_vector
 from parabolics import spinor
 from parabolics.cxlinalg import crandom, restriction_invariants
 from parabolics.spinor import spin_module
@@ -11,6 +12,13 @@ from parabolics.spinor import spin_module
 
 def _form(sm, s, t):
     return complex(s @ sm.form_gram @ t)
+
+
+def _from_plus(sm, x):
+    """The spinor with half coordinates x on S+ and 0 on S-."""
+    v = np.zeros(sm.dim, dtype=complex)
+    v[sm.even_indices] = x
+    return v
 
 
 def _rho_span(sm, s):
@@ -31,14 +39,15 @@ def test_dimensions(sm4):
 
 
 def test_rho_wedge_and_contraction_examples(sm4):
-    one = sm4.vector(())
+    def vec(s):
+        return spinor_vector(sm4, s)
     e1 = np.zeros(8); e1[0] = 1
-    assert np.allclose(sm4.rho(e1) @ one, sm4.vector((0,)))
+    assert np.allclose(sm4.rho(e1) @ vec(()), vec((0,)))
     e1dual = np.zeros(8); e1dual[4] = 1
-    assert np.allclose(sm4.rho(e1dual) @ sm4.vector((0, 1)), sm4.vector((1,)))
+    assert np.allclose(sm4.rho(e1dual) @ vec((0, 1)), vec((1,)))
     # contraction at the second slot picks up a sign
     e2dual = np.zeros(8); e2dual[5] = 1
-    assert np.allclose(sm4.rho(e2dual) @ sm4.vector((0, 1)), -sm4.vector((0,)))
+    assert np.allclose(sm4.rho(e2dual) @ vec((0, 1)), -vec((0,)))
 
 
 def test_rho_linear_in_v(sm4):
@@ -75,8 +84,8 @@ def test_rho_flips_parity_exactly(sm4):
 
 
 def test_spin_form_examples(sm4):
-    assert _form(sm4, sm4.vector(()), sm4.vector((0, 1, 2, 3))) == 1
-    assert _form(sm4, sm4.vector((0, 1)), sm4.vector((0, 1))) == 0
+    assert _form(sm4, spinor_vector(sm4, ()), spinor_vector(sm4, (0, 1, 2, 3))) == 1
+    assert _form(sm4, spinor_vector(sm4, (0, 1)), spinor_vector(sm4, (0, 1))) == 0
 
 
 def test_form_symmetry_types():
@@ -106,8 +115,8 @@ def test_form_gram_nondegenerate_on_halves(sm4):
 def test_spinor_ampleness_normal_form(sm4):
     # image spanned by 1 and e1^e2 + e3^e4: degenerate but nonzero restriction
     plus = sm4.half_space("+")
-    s1 = sm4.to_half(sm4.vector(()), "+")
-    s2 = sm4.to_half(sm4.vector((0, 1), (2, 3)), "+")
+    s1, s2 = (spinor_vector(sm4, *subsets)[sm4.even_indices]
+              for subsets in [((),), ((0, 1), (2, 3))])
     assert restriction_invariants(np.column_stack([s1, s2]), plus) == (2, 1)
     assert restriction_invariants(np.zeros((8, 2)), plus) == (0, 0)
     rng = np.random.default_rng(2)
@@ -124,7 +133,7 @@ def test_prop7c_dichotomy(sm4):
     minus = sm4.half_space("-")
     od = list(sm4.odd_indices)
     for _ in range(20):
-        s = sm4.from_half(crandom(rng, 8), "+")
+        s = _from_plus(sm4, crandom(rng, 8))
         span = _rho_span(sm4, s)[od, :]
         if abs(_form(sm4, s, s)) > 1e-8:
             assert np.linalg.matrix_rank(span, tol=1e-8) == 8
@@ -132,8 +141,8 @@ def test_prop7c_dichotomy(sm4):
             assert restriction_invariants(span, minus) == (4, 4)
     # isotropic spinors: solve for a root of the quadratic form
     for _ in range(20):
-        a = sm4.from_half(crandom(rng, 8), "+")
-        b = sm4.from_half(crandom(rng, 8), "+")
+        a = _from_plus(sm4, crandom(rng, 8))
+        b = _from_plus(sm4, crandom(rng, 8))
         qa, qb, qab = _form(sm4, a, a), _form(sm4, b, b), _form(sm4, a, b)
         s = a + ((-qab + np.sqrt(qab ** 2 - qa * qb)) / qb) * b
         assert abs(_form(sm4, s, s)) < 1e-6 * np.linalg.norm(s) ** 2
@@ -145,20 +154,23 @@ def test_rho_half_consistency(sm4):
     rng = np.random.default_rng(4)
     v = crandom(rng, 8)
     s_half = crandom(rng, 8)
-    full = sm4.from_half(s_half, "+")
-    out_full = sm4.rho(v) @ full
-    assert np.allclose(sm4.to_half(out_full, "-"), sm4.rho_half(v, "+") @ s_half)
+    out_full = sm4.rho(v) @ _from_plus(sm4, s_half)
+    assert np.allclose(out_full[sm4.odd_indices], sm4.rho_half(v, "+") @ s_half)
 
 
 # ------------------------------------------ exactness oracles and caching
 
 
 def _form_gram_loop(sm):
-    """Reference: the form value on every pair of basis elements."""
+    """Reference: the form on every pair of basis elements, the top
+    coefficient of (-1)^[|s|/2] e_s ^ e_t, signed by the inversions of s, t."""
     G = np.zeros((sm.dim, sm.dim), dtype=complex)
     for i, s in enumerate(sm.basis):
         for j, t in enumerate(sm.basis):
-            G[i, j] = sm.form_value(s, t)
+            if set(s) & set(t) or len(s) + len(t) != sm.m:
+                continue
+            inversions = sum(1 for x in s for y in t if x > y) + len(s) // 2
+            G[i, j] = -1 if inversions % 2 else 1
     return G
 
 
@@ -166,21 +178,23 @@ def _rho_loop(sm, v):
     """Reference: rho(v) column by column, wedging by e_i and contracting by
     e*_i; both signs are (-1)^(number of elements of s below i)."""
     v = np.asarray(v, dtype=complex)
+    index = {s: k for k, s in enumerate(sm.basis)}
     M = np.zeros((sm.dim, sm.dim), dtype=complex)
     for col, s in enumerate(sm.basis):
         for i in range(sm.m):
             sign = -1 if sum(1 for x in s if x < i) % 2 else 1
             if v[i] != 0 and i not in s:
-                M[sm.index[tuple(sorted(s + (i,)))], col] += v[i] * sign
+                M[index[tuple(sorted(s + (i,)))], col] += v[i] * sign
             ci = v[sm.m + i]
             if ci != 0 and i in s:
-                M[sm.index[tuple(x for x in s if x != i)], col] += ci * sign
+                M[index[tuple(x for x in s if x != i)], col] += ci * sign
     return M
 
 
 def _rho_scatter_loop(m):
     """Reference: the rho scatter tables entry by entry, column by column."""
     sm = spin_module(m)
+    index = {s: k for k, s in enumerate(sm.basis)}
     flat, gen, sign = [], [], []
     for col, s in enumerate(sm.basis):
         for i in range(m):
@@ -188,7 +202,7 @@ def _rho_scatter_loop(m):
                 t, g = tuple(x for x in s if x != i), m + i
             else:  # wedge by e_i
                 t, g = tuple(sorted(s + (i,))), i
-            flat.append(sm.index[t] * sm.dim + col)
+            flat.append(index[t] * sm.dim + col)
             gen.append(g)
             sign.append(-1 if sum(1 for x in s if x < i) % 2 else 1)
     return np.array(flat), np.array(gen), np.array(sign, dtype=float)
@@ -197,12 +211,13 @@ def _rho_scatter_loop(m):
 def _form_gram_complement_loop(m):
     """Reference: the signed permutation Gram, one complement per row."""
     sm = spin_module(m)
+    index = {s: k for k, s in enumerate(sm.basis)}
     G = np.zeros((sm.dim, sm.dim), dtype=complex)
     for i, s in enumerate(sm.basis):
         k = len(s)
         sign = -1 if (sum(s) - k * (k - 1) // 2) % 2 else 1
         complement = tuple(x for x in range(m) if x not in s)
-        G[i, sm.index[complement]] = -sign if (k // 2) % 2 else sign
+        G[i, index[complement]] = -sign if (k // 2) % 2 else sign
     return G
 
 
@@ -305,27 +320,11 @@ def test_unknown_spinor_side_rejected(sm4, side):
     calls = (
         lambda: sm4.half_space(side),
         lambda: sm4.half_basis_subsets(side),
-        lambda: sm4.to_half(np.zeros(16), side),
-        lambda: sm4.from_half(np.zeros(8), side),
         lambda: sm4.rho_half(np.zeros(8), side),
     )
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(repr(side))):
             call()
-
-
-def test_vector_checks_coefficients_and_subsets():
-    sm = spin_module(3)
-    v = sm.vector((0,), (2, 1), coeffs=np.array([2.0, 3.0]))
-    assert v[sm.index[(0,)]] == 2 and v[sm.index[(1, 2)]] == 3 and np.count_nonzero(v) == 2
-    assert not sm.vector(coeffs=[]).any()
-    with pytest.raises(ValueError, match="1 coefficients for 2 subsets"):
-        sm.vector((0,), (1,), coeffs=[1.0])
-    with pytest.raises(ValueError, match="0 coefficients for 1 subsets"):
-        sm.vector((0,), coeffs=[])
-    for bad in ((0, 5), (1, 1), (-1,)):
-        with pytest.raises(ValueError, match=re.escape(f"{bad} is not a set")):
-            sm.vector(bad)
 
 
 def _rho_square_defect_loop(rng, sm, trials):
