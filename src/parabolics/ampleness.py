@@ -100,7 +100,7 @@ def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
             roots.append(((-c1 - sq) / (2 * c0), 1.0))
     distinct = []
     for r in roots:
-        if all(abs(r[0] * q[1] - r[1] * q[0]) > 1e-8 * (1 + abs(r[0]) + abs(q[0]))
+        if all(abs(r[0] * q[1] - r[1] * q[0]) > LINE_MAP_TOL * (1 + abs(r[0]) + abs(q[0]))
                for q in distinct):
             distinct.append(r)
     return distinct
@@ -136,7 +136,7 @@ def is_degenerate_line_map(A, variety) -> bool:
         for ss, tt in candidates:
             M = ss * M1 + tt * M2
             sv = np.linalg.svd(M, compute_uv=False)
-            if sv[1] <= 1e-8 * max(sv[0], 1e-30):
+            if sv[1] <= LINE_MAP_TOL * max(sv[0], 1e-30):
                 points += 1
         return points == 1
     raise ValueError(f"unsupported variety {variety!r}")
@@ -598,7 +598,8 @@ class DeformResult:
 def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
     """The inputs as complex arrays ({"re": ..., "im": ...} is re + 1j im)
     plus the dimensions they bind.  A missing input, one that is not
-    numeric or one off its declared shape is a ValueError naming it, as is
+    numeric, has a NaN or infinite entry or is off its declared shape is a
+    ValueError naming it, as is
     raw that is not a dict or that names an input the variant does not declare."""
     if not isinstance(raw, dict):
         raise ValueError(f"variant {variant}: inputs must map input names to values, "
@@ -623,6 +624,8 @@ def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"variant {variant}: input {key!r} is not a complex "
                              f"array ({exc})") from None
+        if not np.isfinite(c[key]).all():
+            raise ValueError(f"variant {variant}: input {key!r} has non-finite entries")
         # the declared shape with every dimension known so far filled in
         want = tuple(c[d] if isinstance(d, str) and (d in c or d in _DERIVED) else d
                      for d in inp.shape)

@@ -16,7 +16,9 @@ negated.
 
 A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
-this reads `RootSystem.raised_by`, never the N x N root-sum table.
+this reads `RootSystem.raised_by`, never the N x N root-sum table.  The
+bracket of two components is decided from the highest roots of the first
+alone, by a key search over root sums.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .rootsys import Root, RootSystem, build_root_system, parse_type
+from .rootsys import Root, RootSystem, build_root_system, parse_type, root_sum_pairs
 
 Weight = tuple[int, ...]
 
@@ -143,22 +145,24 @@ class Grading:
         return tuple(chi) in self._weight_ids
 
     @cached_property
-    def _reach(self) -> dict[int, frozenset[Weight]]:
-        """bracket_reach by component; made on first use, not per grading."""
-        return {}
+    def _reach(self) -> tuple[frozenset[Weight], ...]:
+        """bracket_reach of each component, the Levi's (empty) first.  The Levi
+        module g_chi is generated by its highest root vectors e_mu, so its
+        bracket with the Levi module g_chi2 is nonzero iff mu + beta is a root
+        for some such mu and beta of weight chi2 (no Levi beta: it raises mu)."""
+        comp = self._component_of
+        i, j = root_sum_pairs(self.rs, np.flatnonzero(~self._raisable & (comp > 0)))
+        reach = [set() for _ in range(len(self.positive_weights) + 1)]
+        for k, c in set(zip(comp[i].tolist(), comp[j].tolist())):
+            reach[k].add(self.positive_weights[c - 1])
+        return tuple(map(frozenset, reach))
 
     def bracket_reach(self, chi: Weight) -> frozenset[Weight]:
         """The positive weights chi2 such that some root of chi plus some root
-        of chi2 is a root; cached per chi."""
+        of chi2 is a root."""
         k = self._weight_ids.get(tuple(chi))
         if k is None:
             raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
-        if k not in self._reach:
-            table, rows = self.rs.root_sum_is_root, np.flatnonzero(self._component_of == k)
-            sums = np.any([table[rows[b: b + 64]].any(axis=0)  # 64 rows at a time, no copy of all
-                           for b in range(0, rows.size, 64)], axis=0)
-            hit = set(self._component_of[sums].tolist()) - {0}  # the Levi is not positive
-            self._reach[k] = frozenset(self.positive_weights[c - 1] for c in hit)
         return self._reach[k]
 
     def component_indices(self, chi: Weight) -> np.ndarray | None:

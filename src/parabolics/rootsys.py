@@ -151,9 +151,9 @@ class RootSystem:
 
 
 _MASK64 = (1 << 64) - 1
-# One block's temporaries stay this small, not O(N^2), at 64 bytes a pair: a
-# float32 product, masks and a key sum, and five 8-byte entries if it passes.
-_SUM_TABLE_BYTES = 1 << 19
+# Pairs searched per block, at about 32 bytes each (a key sum, a search
+# position and masks): temporaries stay this small, not O(N^2).
+_BLOCK_PAIRS = 1 << 16
 
 
 def _splitmix64(i: int) -> int:
@@ -172,71 +172,54 @@ def _root_keys(pos: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _half_lengths(kind: str, rank: int) -> list[int]:
-    """half[s] = |alpha_s|^2 / 2, whole numbers with half[0] = 2: (alpha_a,
-    alpha_b) = half[a] C[a, b] is symmetric, which fixes half[b] along each
-    edge of the Dynkin diagram."""
-    c, half = build_root_system(kind, rank).cartan.tolist(), [2] * rank
-    for a, b in dynkin_edges(kind, rank):
-        half[b - 1] = half[a - 1] * c[a - 1][b - 1] // c[b - 1][a - 1]
-    return half
+@lru_cache(maxsize=None)
+def _key_index(kind: str, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The key of each positive root, the order that sorts them, the sorted keys."""
+    keys = _root_keys(build_root_system(kind, rank).positive_array)
+    # A stable sort and a set test keep numpy's SIMD quicksort and reduction
+    # code out of memory: about 0.4 MB of peak RSS on a small run.
+    order = np.argsort(keys, kind="stable")
+    if len(set(keys.tolist())) < len(keys):
+        raise AssertionError(f"root keys of {kind}{rank} are not distinct")
+    return keys, order, keys[order]
+
+
+def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
+                   upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of positive roots with i in rows (ascending) and
+    root i + root j a root; if upper, every such pair with j >= i and only
+    some with j < i.  The key is linear, so a sum that is a positive root
+    has that root's key: a binary search of the sorted keys finds it, and
+    every key hit is confirmed on the coefficients.  A sum of positive
+    roots is no negative root and no higher than the highest root, so a
+    block of rows searches only the columns that low."""
+    keys, order, sorted_keys = _key_index(rs.kind, rs.rank)
+    pos = rs.positive_array
+    height = pos.sum(axis=1)  # ascending: the roots are sorted by height
+    found = [np.zeros((2, 0), dtype=np.intp)]
+    step = max(1, _BLOCK_PAIRS // len(pos))
+    for b in range(0, len(rows), step):
+        block = rows[b:b + step]
+        lo = block[0] if upper else 0
+        hi = np.searchsorted(height, height[-1] - height[block[0]], side="right")
+        sums = (keys[block, None] + keys[None, lo:hi]).ravel()
+        at = np.minimum(np.searchsorted(sorted_keys, sums), len(pos) - 1)
+        hit = np.flatnonzero(sorted_keys[at] == sums)
+        i, j = block[hit // (hi - lo)], lo + hit % (hi - lo)
+        exact = (pos[i] + pos[j] == pos[order[at[hit]]]).all(axis=1)
+        found.append(np.stack([i[exact], j[exact]]))
+    return tuple(np.concatenate(found, axis=1))
 
 
 @lru_cache(maxsize=None)
 def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
-    """T[i, j] = (positive root i + positive root j is a root).
-
-    Length filter: beta + beta' can be a root only if |beta + beta'|^2 is a
-    root's squared length (Humphreys, Lie Algebras, 9.4).  One float32
-    product per block of rows gives it from the form half[a] C[a, b], and
-    only the pairs that pass are searched.  Outside C_n they are exactly
-    the pairs whose sum is a root.  In C_n orthogonal short roots such as
-    e1+e2 and e3+e4 sum to the long length without being a root, 71 % of
-    the pairs pass at C14 and 85 % at C30, and only the key search decides.
-
-    Key search: each positive root gets the key sum_k c_k w_k mod 2^64 for
-    fixed pseudo-random weights w_k.  The key is linear, so a sum that is a
-    positive root has exactly that root's key and a binary search over the
-    sorted keys finds it.  Every key hit is confirmed on the coefficients,
-    so a collision between a sum and some other root is never counted.
-    A sum of two positive roots is never a negative root.
-    Blocks are sized for C_n, where nearly every pair passes.
-    """
-    pos = build_root_system(*key).positive_array
-    n, rank = pos.shape
-    keys = _root_keys(pos)
-    # A stable sort and a set test keep numpy's SIMD quicksort and reduction
-    # code out of memory: about 0.4 MB of peak RSS on a small run.
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    if len(set(keys.tolist())) < n:
-        raise AssertionError(f"root keys of {key[0]}{key[1]} are not distinct")
-    half = _half_lengths(*key)
-    short, long = 2 * min(half), 2 * max(half)  # the roots' squared lengths
-    # left[i] @ right[:, j] = |beta_i + beta_j|^2 for left[i] = (2 (beta_i, alpha_s)_s,
-    # |beta_i|^2, 1), right[:, j] = (beta_j, 1, |beta_j|^2): integers below 2^24, exact
-    # in float32.  Filled in place, since freed temporaries this big stay resident.
-    right = np.ones((rank + 2, n), dtype=np.float32)
-    right[:rank] = pos.T
-    left = np.ones((n, rank + 2), dtype=np.float32)
-    form = (2 * np.array(half)[:, None] * build_root_system(*key).cartan).astype(np.float32)
-    np.matmul(right[:rank].T, form, out=left[:, :rank])
-    left[:, rank] = right[rank + 1] = np.einsum("ij,ji->i", left[:, :rank], right[:rank]) / 2
+    """T[i, j] = (positive root i + positive root j is a root), searched over
+    the upper triangle and mirrored."""
+    rs = build_root_system(*key)
+    n = len(rs.positive_array)
+    i, j = root_sum_pairs(rs, np.arange(n), upper=True)
     table = np.zeros((n, n), dtype=bool)
-    rows = max(1, _SUM_TABLE_BYTES // (64 * n))
-    for start in range(0, n, rows):
-        # The table is symmetric: take the pairs with j >= start only.
-        sq = left[start:start + rows] @ right[:, start:]
-        flat = np.flatnonzero((sq == short) | (sq == long))
-        sums = (keys[start:start + rows, None] + keys[None, start:]).ravel()[flat]
-        at = np.minimum(np.searchsorted(sorted_keys, sums), n - 1)
-        found = sorted_keys[at] == sums
-        i, j = np.divmod(flat[found], n - start)
-        i, j, hit = i + start, j + start, order[at[found]]
-        exact = (pos[i] + pos[j] == pos[hit]).all(axis=1)
-        i, j = i[exact], j[exact]
-        table[i, j] = True
-        table[j, i] = True
+    table[i, j] = table[j, i] = True
     table.setflags(write=False)  # shared by every grading of this type
     return table
 

@@ -8,9 +8,10 @@ components fills the chi2 component.
 
 Because every component is an irreducible module of the Levi (a fact the
 test suite asserts for each bundled case), the bracket of two components
-is either zero or the whole head component, so the arrow criterion
-reduces to the existence of two roots, one per component, whose sum is a
-root.  No structure constants are needed.
+is either zero or the whole head component, and the tail component is
+generated by its highest root vector.  So the arrow criterion reduces to
+whether the tail's highest root plus some root of the twisting component
+is a root.  No structure constants are needed.
 """
 
 from __future__ import annotations
@@ -62,20 +63,13 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     return {u for u in seen if g.is_weight(u) and g.is_reduced(u)}
 
 
-def bracket_is_full(g: Grading, chi1: Weight, chi2: Weight) -> bool:
-    """Whether some root of chi1 plus some root of chi2 is a root."""
-    return g.is_positive_weight(chi1) and tuple(chi2) in g.bracket_reach(chi1)
-
-
 def arrow_head(g: Grading, chi1: Weight, mu: Weight) -> Weight | None:
-    """Head of the mu-labelled arrow at chi1, or None if there is no arrow."""
+    """Head of the mu-labelled arrow at chi1, or None if there is no arrow.
+    A root of chi1 plus a root of mu that is a root makes chi1 + mu a weight."""
     chi1, mu = tuple(chi1), tuple(mu)
     if not (g.is_positive_weight(chi1) and g.is_positive_weight(mu)):
         raise ValueError("arrow endpoints must be positive weights")
-    head = tuple(a + b for a, b in zip(chi1, mu))
-    if not g.is_weight(head):
-        return None
-    return head if bracket_is_full(g, chi1, mu) else None
+    return tuple(a + b for a, b in zip(chi1, mu)) if mu in g.bracket_reach(chi1) else None
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,6 @@ class WeightDiagram:
     rubbish: tuple[Weight, ...]
     #: (tail weight, twisting weight, head weight)
     arrows: tuple[tuple[Weight, Weight, Weight], ...]
-
-    @property
-    def vertices(self) -> tuple[Weight, ...]:
-        return tuple(sorted(set(self.nonreduced) | set(self.rubbish)))
 
 
 def build_weight_diagram(g: Grading, twisting: list[Weight]) -> WeightDiagram:

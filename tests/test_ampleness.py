@@ -510,6 +510,19 @@ def test_line_inside_the_quadric_with_rounded_coefficients(monkeypatch):
     assert 0 < max(abs(c0), abs(c1), abs(c2)) < 1e-15 and roots is None
 
 
+def test_segre_rank_one_cut_reads_line_map_tol(monkeypatch):
+    # The pencil s E11 + t (E22 + d E13) has the rank-one point (1 : 0) and,
+    # at (0 : 1), a matrix with singular-value ratio d: one point of the
+    # Segre variety at the default cut, two once the cut passes d.
+    d = 1e-5
+    x = np.outer([1, 0], [1, 0, 0])
+    y = np.outer([0, 1], [0, 1, 0]) + d * np.outer([1, 0], [0, 0, 1])
+    A = np.column_stack([x.reshape(6), y.reshape(6)]).astype(complex)
+    assert am.is_degenerate_line_map(A, am.SegreVariety(3))
+    monkeypatch.setattr(am, "LINE_MAP_TOL", 1e-3)
+    assert not am.is_degenerate_line_map(A, am.SegreVariety(3))
+
+
 def test_segre_pencils_inside_the_rank_one_locus_are_not_degenerate():
     # u (x) (s w1 + t w2) is rank one for every (s : t); its minors in the SVD
     # basis are rounding, not a quadratic with one double root

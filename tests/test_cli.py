@@ -183,6 +183,21 @@ def test_cli_deform_input_not_numeric(tmp_path):
         assert "variant 4A: input 'A' is not a complex array" in out and "Traceback" not in out
 
 
+@pytest.mark.parametrize("A", [
+    "[[1, 0], [0, NaN], [0, 0], [0, 0]]",
+    "[[1, 0], [0, Infinity], [0, 0], [0, 0]]",
+    "[[1, 0], [0, -Infinity], [0, 0], [0, 0]]",
+    '{"re": [[1, 0], [0, 1], [0, 0], [0, 0]], "im": [[0, 0], [0, NaN], [0, 0], [0, 0]]}',
+], ids=["nan", "inf", "-inf", "re-im-nan"])
+def test_cli_deform_input_non_finite(tmp_path, A):
+    # json reads NaN and Infinity as floats; the input is named, not the SVD
+    path = tmp_path / "in.json"
+    path.write_text(f'{{"A": {A}, "B": [[1, 0], [0, 1]]}}')
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+    assert code == 2 and "Traceback" not in out
+    assert "variant 4A: input 'A' has non-finite entries" in out
+
+
 def test_cli_deform_input_re_im_encoding(tmp_path):
     # the --json witness encoding is accepted as input: 4A with a non-ample A
     path = tmp_path / "in.json"

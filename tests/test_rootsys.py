@@ -12,6 +12,7 @@ from parabolics.rootsys import (
     InvalidTypeError,
     build_root_system,
     cartan_matrix,
+    dynkin_edges,
     is_root,
     parse_type,
 )
@@ -270,16 +271,26 @@ def test_root_sum_table_equals_loop_oracle(kind, rank):
     assert np.array_equal(rs.root_sum_is_root, _sum_table_loop(rs))
 
 
-# ------------------------------------------- root-sum table: length filter
+# ------------------------------------------- root-sum table: root lengths
 
 TYPES_TO_RANK_30 = [(kind, rank) for kind, ranks in rootsys._VALID_RANKS.items()
                     for rank in ranks if rank <= 30]
 
 
+def _half_lengths(rs):
+    """half[s] = |alpha_s|^2 / 2, whole numbers with half[0] = 2: (alpha_a,
+    alpha_b) = half[a] C[a, b] is symmetric, which fixes half[b] along each
+    edge of the Dynkin diagram."""
+    c, half = rs.cartan.tolist(), [2] * rs.rank
+    for a, b in dynkin_edges(rs.kind, rs.rank):
+        half[b - 1] = half[a - 1] * c[a - 1][b - 1] // c[b - 1][a - 1]
+    return half
+
+
 @pytest.mark.parametrize("kind,rank", TYPES_TO_RANK_30 + [("A", 99)])
 def test_half_lengths_symmetrise_the_cartan_matrix(kind, rank):
     rs = build_root_system(kind, rank)
-    half = rootsys._half_lengths(kind, rank)
+    half = _half_lengths(rs)
     form = np.diag(half) @ rs.cartan
     assert np.array_equal(form, form.T)
     pos = rs.positive_array
@@ -288,7 +299,7 @@ def test_half_lengths_symmetrise_the_cartan_matrix(kind, rank):
 
 def _length_candidates(rs):
     """Pairs (i, j) whose sum has a root's squared length."""
-    half = rootsys._half_lengths(rs.kind, rs.rank)
+    half = _half_lengths(rs)
     pos = rs.positive_array
     gram = pos @ np.diag(half) @ rs.cartan @ pos.T
     norms = np.diag(gram)
@@ -297,29 +308,20 @@ def _length_candidates(rs):
 
 @pytest.mark.parametrize("kind,rank", TYPES_TO_RANK_30)
 def test_length_filter_is_exact_outside_c4_and_up(kind, rank):
-    # The filter never drops a root sum; outside C_n, n >= 4, it keeps no
-    # other pair.  C_n has e1+e2 and e3+e4 from rank 4 on.
+    # A root sum has a root's squared length (Humphreys, Lie Algebras, 9.4);
+    # outside C_n, n >= 4, every pair whose sum has that length sums to a
+    # root.  C_n has e1+e2 and e3+e4 from rank 4 on.
     rs = build_root_system(kind, rank)
     candidates, table = _length_candidates(rs), rs.root_sum_is_root
     assert not (table & ~candidates).any()
     assert np.array_equal(candidates, table) == (kind != "C" or rank < 4)
 
 
-def test_length_filter_shares():
-    upper = lambda m: int(np.triu(m).sum())
-    d24 = _length_candidates(build_root_system("D", 24))
-    assert (upper(d24), upper(np.ones_like(d24))) == (8096, 152628)
-    for rank, share in ((14, 0.71), (30, 0.85)):
-        c = _length_candidates(build_root_system("C", rank))
-        assert round(upper(c) / upper(np.ones_like(c)), 2) == share
-
-
 @pytest.mark.parametrize("rank", [4, 6, 10])
 def test_c_n_sums_of_root_length_that_are_not_roots(rank):
     # In e-coordinates (alpha_s = e_s - e_(s+1), alpha_n = 2 e_n) roots have
-    # squared length 2 or 4.  The pairs whose sum has one of these lengths
-    # but is no root pass the length filter, and only the key search and
-    # coefficient check can mark them False.
+    # squared length 2 or 4.  Some pairs, such as e1+e2 and e3+e4, sum to one
+    # of these lengths without summing to a root; the table marks them False.
     rs = build_root_system("C", rank)
     to_e = np.eye(rank, dtype=np.int64) - np.eye(rank, k=1, dtype=np.int64)
     to_e[-1, -1] = 2
@@ -368,7 +370,9 @@ def test_root_keys_equal_the_whole_array_product():
 
 def test_root_keys_must_be_distinct(monkeypatch):
     # Weights linear in the coordinate index give equal keys to different
-    # roots of A5; the table build must refuse them rather than guess.
+    # roots of A5; the table build must refuse them rather than guess.  The
+    # key index is cached per type, so it is cleared first.
+    rootsys._key_index.cache_clear()
     monkeypatch.setattr(rootsys, "_splitmix64", lambda k: 3 * (k + 1))
     with pytest.raises(AssertionError, match="A5"):
         rootsys._sum_table_cached.__wrapped__(("A", 5))

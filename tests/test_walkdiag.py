@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from parabolics import rootsys
+from parabolics.cli import main
 from parabolics.grading import Grading, compute_grading, diagram, grade
 from parabolics.walkdiag import (
     CaseDataError,
     arrow_head,
-    bracket_is_full,
     build_weight_diagram,
     data_checksum,
     data_path,
@@ -115,7 +116,7 @@ def test_build_weight_diagram_matches_case_2a(cases):
     wd = build_weight_diagram(g, list(spec.twisting.values()))
     assert set(wd.nonreduced) == set(spec.nonreduced.values())
     assert set(wd.rubbish) == set(spec.rubbish.values())
-    assert set(wd.vertices) == {(0, 1), (1, 1), (2, 1)}
+    assert set(wd.nonreduced) | set(wd.rubbish) == {(0, 1), (1, 1), (2, 1)}
     assert set(wd.arrows) == {((0, 1), (1, 0), (1, 1)), ((1, 1), (1, 0), (2, 1))}
 
 
@@ -125,7 +126,7 @@ def test_arrow_heads_always_vertices(cases):
         spec = cases[cid]
         g = compute_grading(diagram(spec.group, spec.black))
         wd = build_weight_diagram(g, list(spec.twisting.values()))
-        vertices = set(wd.vertices)
+        vertices = set(wd.nonreduced) | set(wd.rubbish)
         for (_, _, head) in wd.arrows:
             assert head in vertices
 
@@ -195,13 +196,11 @@ def test_negative_named_weight_is_not_a_positive_weight(cases):
     assert "(-2, -1) is not a positive weight" in report.lines[-1]["detail"]
 
 
-def _bracket_probe(g, chi1, chi2):
-    """Whether some root of chi1 plus some root of chi2 is a root, by one
-    probe of the sum table, as written before the reach was cached."""
-    i1, i2 = g.component_indices(chi1), g.component_indices(chi2)
-    if i1 is None or i2 is None:
-        return False
-    return bool(g.rs.root_sum_is_root[np.ix_(i1, i2)].any())
+def _bracket_probe(g, chi1):
+    """The positive weights chi2 such that some root of chi1 plus some root
+    of chi2 is a root, read from the rows of chi1 in the sum table."""
+    hit = g.rs.root_sum_is_root[g.component_indices(chi1)].any(axis=0)
+    return {g.positive_weights[c - 1] for c in set(g._component_of[hit].tolist()) - {0}}
 
 
 def _seeded_gradings():
@@ -221,21 +220,59 @@ def test_bracket_reach_equals_the_table_probe(cases):
         for chi1 in g.positive_weights:
             reach = g.bracket_reach(chi1)
             assert g.bracket_reach(chi1) is reach  # cached
+            assert reach == _bracket_probe(g, chi1)
             for chi2 in g.positive_weights:
-                want = _bracket_probe(g, chi1, chi2)
-                assert (chi2 in reach) == want == bracket_is_full(g, chi1, chi2)
                 head = tuple(a + b for a, b in zip(chi1, chi2))
-                assert arrow_head(g, chi1, chi2) == (head if want and g.is_weight(head) else None)
+                want = head if chi2 in reach and g.is_weight(head) else None
+                assert arrow_head(g, chi1, chi2) == want
                 pairs += 1
     assert pairs > 5000
 
 
+SWEEP_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 8)]
+               + [f"C{r}" for r in range(3, 8)] + [f"D{r}" for r in range(4, 8)]
+               + ["E6", "E7", "E8", "F4", "G2", "A20", "B14", "C14", "D24"])
+#: Large gradings, by type and white vertices.
+SWEEP_LARGE = (("B60", (20, 40)), ("A99", (1, 50)), ("D60", (2, 30, 59)), ("C40", (1, 5)))
+
+
+def _sweep_gradings():
+    rng = np.random.default_rng(19)
+    for name in SWEEP_TYPES:
+        rank = int(name[1:])
+        for _ in range(12):
+            black = [v for v in range(1, rank + 1) if rng.random() < 0.5]
+            if len(black) < rank:
+                yield grade(name, black)
+    for name, white in SWEEP_LARGE:
+        yield grade(name, set(range(1, int(name[1:]) + 1)) - set(white))
+
+
+def test_bracket_reach_from_highest_roots_equals_the_table_sweep():
+    components = 0
+    for g in _sweep_gradings():
+        for chi in g.positive_weights:
+            assert g.bracket_reach(chi) == _bracket_probe(g, chi), (g.diagram, chi)
+            components += 1
+    rootsys._sum_table_cached.cache_clear()  # up to 25 MB a type
+    assert components == 6723
+
+
+def test_case_verification_and_diagram_build_no_sum_table(capsys):
+    rootsys._sum_table_cached.cache_clear()
+    assert all(report.passed for report in verify_all_cases().values())
+    black = ",".join(str(v) for v in range(1, 61) if v not in (20, 40))
+    assert main(["diagram", "--json", f"B60/{black}", "--twisting", "1,0;0,1"]) == 0
+    assert capsys.readouterr().out
+    assert rootsys._sum_table_cached.cache_info().currsize == 0
+
+
 def test_bracket_of_non_positive_weights():
     g = compute_grading(diagram("E7", (1, 3, 4, 6, 7)))
-    for chi1, chi2 in (((0, -1), (1, 1)), ((1, 1), (0, -1)), ((9, 9), (1, 0)), ((0, 0), (0, 1))):
-        assert bracket_is_full(g, chi1, chi2) is False
-    with pytest.raises(ValueError, match="not a positive weight"):
-        g.bracket_reach((0, -1))
+    for chi1 in ((0, -1), (9, 9), (0, 0)):
+        with pytest.raises(ValueError, match="not a positive weight"):
+            g.bracket_reach(chi1)
+    assert (0, -1) not in g.bracket_reach((1, 1))
 
 
 def test_diagram_without_vertices_does_no_bracket_work(monkeypatch):
@@ -245,4 +282,4 @@ def test_diagram_without_vertices_does_no_bracket_work(monkeypatch):
     monkeypatch.setattr(Grading, "bracket_reach", refuse)
     g = grade("A5", [2, 4])  # type A: every weight is reduced
     wd = build_weight_diagram(g, [(1, 0, 0), (0, 1, 0)])
-    assert wd.vertices == () and wd.arrows == ()
+    assert set(wd.nonreduced) | set(wd.rubbish) == set() and wd.arrows == ()
