@@ -33,27 +33,16 @@ from .cxlinalg import (
 )
 from .spinor import spin_module
 
-AMPLE_NONDEG = "ample-nondeg"
-AMPLE_ISOTROPIC = "ample-isotropic"
-NOT_AMPLE = "not-ample"
-
 
 class HypothesesNotMet(ValueError):
     """The task input does not satisfy the variant's hypotheses."""
 
 
-def is_ample(A, space: BilinearSpace) -> str:
-    """Classify the restriction of the form to the column span of A."""
-    rank, radical = restriction_invariants(np.asarray(A, dtype=complex), space)
-    if 0 < radical < rank:
-        return NOT_AMPLE
-    if radical == 0:
-        return AMPLE_NONDEG
-    return AMPLE_ISOTROPIC
-
-
 def ample(A, space: BilinearSpace) -> bool:
-    return is_ample(A, space) != NOT_AMPLE
+    """Whether the column span of A is ample: the form restricts to it
+    either nondegenerately or as zero (a totally isotropic span)."""
+    rank, radical = restriction_invariants(np.asarray(A, dtype=complex), space)
+    return radical in (0, rank)
 
 
 # -------------------------------------------------------- two-varieties
@@ -397,7 +386,7 @@ def _nonample(space: str, *shape, view=lambda M: M, unview=None) -> InputSpec:
     """The columns of view(x) span a non-ample subspace of the space; the
     seeded value is unview of as many non-ample columns as view(x) has."""
     return InputSpec(
-        shape, lambda c, x: is_ample(view(x), c[space]) == NOT_AMPLE, "not be ample",
+        shape, lambda c, x: not ample(view(x), c[space]), "not be ample",
         lambda rng, c: (unview or view)(_nonample_columns(
             c[space], view(np.zeros(_dims(c, shape))).shape[1], rng)))
 

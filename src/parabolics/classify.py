@@ -31,32 +31,36 @@ class TableEntry:
     black: tuple[int, ...]
 
 
-def load_table(path: Path | None = None) -> tuple[TableEntry, ...]:
-    """Entries of the table at `path`, by default the bundled `table.txt`.
-    The default file is parsed once, and again only if the data directory
-    it resolves to changes."""
-    if path is not None:
-        return _parse_table(path)
-    return _parse_default_table(data_path("table.txt"))
+def load_table() -> tuple[TableEntry, ...]:
+    """Entries of `table.txt` in the data directory.  The file is parsed
+    once, and again only if the data directory it resolves to changes."""
+    return _parse_table(data_path("table.txt"))
 
 
+@lru_cache(maxsize=1)
 def _parse_table(path: Path) -> tuple[TableEntry, ...]:
-    entries = []
+    entries: dict[int, TableEntry] = {}
+    colourings: dict[tuple[str, tuple[int, ...]], int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             _, idx, group, _black, verts = line.split()
-            entries.append(TableEntry(int(idx), group, tuple(int(x) for x in verts.split(","))))
+            e = TableEntry(int(idx), group, tuple(int(x) for x in verts.split(",")))
+            colouring = (group, tuple(sorted(e.black)))
+            if e.index in entries:
+                raise ValueError(f"entry {e.index} is defined twice")
+            if colouring in colourings:
+                raise ValueError(f"entry {e.index} repeats the colouring of "
+                                 f"entry {colourings[colouring]}")
+            entries[e.index] = e
+            colourings[colouring] = e.index
         except Exception as exc:
             raise CaseDataError(f"{path}:{lineno}: {exc}") from exc
     if len(entries) != 59:
         raise CaseDataError(f"{path}: expected 59 entries, found {len(entries)}")
-    return tuple(entries)
-
-
-_parse_default_table = lru_cache(maxsize=1)(_parse_table)
+    return tuple(entries.values())
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,9 @@ def scan_parabolics(rs: RootSystem) -> list[ScanRecord]:
     return [ScanRecord(black, count) for black, count in zip(blacks, counts)]
 
 
-def check_table(entries: Sequence[TableEntry] | None = None) -> Report:
+def check_table() -> Report:
     """One line per table entry: it must have >= 2 non-reduced positive weights."""
-    if entries is None:
-        entries = load_table()
+    entries = load_table()
     counts = {}
     for group in {e.group for e in entries}:
         mine = [e for e in entries if e.group == group]
@@ -138,12 +141,10 @@ def check_table(entries: Sequence[TableEntry] | None = None) -> Report:
     return report
 
 
-def match_table_entry(group: str, black, entries: Sequence[TableEntry] | None = None) -> int | None:
+def match_table_entry(group: str, black) -> int | None:
     """Table entry whose colouring equals the given one, if any."""
-    if entries is None:
-        entries = load_table()
     black = tuple(sorted(black))
-    for e in entries:
+    for e in load_table():
         if e.group == group and tuple(sorted(e.black)) == black:
             return e.index
     return None

@@ -56,19 +56,20 @@ class SpinModule:
     # ---------------------------------------------------------- rho action
 
     def rho(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of rho(v) on Lambda* U for v in V = U + U' (length 2m)."""
+        """Matrix of rho(v) on Lambda* U for v in V = U + U' (length 2m); a
+        (..., 2m) stack of vectors gives the (..., 2^m, 2^m) stack of matrices."""
         return self._scatter(v, _rho_scatter(self.m), self.dim)
 
     def _scatter(self, v, table, n: int) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
-        if v.shape != (2 * self.m,):
+        if v.shape[-1:] != (2 * self.m,):
             raise ValueError(f"vector must live in C^{2 * self.m}")
         flat, gen, sign = table
-        M = np.zeros((n, n), dtype=complex)
+        M = np.zeros((*v.shape[:-1], n * n), dtype=complex)
         # Adding to a zero entry, as an entry-wise build does, turns the
         # -0.0 parts of v[gen] * sign into +0.0.
-        M.reshape(-1)[flat] = 0 + v[gen] * sign
-        return M
+        M[..., flat] = 0 + v[..., gen] * sign
+        return M.reshape(*v.shape[:-1], n, n)
 
     def pairing(self, v, w) -> complex:
         """(v, w) on V, with U and U' isotropic and dual to each other.
@@ -123,14 +124,11 @@ def rho_square_defect(rng: np.random.Generator, sm: SpinModule, trials: int) -> 
     drawn in turn; the rho(v) are scattered and squared as stacks."""
     V = np.array([crandom(rng, 2 * sm.m) for _ in range(trials)])
     q = np.array([sm.pairing(v, v) for v in V])[:, None, None]
-    flat, gen, sign = _rho_scatter(sm.m)
     I = np.eye(sm.dim)
     step = max(1, _RHO_STACK_BYTES // (16 * sm.dim ** 2))
     defects = [0.0]
     for a in range(0, trials, step):
-        R = np.zeros((len(V[a:a + step]), sm.dim ** 2), dtype=complex)
-        R[:, flat] = 0 + V[a:a + step, gen] * sign  # as in rho, -0.0 becomes +0.0
-        R = R.reshape(-1, sm.dim, sm.dim)
+        R = sm.rho(V[a:a + step])
         defects.extend(frobenius(R @ R - q[a:a + step] * I).tolist())
     return float(np.max(defects))  # a NaN defect is the worst
 

@@ -4,7 +4,8 @@ A weight diagram is built over a grading from a chosen list of twisting
 weights.  Its vertices are the non-reduced positive weights together with
 the rubbish weights; its arrows are labelled by twisting weights, with an
 arrow chi1 -> chi2 exactly when the bracket of the chi1 and twisting
-components fills the chi2 component.
+components fills the chi2 component.  `verify_case` checks a bundled case
+against `build_weight_diagram`, whose diagrams `parabolics diagram` prints.
 
 Because every component is an irreducible module of the Levi (a fact the
 test suite asserts for each bundled case), the bracket of two components
@@ -63,15 +64,6 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     return {u for u in seen if g.is_weight(u) and g.is_reduced(u)}
 
 
-def arrow_head(g: Grading, chi1: Weight, mu: Weight) -> Weight | None:
-    """Head of the mu-labelled arrow at chi1, or None if there is no arrow.
-    A root of chi1 plus a root of mu that is a root makes chi1 + mu a weight."""
-    chi1, mu = tuple(chi1), tuple(mu)
-    if not (g.is_positive_weight(chi1) and g.is_positive_weight(mu)):
-        raise ValueError("arrow endpoints must be positive weights")
-    return tuple(a + b for a, b in zip(chi1, mu)) if mu in g.bracket_reach(chi1) else None
-
-
 @dataclass(frozen=True)
 class WeightDiagram:
     grading: Grading
@@ -88,13 +80,13 @@ def build_weight_diagram(g: Grading, twisting: list[Weight]) -> WeightDiagram:
     rubbish = tuple(sorted(rubbish_weights(g, twisting)))
     vertices = set(nonreduced) | set(rubbish)
     arrows = []
+    # rubbish_weights has checked the twisting weights.  A root sum across v
+    # and mu makes v + mu a weight, and a vertex: a reduced head is rubbish
+    # by construction, a non-reduced one is a vertex already.
     for v in sorted(vertices):
         for mu in twisting:
-            head = arrow_head(g, v, mu)
-            if head is not None:
-                # heads stay inside the vertex set: a reduced head is rubbish
-                # by construction, a non-reduced one is a vertex already
-                arrows.append((v, mu, head))
+            if mu in g.bracket_reach(v):
+                arrows.append((v, mu, tuple(a + b for a, b in zip(v, mu))))
     return WeightDiagram(
         grading=g,
         twisting=tuple(twisting),
@@ -149,8 +141,8 @@ def _parse_vector(s: str) -> Weight:
     return tuple(int(x) for x in s.split(","))
 
 
-def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
-    path = path or data_path("cases.txt")
+def load_cases() -> dict[str, CaseSpec]:
+    path = data_path("cases.txt")
     cases: dict[str, CaseSpec] = {}
     cur: dict | None = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -161,8 +153,10 @@ def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
             if cur is None and not line.startswith("case "):
                 raise ValueError(f"{line.split()[0]!r} line before any 'case' line")
             if line.startswith("case "):
+                if (case_id := line.split()[1]) in cases:
+                    raise ValueError(f"case {case_id} is defined twice")
                 cur = {
-                    "case_id": line.split()[1], "nonreduced": {}, "twisting": {},
+                    "case_id": case_id, "nonreduced": {}, "twisting": {},
                     "rubbish": {}, "black_labels": {}, "arrows": [], "note": "",
                 }
             elif line == "end":
@@ -192,6 +186,8 @@ def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
                 role, name, _eq, rest = line.split(None, 3)
                 if rest.count(";") != 1:
                     raise ValueError(f"{role} {name} needs one '; labels' part")
+                if name in cur["black_labels"]:
+                    raise ValueError(f"{role} {name}: name defined twice in case {cur['case_id']}")
                 vec_part, labels_part = rest.split(";")
                 cur[role][name] = _parse_vector(vec_part.strip())
                 cur["black_labels"][name] = _parse_vector(labels_part.split()[1])
@@ -217,12 +213,12 @@ def load_cases(path: Path | None = None) -> dict[str, CaseSpec]:
 def verify_case(case: CaseSpec) -> Report:
     """Recompute one case from its colouring and compare with the transcript.
 
-    Checked, per the acceptance contract: every named vector is a positive
-    weight with the stated reduced/non-reduced status, the capitals are
-    exactly the non-reduced positive weights, the small letters are exactly
-    the rubbish weights for the stated twisting list, and the computed
-    arrow set equals the printed one.  The printed Dynkin labels at black
-    vertices are verified as well.
+    Checked, per the acceptance contract, against the weight diagram that
+    `build_weight_diagram` makes for the printed twisting weights: every
+    named vector is a positive weight with the stated reduced/non-reduced
+    status, the capitals and small letters are exactly the diagram's
+    non-reduced and rubbish weights, and its arrow set equals the printed
+    one.  The printed Dynkin labels at black vertices are verified as well.
     """
     report = Report()
     g = compute_grading(diagram(case.group, case.black))
@@ -233,8 +229,9 @@ def verify_case(case: CaseSpec) -> Report:
             report.add(f"weight {name}", False, f"{vec} is not a positive weight")
             return report
     report.add("all named vectors are positive weights", True)
+    wd = build_weight_diagram(g, list(case.twisting.values()))
 
-    computed_nonred = set(g.positive_nonreduced_weights())
+    computed_nonred = set(wd.nonreduced)
     report.add(
         "non-reduced weights match",
         set(case.nonreduced.values()) == computed_nonred,
@@ -248,30 +245,26 @@ def verify_case(case: CaseSpec) -> Report:
         if not g.is_reduced(vec):
             report.add(f"rubbish {name} reduced", False, f"{vec} is non-reduced")
 
-    computed_rubbish = rubbish_weights(g, list(case.twisting.values()))
+    computed_rubbish = set(wd.rubbish)
     report.add(
         "rubbish weights match",
         computed_rubbish == set(case.rubbish.values()),
         f"printed {sorted(case.rubbish.values())} computed {sorted(computed_rubbish)}",
     )
 
-    # arrows, compared as sets of name triples; vectors may share names
-    # across roles, so heads are resolved to vertex names
-    vertex_name: dict[Weight, str] = {}
-    for name, vec in {**case.nonreduced, **case.rubbish}.items():
-        vertex_name.setdefault(vec, name)
+    # arrows, compared as sets of name triples: a vector takes its first
+    # name in its role (a twisting weight may share a capital's vector)
+    vertices = {**case.nonreduced, **case.rubbish}
+    vertex_name = {vec: name for name, vec in reversed(vertices.items())}
+    twisting_name = {vec: name for name, vec in reversed(case.twisting.items())}
     computed_arrows: set[tuple[str, str, str]] = set()
-    unnamed_heads: list[str] = []
-    for vname, vec in {**case.nonreduced, **case.rubbish}.items():
-        for tname, tvec in case.twisting.items():
-            head = arrow_head(g, vec, tvec)
-            if head is None:
-                continue
-            if head not in vertex_name:
-                unnamed_heads.append(f"{vname}-{tname}->{head}")
-                continue
-            computed_arrows.add((vname, tname, vertex_name[head]))
-    report.add("arrow heads all land on vertices", not unnamed_heads, "; ".join(unnamed_heads))
+    unnamed: list[str] = []
+    for tail, mu, head in wd.arrows:
+        if tail in vertex_name and head in vertex_name:
+            computed_arrows.add((vertex_name[tail], twisting_name[mu], vertex_name[head]))
+        else:
+            unnamed.append(f"{vertex_name.get(tail, tail)}-{twisting_name[mu]}->{head}")
+    report.add("arrow heads all land on vertices", not unnamed, "; ".join(unnamed))
     printed_arrows = set(case.arrows)
     report.add(
         "arrow set matches",
@@ -294,7 +287,5 @@ def verify_case(case: CaseSpec) -> Report:
     return report
 
 
-def verify_all_cases(cases: dict[str, CaseSpec] | None = None) -> dict[str, Report]:
-    if cases is None:
-        cases = load_cases()
-    return {cid: verify_case(spec) for cid, spec in sorted(cases.items())}
+def verify_all_cases() -> dict[str, Report]:
+    return {cid: verify_case(spec) for cid, spec in sorted(load_cases().items())}

@@ -4,7 +4,7 @@ import pytest
 from linalg_helpers import form_preserving, spinor_vector
 from parabolics import ampleness as am
 from parabolics.cxlinalg import (DEFAULT_TOL, _solve_constraints, crandom, det_space, orth,
-                                 pf_space, symmetric_space)
+                                 pf_space, restriction_invariants, symmetric_space)
 from parabolics.spinor import spin_module
 
 
@@ -13,14 +13,15 @@ def test_is_ample_examples():
     A = np.zeros((6, 2), dtype=complex)
     A[0, 0] = A[5, 0] = 1   # e12 + e34
     A[0, 1] = 1; A[5, 1] = -1  # e12 - e34
-    assert am.is_ample(A, psp) == am.AMPLE_NONDEG
+    assert am.ample(A, psp) and restriction_invariants(A, psp) == (2, 0)
     B = np.zeros((6, 2), dtype=complex)
     B[0, 0] = B[5, 0] = 1   # e12 + e34
     B[1, 1] = 1             # e13
-    assert am.is_ample(B, psp) == am.NOT_AMPLE
-    assert am.is_ample(np.zeros((6, 2)), psp) != am.NOT_AMPLE
+    assert not am.ample(B, psp) and restriction_invariants(B, psp) == (2, 1)
+    assert am.ample(np.zeros((6, 2)), psp)
+    assert restriction_invariants(np.zeros((6, 2)), psp) == (0, 0)
     iso = np.zeros((6, 1), dtype=complex); iso[1, 0] = 1
-    assert am.is_ample(iso, psp) == am.AMPLE_ISOTROPIC
+    assert am.ample(iso, psp) and restriction_invariants(iso, psp) == (1, 1)
 
 
 @pytest.mark.parametrize("space", [symmetric_space(4), det_space(), pf_space()])
@@ -35,10 +36,11 @@ def test_is_ample_invariant_under_structure_group(space):
             M = am.span_with_invariants(space, rank, radical, rng)
         except ValueError:
             continue
-        cls = am.is_ample(M, space)
+        invariants, ample = restriction_invariants(M, space), am.ample(M, space)
         for _ in range(3):
             h = form_preserving(space, rng)
-            assert am.is_ample(h @ M, space) == cls
+            assert restriction_invariants(h @ M, space) == invariants
+            assert am.ample(h @ M, space) == ample
 
 
 def test_spinor_is_ample():
@@ -46,10 +48,12 @@ def test_spinor_is_ample():
     plus, minus = sm.half_space("+"), sm.half_space("-")
     s1, s2 = (spinor_vector(sm, *subsets)[sm.even_indices]
               for subsets in [((),), ((0, 1), (2, 3))])
-    assert am.is_ample(np.column_stack([s1, s2]), plus) == am.NOT_AMPLE
-    assert am.is_ample(np.zeros((8, 2)), plus) != am.NOT_AMPLE
-    rng = np.random.default_rng(8)
-    assert am.is_ample(crandom(rng, 8, 3), minus) == am.AMPLE_NONDEG
+    pair = np.column_stack([s1, s2])
+    assert not am.ample(pair, plus) and restriction_invariants(pair, plus) == (2, 1)
+    assert am.ample(np.zeros((8, 2)), plus)
+    assert restriction_invariants(np.zeros((8, 2)), plus) == (0, 0)
+    generic = crandom(np.random.default_rng(8), 8, 3)
+    assert am.ample(generic, minus) and restriction_invariants(generic, minus) == (3, 0)
 
 
 def test_degenerate_line_map_quadric_examples():
@@ -264,7 +268,7 @@ def test_nonample_generator_produces_not_ample():
                      (sm.half_space("+"), 3), (sm.half_space("-"), 2)]:
         for _ in range(5):
             cols = am._nonample_columns(space, k, rng)
-            assert am.is_ample(cols, space) == am.NOT_AMPLE
+            assert not am.ample(cols, space)
 
 
 def test_wedge_tables():

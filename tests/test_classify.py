@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ from parabolics.classify import (
 )
 from parabolics.grading import ColouredDiagram, compute_grading, grade
 from parabolics.rootsys import ROOT_COUNT_TYPES, build_root_system
-from parabolics.walkdiag import load_cases, verify_all_cases
+from parabolics.walkdiag import (DATA_DIR_ENV, CaseDataError, data_path, load_cases,
+                                 verify_all_cases)
 
 
 def _scan_record(name: str, black: tuple[int, ...]):
@@ -95,6 +97,8 @@ def test_every_case_colouring_is_a_table_entry():
     for spec in load_cases().values():
         assert match_table_entry(spec.group, spec.black) is not None
     assert match_table_entry("E7", [1]) is None
+    entries = load_table()
+    assert [match_table_entry(e.group, e.black[::-1]) for e in entries] == [e.index for e in entries]
 
 
 def test_bundled_table_is_read_once(monkeypatch):
@@ -108,31 +112,32 @@ def test_bundled_table_is_read_once(monkeypatch):
             reads.append(self)
         return real_read_text(self, *args, **kwargs)
 
-    classify._parse_default_table.cache_clear()
+    classify._parse_table.cache_clear()
     monkeypatch.setattr(Path, "read_text", counting_read_text)
     for _ in range(15):
         assert match_table_entry("E7", [1]) is None
     assert len(reads) == 1
     assert isinstance(load_table(), tuple)
-    # an explicit path is parsed every time
-    load_table(reads[0])
-    assert len(reads) == 2
+    assert len(reads) == 1
 
 
-def test_check_table_of_no_entries_checks_nothing():
-    report = check_table([])
-    assert report.lines == [] and report.passed
-    assert check_table(()).lines == []
-    # one explicit entry is checked alone
-    [line] = check_table(load_table()[:1]).lines
-    assert line["anchor"] == f"table entry {load_table()[0].index}"
-
-
-def test_match_table_entry_in_no_entries_finds_nothing():
-    first = load_table()[0]
-    assert match_table_entry(first.group, first.black) == first.index
-    assert match_table_entry(first.group, first.black, []) is None
-    assert match_table_entry(first.group, first.black, ()) is None
+@pytest.mark.parametrize("old, new, message", [
+    ("entry 2 E7 black 1,3,6,7\n", "entry 1 E7 black 1,3,5,7\n", ":6: entry 1 is defined twice"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 7,5,3,1\n",
+     ":6: entry 2 repeats the colouring of entry 1"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 1,3,6,7\n", ":6: not enough values to unpack"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,x\n", ":6: invalid literal for int()"),
+    ("entry 2 E7 black 1,3,6,7\n", "", "expected 59 entries, found 58"),
+], ids=["index-twice", "colouring-twice", "no-black", "bad-int", "58-entries"])
+def test_load_table_errors_name_the_fault(tmp_path, monkeypatch, old, new, message):
+    text = data_path("table.txt").read_text()
+    assert old in text
+    (tmp_path / "table.txt").write_text(text.replace(old, new, 1))
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    with pytest.raises(CaseDataError, match=re.escape(message)):
+        load_table()
+    with pytest.raises(CaseDataError, match=re.escape(message)):
+        check_table()
 
 
 # ------------------------------------------- the counting kernel: oracles

@@ -123,6 +123,19 @@ def test_dropped_bracket_component_fails_its_case(plant):
     assert _verify_all() == (1, ["case 2A"])
 
 
+def test_dropped_diagram_arrow_fails_every_case(plant):
+    # every bundled case has an arrow, and verify-case checks the diagram
+    # that `diagram` prints, so losing its last arrow fails every case
+    build = walkdiag.build_weight_diagram
+
+    def dropped(g, twisting):
+        wd = build(g, twisting)
+        return dataclasses.replace(wd, arrows=wd.arrows[:-1])
+
+    plant.setattr(walkdiag, "build_weight_diagram", dropped)
+    assert _verify_all() == (1, [f"case {cid}" for cid in sorted(walkdiag.load_cases())])
+
+
 def test_scaled_f_fails_only_the_gl_line(plant):
     embed = mpchar.BlockNilpotent.embed
 

@@ -58,8 +58,9 @@ def test_rho_linear_in_v(sm4):
 
 
 def test_rho_shape_mismatch(sm4):
-    with pytest.raises(ValueError):
-        sm4.rho(np.zeros(7))
+    for bad in (np.zeros(7), np.zeros((3, 7)), np.zeros(())):
+        with pytest.raises(ValueError):
+            sm4.rho(bad)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -255,6 +256,7 @@ def test_form_gram_equals_loop_oracle(m):
 def test_rho_equals_loop_oracle(m):
     sm = spin_module(m)
     rng = np.random.default_rng(100 + m)
+    stack = []
     for _ in range(5):
         v = crandom(rng, 2 * m)
         v[rng.random(2 * m) < 0.3] = 0
@@ -262,6 +264,10 @@ def test_rho_equals_loop_oracle(m):
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros included
         assert sm.rho(v.real).tobytes() == _rho_loop(sm, v.real).tobytes()
+        stack.append(v)
+    # a stack of vectors gives each vector's matrix, bit for bit
+    stack = np.array(stack).reshape(5, 1, 2 * m)
+    assert sm.rho(stack).tobytes() == np.stack([[sm.rho(v)] for v in stack[:, 0]]).tobytes()
 
 
 def test_form_gram_cached_read_only_and_fast():

@@ -8,8 +8,8 @@ from parabolics import rootsys
 from parabolics.cli import main
 from parabolics.grading import Grading, compute_grading, diagram, grade
 from parabolics.walkdiag import (
+    DATA_DIR_ENV,
     CaseDataError,
-    arrow_head,
     build_weight_diagram,
     data_checksum,
     data_path,
@@ -52,8 +52,8 @@ def test_verify_case_passes(cases, cid):
     assert report.passed, [l for l in report.lines if not l["ok"]]
 
 
-def test_verify_all_cases(cases):
-    reports = verify_all_cases(cases)
+def test_verify_all_cases():
+    reports = verify_all_cases()
     assert len(reports) == 15 and all(r.passed for r in reports.values())
 
 
@@ -72,6 +72,12 @@ def test_corrupted_weight_fails(cases):
     bad = dataclasses.replace(spec, rubbish={"z": (9, 9)})
     report = verify_case(bad)
     assert not report.passed
+    # without its rubbish weight, 2A's arrow B -1-> a lands off the named vertices
+    report = verify_case(dataclasses.replace(cases["2A"], rubbish={}))
+    assert report.failures() == ["rubbish weights match", "arrow heads all land on vertices",
+                                 "arrow set matches"]
+    details = {l["anchor"]: l["detail"] for l in report.lines}
+    assert details["arrow heads all land on vertices"] == "B-1->(2, 1)"
 
 
 # ------------------------------------------------------------ primitives
@@ -89,25 +95,24 @@ def test_rubbish_examples(cases):
 
 def test_arrow_head_examples(cases):
     g = compute_grading(diagram("E7", cases["2A"].black))
-    assert arrow_head(g, (0, 1), (1, 0)) == (1, 1)
-    assert arrow_head(g, (1, 1), (1, 0)) == (2, 1)
+    wd = build_weight_diagram(g, [(1, 0)])
+    assert wd.arrows == (((0, 1), (1, 0), (1, 1)), ((1, 1), (1, 0), (2, 1)))
     top = max(g.positive_weights, key=sum)
-    assert arrow_head(g, top, top) is None
+    assert top not in g.bracket_reach(top)
     with pytest.raises(ValueError):
-        arrow_head(g, (9, 9), (1, 0))
+        g.bracket_reach((9, 9))
+    with pytest.raises(ValueError):
+        build_weight_diagram(g, [(9, 9)])
 
 
 def test_arrow_head_rejects_negative_weights():
     # (0, -1) is a weight of this grading, but not a positive one
     g = compute_grading(diagram("E7", (1, 3, 4, 6, 7)))
     assert g.is_weight((0, -1))
-    for chi1, mu in (((1, 1), (0, -1)), ((0, -1), (1, 1))):
-        with pytest.raises(ValueError, match="positive weights"):
-            arrow_head(g, chi1, mu)
-
-
-def test_verify_all_cases_of_no_cases_verifies_nothing():
-    assert verify_all_cases({}) == {}
+    with pytest.raises(ValueError, match="not a positive weight"):
+        build_weight_diagram(g, [(1, 1), (0, -1)])
+    with pytest.raises(ValueError, match="not a positive weight"):
+        g.bracket_reach((0, -1))
 
 
 def test_build_weight_diagram_matches_case_2a(cases):
@@ -179,13 +184,20 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
     ("case X\n  bogus line\nend\n", "unrecognised line: '  bogus line'"),
     ("case X\n  group E7\n", "unterminated case stanza X"),
     ("# comments only\n", "no case stanzas found"),
+    ("case X\n  group E7\n  parabolic 1\n  covers 1\n  black 1\nend\ncase X\nend\n",
+     ":7: case X is defined twice"),
+    ("case X\n  twisting 1 = 1,0 ; labels 1\n  twisting 1 = 0,1 ; labels 0\nend\n",
+     ":3: twisting 1: name defined twice in case X"),
+    ("case X\n  nonreduced A = 0,1 ; labels 1\n  rubbish A = 2,1 ; labels 0\nend\n",
+     ":3: rubbish A: name defined twice in case X"),
 ], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
-        "two-labels", "bad-int", "unrecognised", "unterminated", "empty"])
-def test_load_cases_errors_name_the_fault(tmp_path, text, message):
-    path = tmp_path / "cases.txt"
-    path.write_text(text)
+        "two-labels", "bad-int", "unrecognised", "unterminated", "empty",
+        "case-twice", "name-twice", "name-twice-across-roles"])
+def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
+    (tmp_path / "cases.txt").write_text(text)
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
     with pytest.raises(CaseDataError, match=re.escape(message)) as exc:
-        load_cases(path)
+        load_cases()
     assert "NoneType" not in str(exc.value) and "unpack" not in str(exc.value)
 
 
@@ -215,18 +227,23 @@ def _seeded_gradings():
 
 def test_bracket_reach_equals_the_table_probe(cases):
     gradings = [compute_grading(diagram(c.group, c.black)) for c in cases.values()]
-    pairs = 0
+    pairs = arrows = 0
     for g in gradings + list(_seeded_gradings()):
-        for chi1 in g.positive_weights:
+        probe = {chi: _bracket_probe(g, chi) for chi in g.positive_weights}
+        for chi1, want in probe.items():
             reach = g.bracket_reach(chi1)
             assert g.bracket_reach(chi1) is reach  # cached
-            assert reach == _bracket_probe(g, chi1)
-            for chi2 in g.positive_weights:
-                head = tuple(a + b for a, b in zip(chi1, chi2))
-                want = head if chi2 in reach and g.is_weight(head) else None
-                assert arrow_head(g, chi1, chi2) == want
-                pairs += 1
-    assert pairs > 5000
+            assert reach == want
+            # a root sum across the two components makes the head a weight
+            assert all(g.is_weight(tuple(a + b for a, b in zip(chi1, chi2))) for chi2 in reach)
+            pairs += len(probe)
+        # every positive weight twisting: the arrows are the probe's pairs
+        wd = build_weight_diagram(g, list(g.positive_weights))
+        assert list(wd.arrows) == [(v, mu, tuple(a + b for a, b in zip(v, mu)))
+                                   for v in sorted(set(wd.nonreduced) | set(wd.rubbish))
+                                   for mu in g.positive_weights if mu in probe[v]]
+        arrows += len(wd.arrows)
+    assert pairs > 5000 and arrows > 1000
 
 
 SWEEP_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 8)]
