@@ -284,12 +284,11 @@ def _steer_7c(c, rng):
 
 def _prop1_spaces(variety_name: str):
     if variety_name == "quadric":
-        sp = symmetric_space(4)
-        return QuadricVariety(sp), 4
+        return QuadricVariety(symmetric_space(4))
     if variety_name == "pf":
-        return QuadricVariety(pf_space()), 6
+        return QuadricVariety(pf_space())
     if variety_name == "segre":
-        return SegreVariety(3), 6
+        return SegreVariety(3)
     raise ValueError(f"unknown variety {variety_name!r}")
 
 
@@ -307,12 +306,12 @@ def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
     return M @ mix
 
 
-def _degenerate_line(variety, dim: int, rng) -> np.ndarray:
+def _degenerate_line(variety, rng) -> np.ndarray:
     """A random degenerate line map into the variety's ambient space."""
     for _ in range(200):
         if isinstance(variety, QuadricVariety):
             sp = variety.space
-            x = isotropic_vector_in(sp, np.eye(dim, dtype=complex), rng)
+            x = isotropic_vector_in(sp, np.eye(sp.dim, dtype=complex), rng)
             # tangent direction: orthogonal to x, non-isotropic
             C = (sp.gram @ x[:, None]).T
             C = np.vstack([C, (sp.gram.T @ x[:, None]).T])
@@ -352,7 +351,7 @@ _DERIVED = {
     "pf": lambda c: pf_space(),
     "S+": lambda c: spin_module(4).half_space("+"),
     "S-": lambda c: spin_module(4).half_space("-"),
-    "X": lambda c: _prop1_spaces(c["variety"])[0],
+    "X": lambda c: _prop1_spaces(c["variety"]),
     "d": lambda c: c["X"].space.dim if isinstance(c["X"], QuadricVariety) else 2 * c["X"].k,
 }
 
@@ -399,7 +398,7 @@ def _random(*shape, word: str | None = "nontrivial") -> InputSpec:
 
 
 _LINE = InputSpec(("d", 2), lambda c, x: is_degenerate_line_map(x, c["X"]), "be degenerate",
-                  lambda rng, c: _degenerate_line(c["X"], c["d"], rng))
+                  lambda rng, c: _degenerate_line(c["X"], rng))
 _OFF_CONE = InputSpec(("d",), lambda c, x: _off_cone(c["X"], x),
                       "lie off the cone over the variety",
                       lambda rng, c: _off_cone_vector(c["X"], c["d"], rng))

@@ -21,7 +21,7 @@ import numpy as np
 from .grading import ColouredDiagram, compute_grading
 from .report import Report
 from .rootsys import RootSystem, build_root_system, parse_type
-from .walkdiag import CaseDataError, data_path
+from .walkdiag import CaseDataError, _check_colouring, data_path
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ def _parse_table(path: Path) -> tuple[TableEntry, ...]:
         try:
             _, idx, group, _black, verts = line.split()
             e = TableEntry(int(idx), group, tuple(int(x) for x in verts.split(",")))
+            _check_colouring(f"entry {e.index}", group, e.black)
             colouring = (group, tuple(sorted(e.black)))
             if e.index in entries:
                 raise ValueError(f"entry {e.index} is defined twice")

@@ -6,13 +6,13 @@ the root set into components indexed by integer weight vectors; the zero
 weight collects the Levi roots.  Weights are plain tuples of ints, ordered
 by ascending white vertex index.
 
-A grading is computed from the positive roots alone: each gets one integer
-key whose order is the lexicographic order of its weight, and one stable
-sort groups them into the component of each positive root.  Reducedness,
-irreducibility and component indices need only the positive weights and
-that component array; the root tuples (`components`, `zero_component`)
-are built on first access, the negative components as the positive ones
-negated.
+A grading is computed from the rows of `RootSystem.positive_array`: each
+gets one integer key whose order is the lexicographic order of its weight.
+One stable sort of the rows in lexicographic order (a cached permutation,
+the only state kept per type) groups them by weight, lexicographic within
+each.  Reducedness, irreducibility and component indices need only the
+positive weights and the component of each row; `components` and
+`zero_component` hold the tuples of `rs.roots`, built on first access.
 
 A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
@@ -75,8 +75,8 @@ class Grading:
     #: Component of each of rs.positive_roots: 0 for the Levi, k for
     #: positive_weights[k - 1].
     _component_of: np.ndarray = field(repr=False, compare=False)
-    #: Rows of the lexicographic root order sorted by weight, and where the
-    #: rows of each positive weight start in it, then their end.
+    #: Rows of rs.positive_array by weight, lexicographic within each weight,
+    #: and where the rows of each positive weight start in it, then their end.
     _order: np.ndarray = field(repr=False, compare=False)
     _bounds: tuple[int, ...] = field(repr=False, compare=False)
     #: positive_weights as a (len(positive_weights), len(white)) array.
@@ -90,12 +90,11 @@ class Grading:
 
     @cached_property
     def components(self) -> dict[Weight, tuple[Root, ...]]:
-        lex = _lex_roots(self.rs.kind, self.rs.rank)
-        rows = self._order.tolist()
-        n = len(rows)
-        pos = [lex.roots[i] for i in rows]
+        roots = self.rs.roots  # positive root i, then its negative at n + i
+        rows, n = self._order.tolist(), len(self._order)
+        pos = [roots[i] for i in rows]
         # neg[n - 1 - t] is pos[t] negated: negation reverses lexicographic order.
-        neg = [lex.negatives[i] for i in reversed(rows)]
+        neg = [roots[n + i] for i in reversed(rows)]
         spans = list(pairwise(self._bounds))
         # Every weight with a negative coefficient sorts before every positive one.
         negative = list(map(tuple, (-self._weight_array).tolist()))
@@ -105,9 +104,9 @@ class Grading:
 
     @cached_property
     def zero_component(self) -> tuple[Root, ...]:
-        lex = _lex_roots(self.rs.kind, self.rs.rank)
+        roots, n = self.rs.roots, len(self._order)
         levi = self._order[:self._bounds[0]].tolist()
-        return tuple([lex.negatives[i] for i in reversed(levi)] + [lex.roots[i] for i in levi])
+        return tuple([roots[n + i] for i in reversed(levi)] + [roots[i] for i in levi])
 
     @property
     def component_sizes(self) -> list[int]:
@@ -171,11 +170,6 @@ class Grading:
         k = self._weight_ids.get(tuple(chi))
         return None if k is None else np.flatnonzero(self._component_of == k)
 
-    def is_weight(self, chi: Weight) -> bool:
-        """Whether chi or -chi is a positive weight."""
-        chi = tuple(chi)
-        return chi in self._weight_ids or tuple(-c for c in chi) in self._weight_ids
-
     def roots_of(self, chi: Weight) -> tuple[Root, ...]:
         return self.components[tuple(chi)]
 
@@ -206,69 +200,51 @@ class Grading:
         return self._highest_counts[k] == 1
 
 
-@dataclass(frozen=True)
-class _LexRoots:
-    """The positive roots of one type in lexicographic order."""
-
-    array: np.ndarray  # (N, rank) coefficients, one row per root
-    position: np.ndarray  # index of each row in rs.positive_roots
-    bases: tuple[int, ...]  # 1 + the highest root's coefficient, per coordinate
-
-    @cached_property
-    def roots(self) -> tuple[Root, ...]:
-        return tuple(map(tuple, self.array.tolist()))
-
-    @cached_property
-    def negatives(self) -> tuple[Root, ...]:
-        return tuple(map(tuple, (-self.array).tolist()))
-
-
 # Keys stay at most 2^62, so int64 arithmetic on them cannot overflow.
 _KEY_LIMIT = 1 << 62
 
 
 @lru_cache(maxsize=None)
-def _lex_roots(kind: str, rank: int) -> _LexRoots:
+def _lex_rows(kind: str, rank: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The lexicographic order of the rows of positive_array, and 1 + the highest root."""
     pos = build_root_system(kind, rank).positive_array
-    position = np.lexsort(pos.T[::-1])
-    array = pos[position]
-    array.setflags(write=False)  # shared by every grading of this type
+    lex = np.lexsort(pos.T[::-1])
+    lex.setflags(write=False)  # shared by every grading of this type
     # Every positive root lies below the highest one, the last by height.
-    return _LexRoots(array=array, position=position, bases=tuple((pos[-1] + 1).tolist()))
+    return lex, tuple((pos[-1] + 1).tolist())
 
 
-def _weight_keys(lex: _LexRoots, white: list[int]) -> np.ndarray:
+def _weight_keys(pos: np.ndarray, bases: tuple[int, ...], white: list[int]) -> np.ndarray:
     """A key per positive root whose order is the lexicographic order of its
     white coefficients: their mixed-radix value, first white coordinate most
     significant.  If the radix would pass 2^62 (only at large ranks), the
     value of the less significant coordinates is replaced by its dense rank,
     which keeps its order, and the radix restarts at the number of roots."""
-    place = np.zeros(len(lex.bases), dtype=np.int64)
+    place = np.zeros(len(bases), dtype=np.int64)
     low, radix = 0, 1
     for i in reversed(white):
-        if radix * lex.bases[i] > _KEY_LIMIT:
-            low = np.unique(lex.array @ place + low, return_inverse=True)[1]
+        if radix * bases[i] > _KEY_LIMIT:
+            low = np.unique(pos @ place + low, return_inverse=True)[1]
             place[:] = 0
-            radix = len(lex.array)
+            radix = len(pos)
         place[i] = radix
-        radix *= lex.bases[i]
-    return lex.array @ place + low
+        radix *= bases[i]
+    return pos @ place + low
 
 
 def compute_grading(diag: ColouredDiagram) -> Grading:
-    lex = _lex_roots(diag.rs.kind, diag.rs.rank)
+    pos = diag.rs.positive_array
+    lex, bases = _lex_rows(diag.rs.kind, diag.rs.rank)
     white = [w - 1 for w in diag.white]
-    key = _weight_keys(lex, white)
+    key = _weight_keys(pos, bases, white)[lex]
     # A stable sort keeps each component in the lexicographic root order.
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    before = np.zeros_like(key)
-    before[1:] = key[:-1]
-    new = key != before  # a positive weight's first root
+    by_key = np.argsort(key, kind="stable")
+    order, key = lex[by_key], key[by_key]
+    new = key != np.concatenate(([0], key[:-1]))  # a positive weight's first root
     starts = np.flatnonzero(new)  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
-    component_of[lex.position[order]] = np.cumsum(new)
-    weights = lex.array[order[starts]][:, white]
+    component_of[order] = np.cumsum(new)
+    weights = pos[order[starts]][:, white]
     return Grading(diagram=diag, positive_weights=tuple(map(tuple, weights.tolist())),
                    _component_of=component_of, _order=order,
                    _bounds=(*starts.tolist(), len(order)), _weight_array=weights)

@@ -34,6 +34,14 @@ class CaseDataError(ValueError):
     """Raised when the bundled case data is missing or malformed."""
 
 
+def _check_colouring(item: str, group: str, black) -> None:
+    """Refuse a colouring of no simple type, naming its data item."""
+    try:
+        diagram(group, black)
+    except ValueError as exc:
+        raise ValueError(f"{item}: {exc}") from exc
+
+
 def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     """Reduced positive weights reachable from a non-reduced one by twisting.
 
@@ -45,7 +53,7 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     """
     twisting = [tuple(t) for t in twisting]
     for t in twisting:
-        if not g.is_weight(t) or min(t) < 0 or not any(t):
+        if not g.is_positive_weight(t):
             raise ValueError(f"twisting weight {t} is not a positive weight of {g.diagram}")
     if not twisting:
         return set()
@@ -61,7 +69,7 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
                     seen.add(u)
                     new.append(u)
         frontier = new
-    return {u for u in seen if g.is_weight(u) and g.is_reduced(u)}
+    return {u for u in seen if g.is_positive_weight(u) and g.is_reduced(u)}
 
 
 @dataclass(frozen=True)
@@ -162,6 +170,7 @@ def load_cases() -> dict[str, CaseSpec]:
             elif line == "end":
                 if missing := sorted({"group", "parabolic", "covers", "black"} - set(cur)):
                     raise ValueError(f"case {cur['case_id']} has no {missing[0]!r} line")
+                _check_colouring(f"case {cur['case_id']}", cur["group"], cur["black"])
                 parsed = CaseSpec(
                     case_id=cur["case_id"], group=cur["group"],
                     parabolic=cur["parabolic"], covers=cur["covers"],

@@ -95,9 +95,9 @@ def test_degenerate_line_map_segre():
 def test_degenerate_line_generator_all_varieties():
     rng = np.random.default_rng(3)
     for name in ("quadric", "segre", "pf"):
-        variety, dim = am._prop1_spaces(name)
+        variety = am._prop1_spaces(name)
         for _ in range(5):
-            A = am._degenerate_line(variety, dim, rng)
+            A = am._degenerate_line(variety, rng)
             assert am.is_degenerate_line_map(A, variety)
 
 

@@ -128,7 +128,16 @@ def test_bundled_table_is_read_once(monkeypatch):
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 1,3,6,7\n", ":6: not enough values to unpack"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,x\n", ":6: invalid literal for int()"),
     ("entry 2 E7 black 1,3,6,7\n", "", "expected 59 entries, found 58"),
-], ids=["index-twice", "colouring-twice", "no-black", "bad-int", "58-entries"])
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,3,6,9\n",
+     ":6: entry 2: black vertices [1, 3, 6, 9] out of range for E7"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 X7 black 1,3,6,7\n",
+     ":6: entry 2: cannot parse type string 'X7'"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E9 black 1,3,6,7\n",
+     ":6: entry 2: invalid simple type E9"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,2,3,4,5,6,7\n",
+     ":6: entry 2: no white vertex"),
+], ids=["index-twice", "colouring-twice", "no-black", "bad-int", "58-entries",
+        "vertex-out-of-range", "unknown-type", "invalid-group", "all-black"])
 def test_load_table_errors_name_the_fault(tmp_path, monkeypatch, old, new, message):
     text = data_path("table.txt").read_text()
     assert old in text
@@ -221,7 +230,7 @@ def test_scan_builds_no_root_tuples(monkeypatch):
         g = grade("E8", black)
         weights = g.positive_weights
         reduced = [g.is_reduced(w) for w in weights]
-        assert reduced == [not g.is_weight(tuple(2 * c for c in w)) for w in weights]
+        assert reduced == [not g.is_positive_weight(tuple(2 * c for c in w)) for w in weights]
         assert g.positive_nonreduced_weights() == tuple(
             w for w, r in zip(weights, reduced) if not r)
         assert all(g.is_irreducible_component(w) for w in weights)

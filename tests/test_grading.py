@@ -134,6 +134,16 @@ def test_grading_components_sorted_deterministically():
     assert g1.positive_weights == g2.positive_weights
 
 
+@pytest.mark.parametrize("name, black", [("E7", [2, 4, 5]), ("D6", [1, 3, 6]),
+                                         ("C4", []), ("A70", [5, 40]), ("G2", [2])])
+def test_component_roots_are_the_root_systems_own_tuples(name, black):
+    g = grade(name, black)
+    own = {id(r) for r in g.rs.roots}
+    held = [r for comp in g.components.values() for r in comp] + list(g.zero_component)
+    assert len(held) == len(g.rs.roots)
+    assert all(id(r) in own for r in held)
+
+
 # ------------------------------------------------ gradings: exactness oracle
 
 

@@ -108,7 +108,7 @@ def test_arrow_head_examples(cases):
 def test_arrow_head_rejects_negative_weights():
     # (0, -1) is a weight of this grading, but not a positive one
     g = compute_grading(diagram("E7", (1, 3, 4, 6, 7)))
-    assert g.is_weight((0, -1))
+    assert g.is_positive_weight((0, 1)) and not g.is_positive_weight((0, -1))
     with pytest.raises(ValueError, match="not a positive weight"):
         build_weight_diagram(g, [(1, 1), (0, -1)])
     with pytest.raises(ValueError, match="not a positive weight"):
@@ -190,9 +190,18 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
      ":3: twisting 1: name defined twice in case X"),
     ("case X\n  nonreduced A = 0,1 ; labels 1\n  rubbish A = 2,1 ; labels 0\nend\n",
      ":3: rubbish A: name defined twice in case X"),
+    ("case X\n  group E9\n  parabolic 1\n  covers 1\n  black 1\nend\n",
+     ":6: case X: invalid simple type E9"),
+    ("case X\n  group Q7\n  parabolic 1\n  covers 1\n  black 1\nend\n",
+     ":6: case X: cannot parse type string 'Q7'"),
+    ("case X\n  group E7\n  parabolic 1\n  covers 1\n  black 1,8\nend\n",
+     ":6: case X: black vertices [1, 8] out of range for E7"),
+    ("case X\n  group G2\n  parabolic 1\n  covers 1\n  black 2,1\nend\n",
+     ":6: case X: no white vertex"),
 ], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
         "two-labels", "bad-int", "unrecognised", "unterminated", "empty",
-        "case-twice", "name-twice", "name-twice-across-roles"])
+        "case-twice", "name-twice", "name-twice-across-roles", "invalid-group",
+        "unknown-type", "vertex-out-of-range", "all-black"])
 def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
     (tmp_path / "cases.txt").write_text(text)
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
@@ -235,7 +244,8 @@ def test_bracket_reach_equals_the_table_probe(cases):
             assert g.bracket_reach(chi1) is reach  # cached
             assert reach == want
             # a root sum across the two components makes the head a weight
-            assert all(g.is_weight(tuple(a + b for a, b in zip(chi1, chi2))) for chi2 in reach)
+            assert all(g.is_positive_weight(tuple(a + b for a, b in zip(chi1, chi2)))
+                       for chi2 in reach)
             pairs += len(probe)
         # every positive weight twisting: the arrows are the probe's pairs
         wd = build_weight_diagram(g, list(g.positive_weights))
