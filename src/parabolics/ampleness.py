@@ -8,13 +8,15 @@ re-checks that predicate on its candidate witness before reporting it.
 
 Each variant is one VariantSpec in SPECS, commented there with its inputs,
 its witness and, in brackets, the deformed object; deform() runs every one
-of them the same way.
+of them the same way.  The varieties of Prop 1 (variants 1A-1C) are given
+by their defining quadrics, and every test on them reads those quadrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,6 +48,14 @@ def ample(A, space: BilinearSpace) -> bool:
 
 
 # -------------------------------------------------------- two-varieties
+# Prop 1's varieties, zero sets of quadrics: each has its space's dim, a norm bounding
+# the quadrics on unit vectors, their (c0, c1, c2) on s a + t b, and a random line.
+
+
+def _kernel(C, r: int) -> np.ndarray:
+    """The right singular vectors of C from the r-th on: an orthonormal basis
+    of {x : C x = 0} when C has rank r, of a subspace of it when less."""
+    return np.linalg.svd(C)[2].conj().T[:, r:]
 
 
 @dataclass(frozen=True)
@@ -53,17 +63,42 @@ class QuadricVariety:
     """Zero locus of the quadratic form of a symmetric-Gram space."""
 
     space: BilinearSpace
+    dim = property(lambda self: self.space.dim)
+    norm = property(lambda self: self.space.norm)
+
+    def quadrics(self, a, b) -> list:
+        sp = self.space
+        return [(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b))]
+
+    def line(self, rng) -> np.ndarray:
+        sp = self.space
+        x = isotropic_vector_in(sp, np.eye(sp.dim, dtype=complex), rng)
+        # tangent direction: orthogonal to x, non-isotropic
+        y = _kernel(np.stack([sp.gram @ x, sp.gram.T @ x]), 2) @ crandom(rng, sp.dim - 2)
+        return np.column_stack([x, y]) @ (np.eye(2) + 0.1 * crandom(rng, 2, 2))
 
 
 @dataclass(frozen=True)
 class SegreVariety:
-    """Rank-one matrices in C^2 (x) C^k."""
+    """Rank-one matrices in C^2 (x) C^k, the zero set of the 2 x 2 minors."""
 
     k: int
+    dim = property(lambda self: 2 * self.k)
+    norm = 1.0  # a minor of unit vectors is at most 2
+
+    def quadrics(self, a, b) -> list:
+        M1, M2 = a.reshape(2, self.k), b.reshape(2, self.k)
+        d = lambda X, Y, i, j: X[0, i] * Y[1, j] - X[1, i] * Y[0, j]
+        return [(d(M1, M1, i, j), d(M1, M2, i, j) + d(M2, M1, i, j), d(M2, M2, i, j))
+                for i, j in combinations(range(self.k), 2)]
+
+    def line(self, rng) -> np.ndarray:
+        x = np.outer(crandom(rng, 2), crandom(rng, self.k)).reshape(-1)
+        return np.column_stack([x, crandom(rng, 2 * self.k)])
 
 
 #: The relative cut below which is_degenerate_line_map takes a singular
-#: value, a quadratic coefficient or a discriminant for zero.
+#: value, a quadratic coefficient, a discriminant or a quadric's value for zero.
 LINE_MAP_TOL = 1e-8
 
 
@@ -97,38 +132,23 @@ def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
 
 def is_degenerate_line_map(A, variety) -> bool:
     """rank A = 2 and the projective line P(Im A) meets the variety in
-    exactly one point."""
+    exactly one point: one root (p : q) of its largest quadric on the line
+    at which every quadric is at most LINE_MAP_TOL * norm * (|p|^2 + |q|^2)."""
+    if not isinstance(variety, (QuadricVariety, SegreVariety)):
+        raise ValueError(f"unsupported variety {variety!r}")
     A = np.asarray(A, dtype=complex)
     if A.shape[1] != 2:
         raise ValueError("a line map has exactly two columns")
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0 or s[1] <= LINE_MAP_TOL * s[0]:
         return False
-    a, b = U[:, 0], U[:, 1]
-    if isinstance(variety, QuadricVariety):
-        sp = variety.space
-        roots = _projective_roots(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b),
-                                  sp.norm)
-        return roots is not None and len(roots) == 1
-    if isinstance(variety, SegreVariety):
-        M1, M2 = a.reshape(2, variety.k), b.reshape(2, variety.k)
-        coeffs = []
-        for c1 in range(variety.k):
-            for c2 in range(c1 + 1, variety.k):
-                d = lambda X, Y: X[0, c1] * Y[1, c2] - X[1, c1] * Y[0, c2]
-                coeffs.append((d(M1, M1), d(M1, M2) + d(M2, M1), d(M2, M2)))
-        best = max(coeffs, key=lambda c: max(abs(x) for x in c))
-        if max(abs(x) for x in best) <= LINE_MAP_TOL:  # the minors of unit a, b are at most 2
-            return False  # the whole line consists of rank <= 1 matrices
-        candidates = _projective_roots(*best)
-        points = 0
-        for ss, tt in candidates:
-            M = ss * M1 + tt * M2
-            sv = np.linalg.svd(M, compute_uv=False)
-            if sv[1] <= LINE_MAP_TOL * max(sv[0], 1e-30):
-                points += 1
-        return points == 1
-    raise ValueError(f"unsupported variety {variety!r}")
+    quadrics = variety.quadrics(U[:, 0], U[:, 1])
+    roots = _projective_roots(*max(quadrics, key=lambda c: max(map(abs, c))), variety.norm)
+    if roots is None:  # the whole line lies on the variety
+        return False
+    cut = LINE_MAP_TOL * variety.norm
+    return sum(all(abs(c0 * p * p + c1 * p * q + c2 * q * q) <= cut * (abs(p) ** 2 + abs(q) ** 2)
+                   for c0, c1, c2 in quadrics) for p, q in roots) == 1
 
 
 # ------------------------------------------------- wedge helper tables
@@ -141,12 +161,11 @@ PF3 = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 L2C3 = ((0, 1), (0, 2), (1, 2))
 
 
-def wedge_vv4(u, v) -> np.ndarray:
-    """u ^ v for u, v in C^4, in PF2 coordinates."""
-    out = np.zeros(6, dtype=complex)
-    for l, (i, j) in enumerate(PF2):
-        out[l] = u[i] * v[j] - u[j] * v[i]
-    return out
+def wedge_vv(u, v) -> np.ndarray:
+    """u ^ v for u, v in C^n, in the coordinates of the pairs i < j in
+    lexicographic order: PF2 for n = 4, L2C3 for n = 3."""
+    return np.array([u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(len(u)), 2)],
+                    dtype=complex)
 
 
 def wedge_bv4(b, v) -> np.ndarray:
@@ -155,14 +174,6 @@ def wedge_bv4(b, v) -> np.ndarray:
     out = np.zeros(4, dtype=complex)
     for t, (p, q, r) in enumerate(PF3):
         out[t] = c[(p, q)] * v[r] - c[(p, r)] * v[q] + c[(q, r)] * v[p]
-    return out
-
-
-def wedge_vv3(u, v) -> np.ndarray:
-    """u ^ v for u, v in C^3, in L2C3 coordinates."""
-    out = np.zeros(3, dtype=complex)
-    for l, (i, j) in enumerate(L2C3):
-        out[l] = u[i] * v[j] - u[j] * v[i]
     return out
 
 
@@ -180,7 +191,7 @@ def _compose_5a(E_terms, A) -> np.ndarray:
     """E o A for E = sum phi (x) v, embedding C^3 by v: x -> v ^ x."""
     out = np.zeros((2, 3, 2), dtype=complex)
     for phi, v in E_terms:
-        W = np.column_stack([wedge_vv3(v, e) for e in np.eye(3)])
+        W = np.column_stack([wedge_vv(v, e) for e in np.eye(3)])
         out += np.einsum("Bb,lc,bca->Bla", phi, W, A)
     return out
 
@@ -309,35 +320,29 @@ def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
 def _degenerate_line(variety, rng) -> np.ndarray:
     """A random degenerate line map into the variety's ambient space."""
     for _ in range(200):
-        if isinstance(variety, QuadricVariety):
-            sp = variety.space
-            x = isotropic_vector_in(sp, np.eye(sp.dim, dtype=complex), rng)
-            # tangent direction: orthogonal to x, non-isotropic
-            C = (sp.gram @ x[:, None]).T
-            C = np.vstack([C, (sp.gram.T @ x[:, None]).T])
-            _, s, Vh = np.linalg.svd(C)
-            basis = Vh.conj().T[:, 2:]
-            y = basis @ crandom(rng, basis.shape[1])
-            A = np.column_stack([x, y]) @ (np.eye(2) + 0.1 * crandom(rng, 2, 2))
-        else:
-            u, w = crandom(rng, 2), crandom(rng, variety.k)
-            x = np.outer(u, w).reshape(-1)
-            A = np.column_stack([x, crandom(rng, 2 * variety.k)])
-        if is_degenerate_line_map(A, variety):
+        if is_degenerate_line_map(A := variety.line(rng), variety):
             return A
     raise RuntimeError("could not build a degenerate line map")
 
 
-def _off_cone_vector(variety, dim: int, rng) -> np.ndarray:
+#: the cuts of _on_cone: the 1C hypothesis, and the margin of its seeded draw
+ON_CONE_TOL, ON_CONE_DRAW = 1e-10, 1e-6
+
+
+def _on_cone(X, v, cut: float) -> bool:
+    """v lies on the cone over X: every quadric's value c0 at v is at most cut * |v|^2."""
+    return max(abs(c0) for c0, _, _ in X.quadrics(v, v)) <= cut * np.linalg.norm(v) ** 2
+
+
+def _off_cone(X, v) -> bool:
+    return not _on_cone(X, v, ON_CONE_TOL)
+
+
+def _off_cone_vector(variety, rng) -> np.ndarray:
     while True:
-        v = crandom(rng, dim)
-        if isinstance(variety, QuadricVariety):
-            if abs(variety.space.quadratic(v)) > 1e-6:
-                return v
-        else:
-            sv = np.linalg.svd(v.reshape(2, variety.k), compute_uv=False)
-            if sv[1] > 1e-6 * sv[0]:
-                return v
+        v = crandom(rng, variety.dim)
+        if not _on_cone(variety, v, ON_CONE_DRAW):
+            return v
 
 
 # ------------------------------------------------------- the spec table
@@ -352,7 +357,7 @@ _DERIVED = {
     "S+": lambda c: spin_module(4).half_space("+"),
     "S-": lambda c: spin_module(4).half_space("-"),
     "X": lambda c: _prop1_spaces(c["variety"]),
-    "d": lambda c: c["X"].space.dim if isinstance(c["X"], QuadricVariety) else 2 * c["X"].k,
+    "d": lambda c: c["X"].dim,
 }
 
 
@@ -401,7 +406,7 @@ _LINE = InputSpec(("d", 2), lambda c, x: is_degenerate_line_map(x, c["X"]), "be 
                   lambda rng, c: _degenerate_line(c["X"], rng))
 _OFF_CONE = InputSpec(("d",), lambda c, x: _off_cone(c["X"], x),
                       "lie off the cone over the variety",
-                      lambda rng, c: _off_cone_vector(c["X"], c["d"], rng))
+                      lambda rng, c: _off_cone_vector(c["X"], rng))
 
 
 @dataclass(frozen=True)
@@ -422,15 +427,6 @@ class VariantSpec:
     witnesses: Callable = lambda c, rng: []
     #: seed -> the names and dimensions random_task fixes before drawing
     seeded: Callable = lambda seed: {}
-
-
-def _off_cone(X, v) -> bool:
-    if isinstance(X, QuadricVariety):
-        on_cone = abs(X.space.quadratic(v)) <= 1e-10 * np.linalg.norm(v) ** 2
-    else:
-        sv = np.linalg.svd(v.reshape(2, X.k), compute_uv=False)
-        on_cone = sv[1] <= 1e-10 * sv[0]
-    return not (np.linalg.norm(v) == 0 or on_cone)
 
 
 def _ample_in(space: str):
@@ -501,9 +497,9 @@ SPECS = {
     "5C": VariantSpec(  # v != 0, any B in L2C^3 x C^2 -> A [B + v^A rank 2]
         inputs={"v": _random(3, word="nonzero"), "B": _random(3, 2, word=None)},
         deformed=lambda c, w: c["B"] + np.column_stack(
-            [wedge_vv3(c["v"], w["A"][:, 0]), wedge_vv3(c["v"], w["A"][:, 1])]),
+            [wedge_vv(c["v"], w["A"][:, 0]), wedge_vv(c["v"], w["A"][:, 1])]),
         # complete v to a basis: the wedge by v of the completion has rank 2
-        witnesses=lambda c, rng: [{"A": np.linalg.svd(c["v"][None, :])[2].conj().T[:, 1:]}],
+        witnesses=lambda c, rng: [{"A": _kernel(c["v"][None, :], 1)}],
         predicate=_rank_two,
         draw=lambda c, rng: {"A": crandom(rng, 3, 2)}),
     "6A": VariantSpec(  # non-ample A: C^2->L2C^4, non-ample B -> C [B + A^C]
@@ -523,7 +519,7 @@ SPECS = {
     "6C": VariantSpec(  # non-ample A: C^2->L2C^4, w != 0 -> B [A + w^B]
         inputs={"A": _nonample("pf", 6, 2), "w": _random(4, word="nonzero")},
         deformed=lambda c, w: c["A"] + np.column_stack(
-            [wedge_vv4(c["w"], w["B"][:, 0]), wedge_vv4(c["w"], w["B"][:, 1])]),
+            [wedge_vv(c["w"], w["B"][:, 0]), wedge_vv(c["w"], w["B"][:, 1])]),
         predicate=_ample_in("pf"), draw=lambda c, rng: {"B": crandom(rng, 4, 2)}),
     "6D": VariantSpec(  # non-ample A in C^4xL2C^4, non-ample B -> C [B + A^C]
         # A: columns a_i in L2C^4(f); B in L2C^4(e) x L3C^4(f); C: rows c_i
@@ -536,7 +532,7 @@ SPECS = {
     "6E": VariantSpec(  # non-ample A in C^4xL2C^4, u != 0 in C^4(f) -> C [A + C^u rowwise]
         inputs={"A": _nonample("pf", 6, 4), "u": _random(4, word="nonzero")},
         deformed=lambda c, w: c["A"] + np.column_stack(
-            [wedge_vv4(w["C"][i], c["u"]) for i in range(4)]),
+            [wedge_vv(w["C"][i], c["u"]) for i in range(4)]),
         predicate=_ample_in("pf"), draw=lambda c, rng: {"C": crandom(rng, 4, 4)}),
     "7A": VariantSpec(  # non-ample A in C^k x S+, non-ample B (k=2,3) -> v [B + rho(v)A]
         inputs={"A": _nonample("S+", 8, "k"), "B": _nonample("S-", 8, "k")},

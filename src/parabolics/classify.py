@@ -46,7 +46,10 @@ def _parse_table(path: Path) -> tuple[TableEntry, ...]:
         if not line or line.startswith("#"):
             continue
         try:
-            _, idx, group, _black, verts = line.split()
+            words = line.split()
+            if len(words) != 5 or words[0] != "entry" or words[3] != "black":
+                raise ValueError(f"expected 'entry N GROUP black VERTICES', got {line!r}")
+            idx, group, verts = words[1], words[2], words[4]
             e = TableEntry(int(idx), group, tuple(int(x) for x in verts.split(",")))
             _check_colouring(f"entry {e.index}", group, e.black)
             colouring = (group, tuple(sorted(e.black)))

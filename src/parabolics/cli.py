@@ -23,6 +23,8 @@ from .rootsys import (POSITIVE_ROOT_COUNTS, ROOT_COUNT_TYPES, InvalidTypeError,
                       build_root_system, parse_type)
 from .spinor import rho_square_defect, spin_module
 
+#: The cuts on a report's worst residual: characteristic equations; spinor and Penrose identities.
+CHARACTERISTIC_TOL, IDENTITY_TOL = 1e-9, 1e-10
 
 def parse_diagram(s: str) -> ColouredDiagram:
     """Parse '<TYPE>/<black-list>' such as 'E7/1,3,5,7' or 'G2/'."""
@@ -166,7 +168,7 @@ def cmd_lemma(args) -> int:
                                         args.trials)
     report = Report()
     report.add(f"characteristic equations ({args.form}, {args.trials} trials)",
-               worst < 1e-9, f"worst residual {worst:.2e}")
+               worst < CHARACTERISTIC_TOL, f"worst residual {worst:.2e}")
     return report.emit("json" if args.json else "text")
 
 
@@ -220,7 +222,7 @@ def cmd_spinor(args) -> int:
     sm = spin_module(args.m)
     worst = rho_square_defect(np.random.default_rng(args.seed), sm, 100)
     report = Report()
-    report.add(f"spinor m={args.m}: rho(v)^2 = (v,v) Id", worst < 1e-10,
+    report.add(f"spinor m={args.m}: rho(v)^2 = (v,v) Id", worst < IDENTITY_TOL,
                f"worst residual {worst:.2e}")
     if args.m % 2 == 0:
         Gp = sm.half_space("+").gram
@@ -259,7 +261,7 @@ def cmd_verify_all(args) -> int:
         F = crandom(rng, m, n)
         P = cxlinalg.mp_inverse(F)
         worst = [max(w, r) for w, r in zip(worst, cxlinalg.penrose_residuals(F, P))]
-    report.add(f"penrose equations ({trials} trials)", max(worst) < 1e-10,
+    report.add(f"penrose equations ({trials} trials)", max(worst) < IDENTITY_TOL,
                "worst " + ", ".join(f"{w:.1e}" for w in worst))
 
     bad = mpchar.gl_characteristic_trials(rng, trials)[0]
@@ -268,11 +270,12 @@ def cmd_verify_all(args) -> int:
     for form, space in (("sym", cxlinalg.symmetric_space(6)),
                         ("skew", cxlinalg.symplectic_space(6))):
         w = mpchar.lemma_worst_residual(rng, space, 4, trials)
-        report.add(f"characteristic equations ({form}, {trials} trials)", w < 1e-9,
+        report.add(f"characteristic equations ({form}, {trials} trials)", w < CHARACTERISTIC_TOL,
                    f"worst {w:.2e}")
 
     w = rho_square_defect(rng, spin_module(4), trials)
-    report.add(f"spinor rho(v)^2 = (v,v) Id ({trials} trials)", w < 1e-10, f"worst {w:.2e}")
+    report.add(f"spinor rho(v)^2 = (v,v) Id ({trials} trials)", w < IDENTITY_TOL,
+               f"worst {w:.2e}")
 
     for variant in ampleness.VARIANTS:
         ok, errors = 0, []

@@ -204,9 +204,7 @@ def load_cases() -> dict[str, CaseSpec]:
                 _, t, l, h = line.split()
                 cur["arrows"].append((t, l, h))
             else:
-                raise CaseDataError(f"unrecognised line: {raw!r}")
-        except CaseDataError:
-            raise
+                raise ValueError(f"unrecognised line: {raw!r}")
         except Exception as exc:
             raise CaseDataError(f"{path}:{lineno}: {exc}") from exc
     if cur is not None:

@@ -249,14 +249,14 @@ def test_witnesses_verify_under_independent_recomputation():
     task = am.random_task("6C", 3)
     A, w = task.inputs["A"], task.inputs["w"]
     B = res.witness["B"]
-    D = np.column_stack([am.wedge_vv4(w, B[:, 0]), am.wedge_vv4(w, B[:, 1])])
+    D = np.column_stack([am.wedge_vv(w, B[:, 0]), am.wedge_vv(w, B[:, 1])])
     assert am.ample(A + D, psp)
 
     res = am.deform(am.random_task("5C", 4))
     task = am.random_task("5C", 4)
     v, Bmat = task.inputs["v"], task.inputs["B"]
-    W = np.column_stack([am.wedge_vv3(v, res.witness["A"][:, 0]),
-                         am.wedge_vv3(v, res.witness["A"][:, 1])])
+    W = np.column_stack([am.wedge_vv(v, res.witness["A"][:, 0]),
+                         am.wedge_vv(v, res.witness["A"][:, 1])])
     s = np.linalg.svd(Bmat + W, compute_uv=False)
     assert s[1] > 1e-8 * s[0]
 
@@ -273,9 +273,11 @@ def test_nonample_generator_produces_not_ample():
 
 def test_wedge_tables():
     e = np.eye(4)
-    v12 = am.wedge_vv4(e[0], e[1])
+    v12 = am.wedge_vv(e[0], e[1])
     assert v12[am.PF2.index((0, 1))] == 1 and np.count_nonzero(v12) == 1
-    assert np.allclose(am.wedge_vv4(e[1], e[0]), -v12)
+    assert np.allclose(am.wedge_vv(e[1], e[0]), -v12)
+    # in C^3 the pairs are L2C3's: e1 ^ e3 is its second coordinate
+    assert am.wedge_vv(e[0, :3], e[2, :3]).tolist() == [0, 1, 0]
     # (e1^e2) ^ e3 = e1^e2^e3
     b = np.zeros(6); b[am.PF2.index((0, 1))] = 1
     t = am.wedge_bv4(b, e[2])
@@ -497,11 +499,11 @@ def test_line_through_a_root_at_infinity(second, degenerate, monkeypatch):
 
 def test_segre_line_of_rank_one_matrices_is_not_degenerate(monkeypatch):
     # every matrix of the pencil s E11 + t E12 has a zero second row, so all
-    # its 2x2 minors vanish identically and no root is sought
+    # its 2x2 minors vanish identically and the largest has no roots
     calls = _projective_roots_spy(monkeypatch)
     A = np.eye(6, dtype=complex)[:, :2]
     assert not am.is_degenerate_line_map(A, am.SegreVariety(3))
-    assert calls == []
+    assert calls == [((0j, 0j, 0j), None)]
 
 
 def test_line_inside_the_quadric_with_rounded_coefficients(monkeypatch):
@@ -525,6 +527,14 @@ def test_segre_rank_one_cut_reads_line_map_tol(monkeypatch):
     assert am.is_degenerate_line_map(A, am.SegreVariety(3))
     monkeypatch.setattr(am, "LINE_MAP_TOL", 1e-3)
     assert not am.is_degenerate_line_map(A, am.SegreVariety(3))
+
+
+@pytest.mark.parametrize("d, off", [(1e-12, False), (1e-8, True)])
+def test_segre_cone_cut_reads_the_minors(d, off):
+    # E11 + d E22 has the one nonzero minor d and |v|^2 = 1 + d^2: it lies on
+    # the cone over the Segre variety when d is at most 1e-10
+    v = (np.outer([1, 0], [1, 0, 0]) + d * np.outer([0, 1], [0, 1, 0])).reshape(6)
+    assert am._off_cone(am.SegreVariety(3), v.astype(complex)) == off
 
 
 def test_segre_pencils_inside_the_rank_one_locus_are_not_degenerate():

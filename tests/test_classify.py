@@ -125,7 +125,10 @@ def test_bundled_table_is_read_once(monkeypatch):
     ("entry 2 E7 black 1,3,6,7\n", "entry 1 E7 black 1,3,5,7\n", ":6: entry 1 is defined twice"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 7,5,3,1\n",
      ":6: entry 2 repeats the colouring of entry 1"),
-    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 1,3,6,7\n", ":6: not enough values to unpack"),
+    ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 1,3,6,7\n",
+     ":6: expected 'entry N GROUP black VERTICES', got 'entry 2 E7 1,3,6,7'"),
+    ("entry 2 E7 black 1,3,6,7\n", "case 2 E7 white 1,3,6,7\n",
+     ":6: expected 'entry N GROUP black VERTICES', got 'case 2 E7 white 1,3,6,7'"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,x\n", ":6: invalid literal for int()"),
     ("entry 2 E7 black 1,3,6,7\n", "", "expected 59 entries, found 58"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,3,6,9\n",
@@ -136,7 +139,7 @@ def test_bundled_table_is_read_once(monkeypatch):
      ":6: entry 2: invalid simple type E9"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,2,3,4,5,6,7\n",
      ":6: entry 2: no white vertex"),
-], ids=["index-twice", "colouring-twice", "no-black", "bad-int", "58-entries",
+], ids=["index-twice", "colouring-twice", "no-black", "wrong-keyword", "bad-int", "58-entries",
         "vertex-out-of-range", "unknown-type", "invalid-group", "all-black"])
 def test_load_table_errors_name_the_fault(tmp_path, monkeypatch, old, new, message):
     text = data_path("table.txt").read_text()

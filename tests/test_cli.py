@@ -220,6 +220,29 @@ def test_cli_deform_refuses_a_line_inside_the_quadric(tmp_path):
     assert code == 2 and "A must be degenerate" in out and "verified" not in out
 
 
+# e1 + i e2 and e3: the quadric meets their line only at (1 : 0)
+_TANGENT_TO_THE_QUADRIC = {"re": [[1, 0], [0, 0], [0, 1], [0, 0]],
+                           "im": [[0, 0], [1, 0], [0, 0], [0, 0]]}
+# E11 and E22 + E13: the minors s t, 0 and -t^2 vanish together only at (1 : 0)
+_TANGENT_TO_THE_SEGRE = [[1, 0], [0, 0], [0, 1], [0, 0], [0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("variety, A, v, message", [
+    ("quadric", _TANGENT_TO_THE_QUADRIC, {"re": [1, 0, 0, 0], "im": [0, 1, 0, 0]},
+     "v must lie off the cone over the variety"),
+    ("segre", _TANGENT_TO_THE_SEGRE, [0, 1, 0, 0, 0, 0],
+     "v must lie off the cone over the variety"),
+    ("quadric", _TANGENT_TO_THE_QUADRIC, [0, 0, 0, 0], "v must lie off the cone over the variety"),
+    ("cubic", _TANGENT_TO_THE_QUADRIC, [1, 0, 0, 0], "unknown variety 'cubic'"),
+    (["quadric"], _TANGENT_TO_THE_QUADRIC, [1, 0, 0, 0], "unknown variety ['quadric']"),
+], ids=["isotropic-v", "rank-one-v", "zero-v", "cubic", "list"])
+def test_cli_deform_1c_refuses_inputs_off_its_hypotheses(tmp_path, variety, A, v, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"variety": variety, "A": A, "v": v}))
+    code, out = run_cli("deform", "--variant", "1C", "--input", str(path))
+    assert code == 2 and out == f"error: {message}\n"
+
+
 def test_cli_spinor():
     code, out = run_cli("spinor", "--m", "4")
     assert code == 0 and "overall: PASS" in out

@@ -157,3 +157,17 @@ def test_refused_degenerate_line_maps_fail_the_1abc_lines(plant):
         variant = l["anchor"].split()[1]
         assert l["detail"] == (f"0/1 verified; {variant} seed 0: RuntimeError: "
                                "could not build a degenerate line map")
+
+
+def test_ample_everywhere_fails_the_nonample_lines(plant):
+    # Every variant but 1A-1C and 5C takes a non-ample A; with every span
+    # called ample its hypothesis fails, and each trial counts as unverified.
+    plant.setattr(ampleness, "ample", lambda *args, **kwargs: True)
+    code, failed = _verify_all_lines()
+    nonample = [v for v in ampleness.VARIANTS if v not in ("1A", "1B", "1C", "5C")]
+    assert code == 1 and len(nonample) == 12
+    assert [l["anchor"] for l in failed] == [f"deform {v} (1 trials)" for v in nonample]
+    for l in failed:
+        variant = l["anchor"].split()[1]
+        assert l["detail"] == (f"0/1 verified; {variant} seed 0: HypothesesNotMet: "
+                               "A must not be ample")

@@ -1,0 +1,26 @@
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+_SPEC = importlib.util.spec_from_file_location("output_digests", _PATH)
+output_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_digests)
+
+
+def test_argv_list_is_fixed_and_has_no_repeats():
+    runs = output_digests.argvs()
+    assert len(runs) == 212 and len({tuple(argv) for argv in runs}) == 212
+    assert runs[0] == ["verify-all", "--json", "--seed", "0"]
+    assert runs[-1] == ["spinor", "--m", "6", "--json"]
+
+
+def test_digest_lines_are_repeatable_and_name_the_run():
+    picked = [["deform", "--variant", "1C", "--seed", "3", "--json"],
+              ["spinor", "--m", "4", "--json"]]
+    assert all(argv in output_digests.argvs() for argv in picked)
+    first = [output_digests.digest(argv) for argv in picked]
+    assert [output_digests.digest(argv) for argv in picked] == first
+    for line, argv in zip(first, picked):
+        code, sha, rest = line.split(" ", 2)
+        assert code == "0" and len(sha) == 64 and rest == " ".join(argv)
+    assert first[0].split()[1] != first[1].split()[1]

@@ -181,7 +181,7 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
     ("case X\n  twisting 1 = 1,0\nend\n", ":2: twisting 1 needs one '; labels' part"),
     ("case X\n  rubbish a = 1 ; labels 1 ; 2\nend\n", ":2: rubbish a needs one '; labels' part"),
     ("case X\n  parabolic one\nend\n", ":2: invalid literal for int()"),
-    ("case X\n  bogus line\nend\n", "unrecognised line: '  bogus line'"),
+    ("case X\n  bogus line\nend\n", ":2: unrecognised line: '  bogus line'"),
     ("case X\n  group E7\n", "unterminated case stanza X"),
     ("# comments only\n", "no case stanzas found"),
     ("case X\n  group E7\n  parabolic 1\n  covers 1\n  black 1\nend\ncase X\nend\n",

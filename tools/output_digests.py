@@ -1,0 +1,60 @@
+"""Digest the output of a fixed list of CLI runs, to show that a change
+leaves every report byte-identical.
+
+    python tools/output_digests.py > digests.txt
+
+Each run is made in-process with the package from this checkout's `src/`
+and prints one line `<exit code> <sha256 of stdout and stderr> <argv>`.
+Run the script in two checkouts and compare the outputs with `diff`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from parabolics import cli, walkdiag  # noqa: E402
+
+VARIANTS = "1A 1B 1C 4A 4B 5A 5B 5C 6A 6B 6C 6D 6E 7A 7B 7C".split()
+
+
+def argvs() -> list[list[str]]:
+    """The runs, in order."""
+    runs = [["verify-all", "--json", "--seed", str(s)] for s in range(4)]
+    runs += [["verify-all", "--json", "--trials", "1000"], ["verify-case", "--all", "--json"],
+             ["check-table", "--json"], ["classify", "E8", "--json"],
+             ["grade", "A99/1,50"], ["grade", "A99/1,50", "--json"],
+             ["grade", "D60/2,30,59", "--json"], ["grade", "E8/1,3,5", "--json"]]
+    for case in walkdiag.load_cases().values():
+        twisting = ";".join(",".join(map(str, t)) for t in case.twisting.values())
+        runs.append(["diagram", f"{case.group}/{','.join(map(str, case.black))}",
+                     "--twisting", twisting, "--json"])
+    for seed in map(str, range(10)):
+        runs += [["deform", "--variant", v, "--seed", seed, "--json"] for v in VARIANTS]
+        runs += [["deform", "--variant", "7A", "--k", k, "--seed", seed, "--json"]
+                 for k in ("2", "3")]
+    runs += [["mp-triple", "--json"], ["lemma", "--form", "sym", "--json"],
+             ["lemma", "--form", "skew", "--json"],
+             ["spinor", "--m", "4", "--json"], ["spinor", "--m", "6", "--json"]]
+    return runs
+
+
+def digest(argv: list[str]) -> str:
+    """`<exit code> <sha256> <argv>` for one run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main(argv)
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} {' '.join(argv)}"
+
+
+if __name__ == "__main__":
+    if not Path(cli.__file__).resolve().is_relative_to(SRC):
+        sys.exit(f"imported {cli.__file__}, not the package under {SRC}")
+    for argv in argvs():
+        print(digest(argv), flush=True)
