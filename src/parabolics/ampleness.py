@@ -132,8 +132,8 @@ def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
 
 def is_degenerate_line_map(A, variety) -> bool:
     """rank A = 2 and the projective line P(Im A) meets the variety in
-    exactly one point: one root (p : q) of its largest quadric on the line
-    at which every quadric is at most LINE_MAP_TOL * norm * (|p|^2 + |q|^2)."""
+    exactly one point: one root (p : q) of its largest quadric, on that quadric's
+    scale, at which every other is at most LINE_MAP_TOL * norm * (|p|^2 + |q|^2)."""
     if not isinstance(variety, (QuadricVariety, SegreVariety)):
         raise ValueError(f"unsupported variety {variety!r}")
     A = np.asarray(A, dtype=complex)
@@ -142,13 +142,13 @@ def is_degenerate_line_map(A, variety) -> bool:
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0 or s[1] <= LINE_MAP_TOL * s[0]:
         return False
-    quadrics = variety.quadrics(U[:, 0], U[:, 1])
-    roots = _projective_roots(*max(quadrics, key=lambda c: max(map(abs, c))), variety.norm)
+    largest, *others = sorted(variety.quadrics(U[:, 0], U[:, 1]), key=lambda c: -max(map(abs, c)))
+    roots = _projective_roots(*largest, variety.norm)
     if roots is None:  # the whole line lies on the variety
         return False
     cut = LINE_MAP_TOL * variety.norm
     return sum(all(abs(c0 * p * p + c1 * p * q + c2 * q * q) <= cut * (abs(p) ** 2 + abs(q) ** 2)
-                   for c0, c1, c2 in quadrics) for p, q in roots) == 1
+                   for c0, c1, c2 in others) for p, q in roots) == 1
 
 
 # ------------------------------------------------- wedge helper tables

@@ -26,6 +26,7 @@ from .spinor import rho_square_defect, spin_module
 #: The cuts on a report's worst residual: characteristic equations; spinor and Penrose identities.
 CHARACTERISTIC_TOL, IDENTITY_TOL = 1e-9, 1e-10
 
+
 def parse_diagram(s: str) -> ColouredDiagram:
     """Parse '<TYPE>/<black-list>' such as 'E7/1,3,5,7' or 'G2/'."""
     if "/" not in s:
@@ -274,8 +275,7 @@ def cmd_verify_all(args) -> int:
                    f"worst {w:.2e}")
 
     w = rho_square_defect(rng, spin_module(4), trials)
-    report.add(f"spinor rho(v)^2 = (v,v) Id ({trials} trials)", w < IDENTITY_TOL,
-               f"worst {w:.2e}")
+    report.add(f"spinor rho(v)^2 = (v,v) Id ({trials} trials)", w < IDENTITY_TOL, f"worst {w:.2e}")
 
     for variant in ampleness.VARIANTS:
         ok, errors = 0, []

@@ -497,6 +497,19 @@ def test_line_through_a_root_at_infinity(second, degenerate, monkeypatch):
     assert roots[0] == (1.0, 0.0) and len(roots) == 1 + (not degenerate)
 
 
+def test_secant_with_a_root_at_infinity_beyond_the_form_norm(monkeypatch):
+    # a is isotropic up to eps e3 and b is isotropic: c0 = eps^2 = 1.5e-8 is
+    # zero beside c1 = 2 but not beside the form's norm 1, and the line is a
+    # secant through (1 : 0) and (0 : 1)
+    calls = _projective_roots_spy(monkeypatch)
+    a = np.array([1, 1j, 0, 0]) / np.sqrt(2) + np.sqrt(1.5e-8) * np.eye(4)[2]
+    b = np.array([1, -1j, 0, 0]) / np.sqrt(2)
+    assert not am.is_degenerate_line_map(np.column_stack([2 * a, b]),
+                                         am.QuadricVariety(symmetric_space(4)))
+    ((c0, c1, c2), roots), = calls
+    assert 1e-8 < abs(c0) < 2e-8 and abs(abs(c1) - 2) < 1e-7 and abs(c2) < 1e-15
+    assert len(roots) == 2 and roots[0] == (1.0, 0.0)
+
 def test_segre_line_of_rank_one_matrices_is_not_degenerate(monkeypatch):
     # every matrix of the pencil s E11 + t E12 has a zero second row, so all
     # its 2x2 minors vanish identically and the largest has no roots
