@@ -100,6 +100,11 @@ class SegreVariety:
 #: The relative cut below which is_degenerate_line_map takes a singular
 #: value, a quadratic coefficient, a discriminant or a quadric's value for zero.
 LINE_MAP_TOL = 1e-8
+#: allclose's test of a printed canonical A: |A_in - A| <= atol + rtol |A|.
+PRINTED_ATOL, PRINTED_RTOL = 1e-12, 1e-5
+#: The cuts on v's residual in Im A per |v| (1C), |omega(s, s)| per |s|^2 (7C),
+#: a column mix's singular values, and s_2 per s_1 (5C).
+IN_IMAGE_TOL, SPINOR_SQUARE_TOL, MIX_RANK_TOL, RANK_TWO_TOL = 1e-8, 1e-10, 1e-8, 1e-8
 
 
 def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
@@ -251,10 +256,11 @@ def _canonical_6d():
 
 def _printed(canonical, key: str):
     """A copy of the printed witness when A is the printed A by allclose's
-    test |A_in - A| <= 1e-12 + 1e-5 |A|, else none."""
+    test |A_in - A| <= PRINTED_ATOL + PRINTED_RTOL |A|, else none."""
     def witnesses(c, rng):
         for A, X in canonical():
-            if A.shape == c["A"].shape and (abs(c["A"] - A) <= 1e-12 + 1e-5 * abs(A)).all():
+            if A.shape == c["A"].shape and \
+                    (abs(c["A"] - A) <= PRINTED_ATOL + PRINTED_RTOL * abs(A)).all():
                 return [{key: X.copy()}]
         return []
     return witnesses
@@ -264,7 +270,7 @@ def _in_image_1c(c, rng):
     """v inside Im A: cancel one column of A against v."""
     A, v = c["A"], c["v"]
     coeff = np.linalg.lstsq(A, v, rcond=None)[0]
-    if np.linalg.norm(A @ coeff - v) > 1e-8 * np.linalg.norm(v):
+    if np.linalg.norm(A @ coeff - v) > IN_IMAGE_TOL * np.linalg.norm(v):
         return []
     alpha, beta = coeff
     f = [-1.0 / alpha, 0.0] if abs(alpha) > abs(beta) else [0.0, -1.0 / beta]
@@ -276,7 +282,7 @@ def _steer_7c(c, rng):
     A, s, minus, sm = c["A"], c["s"], c["S-"], spin_module(4)
     # rho(.)s as a map V -> S-
     Rs = np.column_stack([sm.rho_half(e, "+") @ s for e in np.eye(8, dtype=complex)])
-    if abs(c["S+"].omega(s, s)) > 1e-10 * np.linalg.norm(s) ** 2:
+    if abs(c["S+"].omega(s, s)) > SPINOR_SQUARE_TOL * np.linalg.norm(s) ** 2:
         # rho(V)s is all of S-: steer the columns to a random ample target
         delta = crandom(rng, 8, 3) - A
     else:
@@ -312,7 +318,7 @@ def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
     r, j = patterns[rng.integers(len(patterns))]
     M = span_with_invariants(space, r, j, rng)
     mix = crandom(rng, r, k)
-    while np.count_nonzero(np.linalg.svd(mix, compute_uv=False) > 1e-8) < min(r, k):
+    while np.count_nonzero(np.linalg.svd(mix, compute_uv=False) > MIX_RANK_TOL) < min(r, k):
         mix = crandom(rng, r, k)
     return M @ mix
 
@@ -435,7 +441,7 @@ def _ample_in(space: str):
 
 def _rank_two(c, M) -> bool:
     s = np.linalg.svd(M, compute_uv=False)
-    return bool(s[1] > 1e-8 * max(s[0], 1e-30))
+    return bool(s[1] > RANK_TWO_TOL * max(s[0], 1e-30))
 
 
 def _prop1(second: str, inp: InputSpec, **fields) -> VariantSpec:

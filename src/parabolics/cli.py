@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -59,35 +58,34 @@ def _parse_weights(s: str) -> list[tuple[int, ...]]:
 # ------------------------------------------------------------ subcommands
 
 
+#: Byte v to the digit v.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def cmd_grade(args) -> int:
     g = compute_grading(parse_diagram(args.diagram))
     nonred = g.positive_nonreduced_weights()
-    payload = {
-        "diagram": str(g.diagram),
-        "white": list(g.diagram.white),
-        "positive_weights": [
-            {"weight": list(w), "size": size,
-             "reduced": g.is_reduced(w),
-             "irreducible": g.is_irreducible_component(w)}
-            for w, size in zip(g.positive_weights, g.component_sizes)
-        ],
-        "nonreduced": [list(w) for w in nonred],
-        "levi_roots": g.levi_size,
-    }
-    if args.json:
-        # json.dumps(payload, indent=2) in batches of chunks: one join of the
-        # whole text holds every chunk, and one write per chunk is slow.
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
-        while batch := "".join(itertools.islice(chunks, 1 << 14)):
-            sys.stdout.write(batch)
-        print()
-    else:
-        print(f"{payload['diagram']}: white vertices {payload['white']}")
-        for rec in payload["positive_weights"]:
-            flags = "" if rec["reduced"] else "  non-reduced"
-            print(f"  {tuple(rec['weight'])}  dim {rec['size']}{flags}")
-        print(f"levi roots: {payload['levi_roots']}; "
-              f"non-reduced positive weights: {len(nonred)}")
+    rows = zip(g.positive_weights, g.component_sizes)
+    if not args.json:
+        print(f"{g.diagram}: white vertices {list(g.diagram.white)}")
+        for w, size in rows:
+            print(f"  {w}  dim {size}{'' if g.is_reduced(w) else '  non-reduced'}")
+        print(f"levi roots: {g.levi_size}; non-reduced positive weights: {len(nonred)}")
+        return 0
+    # The bytes of json.dumps(payload, indent=2), whose pure-Python encoder is
+    # most of a large run: the weights' records are written one at a time.
+    head = json.dumps({"diagram": str(g.diagram), "white": list(g.diagram.white)}, indent=2)
+    tail = json.dumps({"nonreduced": [list(w) for w in nonred], "levi_roots": g.levi_size},
+                      indent=2)
+    write = sys.stdout.write
+    write(head[:-2] + ',\n  "positive_weights": [')
+    for k, (w, size) in enumerate(rows):
+        # A weight's coefficients are at most 6: one digit each.
+        weight = ",\n        ".join(bytes(w).translate(_DIGITS).decode())
+        write(f'{"," if k else ""}\n    {{\n      "weight": [\n        {weight}\n      ],\n'
+              f'      "size": {size},\n      "reduced": {str(g.is_reduced(w)).lower()},\n'
+              f'      "irreducible": {str(g.is_irreducible_component(w)).lower()}\n    }}')
+    write("\n  ]," + tail[1:] + "\n")
     return 0
 
 

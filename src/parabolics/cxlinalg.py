@@ -18,6 +18,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+#: The absolute cuts of the draws: |q(u)| of an isotropic unit vector, the least
+#: singular value of a nondegenerate Gram, a singular value counted in a rank.
+ISOTROPIC_TOL, NONDEGENERATE_TOL, SPAN_RANK_TOL = 1e-8, 1e-6, 1e-8
 
 
 def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -242,7 +245,7 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
         else:
             v = b
         norm = np.linalg.norm(v)
-        if norm > DEFAULT_TOL and abs(space.quadratic(u := v / norm)) < 1e-8:
+        if norm > DEFAULT_TOL and abs(space.quadratic(u := v / norm)) < ISOTROPIC_TOL:
             return u
     return None
 
@@ -253,9 +256,10 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
     given radical dimension.  Raises if the pattern is not realizable.
 
     A draw is kept when the Gram of its nondegenerate part has singular
-    values above 1e-6, its columns have `rank` singular values above the
-    absolute cut 1e-8, and restriction_invariants gives (rank, radical)
-    with its relative cut DEFAULT_TOL * s_max; both rank cuts use one SVD."""
+    values above NONDEGENERATE_TOL, its columns have `rank` singular values
+    above the absolute cut SPAN_RANK_TOL, and restriction_invariants gives
+    (rank, radical) with its relative cut DEFAULT_TOL * s_max; both rank cuts
+    use one SVD."""
     n = space.dim
     if not (0 <= radical <= rank <= n and radical <= n - rank):
         raise ValueError(f"(rank, radical) = ({rank}, {radical}) not realizable in dim {n}")
@@ -275,7 +279,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
             M = np.column_stack(trial)
             G = M.T @ space.gram @ M
             s = np.linalg.svd(G, compute_uv=False)
-            if s[-1] > 1e-6:
+            if s[-1] > NONDEGENERATE_TOL:
                 cols = trial
         if len(cols) < rank - radical:
             continue
@@ -290,7 +294,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         else:  # every radical vector found: both rank cuts from one SVD
             M = np.column_stack(cols)
             U, s, _ = np.linalg.svd(M, full_matrices=False)
-            if np.count_nonzero(s > 1e-8) == rank and \
+            if np.count_nonzero(s > SPAN_RANK_TOL) == rank and \
                     _span_invariants(U, s, space) == (rank, radical):
                 return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")

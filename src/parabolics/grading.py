@@ -10,9 +10,11 @@ A grading is computed from the rows of `RootSystem.positive_array`: each
 gets one integer key whose order is the lexicographic order of its weight.
 One stable sort of the rows in lexicographic order (a cached permutation,
 the only state kept per type) groups them by weight, lexicographic within
-each.  Reducedness, irreducibility and component indices need only the
-positive weights and the component of each row; `components` and
-`zero_component` hold the tuples of `rs.roots`, built on first access.
+each.  `roots_of` is one slice of those rows, as tuples of `rs.roots`, and
+`components` the dict of those slices.  Reducedness is one list per
+grading, which looks up 2*chi only where it lies below the highest root.
+Irreducibility and component indices need only the positive weights and
+the component of each row.
 
 A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import pairwise
 
 import numpy as np
 
@@ -90,22 +91,14 @@ class Grading:
 
     @cached_property
     def components(self) -> dict[Weight, tuple[Root, ...]]:
-        roots = self.rs.roots  # positive root i, then its negative at n + i
-        rows, n = self._order.tolist(), len(self._order)
-        pos = [roots[i] for i in rows]
-        # neg[n - 1 - t] is pos[t] negated: negation reverses lexicographic order.
-        neg = [roots[n + i] for i in reversed(rows)]
-        spans = list(pairwise(self._bounds))
         # Every weight with a negative coefficient sorts before every positive one.
-        negative = list(map(tuple, (-self._weight_array).tolist()))
-        components = dict(zip(negative[::-1], [tuple(neg[n - b:n - a]) for a, b in spans[::-1]]))
-        components.update(zip(self.positive_weights, [tuple(pos[a:b]) for a, b in spans]))
-        return components
+        negative = [tuple(-c for c in w) for w in reversed(self.positive_weights)]
+        return {w: self.roots_of(w) for w in negative + list(self.positive_weights)}
 
     @cached_property
     def zero_component(self) -> tuple[Root, ...]:
-        roots, n = self.rs.roots, len(self._order)
-        levi = self._order[:self._bounds[0]].tolist()
+        roots, n = self.rs.roots, len(self._rows)
+        levi = self._rows[:self._bounds[0]]
         return tuple([roots[n + i] for i in reversed(levi)] + [roots[i] for i in levi])
 
     @property
@@ -170,20 +163,43 @@ class Grading:
         k = self._weight_ids.get(tuple(chi))
         return None if k is None else np.flatnonzero(self._component_of == k)
 
+    @cached_property
+    def _rows(self) -> list[int]:
+        """_order as a list, which roots_of slices."""
+        return self._order.tolist()
+
     def roots_of(self, chi: Weight) -> tuple[Root, ...]:
-        return self.components[tuple(chi)]
+        """The roots of the nonzero weight chi: its rows, negated and reversed if chi < 0."""
+        chi = tuple(chi)
+        if k := self._weight_ids.get(chi):
+            roots = self.rs.positive_roots
+            return tuple([roots[i] for i in self._rows[self._bounds[k - 1]:self._bounds[k]]])
+        if k := self._weight_ids.get(tuple(-c for c in chi)):
+            rows, n = self._rows[self._bounds[k - 1]:self._bounds[k]], len(self._rows)
+            roots = self.rs.roots  # positive root i negated at n + i
+            return tuple([roots[n + i] for i in reversed(rows)])
+        raise ValueError(f"{chi} is not a nonzero weight of {self.diagram}")
+
+    @cached_property
+    def _reduced(self) -> list[bool]:
+        """is_reduced of each positive weight, looked up where 2*chi is below the highest root."""
+        top = self.rs.positive_array[-1, [v - 1 for v in self.diagram.white]]
+        small = (self._weight_array <= top // 2).all(axis=1).nonzero()[0]
+        reduced = [True] * len(self.positive_weights)
+        for k, w in zip(small.tolist(), (self._weight_array[small] * 2).tolist()):
+            reduced[k] = tuple(w) not in self._weight_ids
+        return reduced
 
     def is_reduced(self, chi: Weight) -> bool:
-        """A nonzero weight chi is reduced when 2*chi is not a weight."""
-        pos = tuple(chi)
-        if pos not in self._weight_ids:
-            pos = tuple(-c for c in pos)  # -chi is reduced when chi is
-            if pos not in self._weight_ids:
-                raise ValueError(f"{tuple(chi)} is not a weight of {self.diagram}")
-        return tuple(2 * c for c in pos) not in self._weight_ids
+        """A nonzero weight chi (and so -chi) is reduced when 2*chi is not a weight."""
+        chi = tuple(chi)
+        k = self._weight_ids.get(chi) or self._weight_ids.get(tuple(-c for c in chi))
+        if k is None:
+            raise ValueError(f"{chi} is not a nonzero weight of {self.diagram}")
+        return self._reduced[k - 1]
 
     def positive_nonreduced_weights(self) -> tuple[Weight, ...]:
-        return tuple(w for w in self.positive_weights if not self.is_reduced(w))
+        return tuple(w for w, r in zip(self.positive_weights, self._reduced) if not r)
 
     def highest_root_of(self, chi: Weight) -> tuple[Root, ...]:
         """Roots of the component that no positive Levi root raises further."""
@@ -238,12 +254,14 @@ def compute_grading(diag: ColouredDiagram) -> Grading:
     white = [w - 1 for w in diag.white]
     key = _weight_keys(pos, bases, white)[lex]
     # A stable sort keeps each component in the lexicographic root order.
-    by_key = np.argsort(key, kind="stable")
+    by_key = key.argsort(kind="stable")
     order, key = lex[by_key], key[by_key]
-    new = key != np.concatenate(([0], key[:-1]))  # a positive weight's first root
-    starts = np.flatnonzero(new)  # never empty: each white simple root is one
+    new = np.empty(len(key), dtype=bool)  # a positive weight's first root
+    new[0] = key[0] != 0  # the Levi's weight has key 0
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = new.nonzero()[0]  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
-    component_of[order] = np.cumsum(new)
+    component_of[order] = new.cumsum()
     weights = pos[order[starts]][:, white]
     return Grading(diagram=diag, positive_weights=tuple(map(tuple, weights.tolist())),
                    _component_of=component_of, _order=order,

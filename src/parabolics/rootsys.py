@@ -141,14 +141,6 @@ class RootSystem:
         """Boolean table T[i, j]: positive root i + positive root j is a root."""
         return _sum_table_cached((self.kind, self.rank))
 
-    def pairing(self, v: Root, i: int) -> int:
-        """<v, alpha_i^vee> for a 1-based vertex i."""
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 1 <= i <= self.rank:
-            raise ValueError(f"vertex {i!r} is not one of 1..{self.rank} of {self.name}")
-        if len(v) != self.rank:
-            raise ValueError(f"expected a vector of length {self.rank}, got {len(v)}: {tuple(v)}")
-        return int(np.dot(self.cartan[i - 1], np.asarray(v, dtype=np.int64)))
-
 
 _MASK64 = (1 << 64) - 1
 # Pairs searched per block, at about 32 bytes each (a key sum, a search
@@ -232,7 +224,7 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     a positive root b, b + alpha_i is a root iff p_i - <b, alpha_i^vee> > 0
     where p_i is the largest k with b - k*alpha_i a root (Humphreys, Lie
     Algebras, 9.4 and 10.2).  One height level is one lexicographically
-    sorted int array, with the string lengths strings[k, j] = p_j of its
+    sorted uint8 array, with the string lengths strings[k, j] = p_j of its
     roots; the pairings are level @ C.T.  The accepted steps (k, i) of a
     level are its rows of raised_by, and their targets level[k] + alpha_i,
     sorted and without repeats, are the next level.  p_i of a target is
@@ -242,25 +234,30 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     lexicographically.
     """
     C = cartan_matrix(kind, rank)
-    level = np.eye(rank, dtype=np.int64)[::-1]  # the simple roots, lexicographically
+    simple = np.eye(rank, dtype=np.uint8)
+    level = simple[::-1]  # the simple roots, lexicographically
     strings = np.zeros((rank, rank), dtype=np.int64)
-    levels, raises = [], []
-    while len(level):
+    levels, raises, row = [], [], f"S{rank}"
+    while True:
         step = strings > level @ C.T
         levels.append(level)
         raises.append(step)
         k, i = step.nonzero()
-        up = level[k]
-        up[np.arange(len(k)), i] += 1
-        order = np.lexsort(up.T[::-1])
+        if not len(k):  # the highest root
+            break
+        # Coefficients are at most 6: uint8 rows sort lexicographically as bytes.
+        up = (level[k] + simple[i]).view(row).ravel()
+        order = up.argsort(kind="stable")
         up, k, i = up[order], k[order], i[order]
-        first = np.ones(len(up), dtype=bool)
-        first[1:] = (up[1:] != up[:-1]).any(axis=1)
+        first = np.empty(len(up), dtype=bool)
+        first[0] = True
+        np.not_equal(up[1:], up[:-1], out=first[1:])
+        target = first.cumsum()  # 1 + the index of each step's target
         # Each (target, i) is written once: by the step (target - alpha_i, i).
-        lengths = np.zeros((first.sum(), rank), dtype=np.int64)
-        lengths[np.cumsum(first) - 1, i] = strings[k, i] + 1
-        level, strings = up[first], lengths
-    positive, raised_by = np.concatenate(levels), np.concatenate(raises)
+        lengths = np.zeros((target[-1], rank), dtype=np.int64)
+        lengths[target - 1, i] = strings[k, i] + 1
+        level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
+    positive, raised_by = np.concatenate(levels).astype(np.int64), np.concatenate(raises)
     positive.setflags(write=False)  # shared by every caller of this type
     raised_by.setflags(write=False)
     return RootSystem(kind=kind, rank=rank, cartan=C, positive_array=positive,

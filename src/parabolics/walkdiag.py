@@ -19,15 +19,20 @@ from __future__ import annotations
 
 import hashlib
 import importlib.resources
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .grading import Grading, Weight, diagram, compute_grading
 from .report import Report
 
 #: Environment variable overriding the bundled data directory.
 DATA_DIR_ENV = "PARABOLICS_DATA_DIR"
+#: The most vectors the box of rubbish_weights may hold, a byte each.
+_BOX_CELLS = 1 << 24
 
 
 class CaseDataError(ValueError):
@@ -46,30 +51,42 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     """Reduced positive weights reachable from a non-reduced one by twisting.
 
     Reachable means equal to chi + sum of twisting weights (each usable any
-    number of times), chi non-reduced positive.  Twisting weights have
-    non-negative coordinates, so a bounded breadth-first closure inside the
-    coordinate box of the positive weights enumerates the reachable set
-    exactly.
+    number of times), chi non-reduced positive.  Twisting weights are
+    non-negative, so the reachable set is a boolean array over a box from
+    the least non-reduced coordinates lo up, shifted by each twisting weight
+    until it stops changing; coordinates on which every twisting weight and
+    every chi - lo agree share one axis.
     """
     twisting = [tuple(t) for t in twisting]
     for t in twisting:
         if not g.is_positive_weight(t):
             raise ValueError(f"twisting weight {t} is not a positive weight of {g.diagram}")
-    if not twisting:
+    if not twisting or not (nonreduced := g.positive_nonreduced_weights()):
         return set()
-    box = tuple(max(w[i] for w in g.positive_weights) for i in range(len(g.positive_weights[0])))
-    seen: set[Weight] = set(g.positive_nonreduced_weights())
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for v in frontier:
-            for t in twisting:
-                u = tuple(a + b for a, b in zip(v, t))
-                if u not in seen and all(x <= m for x, m in zip(u, box)):
-                    seen.add(u)
-                    new.append(u)
-        frontier = new
-    return {u for u in seen if g.is_positive_weight(u) and g.is_reduced(u)}
+    weights, start, steps = np.array(g.positive_weights), np.array(nonreduced), np.array(twisting)
+    lo = start.min(axis=0)
+    room = np.where(steps.any(axis=0), weights.max(axis=0), start.max(axis=0)) - lo
+    first: dict[tuple[int, ...], int] = {}  # the first coordinate of each axis
+    axis_of = [first.setdefault(tuple(c), i)
+               for i, c in enumerate(np.vstack([steps, start - lo]).T.tolist())]
+    axes = sorted(first.values())
+    if math.prod(shape := tuple((room[axes] + 1).tolist())) > _BOX_CELLS:
+        raise ValueError(f"the twisting closure of {g.diagram} has more than {_BOX_CELLS} vectors")
+    # A shift by t moves the cells below shape - t up by t (a t past room never applies).
+    steps = steps[:, axes]
+    moves = [(tuple(map(slice, t, shape)), tuple(slice(n - s) for n, s in zip(shape, t)))
+             for t in steps[(steps <= room[axes]).all(axis=1)].tolist()]
+    reach = np.zeros(shape, dtype=bool)
+    reach[tuple((start - lo)[:, axes].T)] = True
+    count = 0
+    while count < (count := reach.sum()):
+        for up, below in moves:
+            reach[up] |= reach[below]
+    offset = weights - lo
+    inside = ((offset == offset[:, axis_of]) & (offset >= 0)
+              & (offset <= room[axis_of])).all(axis=1)
+    hit = inside & reach[tuple(np.clip(offset[:, axes], 0, room[axes]).T)]
+    return {w for w, h in zip(g.positive_weights, hit.tolist()) if h and g.is_reduced(w)}
 
 
 @dataclass(frozen=True)
@@ -281,13 +298,13 @@ def verify_case(case: CaseSpec) -> Report:
     )
 
     label_bad = []
-    blacks = sorted(case.black)
+    coroots = g.rs.cartan[[b - 1 for b in sorted(case.black)]]  # <., alpha_b^vee> per black b
     for name, vec in named.items():
         tops = g.highest_root_of(vec)
         if len(tops) != 1:
             label_bad.append(f"{name}: {len(tops)} highest roots")
             continue
-        labels = tuple(g.rs.pairing(tops[0], b) for b in blacks)
+        labels = tuple((coroots @ tops[0]).tolist())
         if labels != case.black_labels[name]:
             label_bad.append(f"{name}: computed {labels} printed {case.black_labels[name]}")
     report.add("black-vertex labels match", not label_bad, "; ".join(label_bad))

@@ -35,6 +35,25 @@ def test_cli_grade():
     assert payload["nonreduced"] == [[0, 1], [1, 1]]
 
 
+@pytest.mark.parametrize("diagram", ["A99/1,50", "D60/2,30,59", "A5/2,4", "G2/1",
+                                     "E7/1,3,4,6,7"])
+def test_grade_json_is_the_indented_dump_of_its_payload(diagram):
+    # Type A has no non-reduced weight; G2/1 has one white vertex and E7 two
+    # non-reduced weights.
+    g = grading.compute_grading(parse_diagram(diagram))
+    payload = {
+        "diagram": diagram,
+        "white": list(g.diagram.white),
+        "positive_weights": [
+            {"weight": list(w), "size": size, "reduced": g.is_reduced(w),
+             "irreducible": g.is_irreducible_component(w)}
+            for w, size in zip(g.positive_weights, g.component_sizes)],
+        "nonreduced": [list(w) for w in g.positive_nonreduced_weights()],
+        "levi_roots": g.levi_size,
+    }
+    assert run_cli("grade", diagram, "--json") == (0, json.dumps(payload, indent=2) + "\n")
+
+
 def test_grade_builds_no_root_tuples():
     # `grade` reads the root arrays only: on a freshly built type neither the
     # root tuples nor the root set exist after it, text or --json.

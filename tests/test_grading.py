@@ -1,7 +1,8 @@
 import os
+import re
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,16 @@ def test_is_reduced_case_2a_colouring():
     assert g.is_reduced(top)
     with pytest.raises(ValueError):
         g.is_reduced((9, 9))
+
+
+def test_non_weights_are_refused_by_name():
+    g = grade("E7", [1, 3, 4, 6, 7])
+    for chi in ((9, 9), (0, 0), (0, 2, 1)):
+        message = re.escape(f"{chi} is not a nonzero weight of E7/1,3,4,6,7")
+        with pytest.raises(ValueError, match=message):
+            g.roots_of(chi)
+        with pytest.raises(ValueError, match=message):
+            g.is_reduced(chi)
 
 
 def test_positive_nonreduced_examples():
@@ -223,6 +234,40 @@ def test_grading_equals_loop_oracle_every_colouring(name):
     rank = int(name[1:])
     for black in _all_colourings(rank):
         _assert_matches_oracles(grade(name, black))
+
+
+def _component_slices(g):
+    """Reference: every component sliced from two lists of rs.roots, the
+    positive rows in weight order and their negatives in reverse."""
+    roots, rows, n = g.rs.roots, g._order.tolist(), len(g._order)
+    pos = [roots[i] for i in rows]
+    neg = [roots[n + i] for i in reversed(rows)]  # negation reverses the order
+    spans = list(pairwise(g._bounds))
+    negative = [tuple(-c for c in w) for w in g.positive_weights]
+    components = dict(zip(negative[::-1], [tuple(neg[n - b:n - a]) for a, b in spans[::-1]]))
+    components.update(zip(g.positive_weights, [tuple(pos[a:b]) for a, b in spans]))
+    return components
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8", "F4", "G2", "A99/1,50", "D60/2,30,59"])
+def test_roots_of_and_reducedness_equal_their_oracles(name):
+    # A99/1,50 and D60/2,30,59 key their weights by dense ranks.
+    kind, _, black = name.partition("/")
+    colourings = ([tuple(map(int, black.split(",")))] if black
+                  else _all_colourings(int(kind[1:])))
+    for black in colourings:
+        g = grade(kind, black)
+        want = _component_slices(g)
+        for chi, roots in want.items():
+            got = g.roots_of(chi)
+            assert got == roots and all(a is b for a, b in zip(got, roots)), (name, black, chi)
+        assert list(g.components) == list(want) and g.components == want
+        weights = set(g.positive_weights)
+        reduced = [tuple(2 * c for c in w) not in weights for w in g.positive_weights]
+        assert [g.is_reduced(w) for w in g.positive_weights] == reduced
+        assert [g.is_reduced(tuple(-c for c in w)) for w in g.positive_weights] == reduced
+        assert g.positive_nonreduced_weights() == tuple(
+            w for w, r in zip(g.positive_weights, reduced) if not r)
 
 
 @pytest.mark.parametrize("name", ["A20", "B14", "C14", "D24"])

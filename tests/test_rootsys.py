@@ -1,4 +1,3 @@
-import re
 import time
 
 import numpy as np
@@ -196,18 +195,6 @@ def test_is_root_rejects_non_integral_coordinates():
                    ((1, b"0"), "coordinate 2")]:
         with pytest.raises(ValueError, match=bad):
             is_root(a2, v)
-
-
-def test_pairing_rejects_vertices_out_of_range_and_wrong_lengths():
-    a3 = build_root_system("A", 3)
-    assert [a3.pairing((1, 0, 0), i) for i in (1, 2, 3)] == [2, -1, 0]
-    assert a3.pairing(np.array([1, 1, 1]), np.int64(3)) == 1
-    for i in (-1, 0, 4, 1.5, 2.0, True, np.float64(3.0)):
-        with pytest.raises(ValueError, match=rf"vertex {re.escape(repr(i))} is not one of 1\.\.3 of A3"):
-            a3.pairing((1, 0, 0), i)
-    for v in ((1, 0), (1, 0, 0, 0)):
-        with pytest.raises(ValueError, match=f"length 3, got {len(v)}"):
-            a3.pairing(v, 1)
 
 
 def test_positive_roots_sorted_by_height_then_lex():

@@ -93,6 +93,57 @@ def test_rubbish_examples(cases):
         rubbish_weights(g, [(9, 9)])
 
 
+def _rubbish_bfs(g, twisting):
+    """Reference: a breadth-first closure, one vector at a time, inside the
+    coordinate box of the positive weights."""
+    box = tuple(map(max, zip(*g.positive_weights)))
+    seen = set(g.positive_nonreduced_weights()) if twisting else set()
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for v in frontier:
+            for t in twisting:
+                u = tuple(a + b for a, b in zip(v, t))
+                if u not in seen and all(x <= m for x, m in zip(u, box)):
+                    seen.add(u)
+                    new.append(u)
+        frontier = new
+    return {u for u in seen if g.is_positive_weight(u) and g.is_reduced(u)}
+
+
+def test_rubbish_closure_equals_the_breadth_first_oracle(cases):
+    rng = np.random.default_rng(23)
+    gradings = [(compute_grading(diagram(c.group, c.black)), list(c.twisting.values()))
+                for c in cases.values()]
+    gradings += [(g, None) for g in _seeded_gradings()]
+    gradings += [(grade(name, black), None) for name, black in
+                 (("E8", [1]), ("E7", [2, 5]), ("B12", [1]), ("C8", [2, 6]), ("F4", [4]))]
+    sets = nonempty = 0
+    for g, printed in gradings:
+        weights = g.positive_weights
+        draws = [printed] if printed else []
+        draws += [[weights[i] for i in rng.choice(len(weights), size=k, replace=False)]
+                  for k in rng.integers(0, min(8, len(weights)) + 1, size=12)]
+        for twisting in draws + [list(weights)]:
+            want = _rubbish_bfs(g, twisting)
+            assert rubbish_weights(g, twisting) == want, (g.diagram, twisting)
+            sets, nonempty = sets + 1, nonempty + bool(want)
+    assert sets > 500 and nonempty > 100
+
+
+def test_rubbish_closure_on_a_long_box():
+    # B40/1: the one non-reduced weight is (1, ..., 1) in a box up to (2, ..., 2)
+    g = grade("B40", [1])
+    ones, unit = (1,) * 39, (1,) + (0,) * 38
+    assert g.positive_nonreduced_weights() == (ones,)
+    for twisting in ([ones], [unit], [ones, unit]):
+        assert rubbish_weights(g, twisting) == _rubbish_bfs(g, twisting)
+    assert rubbish_weights(g, [ones]) == {(2,) * 39}
+    units = [tuple(int(i == j) for i in range(39)) for j in range(39)]
+    with pytest.raises(ValueError, match="twisting closure of B40/1 has more than"):
+        rubbish_weights(g, units)  # 2^39 vectors, each reachable
+
+
 def test_arrow_head_examples(cases):
     g = compute_grading(diagram("E7", cases["2A"].black))
     wd = build_weight_diagram(g, [(1, 0)])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -42,6 +43,12 @@ def argvs() -> list[list[str]]:
     runs += [["mp-triple", "--json"], ["lemma", "--form", "sym", "--json"],
              ["lemma", "--form", "skew", "--json"],
              ["spinor", "--m", "4", "--json"], ["spinor", "--m", "6", "--json"]]
+    for rank in (6, 7, 8):  # every colouring of E6-E8, text and --json
+        for k in range(rank):
+            for black in itertools.combinations(range(1, rank + 1), k):
+                colouring = f"E{rank}/{','.join(map(str, black))}"
+                runs += [argv for argv in (["grade", colouring], ["grade", colouring, "--json"])
+                         if argv not in runs]
     return runs
 
 
