@@ -58,10 +58,6 @@ def _parse_weights(s: str) -> list[tuple[int, ...]]:
 # ------------------------------------------------------------ subcommands
 
 
-#: Byte v to the digit v.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
 def cmd_grade(args) -> int:
     g = compute_grading(parse_diagram(args.diagram))
     nonred = g.positive_nonreduced_weights()
@@ -77,11 +73,11 @@ def cmd_grade(args) -> int:
     head = json.dumps({"diagram": str(g.diagram), "white": list(g.diagram.white)}, indent=2)
     tail = json.dumps({"nonreduced": [list(w) for w in nonred], "levi_roots": g.levi_size},
                       indent=2)
-    write = sys.stdout.write
+    write, digits = sys.stdout.write, bytes.maketrans(bytes(range(10)), b"0123456789")
     write(head[:-2] + ',\n  "positive_weights": [')
     for k, (w, size) in enumerate(rows):
-        # A weight's coefficients are at most 6: one digit each.
-        weight = ",\n        ".join(bytes(w).translate(_DIGITS).decode())
+        # A weight's coefficients are at most 6: one digit each, as one byte string.
+        weight = ",\n        ".join(bytes(w).translate(digits).decode())
         write(f'{"," if k else ""}\n    {{\n      "weight": [\n        {weight}\n      ],\n'
               f'      "size": {size},\n      "reduced": {str(g.is_reduced(w)).lower()},\n'
               f'      "irreducible": {str(g.is_irreducible_component(w)).lower()}\n    }}')

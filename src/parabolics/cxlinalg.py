@@ -255,11 +255,10 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
     """Columns spanning a rank-dim subspace whose restricted form has the
     given radical dimension.  Raises if the pattern is not realizable.
 
-    A draw is kept when the Gram of its nondegenerate part has singular
-    values above NONDEGENERATE_TOL, its columns have `rank` singular values
-    above the absolute cut SPAN_RANK_TOL, and restriction_invariants gives
-    (rank, radical) with its relative cut DEFAULT_TOL * s_max; both rank cuts
-    use one SVD."""
+    A draw is kept when its nondegenerate part's Gram has singular values
+    above NONDEGENERATE_TOL, its columns have `rank` singular values above
+    SPAN_RANK_TOL, and restriction_invariants, cutting at DEFAULT_TOL * s_max,
+    gives (rank, radical); both rank cuts use one SVD."""
     n = space.dim
     if not (0 <= radical <= rank <= n and radical <= n - rank):
         raise ValueError(f"(rank, radical) = ({rank}, {radical}) not realizable in dim {n}")

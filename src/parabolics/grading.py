@@ -10,11 +10,9 @@ A grading is computed from the rows of `RootSystem.positive_array`: each
 gets one integer key whose order is the lexicographic order of its weight.
 One stable sort of the rows in lexicographic order (a cached permutation,
 the only state kept per type) groups them by weight, lexicographic within
-each.  `roots_of` is one slice of those rows, as tuples of `rs.roots`, and
-`components` the dict of those slices.  Reducedness is one list per
-grading, which looks up 2*chi only where it lies below the highest root.
-Irreducibility and component indices need only the positive weights and
-the component of each row.
+each.  `roots_of` slices them, and `components` is the dict of its slices.
+Reducedness is one list per grading, looking up 2*chi only below the
+highest root; irreducibility needs only the component of each row.
 
 A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
@@ -97,8 +95,8 @@ class Grading:
 
     @cached_property
     def zero_component(self) -> tuple[Root, ...]:
-        roots, n = self.rs.roots, len(self._rows)
-        levi = self._rows[:self._bounds[0]]
+        roots, n = self.rs.roots, len(self._order)
+        levi = self._order[:self._bounds[0]].tolist()
         return tuple([roots[n + i] for i in reversed(levi)] + [roots[i] for i in levi])
 
     @property
@@ -160,24 +158,19 @@ class Grading:
     def component_indices(self, chi: Weight) -> np.ndarray | None:
         """Indices into rs.positive_roots of the roots of weight chi, ascending;
         None when chi is not a positive weight."""
-        k = self._weight_ids.get(tuple(chi))
-        return None if k is None else np.flatnonzero(self._component_of == k)
-
-    @cached_property
-    def _rows(self) -> list[int]:
-        """_order as a list, which roots_of slices."""
-        return self._order.tolist()
+        k, b = self._weight_ids.get(tuple(chi)), self._bounds
+        # stable: numpy's SIMD quicksort would add its code pages to peak RSS
+        return None if k is None else np.sort(self._order[b[k - 1]:b[k]], kind="stable")
 
     def roots_of(self, chi: Weight) -> tuple[Root, ...]:
         """The roots of the nonzero weight chi: its rows, negated and reversed if chi < 0."""
-        chi = tuple(chi)
+        chi, b = tuple(chi), self._bounds
         if k := self._weight_ids.get(chi):
             roots = self.rs.positive_roots
-            return tuple([roots[i] for i in self._rows[self._bounds[k - 1]:self._bounds[k]]])
+            return tuple([roots[i] for i in self._order[b[k - 1]:b[k]].tolist()])
         if k := self._weight_ids.get(tuple(-c for c in chi)):
-            rows, n = self._rows[self._bounds[k - 1]:self._bounds[k]], len(self._rows)
-            roots = self.rs.roots  # positive root i negated at n + i
-            return tuple([roots[n + i] for i in reversed(rows)])
+            roots, n = self.rs.roots, len(self._order)  # positive root i negated at n + i
+            return tuple([roots[n + i] for i in reversed(self._order[b[k - 1]:b[k]].tolist())])
         raise ValueError(f"{chi} is not a nonzero weight of {self.diagram}")
 
     @cached_property
@@ -256,9 +249,7 @@ def compute_grading(diag: ColouredDiagram) -> Grading:
     # A stable sort keeps each component in the lexicographic root order.
     by_key = key.argsort(kind="stable")
     order, key = lex[by_key], key[by_key]
-    new = np.empty(len(key), dtype=bool)  # a positive weight's first root
-    new[0] = key[0] != 0  # the Levi's weight has key 0
-    np.not_equal(key[1:], key[:-1], out=new[1:])
+    new = key != np.concatenate(([0], key[:-1]))  # a positive weight's first root
     starts = new.nonzero()[0]  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
     component_of[order] = new.cumsum()

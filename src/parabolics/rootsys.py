@@ -249,9 +249,8 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         up = (level[k] + simple[i]).view(row).ravel()
         order = up.argsort(kind="stable")
         up, k, i = up[order], k[order], i[order]
-        first = np.empty(len(up), dtype=bool)
-        first[0] = True
-        np.not_equal(up[1:], up[:-1], out=first[1:])
+        first = np.ones(len(up), dtype=bool)
+        first[1:] = up[1:] != up[:-1]
         target = first.cumsum()  # 1 + the index of each step's target
         # Each (target, i) is written once: by the step (target - alpha_i, i).
         lengths = np.zeros((target[-1], rank), dtype=np.int64)

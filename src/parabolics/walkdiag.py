@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.resources
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,6 @@ from .report import Report
 
 #: Environment variable overriding the bundled data directory.
 DATA_DIR_ENV = "PARABOLICS_DATA_DIR"
-#: The most vectors the box of rubbish_weights may hold, a byte each.
-_BOX_CELLS = 1 << 24
 
 
 class CaseDataError(ValueError):
@@ -51,11 +48,10 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     """Reduced positive weights reachable from a non-reduced one by twisting.
 
     Reachable means equal to chi + sum of twisting weights (each usable any
-    number of times), chi non-reduced positive.  Twisting weights are
-    non-negative, so the reachable set is a boolean array over a box from
-    the least non-reduced coordinates lo up, shifted by each twisting weight
-    until it stops changing; coordinates on which every twisting weight and
-    every chi - lo agree share one axis.
+    number of times), chi non-reduced positive.  Twisting weights have
+    non-negative coordinates, so a breadth-first closure inside the box up
+    to the highest root's weight enumerates the reachable set exactly; each
+    round adds every twisting weight to the whole frontier in one array sum.
     """
     twisting = [tuple(t) for t in twisting]
     for t in twisting:
@@ -63,30 +59,14 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
             raise ValueError(f"twisting weight {t} is not a positive weight of {g.diagram}")
     if not twisting or not (nonreduced := g.positive_nonreduced_weights()):
         return set()
-    weights, start, steps = np.array(g.positive_weights), np.array(nonreduced), np.array(twisting)
-    lo = start.min(axis=0)
-    room = np.where(steps.any(axis=0), weights.max(axis=0), start.max(axis=0)) - lo
-    first: dict[tuple[int, ...], int] = {}  # the first coordinate of each axis
-    axis_of = [first.setdefault(tuple(c), i)
-               for i, c in enumerate(np.vstack([steps, start - lo]).T.tolist())]
-    axes = sorted(first.values())
-    if math.prod(shape := tuple((room[axes] + 1).tolist())) > _BOX_CELLS:
-        raise ValueError(f"the twisting closure of {g.diagram} has more than {_BOX_CELLS} vectors")
-    # A shift by t moves the cells below shape - t up by t (a t past room never applies).
-    steps = steps[:, axes]
-    moves = [(tuple(map(slice, t, shape)), tuple(slice(n - s) for n, s in zip(shape, t)))
-             for t in steps[(steps <= room[axes]).all(axis=1)].tolist()]
-    reach = np.zeros(shape, dtype=bool)
-    reach[tuple((start - lo)[:, axes].T)] = True
-    count = 0
-    while count < (count := reach.sum()):
-        for up, below in moves:
-            reach[up] |= reach[below]
-    offset = weights - lo
-    inside = ((offset == offset[:, axis_of]) & (offset >= 0)
-              & (offset <= room[axis_of])).all(axis=1)
-    hit = inside & reach[tuple(np.clip(offset[:, axes], 0, room[axes]).T)]
-    return {w for w, h in zip(g.positive_weights, hit.tolist()) if h and g.is_reduced(w)}
+    top = g.rs.positive_array[-1, [v - 1 for v in g.diagram.white]]
+    steps, reach, frontier = np.array(twisting), set(nonreduced), np.array(nonreduced)
+    while len(frontier):
+        up = (frontier[:, None] + steps).reshape(-1, len(top))
+        new = set(map(tuple, up[(up <= top).all(axis=1)].tolist())) - reach
+        reach |= new
+        frontier = np.array(list(new)).reshape(-1, len(top))
+    return {w for w in reach.intersection(g.positive_weights) if g.is_reduced(w)}
 
 
 @dataclass(frozen=True)
@@ -188,15 +168,7 @@ def load_cases() -> dict[str, CaseSpec]:
                 if missing := sorted({"group", "parabolic", "covers", "black"} - set(cur)):
                     raise ValueError(f"case {cur['case_id']} has no {missing[0]!r} line")
                 _check_colouring(f"case {cur['case_id']}", cur["group"], cur["black"])
-                parsed = CaseSpec(
-                    case_id=cur["case_id"], group=cur["group"],
-                    parabolic=cur["parabolic"], covers=cur["covers"],
-                    black=cur["black"], nonreduced=cur["nonreduced"],
-                    twisting=cur["twisting"], rubbish=cur["rubbish"],
-                    black_labels=cur["black_labels"],
-                    arrows=tuple(cur["arrows"]), note=cur["note"],
-                )
-                cases[parsed.case_id] = parsed
+                cases[cur["case_id"]] = CaseSpec(**{**cur, "arrows": tuple(cur["arrows"])})
                 cur = None
             elif line.startswith("group "):
                 cur["group"] = line.split()[1]

@@ -139,9 +139,12 @@ def test_rubbish_closure_on_a_long_box():
     for twisting in ([ones], [unit], [ones, unit]):
         assert rubbish_weights(g, twisting) == _rubbish_bfs(g, twisting)
     assert rubbish_weights(g, [ones]) == {(2,) * 39}
-    units = [tuple(int(i == j) for i in range(39)) for j in range(39)]
-    with pytest.raises(ValueError, match="twisting closure of B40/1 has more than"):
-        rubbish_weights(g, units)  # 2^39 vectors, each reachable
+    # B50/1,3,...,49: 25 nested non-reduced weights, which differ on every
+    # white vertex although only the last one moves under (0, ..., 0, 1)
+    g = grade("B50", range(1, 50, 2))
+    assert len(g.positive_nonreduced_weights()) == 25
+    for twisting in ([(0,) * 24 + (1,)], [(1,) * 25]):
+        assert rubbish_weights(g, twisting) == _rubbish_bfs(g, twisting)
 
 
 def test_arrow_head_examples(cases):
