@@ -14,7 +14,6 @@ by their defining quadrics, and every test on them reads those quadrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -58,8 +57,7 @@ def _kernel(C, r: int) -> np.ndarray:
     return np.linalg.svd(C)[2].conj().T[:, r:]
 
 
-@dataclass(frozen=True)
-class QuadricVariety:
+class QuadricVariety(NamedTuple):
     """Zero locus of the quadratic form of a symmetric-Gram space."""
 
     space: BilinearSpace
@@ -78,8 +76,7 @@ class QuadricVariety:
         return np.column_stack([x, y]) @ (np.eye(2) + 0.1 * crandom(rng, 2, 2))
 
 
-@dataclass(frozen=True)
-class SegreVariety:
+class SegreVariety(NamedTuple):
     """Rank-one matrices in C^2 (x) C^k, the zero set of the 2 x 2 minors."""
 
     k: int
@@ -415,8 +412,7 @@ _OFF_CONE = InputSpec(("d",), lambda c, x: _off_cone(c["X"], x),
                       lambda rng, c: _off_cone_vector(c["X"], rng))
 
 
-@dataclass(frozen=True)
-class VariantSpec:
+class VariantSpec(NamedTuple):
     """One deformation variant; its callables take the task's _Context c."""
 
     #: name -> InputSpec, in the order the shapes and hypotheses are
@@ -568,16 +564,14 @@ VARIANTS = tuple(SPECS)
 # ----------------------------------------------------------- the search
 
 
-@dataclass(frozen=True)
-class DeformationTask:
+class DeformationTask(NamedTuple):
     variant: str
     inputs: dict
     seed: int = 0
     max_restarts: int = 1000
 
 
-@dataclass
-class DeformResult:
+class DeformResult(NamedTuple):
     variant: str
     witness: dict
     verified: bool

@@ -11,10 +11,10 @@ builds no grading.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .rootsys import RootSystem, build_root_system, parse_type
 from .walkdiag import CaseDataError, _check_colouring, data_path
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     index: int
     group: str  # E7 or E8
     black: tuple[int, ...]
@@ -67,8 +66,7 @@ def _parse_table(path: Path) -> tuple[TableEntry, ...]:
     return tuple(entries.values())
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     black: tuple[int, ...]
     nonreduced: int
 

@@ -12,10 +12,11 @@ involved; exact arithmetic is never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .frozen import Frozen
 
 DEFAULT_TOL = 1e-10
 #: The absolute cuts of the draws: |q(u)| of an isotropic unit vector, the least
@@ -30,21 +31,19 @@ def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
     return x[0] + 1j * x[1]
 
 
-@dataclass(frozen=True, eq=False)
-class BilinearSpace:
+class BilinearSpace(Frozen):
     """A nondegenerate bilinear form omega(x, y) = x^T gram y on C^dim.  The
     Gram is read-only (a writable one is copied first), so the constants
     computed from it on first use cannot go stale.  Spaces compare and hash
     by identity."""
 
-    kind: str
-    dim: int
-    gram: np.ndarray
+    _repr = ("kind", "dim", "gram")
 
-    def __post_init__(self):
-        if self.gram.flags.writeable:  # the caller's array: freeze a copy
-            object.__setattr__(self, "gram", self.gram.copy())
-            self.gram.setflags(write=False)
+    def __init__(self, kind: str, dim: int, gram: np.ndarray):
+        if gram.flags.writeable:  # the caller's array: freeze a copy
+            gram = gram.copy()
+            gram.setflags(write=False)
+        vars(self).update(kind=kind, dim=dim, gram=gram)
 
     @cached_property
     def symmetric(self) -> bool:

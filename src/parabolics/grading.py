@@ -23,27 +23,37 @@ alone, by a key search over root sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .frozen import Frozen
 from .rootsys import Root, RootSystem, build_root_system, parse_type, root_sum_pairs
 
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ColouredDiagram:
-    rs: RootSystem
-    black: frozenset[int]
+class ColouredDiagram(Frozen):
+    """The Dynkin diagram of rs with the black vertices of a parabolic;
+    diagrams are equal when their systems and black sets are."""
 
-    def __post_init__(self):
-        vertices = set(range(1, self.rs.rank + 1))
-        if not self.black <= vertices:
-            raise ValueError(f"black vertices {sorted(self.black)} out of range for {self.rs.name}")
-        if self.black == vertices:
+    _repr = ("rs", "black")
+
+    def __init__(self, rs: RootSystem, black: frozenset[int]):
+        vertices = set(range(1, rs.rank + 1))
+        if not black <= vertices:
+            raise ValueError(f"black vertices {sorted(black)} out of range for {rs.name}")
+        if black == vertices:
             raise ValueError("no white vertex: the parabolic subgroup must be proper")
+        vars(self).update(rs=rs, black=black)
+
+    def __eq__(self, other):
+        if not isinstance(other, ColouredDiagram):
+            return NotImplemented
+        return self.rs is other.rs and self.black == other.black
+
+    def __hash__(self) -> int:
+        return hash((self.rs, self.black))
 
     @cached_property
     def white(self) -> tuple[int, ...]:
@@ -58,8 +68,7 @@ def diagram(type_name: str, black) -> ColouredDiagram:
     return ColouredDiagram(build_root_system(*parse_type(type_name)), frozenset(black))
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Frozen):
     """The weight partition of the roots of diagram.rs.
 
     components maps every nonzero weight to its roots; zero_component holds
@@ -68,24 +77,29 @@ class Grading:
     and the same partition.
     """
 
-    diagram: ColouredDiagram
-    #: Nonzero weights with all coefficients >= 0, lexicographically sorted.
-    positive_weights: tuple[Weight, ...] = field(repr=False)
-    #: Component of each of rs.positive_roots: 0 for the Levi, k for
-    #: positive_weights[k - 1].
-    _component_of: np.ndarray = field(repr=False, compare=False)
-    #: Rows of rs.positive_array by weight, lexicographic within each weight,
-    #: and where the rows of each positive weight start in it, then their end.
-    _order: np.ndarray = field(repr=False, compare=False)
-    _bounds: tuple[int, ...] = field(repr=False, compare=False)
-    #: positive_weights as a (len(positive_weights), len(white)) array.
-    _weight_array: np.ndarray = field(repr=False, compare=False)
+    _repr = ("diagram",)
+
+    def __init__(self, diagram: ColouredDiagram, positive_weights: tuple[Weight, ...],
+                 _component_of: np.ndarray, _order: np.ndarray, _bounds: tuple[int, ...],
+                 _weight_array: np.ndarray):
+        # positive_weights: the nonzero weights with all coefficients >= 0,
+        # lexicographically sorted.  _component_of: the component of each of
+        # rs.positive_roots, 0 for the Levi, k for positive_weights[k - 1].
+        # _order: the rows of rs.positive_array by weight, lexicographic within
+        # each weight; _bounds: where the rows of each positive weight start in
+        # it, then their end.  _weight_array: positive_weights as an array.
+        vars(self).update(diagram=diagram, positive_weights=positive_weights,
+                          _component_of=_component_of, _order=_order, _bounds=_bounds,
+                          _weight_array=_weight_array)
 
     def __eq__(self, other):
         if not isinstance(other, Grading):
             return NotImplemented
         return (self.diagram == other.diagram and self.positive_weights == other.positive_weights
                 and np.array_equal(self._component_of, other._component_of))
+
+    def __hash__(self) -> int:
+        return hash((self.diagram, self.positive_weights))
 
     @cached_property
     def components(self) -> dict[Weight, tuple[Root, ...]]:

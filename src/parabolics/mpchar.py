@@ -20,7 +20,7 @@ Two constructions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .cxlinalg import (
     orth,
     sharp_adjoint,
 )
+from .frozen import Frozen
 
 DEFAULT_SL2_TOL = 1e-9
 
@@ -42,8 +43,7 @@ def _comm(x, y):
     return x @ y - y @ x
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(NamedTuple):
     """An sl2-triple, or a (T, n, n) stack of T triples."""
 
     e: np.ndarray
@@ -78,8 +78,7 @@ def verify_sl2(e, h, f) -> Sl2Triple:
 # ------------------------------------------------------------- gl(V) case
 
 
-@dataclass(frozen=True)
-class BlockNilpotent:
+class BlockNilpotent(Frozen):
     """Strictly upper-triangular block element of gl(V), V = V_1 + ... + V_k.
 
     blocks maps (i, j) with i < j (1-based) to a matrix V_i -> V_j of shape
@@ -87,16 +86,16 @@ class BlockNilpotent:
     matrices.
     """
 
-    dims: tuple[int, ...]
-    blocks: dict[tuple[int, int], np.ndarray]
+    _repr = ("dims", "blocks")
 
-    def __post_init__(self):
-        for (i, j), m in self.blocks.items():
-            if not 1 <= i < j <= len(self.dims):
+    def __init__(self, dims: tuple[int, ...], blocks: dict[tuple[int, int], np.ndarray]):
+        for (i, j), m in blocks.items():
+            if not 1 <= i < j <= len(dims):
                 raise ValueError(f"block index {(i, j)} out of range")
-            want = (self.dims[j - 1], self.dims[i - 1])
+            want = (dims[j - 1], dims[i - 1])
             if np.shape(m)[-2:] != want or np.ndim(m) > 3:
                 raise ValueError(f"block {(i, j)} has shape {np.shape(m)}, expected {want}")
+        vars(self).update(dims=dims, blocks=blocks)
 
     @property
     def total_dim(self) -> int:
@@ -167,8 +166,7 @@ def gl_characteristic_trials(rng: np.random.Generator, trials: int) -> tuple[int
 # --------------------------------------------------------------- the lemma
 
 
-@dataclass(frozen=True)
-class LemmaSolution:
+class LemmaSolution(NamedTuple):
     """Output of lemma_B_from_A, with the splitting used to build it; for a
     stack of maps, each splitting field is an object array of matrices."""
 
@@ -247,7 +245,7 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
             if not generic[idx]:
                 sol = lemma_B_from_A(A[idx], space)
                 B[idx], hermitian_u[idx] = sol.B, sol.hermitian_u
-                parts = [getattr(sol, f.name) for f in fields(sol)[3:]]  # W0 .. U2
+                parts = sol[3:]  # W0 .. U2
             for out, part in zip(split, parts):
                 out[idx] = part
     return LemmaSolution(A, B, hermitian_u, *split)

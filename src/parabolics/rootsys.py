@@ -26,11 +26,12 @@ built on first read; gradings and colouring scans never need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from numbers import Real
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .frozen import Frozen
 
 Root = tuple[int, ...]
 
@@ -101,20 +102,21 @@ def cartan_matrix(kind: str, rank: int) -> np.ndarray:
     return C
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(Frozen):
     """Immutable root system; safe to share across workers.  One is built
     per type, so systems compare and hash by identity.  The arrays are the
-    data; the tuple views are made on first read and then kept."""
+    data; the tuple views are made on first read and then kept.
 
-    kind: str
-    rank: int
-    cartan: np.ndarray
-    #: The positive roots as an (N, rank) int64 array, by height and then
-    #: lexicographically (read-only).
-    positive_array: np.ndarray = field(repr=False)
-    #: raised_by[k, i]: positive root k + alpha_{i+1} is a root (read-only).
-    raised_by: np.ndarray = field(repr=False)
+    positive_array holds the positive roots as an (N, rank) int64 array, by
+    height and then lexicographically; raised_by[k, i] says that positive
+    root k + alpha_{i+1} is a root (both read-only)."""
+
+    _repr = ("kind", "rank", "cartan")
+
+    def __init__(self, kind: str, rank: int, cartan: np.ndarray, positive_array: np.ndarray,
+                 raised_by: np.ndarray):
+        vars(self).update(kind=kind, rank=rank, cartan=cartan, positive_array=positive_array,
+                          raised_by=raised_by)
 
     @property
     def name(self) -> str:

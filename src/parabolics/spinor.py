@@ -17,22 +17,23 @@ on the 2^(m-1) coordinates of a half; the full Gram only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .cxlinalg import BilinearSpace, crandom, frobenius
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class SpinModule:
+class SpinModule(Frozen):
     """Basis bookkeeping for Lambda* U, U = C^m, and the Clifford action
     (one per m; modules compare and hash by identity)."""
 
-    m: int
-    basis: tuple[tuple[int, ...], ...]
+    _repr = ("m", "basis")
+
+    def __init__(self, m: int, basis: tuple[tuple[int, ...], ...]):
+        vars(self).update(m=m, basis=basis)
 
     @property
     def dim(self) -> int:

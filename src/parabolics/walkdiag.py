@@ -20,8 +20,8 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     return {w for w in reach.intersection(g.positive_weights) if g.is_reduced(w)}
 
 
-@dataclass(frozen=True)
-class WeightDiagram:
+class WeightDiagram(NamedTuple):
     grading: Grading
     twisting: tuple[Weight, ...]
     nonreduced: tuple[Weight, ...]
@@ -104,8 +103,7 @@ def build_weight_diagram(g: Grading, twisting: list[Weight]) -> WeightDiagram:
 # --------------------------------------------------------------- case data
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     """One bundled verification case, transcribed from the printed source."""
 
     case_id: str

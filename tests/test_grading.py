@@ -10,7 +10,7 @@ import pytest
 
 import parabolics
 from parabolics import rootsys
-from parabolics.grading import compute_grading, diagram, grade
+from parabolics.grading import Grading, compute_grading, diagram, grade
 from parabolics.rootsys import build_root_system
 
 
@@ -349,8 +349,6 @@ def test_borel_grading_has_empty_levi():
 
 
 def test_grading_equality_is_diagram_and_partition():
-    import dataclasses
-
     g = grade("E7", [1, 3, 4, 6, 7])
     again = grade("E7", [1, 3, 4, 6, 7])
     assert g == again and hash(g) == hash(again)
@@ -358,5 +356,6 @@ def test_grading_equality_is_diagram_and_partition():
     moved = g._component_of.copy()
     moved[[0, -1]] = moved[[-1, 0]]
     assert moved.tolist() != g._component_of.tolist()
-    assert g != dataclasses.replace(g, _component_of=moved)
-    assert g != dataclasses.replace(g, positive_weights=g.positive_weights[::-1])
+    fields = (g._order, g._bounds, g._weight_array)
+    assert g != Grading(g.diagram, g.positive_weights, moved, *fields)
+    assert g != Grading(g.diagram, g.positive_weights[::-1], g._component_of, *fields)

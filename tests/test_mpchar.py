@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -189,10 +187,10 @@ def _assert_stack_equals_each_slice(A, space):
     res = mc.lemma_residuals(sol, space)
     for idx in np.ndindex(A.shape[:-2]):
         one = mc.lemma_B_from_A(A[idx], space)
-        for field in dataclasses.fields(mc.LemmaSolution):
-            got, want = getattr(sol, field.name)[idx], getattr(one, field.name)
-            assert (got.shape, got.dtype) == (want.shape, want.dtype), field.name
-            assert got.tobytes() == want.tobytes(), field.name
+        for name in mc.LemmaSolution._fields:
+            got, want = getattr(sol, name)[idx], getattr(one, name)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+            assert got.tobytes() == want.tobytes(), name
         for name, value in mc.lemma_residuals(one, space).items():
             got = np.asarray(res[name][idx])
             assert got.dtype == np.asarray(value).dtype and got.tobytes() == np.asarray(value).tobytes()

@@ -8,7 +8,6 @@ hides it.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import shutil
@@ -79,7 +78,7 @@ def test_scaled_lemma_b_fails_both_characteristic_lines(plant):
 
     def scaled_b(A, space):
         sol = solve(A, space)
-        return dataclasses.replace(sol, B=sol.B * (1 + 1e-6))
+        return sol._replace(B=sol.B * (1 + 1e-6))
 
     plant.setattr(mpchar, "lemma_B_from_A", scaled_b)
     assert _verify_all() == (1, ["characteristic equations (sym, 10 trials)",
@@ -130,7 +129,7 @@ def test_dropped_diagram_arrow_fails_every_case(plant):
 
     def dropped(g, twisting):
         wd = build(g, twisting)
-        return dataclasses.replace(wd, arrows=wd.arrows[:-1])
+        return wd._replace(arrows=wd.arrows[:-1])
 
     plant.setattr(walkdiag, "build_weight_diagram", dropped)
     assert _verify_all() == (1, [f"case {cid}" for cid in sorted(walkdiag.load_cases())])

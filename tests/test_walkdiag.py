@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -59,7 +58,7 @@ def test_verify_all_cases():
 
 def test_corrupted_arrow_fails_with_offending_triple(cases):
     spec = cases["2A"]
-    bad = dataclasses.replace(spec, arrows=(("A", "1", "B"), ("A", "1", "a")))
+    bad = spec._replace(arrows=(("A", "1", "B"), ("A", "1", "a")))
     report = verify_case(bad)
     assert not report.passed
     [failure] = [l for l in report.lines if not l["ok"]]
@@ -69,11 +68,11 @@ def test_corrupted_arrow_fails_with_offending_triple(cases):
 
 def test_corrupted_weight_fails(cases):
     spec = cases["2B"]
-    bad = dataclasses.replace(spec, rubbish={"z": (9, 9)})
+    bad = spec._replace(rubbish={"z": (9, 9)})
     report = verify_case(bad)
     assert not report.passed
     # without its rubbish weight, 2A's arrow B -1-> a lands off the named vertices
-    report = verify_case(dataclasses.replace(cases["2A"], rubbish={}))
+    report = verify_case(cases["2A"]._replace(rubbish={}))
     assert report.failures() == ["rubbish weights match", "arrow heads all land on vertices",
                                  "arrow set matches"]
     details = {l["anchor"]: l["detail"] for l in report.lines}
@@ -265,7 +264,7 @@ def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
 
 
 def test_negative_named_weight_is_not_a_positive_weight(cases):
-    case = dataclasses.replace(cases["2A"], rubbish={"a": (-2, -1)})
+    case = cases["2A"]._replace(rubbish={"a": (-2, -1)})
     report = verify_case(case)
     assert not report.passed and report.failures() == ["weight a"]
     assert "(-2, -1) is not a positive weight" in report.lines[-1]["detail"]
