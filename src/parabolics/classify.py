@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grading import ColouredDiagram, compute_grading
+from .grading import NOT_A_VERTEX, ColouredDiagram, compute_grading
 from .report import Report
-from .rootsys import RootSystem, build_root_system, parse_type
+from .rootsys import RootSystem, as_integers, build_root_system, parse_type
 from .walkdiag import CaseDataError, _check_colouring, data_path
 
 
@@ -91,7 +91,7 @@ def nonreduced_counts(rs: RootSystem, blacks: Sequence[Sequence[int]]) -> np.nda
     n, rank = pos.shape
     radix = 2 * pos[-1] + 1  # the highest root is the last by height
     sizes = np.fromiter(map(len, blacks), dtype=np.intp, count=len(blacks))
-    cols = np.fromiter(chain.from_iterable(blacks), dtype=np.intp, count=sizes.sum()) - 1
+    cols = np.array(as_integers(chain.from_iterable(blacks), NOT_A_VERTEX), dtype=np.intp) - 1
     if not ((cols >= 0) & (cols < rank)).all():
         raise ValueError(f"black vertices out of range 1..{rank} for {rs.name}")
     white = np.ones((len(blacks), rank), dtype=bool)

@@ -139,11 +139,11 @@ def cmd_verify_case(args) -> int:
         entry = classify.match_table_entry(cases[cid].group, cases[cid].black)
         report.add(f"case {cid}: colouring matches table entry", entry is not None,
                    f"entry {entry}")
-    return report.emit("json" if args.json else "text")
+    return report.emit(args.json)
 
 
 def cmd_check_table(args) -> int:
-    return classify.check_table().emit("json" if args.json else "text")
+    return classify.check_table().emit(args.json)
 
 
 def cmd_mp_triple(args) -> int:
@@ -153,7 +153,7 @@ def cmd_mp_triple(args) -> int:
     for (i, j), t in sorted(triples.items()):
         report.add(f"block ({i},{j}) sl2 relations", t.accepted(),
                    "residuals " + ", ".join(f"{r:.2e}" for r in t.residuals))
-    return report.emit("json" if args.json else "text")
+    return report.emit(args.json)
 
 
 def cmd_lemma(args) -> int:
@@ -164,7 +164,7 @@ def cmd_lemma(args) -> int:
     report = Report()
     report.add(f"characteristic equations ({args.form}, {args.trials} trials)",
                worst < CHARACTERISTIC_TOL, f"worst residual {worst:.2e}")
-    return report.emit("json" if args.json else "text")
+    return report.emit(args.json)
 
 
 def cmd_deform(args) -> int:
@@ -226,7 +226,7 @@ def cmd_spinor(args) -> int:
         report.add(f"spinor m={args.m}: form {'symmetric' if want_sym else 'skew'} on S+", ok)
         report.add(f"spinor m={args.m}: dim S+ = {2 ** (args.m - 1)}",
                    len(sm.even_indices) == 2 ** (args.m - 1))
-    return report.emit("json" if args.json else "text")
+    return report.emit(args.json)
 
 
 def cmd_verify_all(args) -> int:
@@ -281,7 +281,7 @@ def cmd_verify_all(args) -> int:
                 errors.append(f"{variant} seed {seed}: {type(exc).__name__}: {exc}")
         report.add(f"deform {variant} ({n_trials} trials)", ok == n_trials,
                    "; ".join([f"{ok}/{n_trials} verified", *errors]))
-    return report.emit("json" if args.json else "text")
+    return report.emit(args.json)
 
 
 def _int_at_least(text: str, low: int) -> int:

@@ -8,8 +8,8 @@ by ascending white vertex index.
 
 A grading is computed from the rows of `RootSystem.positive_array`: each
 gets one integer key whose order is the lexicographic order of its weight.
-One stable sort of the rows in lexicographic order (a cached permutation,
-the only state kept per type) groups them by weight, lexicographic within
+One stable sort of the rows in lexicographic order (`rootsys.lex_order`, a
+permutation kept per type) groups them by weight, lexicographic within
 each.  `roots_of` slices them, and `components` is the dict of its slices.
 Reducedness is one list per grading, looking up 2*chi only below the
 highest root; irreducibility needs only the component of each row.
@@ -18,7 +18,7 @@ A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
 this reads `RootSystem.raised_by`, never the N x N root-sum table.  The
 bracket of two components is decided from the highest roots of the first
-alone, by a key search over root sums.
+alone, by a search of their root sums among the roots (`root_sum_pairs`).
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .frozen import Frozen
-from .rootsys import Root, RootSystem, build_root_system, parse_type, root_sum_pairs
+from .rootsys import (Root, RootSystem, as_integers, build_root_system, lex_order, parse_type,
+                      root_sum_pairs)
 
 Weight = tuple[int, ...]
+
+NOT_A_VERTEX = "black vertex {x!r} is not an integer"
 
 
 class ColouredDiagram(Frozen):
@@ -40,6 +43,7 @@ class ColouredDiagram(Frozen):
     _repr = ("rs", "black")
 
     def __init__(self, rs: RootSystem, black: frozenset[int]):
+        black = frozenset(as_integers(black, NOT_A_VERTEX))
         vertices = set(range(1, rs.rank + 1))
         if not black <= vertices:
             raise ValueError(f"black vertices {sorted(black)} out of range for {rs.name}")
@@ -148,6 +152,10 @@ class Grading(Frozen):
     def is_positive_weight(self, chi: Weight) -> bool:
         return tuple(chi) in self._weight_ids
 
+    def _refuse(self, chi: Weight, kind: str):
+        """Refuse chi as no 'positive' or 'nonzero' weight (the lookup is inline: it is hot)."""
+        raise ValueError(f"{tuple(chi)} is not a {kind} weight of {self.diagram}")
+
     @cached_property
     def _reach(self) -> tuple[frozenset[Weight], ...]:
         """bracket_reach of each component, the Levi's (empty) first.  The Levi
@@ -164,10 +172,7 @@ class Grading(Frozen):
     def bracket_reach(self, chi: Weight) -> frozenset[Weight]:
         """The positive weights chi2 such that some root of chi plus some root
         of chi2 is a root."""
-        k = self._weight_ids.get(tuple(chi))
-        if k is None:
-            raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
-        return self._reach[k]
+        return self._reach[self._weight_ids.get(tuple(chi)) or self._refuse(chi, "positive")]
 
     def component_indices(self, chi: Weight) -> np.ndarray | None:
         """Indices into rs.positive_roots of the roots of weight chi, ascending;
@@ -185,7 +190,7 @@ class Grading(Frozen):
         if k := self._weight_ids.get(tuple(-c for c in chi)):
             roots, n = self.rs.roots, len(self._order)  # positive root i negated at n + i
             return tuple([roots[n + i] for i in reversed(self._order[b[k - 1]:b[k]].tolist())])
-        raise ValueError(f"{chi} is not a nonzero weight of {self.diagram}")
+        self._refuse(chi, "nonzero")
 
     @cached_property
     def _reduced(self) -> list[bool]:
@@ -199,10 +204,8 @@ class Grading(Frozen):
 
     def is_reduced(self, chi: Weight) -> bool:
         """A nonzero weight chi (and so -chi) is reduced when 2*chi is not a weight."""
-        chi = tuple(chi)
-        k = self._weight_ids.get(chi) or self._weight_ids.get(tuple(-c for c in chi))
-        if k is None:
-            raise ValueError(f"{chi} is not a nonzero weight of {self.diagram}")
+        chi, ids = tuple(chi), self._weight_ids
+        k = ids.get(chi) or ids.get(tuple(-c for c in chi)) or self._refuse(chi, "nonzero")
         return self._reduced[k - 1]
 
     def positive_nonreduced_weights(self) -> tuple[Weight, ...]:
@@ -210,16 +213,13 @@ class Grading(Frozen):
 
     def highest_root_of(self, chi: Weight) -> tuple[Root, ...]:
         """Roots of the component that no positive Levi root raises further."""
-        idx = self.component_indices(chi)
-        if idx is None:
-            raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
+        if (idx := self.component_indices(chi)) is None:
+            self._refuse(chi, "positive")
         return tuple(map(tuple, self.rs.positive_array[idx[~self._raisable[idx]]].tolist()))
 
     def is_irreducible_component(self, chi: Weight) -> bool:
         """True iff the component has a unique highest root under the Levi."""
-        k = self._weight_ids.get(tuple(chi))
-        if k is None:
-            raise ValueError(f"{tuple(chi)} is not a positive weight of {self.diagram}")
+        k = self._weight_ids.get(tuple(chi)) or self._refuse(chi, "positive")
         return self._highest_counts[k] == 1
 
 
@@ -229,12 +229,9 @@ _KEY_LIMIT = 1 << 62
 
 @lru_cache(maxsize=None)
 def _lex_rows(kind: str, rank: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The lexicographic order of the rows of positive_array, and 1 + the highest root."""
-    pos = build_root_system(kind, rank).positive_array
-    lex = np.lexsort(pos.T[::-1])
-    lex.setflags(write=False)  # shared by every grading of this type
-    # Every positive root lies below the highest one, the last by height.
-    return lex, tuple((pos[-1] + 1).tolist())
+    """lex_order, and 1 + the highest root (the last by height), above every positive root."""
+    top = build_root_system(kind, rank).positive_array[-1]
+    return lex_order(kind, rank), tuple((top + 1).tolist())
 
 
 def _weight_keys(pos: np.ndarray, bases: tuple[int, ...], white: list[int]) -> np.ndarray:

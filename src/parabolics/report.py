@@ -25,8 +25,8 @@ class Report:
         """Anchors of the failed lines, in order."""
         return [l["anchor"] for l in self.lines if not l["ok"]]
 
-    def emit(self, output: str) -> int:
-        if output == "json":
+    def emit(self, as_json: bool) -> int:
+        if as_json:
             print(json.dumps({"passed": self.passed, "lines": self.lines}, indent=2))
         else:
             for l in self.lines:

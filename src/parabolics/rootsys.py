@@ -144,64 +144,41 @@ class RootSystem(Frozen):
         return _sum_table_cached((self.kind, self.rank))
 
 
-_MASK64 = (1 << 64) - 1
-# Pairs searched per block, at about 32 bytes each (a key sum, a search
-# position and masks): temporaries stay this small, not O(N^2).
+# Pairs searched per block: temporaries stay O(rank) bytes a pair, not O(N^2).
 _BLOCK_PAIRS = 1 << 16
 
 
-def _splitmix64(i: int) -> int:
-    """The i-th output of the splitmix64 generator seeded with 0."""
-    z = (i + 1) * 0x9E3779B97F4A7C15 & _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
-
-
-def _root_keys(pos: np.ndarray) -> np.ndarray:
-    """sum_k pos[:, k] _splitmix64(k) mod 2^64, a column at a time (less peak RSS)."""
-    keys = np.zeros(len(pos), dtype=np.uint64)
-    for k in range(pos.shape[1]):
-        keys += pos[:, k].astype(np.uint64) * np.uint64(_splitmix64(k))
-    return keys
-
-
 @lru_cache(maxsize=None)
-def _key_index(kind: str, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The key of each positive root, the order that sorts them, the sorted keys."""
-    keys = _root_keys(build_root_system(kind, rank).positive_array)
-    # A stable sort and a set test keep numpy's SIMD quicksort and reduction
-    # code out of memory: about 0.4 MB of peak RSS on a small run.
-    order = np.argsort(keys, kind="stable")
-    if len(set(keys.tolist())) < len(keys):
-        raise AssertionError(f"root keys of {kind}{rank} are not distinct")
-    return keys, order, keys[order]
+def lex_order(kind: str, rank: int) -> np.ndarray:
+    """The lexicographic order of the positive roots, the order of their uint8
+    rows read as byte strings, by build_root_system's stable sort (another
+    sort would add its code pages to peak RSS).  A grading needs only this."""
+    rows = build_root_system(kind, rank).positive_array.astype(np.uint8)
+    lex = rows.view(f"S{rank}").ravel().argsort(kind="stable")
+    lex.setflags(write=False)  # shared by every grading of this type
+    return lex
 
 
 def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
                    upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j) of positive roots with i in rows (ascending) and
     root i + root j a root; if upper, every such pair with j >= i and only
-    some with j < i.  The key is linear, so a sum that is a positive root
-    has that root's key: a binary search of the sorted keys finds it, and
-    every key hit is confirmed on the coefficients.  A sum of positive
-    roots is no negative root and no higher than the highest root, so a
-    block of rows searches only the columns that low."""
-    keys, order, sorted_keys = _key_index(rs.kind, rs.rank)
-    pos = rs.positive_array
-    height = pos.sum(axis=1)  # ascending: the roots are sorted by height
+    some with j < i.  A sum (coefficients at most 12) is a uint8 row, found by
+    a binary search of the sorted root rows exactly when it is a root.  It is
+    no higher than the highest root, so a block searches only columns that low."""
+    pos = rs.positive_array.astype(np.uint8)
+    sorted_rows = pos.view(f"S{rs.rank}").ravel()[lex_order(rs.kind, rs.rank)]
+    height = rs.positive_array.sum(axis=1)  # ascending: the roots are sorted by height
     found = [np.zeros((2, 0), dtype=np.intp)]
     step = max(1, _BLOCK_PAIRS // len(pos))
     for b in range(0, len(rows), step):
         block = rows[b:b + step]
         lo = block[0] if upper else 0
         hi = np.searchsorted(height, height[-1] - height[block[0]], side="right")
-        sums = (keys[block, None] + keys[None, lo:hi]).ravel()
-        at = np.minimum(np.searchsorted(sorted_keys, sums), len(pos) - 1)
-        hit = np.flatnonzero(sorted_keys[at] == sums)
-        i, j = block[hit // (hi - lo)], lo + hit % (hi - lo)
-        exact = (pos[i] + pos[j] == pos[order[at[hit]]]).all(axis=1)
-        found.append(np.stack([i[exact], j[exact]]))
+        sums = (pos[block, None] + pos[None, lo:hi]).view(sorted_rows.dtype).ravel()
+        at = np.minimum(np.searchsorted(sorted_rows, sums), len(pos) - 1)
+        hit = np.flatnonzero(sorted_rows[at] == sums)
+        found.append(np.stack([block[hit // (hi - lo)], lo + hit % (hi - lo)]))
     return tuple(np.concatenate(found, axis=1))
 
 
@@ -265,16 +242,22 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
                       raised_by=raised_by)
 
 
+def as_integers(values, refusal: str) -> tuple[int, ...]:
+    """values as ints.  The k-th, x, must be an int or a real number of integral
+    value and no bool, or ValueError(refusal.format(k=k, x=x, values=values))."""
+    values = tuple(values)
+    for k, x in enumerate(values, start=1):
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Real) or x % 1):
+            raise ValueError(refusal.format(k=k, x=x, values=values))
+    return tuple(map(int, values))
+
+
 def is_root(rs: RootSystem, v) -> bool:
-    """Whether the integer vector v is a root of rs.  A coordinate must be a
-    real number of integral value: bool, str and complex are refused."""
+    """Whether the integer vector v (as_integers' rule) is a root of rs."""
     v = tuple(v)
     if len(v) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(v)}")
-    for k, x in enumerate(v, start=1):
-        if isinstance(x, bool) or not isinstance(x, Real) or not float(x).is_integer():
-            raise ValueError(f"coordinate {k} of {v} is {x!r}, not an integer")
-    return rs.contains(tuple(int(x) for x in v))
+    return rs.contains(as_integers(v, "coordinate {k} of {values} is {x!r}, not an integer"))
 
 
 def parse_type(name: str) -> tuple[str, int]:

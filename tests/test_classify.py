@@ -217,6 +217,16 @@ def test_nonreduced_counts_of_named_colourings():
             nonreduced_counts(rs, bad)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "1", 1 + 0j, np.bool_(True), np.float64(1.5)])
+def test_nonreduced_counts_refuse_a_vertex_that_is_not_an_integer(bad):
+    # np.fromiter would truncate 1.5 to vertex 1 and read True as 1.
+    rs = build_root_system("E", 7)
+    with pytest.raises(ValueError, match=re.escape(f"black vertex {bad!r} is not an integer")):
+        nonreduced_counts(rs, [(1, 3, 4, 6, 7), (bad, 3, 4, 6, 7)])
+    same = nonreduced_counts(rs, [(1.0, 3, 4, 6, 7), (np.int64(1), 3)])
+    assert same.tolist() == nonreduced_counts(rs, [(1, 3, 4, 6, 7), (1, 3)]).tolist()
+
+
 def test_scan_builds_no_root_tuples(monkeypatch):
     from parabolics.grading import Grading
 

@@ -138,6 +138,24 @@ def test_diagram_validation():
         diagram("A3", [4])
 
 
+NOT_INTEGERS = [True, False, 1.5, "1", 1 + 0j, None, np.bool_(True)]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_diagram_refuses_a_vertex_that_is_not_an_integer(bad):
+    # is_root's coordinate rule: True would pass for vertex 1 and 1.5 would not
+    # be a vertex at all.
+    with pytest.raises(ValueError, match=re.escape(f"black vertex {bad!r} is not an integer")):
+        diagram("E7", [bad, 3, 4, 6, 7])
+
+
+def test_diagram_vertices_of_integral_value_are_ints():
+    for one in (1.0, np.int64(1), np.float64(1.0)):
+        d = diagram("E7", [one, 3, 4, 6, 7])
+        assert str(d) == "E7/1,3,4,6,7" and d == diagram("E7", [1, 3, 4, 6, 7])
+        assert all(type(v) is int for v in d.black)
+
+
 def test_grading_components_sorted_deterministically():
     g1 = grade("E7", [2, 4, 5])
     g2 = grade("E7", [2, 4, 5])

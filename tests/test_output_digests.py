@@ -9,11 +9,13 @@ _SPEC.loader.exec_module(output_digests)
 
 def test_argv_list_is_fixed_and_has_no_repeats():
     runs = output_digests.argvs()
-    assert len(runs) == 1101 and len({tuple(argv) for argv in runs}) == 1101
+    assert len(runs) == 1104 and len({tuple(argv) for argv in runs}) == 1104
     assert runs[0] == ["verify-all", "--json", "--seed", "0"]
     assert runs[211] == ["spinor", "--m", "6", "--json"]
     assert runs[212] == ["grade", "E6/"]
-    assert runs[-1] == ["grade", "E8/2,3,4,5,6,7,8", "--json"]
+    assert runs[-4] == ["grade", "E8/2,3,4,5,6,7,8", "--json"]
+    black = ",".join(str(v) for v in range(1, 61) if v not in (20, 40))
+    assert runs[-1] == ["diagram", f"D60/{black}", "--twisting", "1,0;0,1", "--json"]
 
 
 def test_digest_lines_are_repeatable_and_name_the_run():

@@ -346,23 +346,12 @@ def test_root_sum_table_d40_counts_and_budget():
     assert np.array_equal(table, rs.root_sum_is_root)
 
 
-def test_root_keys_equal_the_whole_array_product():
-    types = [t for t in TYPES_TO_RANK_30 if t[1] <= 20] + [("A", 99)]
-    for kind, rank in types:
-        pos = build_root_system(kind, rank).positive_array
-        weights = np.array([rootsys._splitmix64(k) for k in range(rank)], dtype=np.uint64)
-        want = (pos.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-        assert rootsys._root_keys(pos).tobytes() == want.tobytes(), (kind, rank)
-
-
-def test_root_keys_must_be_distinct(monkeypatch):
-    # Weights linear in the coordinate index give equal keys to different
-    # roots of A5; the table build must refuse them rather than guess.  The
-    # key index is cached per type, so it is cleared first.
-    rootsys._key_index.cache_clear()
-    monkeypatch.setattr(rootsys, "_splitmix64", lambda k: 3 * (k + 1))
-    with pytest.raises(AssertionError, match="A5"):
-        rootsys._sum_table_cached.__wrapped__(("A", 5))
+@pytest.mark.parametrize("kind,rank", ORACLE_TYPES + [("A", 99), ("D", 60)])
+def test_lex_order_is_the_lexicographic_order_of_the_rows(kind, rank):
+    pos = build_root_system(kind, rank).positive_array
+    lex = rootsys.lex_order(kind, rank)
+    assert np.array_equal(lex, np.lexsort(pos.T[::-1]))
+    assert not lex.flags.writeable
 
 
 @pytest.mark.parametrize("attr", ["root_sum_is_root", "positive_array"])

@@ -49,6 +49,9 @@ def argvs() -> list[list[str]]:
                 colouring = f"E{rank}/{','.join(map(str, black))}"
                 runs += [argv for argv in (["grade", colouring], ["grade", colouring, "--json"])
                          if argv not in runs]
+    for kind, rank, white in (("B", 60, (20, 40)), ("C", 40, (1, 5)), ("D", 60, (20, 40))):
+        black = ",".join(str(v) for v in range(1, rank + 1) if v not in white)
+        runs.append(["diagram", f"{kind}{rank}/{black}", "--twisting", "1,0;0,1", "--json"])
     return runs
 
 
