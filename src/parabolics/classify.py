@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grading import NOT_A_VERTEX, ColouredDiagram, compute_grading
+from .grading import NO_WHITE_VERTEX, NOT_A_VERTEX, ColouredDiagram, compute_grading, out_of_range
 from .report import Report
 from .rootsys import RootSystem, as_integers, build_root_system, parse_type
 from .walkdiag import CaseDataError, _check_colouring, data_path
@@ -86,18 +86,20 @@ def nonreduced_counts(rs: RootSystem, blacks: Sequence[Sequence[int]]) -> np.nda
     coefficients with radix 2b - 1, b the highest root's coefficient plus
     one, so doubling never carries: chi != 0 is non-reduced when 2 key(chi)
     is a key too.  Colourings whose keys could pass 2^62 are counted on
-    their grading, whose keys restart with dense ranks."""
+    their grading, whose keys are byte strings."""
     pos = rs.positive_array
     n, rank = pos.shape
     radix = 2 * pos[-1] + 1  # the highest root is the last by height
     sizes = np.fromiter(map(len, blacks), dtype=np.intp, count=len(blacks))
     cols = np.array(as_integers(chain.from_iterable(blacks), NOT_A_VERTEX), dtype=np.intp) - 1
-    if not ((cols >= 0) & (cols < rank)).all():
-        raise ValueError(f"black vertices out of range 1..{rank} for {rs.name}")
+    owner = np.repeat(np.arange(len(blacks)), sizes)
+    if len(outside := owner[(cols < 0) | (cols >= rank)]):
+        black = as_integers(blacks[outside[0]], NOT_A_VERTEX)
+        raise ValueError(f"colouring {black}: {out_of_range(rs, black)}")
     white = np.ones((len(blacks), rank), dtype=bool)
-    white[np.repeat(np.arange(len(blacks)), sizes), cols] = False
+    white[owner, cols] = False
     if not white.any(axis=1).all():
-        raise ValueError("no white vertex: the parabolic subgroup must be proper")
+        raise ValueError(NO_WHITE_VERTEX)
 
     counts = np.zeros(len(blacks), dtype=np.int64)
     per_block = max(1, _SCAN_BLOCK // n)

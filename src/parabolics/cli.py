@@ -31,8 +31,7 @@ def parse_diagram(s: str) -> ColouredDiagram:
     if "/" not in s:
         raise ValueError(f"{s!r}: expected '<TYPE>/<black-list>' (position {len(s)})")
     type_part, _, black_part = s.partition("/")
-    kind, rank = parse_type(type_part)
-    rs = build_root_system(kind, rank)
+    rs = build_root_system(*parse_type(type_part))
     black: set[int] = set()
     if black_part.strip():
         start = len(type_part) + 1  # position of the current token in s
@@ -42,8 +41,6 @@ def parse_diagram(s: str) -> ColouredDiagram:
             if not tok.strip().isdigit():
                 raise ValueError(f"{s!r}: bad vertex {tok!r} (position {pos})")
             v = int(tok)
-            if not 1 <= v <= rank:
-                raise ValueError(f"{s!r}: vertex {v} out of range 1..{rank}")
             if v in black:
                 raise ValueError(f"{s!r}: duplicate vertex {v}")
             black.add(v)

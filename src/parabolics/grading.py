@@ -6,13 +6,14 @@ the root set into components indexed by integer weight vectors; the zero
 weight collects the Levi roots.  Weights are plain tuples of ints, ordered
 by ascending white vertex index.
 
-A grading is computed from the rows of `RootSystem.positive_array`: each
-gets one integer key whose order is the lexicographic order of its weight.
-One stable sort of the rows in lexicographic order (`rootsys.lex_order`, a
-permutation kept per type) groups them by weight, lexicographic within
-each.  `roots_of` slices them, and `components` is the dict of its slices.
-Reducedness is one list per grading, looking up 2*chi only below the
-highest root; irreducibility needs only the component of each row.
+A grading is computed from `rootsys.lex_rows`, the positive roots' uint8
+rows in lexicographic order, kept per type: each root's key is its white
+columns read as one byte string, whose order is the lexicographic order of
+its weight, and the Levi's is the empty string.  One stable sort of the keys
+groups the rows by weight, lexicographic within each.  `roots_of` slices
+them, and `components` is the dict of its slices.  Reducedness is one binary
+search of the doubled weights among the weights; irreducibility needs only
+the component of each row.
 
 A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
@@ -23,17 +24,24 @@ alone, by a search of their root sums among the roots (`root_sum_pairs`).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .frozen import Frozen
-from .rootsys import (Root, RootSystem, as_integers, build_root_system, lex_order, parse_type,
+from .rootsys import (Root, RootSystem, as_integers, build_root_system, lex_rows, parse_type,
                       root_sum_pairs)
 
 Weight = tuple[int, ...]
 
 NOT_A_VERTEX = "black vertex {x!r} is not an integer"
+NO_WHITE_VERTEX = "no white vertex: the parabolic subgroup must be proper"
+
+
+def out_of_range(rs: RootSystem, black) -> str:
+    """The refusal of the vertices of black outside 1..rank."""
+    bad = sorted({v for v in black if not 1 <= v <= rs.rank})
+    return f"black vertices {bad} out of range 1..{rs.rank} for {rs.name}"
 
 
 class ColouredDiagram(Frozen):
@@ -46,9 +54,9 @@ class ColouredDiagram(Frozen):
         black = frozenset(as_integers(black, NOT_A_VERTEX))
         vertices = set(range(1, rs.rank + 1))
         if not black <= vertices:
-            raise ValueError(f"black vertices {sorted(black)} out of range for {rs.name}")
+            raise ValueError(out_of_range(rs, black))
         if black == vertices:
-            raise ValueError("no white vertex: the parabolic subgroup must be proper")
+            raise ValueError(NO_WHITE_VERTEX)
         vars(self).update(rs=rs, black=black)
 
     def __eq__(self, other):
@@ -91,7 +99,7 @@ class Grading(Frozen):
         # rs.positive_roots, 0 for the Levi, k for positive_weights[k - 1].
         # _order: the rows of rs.positive_array by weight, lexicographic within
         # each weight; _bounds: where the rows of each positive weight start in
-        # it, then their end.  _weight_array: positive_weights as an array.
+        # it, then their end.  _weight_array: positive_weights as a uint8 array.
         vars(self).update(diagram=diagram, positive_weights=positive_weights,
                           _component_of=_component_of, _order=_order, _bounds=_bounds,
                           _weight_array=_weight_array)
@@ -194,13 +202,12 @@ class Grading(Frozen):
 
     @cached_property
     def _reduced(self) -> list[bool]:
-        """is_reduced of each positive weight, looked up where 2*chi is below the highest root."""
-        top = self.rs.positive_array[-1, [v - 1 for v in self.diagram.white]]
-        small = (self._weight_array <= top // 2).all(axis=1).nonzero()[0]
-        reduced = [True] * len(self.positive_weights)
-        for k, w in zip(small.tolist(), (self._weight_array[small] * 2).tolist()):
-            reduced[k] = tuple(w) not in self._weight_ids
-        return reduced
+        """is_reduced of each positive weight: 2*chi (coefficients at most 12,
+        still a byte) searched among the weights' byte rows, which are sorted."""
+        w = self._weight_array
+        key = w.view(f"S{w.shape[1]}").ravel()
+        twice = (2 * w).view(key.dtype).ravel()
+        return (key[np.minimum(np.searchsorted(key, twice), len(key) - 1)] != twice).tolist()
 
     def is_reduced(self, chi: Weight) -> bool:
         """A nonzero weight chi (and so -chi) is reduced when 2*chi is not a weight."""
@@ -223,48 +230,18 @@ class Grading(Frozen):
         return self._highest_counts[k] == 1
 
 
-# Keys stay at most 2^62, so int64 arithmetic on them cannot overflow.
-_KEY_LIMIT = 1 << 62
-
-
-@lru_cache(maxsize=None)
-def _lex_rows(kind: str, rank: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """lex_order, and 1 + the highest root (the last by height), above every positive root."""
-    top = build_root_system(kind, rank).positive_array[-1]
-    return lex_order(kind, rank), tuple((top + 1).tolist())
-
-
-def _weight_keys(pos: np.ndarray, bases: tuple[int, ...], white: list[int]) -> np.ndarray:
-    """A key per positive root whose order is the lexicographic order of its
-    white coefficients: their mixed-radix value, first white coordinate most
-    significant.  If the radix would pass 2^62 (only at large ranks), the
-    value of the less significant coordinates is replaced by its dense rank,
-    which keeps its order, and the radix restarts at the number of roots."""
-    place = np.zeros(len(bases), dtype=np.int64)
-    low, radix = 0, 1
-    for i in reversed(white):
-        if radix * bases[i] > _KEY_LIMIT:
-            low = np.unique(pos @ place + low, return_inverse=True)[1]
-            place[:] = 0
-            radix = len(pos)
-        place[i] = radix
-        radix *= bases[i]
-    return pos @ place + low
-
-
 def compute_grading(diag: ColouredDiagram) -> Grading:
-    pos = diag.rs.positive_array
-    lex, bases = _lex_rows(diag.rs.kind, diag.rs.rank)
-    white = [w - 1 for w in diag.white]
-    key = _weight_keys(pos, bases, white)[lex]
+    lex, rows = lex_rows(diag.rs.kind, diag.rs.rank)
+    cols = rows.take([w - 1 for w in diag.white], axis=1)  # contiguous, unlike rows[:, white]
+    key = cols.view(f"S{cols.shape[1]}").ravel()
     # A stable sort keeps each component in the lexicographic root order.
     by_key = key.argsort(kind="stable")
     order, key = lex[by_key], key[by_key]
-    new = key != np.concatenate(([0], key[:-1]))  # a positive weight's first root
+    new = key != np.concatenate(([b""], key[:-1]))  # a positive weight's first root
     starts = new.nonzero()[0]  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
     component_of[order] = new.cumsum()
-    weights = pos[order[starts]][:, white]
+    weights = cols[by_key[starts]]
     return Grading(diagram=diag, positive_weights=tuple(map(tuple, weights.tolist())),
                    _component_of=component_of, _order=order,
                    _bounds=(*starts.tolist(), len(order)), _weight_array=weights)

@@ -149,14 +149,17 @@ _BLOCK_PAIRS = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def lex_order(kind: str, rank: int) -> np.ndarray:
-    """The lexicographic order of the positive roots, the order of their uint8
-    rows read as byte strings, by build_root_system's stable sort (another
-    sort would add its code pages to peak RSS).  A grading needs only this."""
-    rows = build_root_system(kind, rank).positive_array.astype(np.uint8)
-    lex = rows.view(f"S{rank}").ravel().argsort(kind="stable")
-    lex.setflags(write=False)  # shared by every grading of this type
-    return lex
+def lex_rows(kind: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lex, rows): the lexicographic order of the positive roots, the order of
+    their uint8 rows read as byte strings by build_root_system's stable sort
+    (another sort would add its code pages to peak RSS), and those rows in it,
+    rows = positive_array[lex].  Gradings and root sums need only these."""
+    pos = build_root_system(kind, rank).positive_array.astype(np.uint8)
+    lex = pos.view(f"S{rank}").ravel().argsort(kind="stable")
+    rows = pos[lex]
+    lex.setflags(write=False)  # both shared by every grading and root-sum search of this type
+    rows.setflags(write=False)
+    return lex, rows
 
 
 def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
@@ -164,10 +167,10 @@ def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
     """The pairs (i, j) of positive roots with i in rows (ascending) and
     root i + root j a root; if upper, every such pair with j >= i and only
     some with j < i.  A sum (coefficients at most 12) is a uint8 row, found by
-    a binary search of the sorted root rows exactly when it is a root.  It is
+    a binary search of lex_rows' byte strings exactly when it is a root.  It is
     no higher than the highest root, so a block searches only columns that low."""
     pos = rs.positive_array.astype(np.uint8)
-    sorted_rows = pos.view(f"S{rs.rank}").ravel()[lex_order(rs.kind, rs.rank)]
+    sorted_rows = lex_rows(rs.kind, rs.rank)[1].view(f"S{rs.rank}").ravel()
     height = rs.positive_array.sum(axis=1)  # ascending: the roots are sorted by height
     found = [np.zeros((2, 0), dtype=np.intp)]
     step = max(1, _BLOCK_PAIRS // len(pos))

@@ -132,7 +132,7 @@ def test_bundled_table_is_read_once(monkeypatch):
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,x\n", ":6: invalid literal for int()"),
     ("entry 2 E7 black 1,3,6,7\n", "", "expected 59 entries, found 58"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E7 black 1,3,6,9\n",
-     ":6: entry 2: black vertices [1, 3, 6, 9] out of range for E7"),
+     ":6: entry 2: black vertices [9] out of range 1..7 for E7"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 X7 black 1,3,6,7\n",
      ":6: entry 2: cannot parse type string 'X7'"),
     ("entry 2 E7 black 1,3,6,7\n", "entry 2 E9 black 1,3,6,7\n",

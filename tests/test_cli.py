@@ -58,13 +58,15 @@ def test_grade_builds_no_root_tuples():
     # `grade` reads the root arrays only: on a freshly built type neither the
     # root tuples nor the root set exist after it, text or --json.
     rootsys.build_root_system.cache_clear()
-    grading._lex_rows.cache_clear()
+    rootsys.lex_rows.cache_clear()
     for argv in (("grade", "D30/1,15"), ("grade", "D30/1,15", "--json")):
         assert run_cli(*argv)[0] == 0
-    rs, (lex, _bases) = rootsys.build_root_system("D", 30), grading._lex_rows("D", 30)
+    rs, (lex, rows) = rootsys.build_root_system("D", 30), rootsys.lex_rows("D", 30)
     assert not {"positive_roots", "roots", "_root_set"} & set(rs.__dict__)
-    # the only per-type state of a grading: a permutation of the rows
+    # the only per-type state of a grading: a permutation of the rows, and the rows in it
     assert lex.ndim == 1 and sorted(lex.tolist()) == list(range(len(rs.positive_array)))
+    assert rows.dtype == np.uint8 and np.array_equal(rows, rs.positive_array[lex])
+    assert not lex.flags.writeable and not rows.flags.writeable
     assert rs.contains((1,) + (0,) * 29)  # the views appear once read
     assert {"positive_roots", "roots", "_root_set"} <= set(rs.__dict__)
 

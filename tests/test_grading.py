@@ -10,6 +10,8 @@ import pytest
 
 import parabolics
 from parabolics import rootsys
+from parabolics.classify import nonreduced_counts
+from parabolics.cli import parse_diagram
 from parabolics.grading import Grading, compute_grading, diagram, grade
 from parabolics.rootsys import build_root_system
 
@@ -136,6 +138,24 @@ def test_diagram_validation():
         diagram("A3", [0])
     with pytest.raises(ValueError):
         diagram("A3", [4])
+
+
+def test_an_out_of_range_vertex_has_one_refusal():
+    said = re.escape("black vertices [8] out of range 1..7 for E7")
+    with pytest.raises(ValueError, match=f"^{said}$"):
+        diagram("E7", [1, 8])
+    with pytest.raises(ValueError, match=f"^{said}$"):
+        parse_diagram("E7/1,8")
+    with pytest.raises(ValueError, match=rf"^colouring \(1, 8\): {said}$"):
+        nonreduced_counts(build_root_system("E", 7), [(1, 3), (1, 8.0), (9,)])
+
+
+def test_gradings_and_root_sums_read_one_lex_rows_entry():
+    rootsys.lex_rows.cache_clear()
+    g = grade("D12", [1, 6])
+    g.bracket_reach(g.positive_weights[0])
+    info = rootsys.lex_rows.cache_info()
+    assert info.currsize == 1 and info.hits >= 1  # root_sum_pairs read the grading's entry
 
 
 NOT_INTEGERS = [True, False, 1.5, "1", 1 + 0j, None, np.bool_(True)]
@@ -269,7 +289,7 @@ def _component_slices(g):
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8", "F4", "G2", "A99/1,50", "D60/2,30,59"])
 def test_roots_of_and_reducedness_equal_their_oracles(name):
-    # A99/1,50 and D60/2,30,59 key their weights by dense ranks.
+    # A99/1,50 and D60/2,30,59 have 97 and 57 white vertices: keys of as many bytes.
     kind, _, black = name.partition("/")
     colourings = ([tuple(map(int, black.split(",")))] if black
                   else _all_colourings(int(kind[1:])))
@@ -334,9 +354,8 @@ def test_cold_a99_irreducibility_budget():
     assert grown < 48, f"cold A99/1,50 irreducibility grew peak RSS by {grown:.1f} MB"
 
 
-def test_grading_keys_fold_at_large_rank():
-    # 2^62 < 2^k for k >= 63 white vertices of A70 (every coefficient bound
-    # is 2), so the key folds its low coordinates into their rank once.
+def test_grading_keys_of_many_white_vertices():
+    # A70 with 63 to 70 white vertices: keys of that many bytes.
     for black in ([], [5, 40], list(range(1, 8, 2))):
         g = grade("A70", black)
         components, zero = _grading_loop(g.diagram)

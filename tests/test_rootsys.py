@@ -325,7 +325,8 @@ def test_c_n_sums_of_root_length_that_are_not_roots(rank):
 
 
 def test_root_sum_table_d60_budget():
-    # 0.2-0.4 s on a 2-core 2.1 GHz Xeon; searching every pair took 1.0 s
+    # 0.33-0.45 s on a 2-core AMD EPYC host, alone and in the Tier-1 run;
+    # 1.04 s there when the host was busy
     build_root_system("D", 60)
     start = time.perf_counter()
     table = rootsys._sum_table_cached.__wrapped__(("D", 60))  # cold build
@@ -349,9 +350,10 @@ def test_root_sum_table_d40_counts_and_budget():
 @pytest.mark.parametrize("kind,rank", ORACLE_TYPES + [("A", 99), ("D", 60)])
 def test_lex_order_is_the_lexicographic_order_of_the_rows(kind, rank):
     pos = build_root_system(kind, rank).positive_array
-    lex = rootsys.lex_order(kind, rank)
+    lex, rows = rootsys.lex_rows(kind, rank)
     assert np.array_equal(lex, np.lexsort(pos.T[::-1]))
-    assert not lex.flags.writeable
+    assert rows.dtype == np.uint8 and np.array_equal(rows, pos[lex])
+    assert not lex.flags.writeable and not rows.flags.writeable
 
 
 @pytest.mark.parametrize("attr", ["root_sum_is_root", "positive_array"])

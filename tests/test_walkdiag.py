@@ -248,7 +248,7 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
     ("case X\n  group Q7\n  parabolic 1\n  covers 1\n  black 1\nend\n",
      ":6: case X: cannot parse type string 'Q7'"),
     ("case X\n  group E7\n  parabolic 1\n  covers 1\n  black 1,8\nend\n",
-     ":6: case X: black vertices [1, 8] out of range for E7"),
+     ":6: case X: black vertices [8] out of range 1..7 for E7"),
     ("case X\n  group G2\n  parabolic 1\n  covers 1\n  black 2,1\nend\n",
      ":6: case X: no white vertex"),
 ], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
