@@ -102,6 +102,8 @@ PRINTED_ATOL, PRINTED_RTOL = 1e-12, 1e-5
 #: The cuts on v's residual in Im A per |v| (1C), |omega(s, s)| per |s|^2 (7C),
 #: a column mix's singular values, and s_2 per s_1 (5C).
 IN_IMAGE_TOL, SPINOR_SQUARE_TOL, MIX_RANK_TOL, RANK_TWO_TOL = 1e-8, 1e-10, 1e-8, 1e-8
+#: The random candidates a search draws after its deterministic witnesses.
+MAX_RESTARTS = 1000
 
 
 def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
@@ -568,7 +570,6 @@ class DeformationTask(NamedTuple):
     variant: str
     inputs: dict
     seed: int = 0
-    max_restarts: int = 1000
 
 
 class DeformResult(NamedTuple):
@@ -582,9 +583,9 @@ class DeformResult(NamedTuple):
 def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
     """The inputs as complex arrays ({"re": ..., "im": ...} is re + 1j im)
     plus the dimensions they bind.  A missing input, one that is not
-    numeric, has a NaN or infinite entry or is off its declared shape is a
-    ValueError naming it, as is
-    raw that is not a dict or that names an input the variant does not declare."""
+    numeric, has a NaN or infinite entry, has re and im of two shapes or is off
+    its declared shape is a ValueError naming it, as is raw that is not a dict
+    or that names an input the variant does not declare."""
     if not isinstance(raw, dict):
         raise ValueError(f"variant {variant}: inputs must map input names to values, "
                          f"got {type(raw).__name__}")
@@ -602,12 +603,16 @@ def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
             continue
         v = raw[key]
         try:
-            c[key] = (np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"], dtype=float)
-                      if isinstance(v, dict) and set(v) == {"re", "im"}
-                      else np.asarray(v, dtype=complex))
+            parts = ([np.asarray(v[p], dtype=float) for p in ("re", "im")]
+                     if isinstance(v, dict) and set(v) == {"re", "im"}
+                     else [np.asarray(v, dtype=complex)])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"variant {variant}: input {key!r} is not a complex "
                              f"array ({exc})") from None
+        if parts[0].shape != parts[-1].shape:  # numpy would broadcast re against im
+            raise ValueError(f"variant {variant}: input {key!r} has re of shape "
+                             f"{parts[0].shape} and im of shape {parts[1].shape}")
+        c[key] = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
         if not np.isfinite(c[key]).all():
             raise ValueError(f"variant {variant}: input {key!r} has non-finite entries")
         # the declared shape with every dimension known so far filled in
@@ -636,7 +641,7 @@ def deform(task: DeformationTask) -> DeformResult:
             raise HypothesesNotMet(f"{key} must {inp.must}")
     rng = np.random.default_rng(task.seed)
     return _run_search(task.variant, spec.witnesses(c, rng), lambda: spec.draw(c, rng),
-                       lambda w: spec.predicate(c, spec.deformed(c, w)), task.max_restarts)
+                       lambda w: spec.predicate(c, spec.deformed(c, w)), MAX_RESTARTS)
 
 
 def _check_requires(spec: VariantSpec, c: _Context) -> None:
@@ -657,16 +662,16 @@ def _run_search(variant, deterministic, random_gen, verify, max_restarts):
     return DeformResult(variant, {}, False, max_restarts, "search exhausted")
 
 
-def _generated(variant: str, seed: int, fixed: dict, max_restarts: int) -> DeformationTask:
+def _generated(variant: str, seed: int, fixed: dict) -> DeformationTask:
     spec = SPECS[variant]
     c = _Context(fixed)
     _check_requires(spec, c)  # the fixed dimensions, before any draw
     rng = np.random.default_rng(seed ^ 0x5EED)
     inputs = {key: inp.make(rng, c) for key, inp in spec.inputs.items()}
-    return DeformationTask(variant, inputs, seed=seed, max_restarts=max_restarts)
+    return DeformationTask(variant, inputs, seed=seed)
 
 
-def random_task(variant: str, seed: int, max_restarts: int = 1000) -> DeformationTask:
+def random_task(variant: str, seed: int) -> DeformationTask:
     """A seeded random input satisfying the variant's hypotheses.
 
     For variant '7A' the tensor width alternates between k=2 and k=3 with
@@ -675,8 +680,8 @@ def random_task(variant: str, seed: int, max_restarts: int = 1000) -> Deformatio
     """
     if variant not in SPECS:
         raise ValueError(f"unknown variant {variant!r}")
-    return _generated(variant, seed, SPECS[variant].seeded(seed), max_restarts)
+    return _generated(variant, seed, SPECS[variant].seeded(seed))
 
 
-def random_task_7a(k: int, seed: int, max_restarts: int = 1000) -> DeformationTask:
-    return _generated("7A", seed, {"k": k}, max_restarts)
+def random_task_7a(k: int, seed: int) -> DeformationTask:
+    return _generated("7A", seed, {"k": k})

@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grading import NO_WHITE_VERTEX, NOT_A_VERTEX, ColouredDiagram, compute_grading, out_of_range
+from .grading import NO_WHITE_VERTEX, NOT_A_VERTEX, out_of_range
 from .report import Report
-from .rootsys import RootSystem, as_integers, build_root_system, parse_type
+from .rootsys import RootSystem, as_integers, build_root_system, lex_rows, parse_type
 from .walkdiag import CaseDataError, _check_colouring, data_path
 
 
@@ -75,50 +75,44 @@ class ScanRecord(NamedTuple):
         return self.nonreduced <= 1
 
 
-# Keys per block of colourings, which bounds the kernel's temporaries.
+# Keys per block of colourings, at most 2^16: a colouring's index in its block is two bytes.
 _SCAN_BLOCK = 1 << 14
 
 
 def nonreduced_counts(rs: RootSystem, blacks: Sequence[Sequence[int]]) -> np.ndarray:
     """The number of non-reduced positive weights of each colouring of rs
-    whose black vertices are given, counted on integer keys in blocks of
-    colourings.  A positive root's key is the mixed-radix value of its white
-    coefficients with radix 2b - 1, b the highest root's coefficient plus
-    one, so doubling never carries: chi != 0 is non-reduced when 2 key(chi)
-    is a key too.  Colourings whose keys could pass 2^62 are counted on
-    their grading, whose keys are byte strings."""
-    pos = rs.positive_array
-    n, rank = pos.shape
-    radix = 2 * pos[-1] + 1  # the highest root is the last by height
-    sizes = np.fromiter(map(len, blacks), dtype=np.intp, count=len(blacks))
+    whose black vertices are given, in blocks of colourings.  A positive root's
+    key for colouring j of a block is j as two big-endian bytes, then its
+    lex_rows row with the black columns zeroed: chi != 0 is non-reduced when
+    its key with the coefficient bytes doubled (at most 12) is a key too."""
+    rows = lex_rows(rs.kind, rs.rank)[1]
+    n, rank = rows.shape
     cols = np.array(as_integers(chain.from_iterable(blacks), NOT_A_VERTEX), dtype=np.intp) - 1
-    owner = np.repeat(np.arange(len(blacks)), sizes)
+    owner = np.repeat(np.arange(len(blacks)), [len(black) for black in blacks])
     if len(outside := owner[(cols < 0) | (cols >= rank)]):
         black = as_integers(blacks[outside[0]], NOT_A_VERTEX)
         raise ValueError(f"colouring {black}: {out_of_range(rs, black)}")
-    white = np.ones((len(blacks), rank), dtype=bool)
-    white[owner, cols] = False
+    white = np.ones((len(blacks), rank), dtype=np.uint8)
+    white[owner, cols] = 0
     if not white.any(axis=1).all():
         raise ValueError(NO_WHITE_VERTEX)
 
     counts = np.zeros(len(blacks), dtype=np.int64)
     per_block = max(1, _SCAN_BLOCK // n)
-    # Keys k * per_block + j below 2^61 by the rounded logarithm stay below 2^62.
-    wide = white @ np.log2(radix) >= 61 - np.log2(per_block)
-    for c in np.flatnonzero(wide):
-        g = compute_grading(ColouredDiagram(rs, frozenset(blacks[c])))
-        counts[c] = len(g.positive_nonreduced_weights())
-    kept = np.flatnonzero(~wide)
-    for block in np.split(kept, range(per_block, len(kept), per_block)):
+    double = np.array([1, 1] + [2] * rank, dtype=np.uint8)
+    for start in range(0, len(blacks), per_block):
+        block = white[start:start + per_block]
         b = len(block)
-        r = np.where(white[block], radix, 1)
-        place = np.cumprod(r[:, ::-1], axis=1)[:, ::-1] // r * white[block]
-        # Colouring j's key k is k * b + j, so doubling k adds k * b.
-        keys = np.sort((pos @ place.T) * b + np.arange(b), axis=None, kind="stable")
-        keys = keys[np.diff(keys, prepend=-1) != 0]  # each weight once
-        twice = 2 * keys - keys % b
+        keys = np.empty((b, n, rank + 2), dtype=np.uint8)
+        keys[..., :2] = np.arange(b, dtype=">u2").view(np.uint8).reshape(b, 1, 2)
+        keys[..., 2:] = rows * block[:, None]
+        keys = np.sort(keys.view(f"S{rank + 2}").ravel(), kind="stable")
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # each weight once
+        u8 = keys.view(np.uint8).reshape(len(keys), rank + 2)
+        twice = (u8 * double).view(keys.dtype).ravel()
         hit = keys[np.minimum(np.searchsorted(keys, twice), len(keys) - 1)] == twice
-        counts[block] = np.bincount(keys[hit & (keys >= b)] % b, minlength=b)
+        hit &= u8[:, 2:].any(axis=1)  # the Levi's zero weight is its own double
+        counts[start:start + b] = np.bincount(u8[hit, :2].view(">u2").ravel(), minlength=b)
     return counts
 
 

@@ -246,6 +246,13 @@ def cmd_verify_all(args) -> int:
     table = classify.check_table()
     report.add("table: all 59 entries have >= 2 non-reduced weights", table.passed,
                "; ".join(table.failures()))
+    listed = {(e.group, tuple(sorted(e.black))) for e in classify.load_table()}
+    found = {(group, r.black) for group in ("E7", "E8")
+             for r in classify.scan_parabolics(build_root_system(*parse_type(group)))
+             if r.nonreduced >= 2}
+    report.add("table: the 59 entries are exactly the E7/E8 colourings with >= 2 "
+               "non-reduced weights", found == listed,
+               f"{len(found)} found, {len(found - listed)} unlisted, {len(listed - found)} missing")
 
     worst = [0.0] * 4
     for _ in range(trials):

@@ -153,11 +153,11 @@ def lex_rows(kind: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """(lex, rows): the lexicographic order of the positive roots, the order of
     their uint8 rows read as byte strings by build_root_system's stable sort
     (another sort would add its code pages to peak RSS), and those rows in it,
-    rows = positive_array[lex].  Gradings and root sums need only these."""
+    rows = positive_array[lex].  Gradings, root sums and colouring scans need only these."""
     pos = build_root_system(kind, rank).positive_array.astype(np.uint8)
     lex = pos.view(f"S{rank}").ravel().argsort(kind="stable")
     rows = pos[lex]
-    lex.setflags(write=False)  # both shared by every grading and root-sum search of this type
+    lex.setflags(write=False)  # both shared by every grading, root-sum search and scan of this type
     rows.setflags(write=False)
     return lex, rows
 

@@ -161,6 +161,7 @@ def test_criterion_9_witt_invariants():
 
 
 def test_criterion_10_deformation_suites():
+    assert ampleness.MAX_RESTARTS == 1000  # each search's budget of random restarts
     t0 = time.perf_counter()
     configs = [(v, None) for v in ampleness.VARIANTS if v != "7A"]
     configs += [("7A", 2), ("7A", 3)]
@@ -169,9 +170,9 @@ def test_criterion_10_deformation_suites():
     for variant, k in configs:
         for seed in range(100):
             if variant == "7A":
-                task = ampleness.random_task_7a(k, seed, max_restarts=1000)
+                task = ampleness.random_task_7a(k, seed)
             else:
-                task = ampleness.random_task(variant, seed, max_restarts=1000)
+                task = ampleness.random_task(variant, seed)
             res = ampleness.deform(task)
             if not res.verified:
                 failures.append((variant, k, seed))

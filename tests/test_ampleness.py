@@ -168,9 +168,9 @@ def test_deform_hypotheses_not_met():
         am.deform(am.DeformationTask("9Z", {}))
 
 
-def test_deform_search_exhausted_reported():
-    task = am.random_task("4B", 1, max_restarts=0)
-    res = am.deform(task)
+def test_deform_search_exhausted_reported(monkeypatch):
+    monkeypatch.setattr(am, "MAX_RESTARTS", 0)
+    res = am.deform(am.random_task("4B", 1))
     assert not res.verified and res.detail == "search exhausted"
 
 

@@ -181,31 +181,31 @@ def test_scan_in_blocks_of_one_colouring(name, monkeypatch):
     assert scan_parabolics(rs) == default
 
 
-@pytest.mark.parametrize("name, narrow, wide", [
-    # radix 3 at every white vertex, blocks of 3 colourings: 38 white
-    # vertices are too many
-    ("A99", [tuple(range(1, 80)), tuple(range(1, 63))],
-     [(), (50,), tuple(range(1, 100, 2)), tuple(range(1, 61))]),
-    # radix 5 past vertex 1, blocks of 10 colourings: 25 of those are too
-    # many; white tails carry non-reduced weights (e_i and e_i + e_j, i < j)
-    ("B40", [tuple(range(1, 36)), tuple(range(1, 20))],
-     [tuple(range(1, 14)), tuple(range(1, 10)), (), (3, 39)]),
-])
-def test_wide_keys_take_the_grading_branch(name, narrow, wide, monkeypatch):
+@pytest.mark.parametrize("name, blacks", [
+    # up to 99 white vertices, whose mixed-radix keys (radix 3 in A99, 5 past
+    # vertex 1 in B40) would have passed 2^62
+    ("A99", [tuple(range(1, 80)), (), (50,), tuple(range(1, 100, 2)), tuple(range(1, 61)),
+             tuple(range(1, 63))]),
+    # white tails carry non-reduced weights (e_i and e_i + e_j, i < j)
+    ("B40", [tuple(range(1, 36)), tuple(range(1, 14)), tuple(range(1, 10)), (), (3, 39),
+             tuple(range(1, 20))]),
+], ids=["A99", "B40"])
+def test_many_white_vertices_equal_the_grading_oracle(name, blacks):
     rs = build_root_system(name[0], int(name[1:]))
-    graded = []
-    grading = classify.compute_grading
-
-    def counting_grading(diag):
-        graded.append(tuple(sorted(diag.black)))
-        return grading(diag)
-
-    monkeypatch.setattr(classify, "compute_grading", counting_grading)
-    blacks = [narrow[0], *wide, *narrow[1:]]
     counts = nonreduced_counts(rs, blacks)
-    assert graded == wide
     assert counts.tolist() == [_nonreduced_oracle(rs, b) for b in blacks]
     assert any(counts) or name == "A99"  # type A has no non-reduced weight
+
+
+def test_block_of_more_than_256_colourings():
+    # B7's 127 colourings three times: one block of 334, whose index needs
+    # both key bytes, and one of 47
+    rs = build_root_system("B", 7)
+    blacks = [r.black for r in scan_parabolics(rs)] * 3
+    assert classify._SCAN_BLOCK // len(rs.positive_array) == 334
+    want = [_nonreduced_oracle(rs, b) for b in blacks[:127]] * 3
+    assert nonreduced_counts(rs, blacks).tolist() == want
+    assert len(set(want)) > 1
 
 
 def test_nonreduced_counts_of_named_colourings():

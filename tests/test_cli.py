@@ -231,6 +231,22 @@ def test_cli_deform_input_re_im_encoding(tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("v, shapes", [
+    ({"re": [1, 0, 0, 1], "im": 0.5}, "re of shape (4,) and im of shape ()"),
+    ({"re": 1, "im": [0, 1, 0, 0]}, "re of shape () and im of shape (4,)"),
+    ({"re": [[1, 0, 0, 1]], "im": [[0], [1], [0], [0]]},
+     "re of shape (1, 4) and im of shape (4, 1)"),
+], ids=["scalar-im", "scalar-re", "row-and-column"])
+def test_cli_deform_input_re_and_im_of_two_shapes(tmp_path, v, shapes):
+    # numpy would broadcast one part against the other; the first case then verified
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"A": {"re": [[1, 0], [0, 0], [0, 1], [0, 0]],
+                                      "im": [[0, 0], [1, 0], [0, 0], [0, 0]]}, "v": v}))
+    code, out = run_cli("deform", "--variant", "4B", "--input", str(path))
+    assert code == 2 and "Traceback" not in out
+    assert f"variant 4B: input 'v' has {shapes}" in out
+
+
 def test_cli_deform_refuses_a_line_inside_the_quadric(tmp_path):
     # every point of span(e1 + i e2, e3 + i e4) is isotropic: A is not degenerate
     path = tmp_path / "in.json"

@@ -91,17 +91,41 @@ def test_changed_case_arrow_fails_its_case(plant, tmp_path):
     assert _verify_all() == (1, ["case 2A"])
 
 
+TABLE_LINE = "table: all 59 entries have >= 2 non-reduced weights"
+COMPLETE_LINE = ("table: the 59 entries are exactly the E7/E8 colourings with >= 2 "
+                 "non-reduced weights")
+
+
 def test_table_entry_below_two_nonreduced_weights_fails_the_table(plant, tmp_path):
-    # E7/1,2,3,4,5,6 has exactly one non-reduced positive weight
+    # E7/1,2,3,4,5,6 has exactly one non-reduced positive weight; the table
+    # lists it and loses E7/1,3,5,7, which has three
     _data_copy(tmp_path, plant, "table.txt", "entry 1 E7 black 1,3,5,7\n",
                "entry 1 E7 black 1,2,3,4,5,6\n")
-    assert _verify_all() == (1, ["table: all 59 entries have >= 2 non-reduced weights"])
+    code, failed = _verify_all_lines()
+    assert (code, [l["anchor"] for l in failed]) == (1, [TABLE_LINE, COMPLETE_LINE])
+    assert failed[1]["detail"] == "59 found, 1 unlisted, 1 missing"
 
 
 def test_nonreduced_count_one_short_fails_the_table(plant):
+    # the entries with exactly two non-reduced weights drop below the table's
+    # threshold, and out of the colourings found
     count = classify.nonreduced_counts
     plant.setattr(classify, "nonreduced_counts", lambda rs, blacks: count(rs, blacks) - 1)
-    assert _verify_all() == (1, ["table: all 59 entries have >= 2 non-reduced weights"])
+    assert _verify_all() == (1, [TABLE_LINE, COMPLETE_LINE])
+
+
+@pytest.mark.parametrize("planted, found", [
+    (lambda count: count + 1, 222),  # the 222 E7/E8 colourings with a non-reduced weight
+    (lambda count: np.full_like(count, 5), 382),  # all 127 + 255
+], ids=["one-over", "constant-5"])
+def test_nonreduced_count_too_high_fails_only_completeness(plant, planted, found):
+    # every entry still has >= 2, so only the completeness line sees the
+    # unlisted colourings
+    count = classify.nonreduced_counts
+    plant.setattr(classify, "nonreduced_counts", lambda rs, blacks: planted(count(rs, blacks)))
+    code, failed = _verify_all_lines()
+    assert (code, [l["anchor"] for l in failed]) == (1, [COMPLETE_LINE])
+    assert failed[0]["detail"] == f"{found} found, {found - 59} unlisted, 0 missing"
 
 
 def test_dropped_bracket_component_fails_its_case(plant):
@@ -170,3 +194,46 @@ def test_ample_everywhere_fails_the_nonample_lines(plant):
         variant = l["anchor"].split()[1]
         assert l["detail"] == (f"0/1 verified; {variant} seed 0: HypothesesNotMet: "
                                "A must not be ample")
+
+
+def _case_failures(cid: str) -> dict[str, str]:
+    """The failed lines of `verify_case` for one case, anchor -> detail."""
+    return {l["anchor"]: l["detail"] for l in walkdiag.verify_case(walkdiag.load_cases()[cid]).lines
+            if not l["ok"]}
+
+
+def test_changed_printed_label_fails_the_label_line(plant, tmp_path):
+    # the first labels in the file are case 1A's twisting weight 1
+    _data_copy(tmp_path, plant, "cases.txt", "twisting 1 = 1,0,0 ; labels 1,1,0,0",
+               "twisting 1 = 1,0,0 ; labels 1,1,0,1")
+    assert _verify_all() == (1, ["case 1A"])
+    assert _case_failures("1A") == {
+        "black-vertex labels match": "1: computed (1, 1, 0, 0) printed (1, 1, 0, 1)"}
+
+
+def test_nonreduced_rubbish_fails_its_reducedness_line(plant, tmp_path):
+    # case 2A's rubbish a moved onto the non-reduced weight of capital B,
+    # with B's labels; the printed arrow B -1-> a then heads nowhere named
+    _data_copy(tmp_path, plant, "cases.txt", "rubbish a = 2,1 ; labels 0,0,0,1,0",
+               "rubbish a = 1,1 ; labels 1,1,0,1,0")
+    assert _verify_all() == (1, ["case 2A"])
+    failures = _case_failures("2A")
+    assert failures["rubbish a reduced"] == "(1, 1) is non-reduced"
+    assert list(failures) == ["rubbish a reduced", "rubbish weights match",
+                              "arrow heads all land on vertices", "arrow set matches"]
+
+
+def test_two_highest_roots_fail_the_label_line(plant):
+    # case 2A's capital A given a second highest root; only 2A uses E7/1,3,4,6,7
+    case = walkdiag.load_cases()["2A"]
+    highest = grading.Grading.highest_root_of
+
+    def doubled(g, chi):
+        tops = highest(g, chi)
+        if str(g.diagram) == "E7/1,3,4,6,7" and chi == case.nonreduced["A"]:
+            return tops * 2
+        return tops
+
+    plant.setattr(grading.Grading, "highest_root_of", doubled)
+    assert _verify_all() == (1, ["case 2A"])
+    assert _case_failures("2A") == {"black-vertex labels match": "A: 2 highest roots"}

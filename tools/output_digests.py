@@ -21,6 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from parabolics import cli, walkdiag  # noqa: E402
+from parabolics.rootsys import ROOT_COUNT_TYPES  # noqa: E402
 
 VARIANTS = "1A 1B 1C 4A 4B 5A 5B 5C 6A 6B 6C 6D 6E 7A 7B 7C".split()
 
@@ -52,6 +53,10 @@ def argvs() -> list[list[str]]:
     for kind, rank, white in (("B", 60, (20, 40)), ("C", 40, (1, 5)), ("D", 60, (20, 40))):
         black = ",".join(str(v) for v in range(1, rank + 1) if v not in white)
         runs.append(["diagram", f"{kind}{rank}/{black}", "--twisting", "1,0;0,1", "--json"])
+    for kind, rank in (*ROOT_COUNT_TYPES, ("A", 12), ("B", 12)):  # every colouring's count
+        name = f"{kind}{rank}"
+        runs += [argv for argv in (["classify", name], ["classify", name, "--json"])
+                 if argv not in runs]
     return runs
 
 
