@@ -577,7 +577,6 @@ class DeformResult(NamedTuple):
     witness: dict
     verified: bool
     restarts: int
-    detail: str = ""
 
 
 def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
@@ -659,7 +658,7 @@ def _run_search(variant, deterministic, random_gen, verify, max_restarts):
         witness = random_gen()
         if verify(witness):
             return DeformResult(variant, witness, True, r)
-    return DeformResult(variant, {}, False, max_restarts, "search exhausted")
+    return DeformResult(variant, {}, False, max_restarts)
 
 
 def _generated(variant: str, seed: int, fixed: dict) -> DeformationTask:

@@ -15,7 +15,8 @@ Two constructions live here:
   Hermitian complement W1 in Im A, the conjugated copy of the radical and
   the leftover, and setting B = A+ (P0 + 2 P1), with P0 the projection
   onto W0 along the rest and P1 the omega-orthogonal one onto W1.  A stack
-  of maps is solved with one call per step for all its generic maps.
+  of maps is solved with one call per step for all its generic maps and
+  returns only B and H, without the splitting.
 """
 
 from __future__ import annotations
@@ -167,20 +168,20 @@ def gl_characteristic_trials(rng: np.random.Generator, trials: int) -> tuple[int
 
 
 class LemmaSolution(NamedTuple):
-    """Output of lemma_B_from_A, with the splitting used to build it; for a
-    stack of maps, each splitting field is an object array of matrices."""
+    """Output of lemma_B_from_A, with the splitting used to build it; a
+    stack of maps carries only A, B and H, its splitting fields None."""
 
     A: np.ndarray
     B: np.ndarray
     #: Gram matrix of the Hermitian form on U (x, y) -> x* H y
     hermitian_u: np.ndarray
-    W0: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
-    W3: np.ndarray
-    U0: np.ndarray
-    U1: np.ndarray
-    U2: np.ndarray
+    W0: np.ndarray | None = None
+    W1: np.ndarray | None = None
+    W2: np.ndarray | None = None
+    W3: np.ndarray | None = None
+    U0: np.ndarray | None = None
+    U1: np.ndarray | None = None
+    U2: np.ndarray | None = None
 
 
 def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
@@ -193,7 +194,7 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
     omega-Gram of W1 given back that Gram's symmetry.  Total: works for
     every A, including A = 0.  A may be a (..., k, n) stack: generic slices
     (full column rank, no radical, no rank cut) share each step, the others
-    go alone, and each slice equals its map's solution alone, bit for bit.
+    go alone, and each slice's B and H equal its map's alone, bit for bit.
     """
     A = np.asarray(A, dtype=complex)
     k, n = A.shape[-2:]
@@ -204,17 +205,12 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
     _, s, Vh = np.linalg.svd(im.mT @ G @ im)
     V, cut = Vh.conj().mT, DEFAULT_TOL * max(space.norm, 1.0)
     Aplus = mp_inverse(A)  # inverts Im A -> Ker-perp
-    if A.ndim > 2:  # every slice as if generic; the others are redone below
-        W0 = W2 = im[..., :0]
-        U0 = U2 = Aplus[..., :0]
+    if A.ndim > 2:  # every slice as if generic (W0 = 0); the others are redone below
         W1 = im @ V
-        U1 = Aplus @ W1
-        _, s3, Vh3 = np.linalg.svd(W1.mT @ G)
-        W3 = Vh3.conj().mT[..., n:]
-        T = orth(U1)
+        T = orth(Aplus @ W1)
         # a stacked orth pads the basis of a slice with a rank cut with zeros
-        generic = ((n <= k) & im[..., -1].any(-1) & (s[..., -1] > cut)
-                   & (s3[..., -1] > DEFAULT_TOL * s3[..., 0]) & T[..., -1].any(-1))
+        generic = (n <= k) & im[..., -1].any(-1) & (s[..., -1] > cut) & T[..., -1].any(-1)
+        P0 = 0.0
     else:
         r = int(np.count_nonzero(s > cut))  # W0: the radical of the form on Im A
         W0, W1 = im @ V[:, r:], im @ V[:, :r]
@@ -228,7 +224,7 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
         T = np.hstack([orth(U0), orth(U1), U2])
         if T.shape[1] != n:
             raise RuntimeError("U0 + U1 + U2 failed to fill U; rank tolerance too tight")
-        generic = np.True_
+        generic, P0 = np.True_, W0 @ W0.conj().mT
 
     def inv(M):  # a slice that is not generic inverts Id here
         return np.linalg.inv(np.where(generic[..., None, None], M, np.eye(M.shape[-1])))
@@ -236,19 +232,12 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
     hermitian_u = inv(T @ T.conj().mT)
     N = inv(W1.mT @ G @ W1)
     N = (N + N.mT) / 2 if space.symmetric else (N - N.mT) / 2
-    B = Aplus @ (W0 @ W0.conj().mT + 2 * (W1 @ N @ W1.mT @ G))
-    split = [W0, W1, W2, W3, U0, U1, U2]
+    B = Aplus @ (P0 + 2 * (W1 @ N @ W1.mT @ G))
     if A.ndim > 2:
-        stacked, split = split, [np.empty(A.shape[:-2], dtype=object) for _ in split]
-        for idx in np.ndindex(A.shape[:-2]):
-            parts = [W[idx] for W in stacked]
-            if not generic[idx]:
-                sol = lemma_B_from_A(A[idx], space)
-                B[idx], hermitian_u[idx] = sol.B, sol.hermitian_u
-                parts = sol[3:]  # W0 .. U2
-            for out, part in zip(split, parts):
-                out[idx] = part
-    return LemmaSolution(A, B, hermitian_u, *split)
+        for idx in zip(*np.nonzero(~generic)):
+            B[idx], hermitian_u[idx] = lemma_B_from_A(A[idx], space)[1:3]
+        return LemmaSolution(A, B, hermitian_u)
+    return LemmaSolution(A, B, hermitian_u, W0, W1, W2, W3, U0, U1, U2)
 
 
 def lemma_residuals(sol: LemmaSolution, space: BilinearSpace) -> dict[str, float]:

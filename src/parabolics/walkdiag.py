@@ -70,7 +70,6 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
 
 
 class WeightDiagram(NamedTuple):
-    grading: Grading
     twisting: tuple[Weight, ...]
     nonreduced: tuple[Weight, ...]
     rubbish: tuple[Weight, ...]
@@ -92,7 +91,6 @@ def build_weight_diagram(g: Grading, twisting: list[Weight]) -> WeightDiagram:
             if mu in g.bracket_reach(v):
                 arrows.append((v, mu, tuple(a + b for a, b in zip(v, mu))))
     return WeightDiagram(
-        grading=g,
         twisting=tuple(twisting),
         nonreduced=nonreduced,
         rubbish=rubbish,

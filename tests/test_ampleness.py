@@ -106,7 +106,7 @@ def test_deform_verified_small_batch(variant):
     for seed in range(6):
         task = am.random_task(variant, seed)
         res = am.deform(task)
-        assert res.verified, (variant, seed, res.detail)
+        assert res.verified, (variant, seed)
         assert res.restarts <= 1000
 
 
@@ -168,10 +168,31 @@ def test_deform_hypotheses_not_met():
         am.deform(am.DeformationTask("9Z", {}))
 
 
+def test_random_task_refuses_an_unknown_variant():
+    with pytest.raises(ValueError) as exc:
+        am.random_task("9Z", 0)
+    assert str(exc.value) == "unknown variant '9Z'"
+
+
+def test_nonample_columns_redraw_a_rank_deficient_mix(monkeypatch):
+    # the first mix drawn is zero, below MIX_RANK_TOL: the loop draws again
+    draws = []
+
+    def zero_first(rng, *shape):
+        draws.append(shape)
+        return np.zeros(shape, dtype=complex) if len(draws) == 1 else crandom(rng, *shape)
+
+    monkeypatch.setattr(am, "crandom", zero_first)
+    space = symmetric_space(4)
+    cols = am._nonample_columns(space, 3, np.random.default_rng(7))
+    assert len(draws) == 2 and draws[0] == draws[1]
+    assert np.linalg.matrix_rank(cols) > 0 and not am.ample(cols, space)
+
+
 def test_deform_search_exhausted_reported(monkeypatch):
     monkeypatch.setattr(am, "MAX_RESTARTS", 0)
     res = am.deform(am.random_task("4B", 1))
-    assert not res.verified and res.detail == "search exhausted"
+    assert (res.verified, res.restarts, res.witness) == (False, am.MAX_RESTARTS, {})
 
 
 def test_canonical_6d_first_attempt_uses_printed_witness():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from parabolics import cxlinalg, grading, mpchar, rootsys
+from parabolics import ampleness, cxlinalg, grading, mpchar, rootsys
 from parabolics.cli import main, parse_diagram
 
 
@@ -85,6 +85,42 @@ def test_cli_classify_json():
                for r in rows)
 
 
+def test_cli_classify_text():
+    assert run_cli("classify", "G2") == (0, (
+        "black=-                nonreduced=  0 weakly-ample-by-count=True\n"
+        "black=1                nonreduced=  1 weakly-ample-by-count=True\n"
+        "black=2                nonreduced=  1 weakly-ample-by-count=True\n"
+        "3 colourings\n"))
+
+
+def test_cli_classify_bounds_rank_before_any_colouring(monkeypatch):
+    from parabolics import cli
+
+    class Scanned(Exception):
+        pass
+
+    def refuse(rs):
+        raise Scanned(rs.name)
+
+    monkeypatch.setattr(cli.classify, "scan_parabolics", refuse)
+    rank = cli.CLASSIFY_RANK_MAX + 1
+    assert run_cli("classify", f"A{rank}") == (2, (
+        f"error: classify A{rank}: the scan covers {2 ** rank - 1} colourings; "
+        f"the rank must be at most {cli.CLASSIFY_RANK_MAX}\n"))
+    # the bound itself is admitted: the scan starts
+    with pytest.raises(Scanned):
+        run_cli("classify", f"B{cli.CLASSIFY_RANK_MAX}")
+
+
+def test_cli_diagram_text():
+    assert run_cli("diagram", "E7/1,3,4,6,7", "--twisting", "1,0") == (0, (
+        "E7/1,3,4,6,7\n"
+        "  non-reduced: [(0, 1), (1, 1)]\n"
+        "  rubbish:     [(2, 1)]\n"
+        "  (0, 1) --(1, 0)--> (1, 1)\n"
+        "  (1, 1) --(1, 0)--> (2, 1)\n"))
+
+
 def test_cli_diagram():
     code, out = run_cli("diagram", "E7/1,3,4,6,7", "--twisting", "1,0", "--json")
     assert code == 0
@@ -127,6 +163,16 @@ def test_cli_deform():
     assert payload["verified"] is True and "A" in payload["witness"]
     code, _ = run_cli("deform", "--variant", "7A", "--seed", "1", "--k", "3")
     assert code == 0
+
+
+def test_cli_deform_json_writes_a_list_witness_as_lists_of_complex_parts():
+    # 5A's witness is a list of (matrix, vector) pairs
+    (M, v), = ampleness.deform(ampleness.random_task("5A", 0)).witness["E"]
+    code, out = run_cli("deform", "--variant", "5A", "--json")
+    assert code == 0
+    assert json.loads(out)["witness"] == {"E": [[
+        {"re": M.real.tolist(), "im": M.imag.tolist()},
+        {"re": v.real.tolist(), "im": v.imag.tolist()}]]}
 
 
 @pytest.mark.parametrize("argv, message", [

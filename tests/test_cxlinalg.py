@@ -129,6 +129,21 @@ def test_witt_pairs_dim2_into_3():
         cx.span_with_invariants(sym3, 2, 2, rng)  # j > dim - rank
 
 
+def test_symplectic_space_refuses_an_odd_dimension():
+    with pytest.raises(ValueError) as exc:
+        cx.symplectic_space(5)
+    assert str(exc.value) == "symplectic form needs even dimension"
+
+
+def test_span_with_invariants_refuses_an_odd_skew_nondegenerate_part():
+    # (3, 0) fits in dimension 6, but a skew Gram of odd size is singular
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError) as exc:
+        cx.span_with_invariants(cx.symplectic_space(6), 3, 0, rng)
+    assert str(exc.value) == "skew form: the nondegenerate part must have even rank"
+    assert rng.bit_generator.state == np.random.default_rng(6).bit_generator.state
+
+
 @pytest.mark.parametrize("space", [cx.symmetric_space(3), cx.symplectic_space(4)])
 def test_span_with_invariants_empty_span(space):
     # (0, 0) is realizable in any space: the span is empty and takes no draw

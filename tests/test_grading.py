@@ -396,3 +396,10 @@ def test_grading_equality_is_diagram_and_partition():
     fields = (g._order, g._bounds, g._weight_array)
     assert g != Grading(g.diagram, g.positive_weights, moved, *fields)
     assert g != Grading(g.diagram, g.positive_weights[::-1], g._component_of, *fields)
+
+
+def test_diagrams_and_gradings_leave_other_types_to_the_other_operand():
+    g = grade("E7", [1, 3, 4, 6, 7])
+    for obj in (g, g.diagram):
+        assert obj.__eq__((1, 3, 4, 6, 7)) is NotImplemented
+        assert obj != "E7/1,3,4,6,7" and obj != g.positive_weights

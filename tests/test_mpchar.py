@@ -181,20 +181,24 @@ def _space(kind):
 
 
 def _assert_stack_equals_each_slice(A, space):
-    """Every field and residual of the stacked solution equals, slice by
-    slice, a lone call on that slice: shape, dtype and bytes."""
+    """A, B, H and every residual of the stacked solution equal, slice by
+    slice, a lone call on that slice: shape, dtype and bytes.  Returns the
+    stacked solution and the lone ones."""
     sol = mc.lemma_B_from_A(A, space)
+    assert sol[3:] == (None,) * 7  # a stack carries no splitting
     res = mc.lemma_residuals(sol, space)
+    ones = []
     for idx in np.ndindex(A.shape[:-2]):
         one = mc.lemma_B_from_A(A[idx], space)
-        for name in mc.LemmaSolution._fields:
+        for name in ("A", "B", "hermitian_u"):
             got, want = getattr(sol, name)[idx], getattr(one, name)
             assert (got.shape, got.dtype) == (want.shape, want.dtype), name
             assert got.tobytes() == want.tobytes(), name
         for name, value in mc.lemma_residuals(one, space).items():
             got = np.asarray(res[name][idx])
             assert got.dtype == np.asarray(value).dtype and got.tobytes() == np.asarray(value).tobytes()
-    return sol
+        ones.append(one)
+    return sol, ones
 
 
 @pytest.mark.parametrize("kind,u", [("sym", 4), ("skew", 4), ("sym", 8), ("skew", 3)])
@@ -206,15 +210,23 @@ def test_lemma_stack_equals_each_slice(kind, u):
     A[1] = 0
     A[3] = cx.crandom(rng, 6, 2) @ cx.crandom(rng, 2, u)
     A[5] = cx.span_with_invariants(space, 2, 2, rng) @ cx.crandom(rng, 2, u)
-    sol = _assert_stack_equals_each_slice(A, space)
-    generic = [not (sol.W0[t].size or sol.U2[t].size) for t in range(24)]
+    sol, ones = _assert_stack_equals_each_slice(A, space)
+    generic = [not (one.W0.size or one.U2.size) for one in ones]
     assert not (generic[1] or generic[3] or generic[5])
-    assert sol.W0[5].shape[1] > 0  # the isotropic image is its own radical
+    assert ones[5].W0.shape[1] > 0  # the isotropic image is its own radical
     assert any(generic) == (u == 4)
     deep = mc.lemma_B_from_A(A.reshape(4, 6, 6, u), space)
     assert deep.B.tobytes() == sol.B.tobytes()
-    assert all(deep.W3[idx].tobytes() == sol.W3[6 * idx[0] + idx[1]].tobytes()
-               for idx in np.ndindex(4, 6))
+    assert deep.hermitian_u.tobytes() == sol.hermitian_u.tobytes()
+
+
+def test_lemma_refuses_bases_that_do_not_fill_u(monkeypatch):
+    # an orth that loses a direction of every span leaves T short of U
+    monkeypatch.setattr(mc, "orth", lambda M: cx.orth(M)[:, :-1])
+    A = cx.crandom(np.random.default_rng(16), 6, 4)
+    with pytest.raises(RuntimeError) as exc:
+        mc.lemma_B_from_A(A, cx.symmetric_space(6))
+    assert str(exc.value) == "U0 + U1 + U2 failed to fill U; rank tolerance too tight"
 
 
 @pytest.mark.parametrize("kind", ["sym", "skew"])

@@ -62,6 +62,10 @@ def test_fields_cannot_be_assigned_or_deleted(name):
             setattr(obj, cached, None)
 
 
+def test_repr_shows_the_named_fields():
+    assert repr(spin_module(1)) == "SpinModule(m=1, basis=((), (0,)))"
+
+
 @pytest.mark.parametrize("name", [n for n, (_, _, cached) in IMMUTABLE.items() if cached])
 def test_cached_properties_fill_on_first_read(name):
     make, _, cached = IMMUTABLE[name]

@@ -214,6 +214,12 @@ def test_invalid_types_rejected():
     assert parse_type("e7") == ("E", 7)
 
 
+def test_dynkin_edges_refuses_an_unknown_kind():
+    with pytest.raises(InvalidTypeError) as exc:
+        dynkin_edges("X", 3)
+    assert str(exc.value) == "unknown kind 'X'"
+
+
 def test_root_sum_table_matches_membership():
     rs = build_root_system("F", 4)
     table = rs.root_sum_is_root

@@ -57,6 +57,8 @@ def argvs() -> list[list[str]]:
         name = f"{kind}{rank}"
         runs += [argv for argv in (["classify", name], ["classify", name, "--json"])
                  if argv not in runs]
+    # stacks with no generic slice: a kernel in every map, a radical in every skew image
+    runs += [["lemma", "--u", "8", "--json"], ["lemma", "--u", "3", "--form", "skew", "--json"]]
     return runs
 
 
