@@ -20,7 +20,7 @@ import numpy as np
 
 from .grading import NO_WHITE_VERTEX, NOT_A_VERTEX, out_of_range
 from .report import Report
-from .rootsys import RootSystem, as_integers, build_root_system, lex_rows, parse_type
+from .rootsys import RootSystem, as_integers, build_root_system, parse_type
 from .walkdiag import CaseDataError, _check_colouring, data_path
 
 
@@ -83,9 +83,10 @@ def nonreduced_counts(rs: RootSystem, blacks: Sequence[Sequence[int]]) -> np.nda
     """The number of non-reduced positive weights of each colouring of rs
     whose black vertices are given, in blocks of colourings.  A positive root's
     key for colouring j of a block is j as two big-endian bytes, then its
-    lex_rows row with the black columns zeroed: chi != 0 is non-reduced when
-    its key with the coefficient bytes doubled (at most 12) is a key too."""
-    rows = lex_rows(rs.kind, rs.rank)[1]
+    uint8 row of rs.positive_array with the black columns zeroed: chi != 0 is
+    non-reduced when its key with the coefficient bytes doubled (at most 12)
+    is a key too."""
+    rows = rs.positive_array
     n, rank = rows.shape
     cols = np.array(as_integers(chain.from_iterable(blacks), NOT_A_VERTEX), dtype=np.intp) - 1
     owner = np.repeat(np.arange(len(blacks)), [len(black) for black in blacks])

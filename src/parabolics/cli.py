@@ -134,8 +134,7 @@ def cmd_verify_case(args) -> int:
         wanted = sorted(cases)
     else:
         if args.case not in cases:
-            print(f"unknown case {args.case!r}; have {sorted(cases)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown case {args.case!r}; have {sorted(cases)}")
         wanted = [args.case]
     for cid in wanted:
         for l in walkdiag.verify_case(cases[cid]).lines:

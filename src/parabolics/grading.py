@@ -6,12 +6,12 @@ the root set into components indexed by integer weight vectors; the zero
 weight collects the Levi roots.  Weights are plain tuples of ints, ordered
 by ascending white vertex index.
 
-A grading is computed from `rootsys.lex_rows`, the positive roots' uint8
-rows in lexicographic order, kept per type: each root's key is its white
+A grading is computed from `RootSystem.positive_array`, the positive
+roots' uint8 rows in lexicographic order: each root's key is its white
 columns read as one byte string, whose order is the lexicographic order of
 its weight, and the Levi's is the empty string.  One stable sort of the keys
-groups the rows by weight, lexicographic within each.  `roots_of` slices
-them, and `components` is the dict of its slices.  Reducedness is one binary
+groups the rows by weight, ascending (so lexicographic) within each.
+`roots_of` slices them, and `components` is the dict of its slices.  Reducedness is one binary
 search of the doubled weights among the weights; irreducibility needs only
 the component of each row.
 
@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frozen import Frozen
-from .rootsys import (Root, RootSystem, as_integers, build_root_system, lex_rows, parse_type,
-                      root_sum_pairs)
+from .rootsys import Root, RootSystem, as_integers, build_root_system, parse_type, root_sum_pairs
 
 Weight = tuple[int, ...]
 
@@ -97,9 +96,10 @@ class Grading(Frozen):
         # positive_weights: the nonzero weights with all coefficients >= 0,
         # lexicographically sorted.  _component_of: the component of each of
         # rs.positive_roots, 0 for the Levi, k for positive_weights[k - 1].
-        # _order: the rows of rs.positive_array by weight, lexicographic within
-        # each weight; _bounds: where the rows of each positive weight start in
-        # it, then their end.  _weight_array: positive_weights as a uint8 array.
+        # _order: the rows of rs.positive_array by weight, ascending within
+        # each weight (read-only); _bounds: where the rows of each positive
+        # weight start in it, then their end.  _weight_array: positive_weights
+        # as a uint8 array.
         vars(self).update(diagram=diagram, positive_weights=positive_weights,
                           _component_of=_component_of, _order=_order, _bounds=_bounds,
                           _weight_array=_weight_array)
@@ -183,11 +183,10 @@ class Grading(Frozen):
         return self._reach[self._weight_ids.get(tuple(chi)) or self._refuse(chi, "positive")]
 
     def component_indices(self, chi: Weight) -> np.ndarray | None:
-        """Indices into rs.positive_roots of the roots of weight chi, ascending;
-        None when chi is not a positive weight."""
+        """Indices into rs.positive_roots of the roots of weight chi, ascending
+        and read-only; None when chi is not a positive weight."""
         k, b = self._weight_ids.get(tuple(chi)), self._bounds
-        # stable: numpy's SIMD quicksort would add its code pages to peak RSS
-        return None if k is None else np.sort(self._order[b[k - 1]:b[k]], kind="stable")
+        return None if k is None else self._order[b[k - 1]:b[k]]
 
     def roots_of(self, chi: Weight) -> tuple[Root, ...]:
         """The roots of the nonzero weight chi: its rows, negated and reversed if chi < 0."""
@@ -231,17 +230,18 @@ class Grading(Frozen):
 
 
 def compute_grading(diag: ColouredDiagram) -> Grading:
-    lex, rows = lex_rows(diag.rs.kind, diag.rs.rank)
-    cols = rows.take([w - 1 for w in diag.white], axis=1)  # contiguous, unlike rows[:, white]
+    # contiguous, unlike positive_array[:, white]
+    cols = diag.rs.positive_array.take([w - 1 for w in diag.white], axis=1)
     key = cols.view(f"S{cols.shape[1]}").ravel()
     # A stable sort keeps each component in the lexicographic root order.
-    by_key = key.argsort(kind="stable")
-    order, key = lex[by_key], key[by_key]
+    order = key.argsort(kind="stable")
+    order.setflags(write=False)  # component_indices hands out its slices
+    key = key[order]
     new = key != np.concatenate(([b""], key[:-1]))  # a positive weight's first root
     starts = new.nonzero()[0]  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
     component_of[order] = new.cumsum()
-    weights = cols[by_key[starts]]
+    weights = cols[order[starts]]
     return Grading(diagram=diag, positive_weights=tuple(map(tuple, weights.tolist())),
                    _component_of=component_of, _order=order,
                    _bounds=(*starts.tolist(), len(order)), _weight_array=weights)

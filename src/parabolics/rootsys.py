@@ -18,10 +18,14 @@ colours, reduced/non-reduced statuses, arrow lists) is reproduced by
 computation.  tests/test_walkdiag.py exercises that match in full.
 
 A root system is held as arrays: the positive roots as one read-only
-(N, rank) int array, by height and then lexicographically, built one
-height level at a time with whole-array steps, and the simple-root raises
-of each.  The root tuples, the negative roots and the root set are views
-built on first read; gradings and colouring scans never need them.
+(N, rank) uint8 array in lexicographic order, built one height level at a
+time with whole-array steps, and the simple-root raises of each.  Every
+coefficient is at most 6, so a row read as a byte string sorts
+lexicographically: gradings, root sums and colouring scans search these
+rows in place.  The highest root dominates every root coefficient by
+coefficient, so it is the last row.  The root tuples, the negative roots
+and the root set are views built on first read; gradings and colouring
+scans never need them.
 """
 
 from __future__ import annotations
@@ -107,9 +111,9 @@ class RootSystem(Frozen):
     per type, so systems compare and hash by identity.  The arrays are the
     data; the tuple views are made on first read and then kept.
 
-    positive_array holds the positive roots as an (N, rank) int64 array, by
-    height and then lexicographically; raised_by[k, i] says that positive
-    root k + alpha_{i+1} is a root (both read-only)."""
+    positive_array holds the positive roots as an (N, rank) uint8 array in
+    lexicographic order, the highest root last; raised_by[k, i] says that
+    positive root k + alpha_{i+1} is a root (both read-only)."""
 
     _repr = ("kind", "rank", "cartan")
 
@@ -129,7 +133,8 @@ class RootSystem(Frozen):
     @cached_property
     def roots(self) -> tuple[Root, ...]:
         """The positive roots, then each of them negated."""
-        return self.positive_roots + tuple(map(tuple, (-self.positive_array).tolist()))
+        negative = -self.positive_array.astype(np.int8)  # a uint8 negation would wrap
+        return self.positive_roots + tuple(map(tuple, negative.tolist()))
 
     @cached_property
     def _root_set(self) -> frozenset[Root]:
@@ -148,40 +153,24 @@ class RootSystem(Frozen):
 _BLOCK_PAIRS = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def lex_rows(kind: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lex, rows): the lexicographic order of the positive roots, the order of
-    their uint8 rows read as byte strings by build_root_system's stable sort
-    (another sort would add its code pages to peak RSS), and those rows in it,
-    rows = positive_array[lex].  Gradings, root sums and colouring scans need only these."""
-    pos = build_root_system(kind, rank).positive_array.astype(np.uint8)
-    lex = pos.view(f"S{rank}").ravel().argsort(kind="stable")
-    rows = pos[lex]
-    lex.setflags(write=False)  # both shared by every grading, root-sum search and scan of this type
-    rows.setflags(write=False)
-    return lex, rows
-
-
 def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
                    upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j) of positive roots with i in rows (ascending) and
     root i + root j a root; if upper, every such pair with j >= i and only
     some with j < i.  A sum (coefficients at most 12) is a uint8 row, found by
-    a binary search of lex_rows' byte strings exactly when it is a root.  It is
-    no higher than the highest root, so a block searches only columns that low."""
-    pos = rs.positive_array.astype(np.uint8)
-    sorted_rows = lex_rows(rs.kind, rs.rank)[1].view(f"S{rs.rank}").ravel()
-    height = rs.positive_array.sum(axis=1)  # ascending: the roots are sorted by height
+    a binary search of positive_array's byte strings exactly when it is a root."""
+    pos = rs.positive_array
+    sorted_rows = pos.view(f"S{rs.rank}").ravel()
     found = [np.zeros((2, 0), dtype=np.intp)]
     step = max(1, _BLOCK_PAIRS // len(pos))
     for b in range(0, len(rows), step):
         block = rows[b:b + step]
         lo = block[0] if upper else 0
-        hi = np.searchsorted(height, height[-1] - height[block[0]], side="right")
-        sums = (pos[block, None] + pos[None, lo:hi]).view(sorted_rows.dtype).ravel()
+        sums = (pos[block, None] + pos[None, lo:]).view(sorted_rows.dtype).ravel()
         at = np.minimum(np.searchsorted(sorted_rows, sums), len(pos) - 1)
         hit = np.flatnonzero(sorted_rows[at] == sums)
-        found.append(np.stack([block[hit // (hi - lo)], lo + hit % (hi - lo)]))
+        i, j = np.divmod(hit, len(pos) - lo)
+        found.append(np.stack([block[i], lo + j]))
     return tuple(np.concatenate(found, axis=1))
 
 
@@ -212,8 +201,8 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     sorted and without repeats, are the next level.  p_i of a target is
     p_i(target - alpha_i) + 1 when target - alpha_i is a positive root,
     i.e. exactly when the step (target - alpha_i, i) is taken, and 0
-    otherwise.  The levels in turn are the positive roots by height, then
-    lexicographically.
+    otherwise.  The levels in turn, sorted once more by the same stable sort,
+    are the positive roots in lexicographic order.
     """
     C = cartan_matrix(kind, rank)
     simple = np.eye(rank, dtype=np.uint8)
@@ -238,7 +227,9 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         lengths = np.zeros((target[-1], rank), dtype=np.int64)
         lengths[target - 1, i] = strings[k, i] + 1
         level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
-    positive, raised_by = np.concatenate(levels).astype(np.int64), np.concatenate(raises)
+    positive = np.concatenate(levels)
+    lex = positive.view(row).ravel().argsort(kind="stable")
+    positive, raised_by = positive[lex], np.concatenate(raises)[lex]
     positive.setflags(write=False)  # shared by every caller of this type
     raised_by.setflags(write=False)
     return RootSystem(kind=kind, rank=rank, cartan=C, positive_array=positive,

@@ -177,17 +177,20 @@ def load_cases() -> dict[str, CaseSpec]:
             elif line.startswith("black "):
                 cur["black"] = _parse_vector(line.split()[1])
             elif line.startswith(("nonreduced ", "twisting ", "rubbish ")):
-                role, name, _eq, rest = line.split(None, 3)
-                if rest.count(";") != 1:
+                role, name, *rest = line.split()
+                if line.count(";") != 1:
                     raise ValueError(f"{role} {name} needs one '; labels' part")
+                if len(rest) != 5 or rest[0] != "=" or rest[2:4] != [";", "labels"]:
+                    raise ValueError(f"expected '{role} NAME = VECTOR ; labels LABELS', "
+                                     f"got {line!r}")
                 if name in cur["black_labels"]:
                     raise ValueError(f"{role} {name}: name defined twice in case {cur['case_id']}")
-                vec_part, labels_part = rest.split(";")
-                cur[role][name] = _parse_vector(vec_part.strip())
-                cur["black_labels"][name] = _parse_vector(labels_part.split()[1])
+                cur[role][name] = _parse_vector(rest[1])
+                cur["black_labels"][name] = _parse_vector(rest[4])
             elif line.startswith("arrow "):
-                _, t, l, h = line.split()
-                cur["arrows"].append((t, l, h))
+                if len(words := line.split()) != 4:
+                    raise ValueError(f"expected 'arrow TAIL TWISTING HEAD', got {line!r}")
+                cur["arrows"].append(tuple(words[1:]))
             else:
                 raise ValueError(f"unrecognised line: {raw!r}")
         except Exception as exc:

@@ -58,15 +58,14 @@ def test_grade_builds_no_root_tuples():
     # `grade` reads the root arrays only: on a freshly built type neither the
     # root tuples nor the root set exist after it, text or --json.
     rootsys.build_root_system.cache_clear()
-    rootsys.lex_rows.cache_clear()
     for argv in (("grade", "D30/1,15"), ("grade", "D30/1,15", "--json")):
         assert run_cli(*argv)[0] == 0
-    rs, (lex, rows) = rootsys.build_root_system("D", 30), rootsys.lex_rows("D", 30)
+    rs = rootsys.build_root_system("D", 30)
     assert not {"positive_roots", "roots", "_root_set"} & set(rs.__dict__)
-    # the only per-type state of a grading: a permutation of the rows, and the rows in it
-    assert lex.ndim == 1 and sorted(lex.tolist()) == list(range(len(rs.positive_array)))
-    assert rows.dtype == np.uint8 and np.array_equal(rows, rs.positive_array[lex])
-    assert not lex.flags.writeable and not rows.flags.writeable
+    # the only per-type state of a grading: the positive roots' uint8 rows
+    rows = rs.positive_array
+    assert rows.dtype == np.uint8 and rows.shape == (30 * 29, 30)
+    assert not rows.flags.writeable
     assert rs.contains((1,) + (0,) * 29)  # the views appear once read
     assert {"positive_roots", "roots", "_root_set"} <= set(rs.__dict__)
 
@@ -136,7 +135,7 @@ def test_cli_verify_case_single_and_all():
     assert code == 0
     assert out.count("arrow set matches") == 15
     code, out = run_cli("verify-case", "--case", "9Z")
-    assert code == 2
+    assert code == 2 and out.startswith("error: unknown case '9Z'; have ['1A', ")
 
 
 def test_cli_check_table():

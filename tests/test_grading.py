@@ -150,14 +150,6 @@ def test_an_out_of_range_vertex_has_one_refusal():
         nonreduced_counts(build_root_system("E", 7), [(1, 3), (1, 8.0), (9,)])
 
 
-def test_gradings_and_root_sums_read_one_lex_rows_entry():
-    rootsys.lex_rows.cache_clear()
-    g = grade("D12", [1, 6])
-    g.bracket_reach(g.positive_weights[0])
-    info = rootsys.lex_rows.cache_info()
-    assert info.currsize == 1 and info.hits >= 1  # root_sum_pairs read the grading's entry
-
-
 NOT_INTEGERS = [True, False, 1.5, "1", 1 + 0j, None, np.bool_(True)]
 
 
@@ -242,6 +234,7 @@ def _assert_matches_oracles(g):
     for w in g.positive_weights:
         idx, tops = _highest_roots_loop(g, w)
         assert g.component_indices(w).tolist() == idx.tolist()
+        assert not g.component_indices(w).flags.writeable
         assert g.highest_root_of(w) == tops
         assert g.is_irreducible_component(w) is (len(tops) == 1)
 

@@ -9,16 +9,18 @@ _SPEC.loader.exec_module(output_digests)
 
 def test_argv_list_is_fixed_and_has_no_repeats():
     runs = output_digests.argvs()
-    assert len(runs) == 1173 and len({tuple(argv) for argv in runs}) == 1173
+    assert len(runs) == 1269 and len({tuple(argv) for argv in runs}) == 1269
     assert runs[0] == ["verify-all", "--json", "--seed", "0"]
     assert runs[211] == ["spinor", "--m", "6", "--json"]
     assert runs[212] == ["grade", "E6/"]
     assert runs[1100] == ["grade", "E8/2,3,4,5,6,7,8", "--json"]
+    # every colouring of F4, G2, B4 and C4 follows E8's
+    assert runs[1101] == ["grade", "F4/"] and runs[1196] == ["grade", "C4/2,3,4", "--json"]
     black = ",".join(str(v) for v in range(1, 61) if v not in (20, 40))
-    assert runs[1103] == ["diagram", f"D60/{black}", "--twisting", "1,0;0,1", "--json"]
+    assert runs[1199] == ["diagram", f"D60/{black}", "--twisting", "1,0;0,1", "--json"]
     # classify for the 32 root-count types, A12 and B12; E8 --json is run earlier
-    assert runs[1104] == ["classify", "A1"] and runs[1105] == ["classify", "A1", "--json"]
-    assert runs[1104:].count(["classify", "E8", "--json"]) == 0
+    assert runs[1200] == ["classify", "A1"] and runs[1201] == ["classify", "A1", "--json"]
+    assert runs[1200:].count(["classify", "E8", "--json"]) == 0
     assert runs[-3] == ["classify", "B12", "--json"]
     # lemma stacks with no generic slice, each map solved alone
     assert runs[-2:] == [["lemma", "--u", "8", "--json"],

@@ -198,9 +198,15 @@ def test_is_root_rejects_non_integral_coordinates():
 
 
 def test_positive_roots_sorted_by_height_then_lex():
+    # The positive roots were once in height-then-lex order. They are now in
+    # lexicographic order, the rows of positive_array; only the highest root,
+    # alone of greatest height, keeps its height-order place, last.
     rs = build_root_system("D", 5)
-    keys = [(sum(r), r) for r in rs.positive_roots]
-    assert keys == sorted(keys)
+    roots = list(rs.positive_roots)
+    assert roots == sorted(roots) and len(set(roots)) == len(roots) == 20
+    assert roots == [tuple(r) for r in rs.positive_array.tolist()]
+    heights = [sum(r) for r in roots]
+    assert heights[-1] == 7 and heights.count(7) == 1 and max(heights) == 7
 
 
 def test_invalid_types_rejected():
@@ -331,8 +337,8 @@ def test_c_n_sums_of_root_length_that_are_not_roots(rank):
 
 
 def test_root_sum_table_d60_budget():
-    # 0.33-0.45 s on a 2-core AMD EPYC host, alone and in the Tier-1 run;
-    # 1.04 s there when the host was busy
+    # 0.35-0.42 s, median 0.36 s of 9 fresh runs, on a 2-core AMD EPYC host:
+    # every block searches all columns, as lexicographic order bounds no height
     build_root_system("D", 60)
     start = time.perf_counter()
     table = rootsys._sum_table_cached.__wrapped__(("D", 60))  # cold build
@@ -355,11 +361,12 @@ def test_root_sum_table_d40_counts_and_budget():
 
 @pytest.mark.parametrize("kind,rank", ORACLE_TYPES + [("A", 99), ("D", 60)])
 def test_lex_order_is_the_lexicographic_order_of_the_rows(kind, rank):
+    # the positive roots are uint8 rows, strictly increasing as byte strings
     pos = build_root_system(kind, rank).positive_array
-    lex, rows = rootsys.lex_rows(kind, rank)
-    assert np.array_equal(lex, np.lexsort(pos.T[::-1]))
-    assert rows.dtype == np.uint8 and np.array_equal(rows, pos[lex])
-    assert not lex.flags.writeable and not rows.flags.writeable
+    assert pos.dtype == np.uint8 and not pos.flags.writeable
+    rows = pos.view(f"S{rank}").ravel()
+    assert (rows[:-1] < rows[1:]).all()
+    assert np.array_equal(np.lexsort(pos.T[::-1]), np.arange(len(pos)))
 
 
 @pytest.mark.parametrize("attr", ["root_sum_is_root", "positive_array"])
@@ -402,7 +409,7 @@ def _root_strings_loop(kind, rank):
                         positive.add(cand)
                         new.append(cand)
         frontier = new
-    return tuple(sorted(positive, key=lambda r: (sum(r), r)))
+    return tuple(sorted(positive))
 
 
 GENERATION_ORACLE_TYPES = (
@@ -432,6 +439,16 @@ def test_raised_by_equals_set_test(kind, rank):
             for r in rs.positive_roots]
     assert rs.raised_by.dtype == bool and rs.raised_by.tolist() == want
     assert not rs.raised_by.flags.writeable
+
+
+@pytest.mark.parametrize("kind,rank", GENERATION_ORACLE_TYPES)
+def test_last_positive_row_is_the_highest_root(kind, rank):
+    # It dominates every positive root coefficient by coefficient, and it is
+    # the only positive root that no simple root raises.
+    rs = build_root_system(kind, rank)
+    pos = rs.positive_array
+    assert (pos <= pos[-1]).all()
+    assert np.flatnonzero(~rs.raised_by.any(axis=1)).tolist() == [len(pos) - 1]
 
 
 def test_build_root_system_d60_budget():

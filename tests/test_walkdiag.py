@@ -251,10 +251,19 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
      ":6: case X: black vertices [8] out of range 1..7 for E7"),
     ("case X\n  group G2\n  parabolic 1\n  covers 1\n  black 2,1\nend\n",
      ":6: case X: no white vertex"),
+    ("case X\n  arrow A 1\nend\n",
+     ":2: expected 'arrow TAIL TWISTING HEAD', got 'arrow A 1'"),
+    ("case X\n  twisting 1 = 1 ; 1\nend\n",
+     ":2: expected 'twisting NAME = VECTOR ; labels LABELS', got 'twisting 1 = 1 ; 1'"),
+    ("case X\n  twisting 1 = 1 ; bogus 1\nend\n",
+     ":2: expected 'twisting NAME = VECTOR ; labels LABELS', got 'twisting 1 = 1 ; bogus 1'"),
+    ("case X\n  twisting 1 : 1 ; labels 1\nend\n",
+     ":2: expected 'twisting NAME = VECTOR ; labels LABELS', got 'twisting 1 : 1 ; labels 1'"),
 ], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
         "two-labels", "bad-int", "unrecognised", "unterminated", "empty",
         "case-twice", "name-twice", "name-twice-across-roles", "invalid-group",
-        "unknown-type", "vertex-out-of-range", "all-black"])
+        "unknown-type", "vertex-out-of-range", "all-black", "arrow-short",
+        "labels-word-missing", "labels-word-wrong", "no-equals-sign"])
 def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
     (tmp_path / "cases.txt").write_text(text)
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))

@@ -44,10 +44,11 @@ def argvs() -> list[list[str]]:
     runs += [["mp-triple", "--json"], ["lemma", "--form", "sym", "--json"],
              ["lemma", "--form", "skew", "--json"],
              ["spinor", "--m", "4", "--json"], ["spinor", "--m", "6", "--json"]]
-    for rank in (6, 7, 8):  # every colouring of E6-E8, text and --json
+    # every colouring of E6-E8 and of the multiply laced F4, G2, B4 and C4, text and --json
+    for kind, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("B", 4), ("C", 4)):
         for k in range(rank):
             for black in itertools.combinations(range(1, rank + 1), k):
-                colouring = f"E{rank}/{','.join(map(str, black))}"
+                colouring = f"{kind}{rank}/{','.join(map(str, black))}"
                 runs += [argv for argv in (["grade", colouring], ["grade", colouring, "--json"])
                          if argv not in runs]
     for kind, rank, white in (("B", 60, (20, 40)), ("C", 40, (1, 5)), ("D", 60, (20, 40))):
