@@ -32,6 +32,7 @@ from .cxlinalg import (
     span_with_invariants,
     symmetric_space,
 )
+from .frozen import read_only
 from .spinor import spin_module
 
 
@@ -201,13 +202,7 @@ def _compose_5a(E_terms, A) -> np.ndarray:
 
 
 # ------------------------------------------------- canonical witnesses
-
-
-def _read_only(*arrays) -> tuple:
-    """The arrays, made read-only: canonical witnesses are built once and shared."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+# Each is built once and shared, so its arrays are read-only.
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +224,7 @@ def _canonical_7b_data():
     X1 = np.stack([vv(), vv(1), vv(0, 4)])
     X2 = np.stack([vv(0, 1, 2, 4), vv(6), vv(4)])
     X3 = np.stack([vv(3), vv(4), vv(0, 6)])
-    return _read_only(A1, X1), _read_only(A2, X2), _read_only(A3, X3)
+    return read_only(A1, X1), read_only(A2, X2), read_only(A3, X3)
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +236,7 @@ def _canonical_6a():
     C = np.zeros((4, 2), dtype=complex)
     C[3, 0] = 1  # e4
     C[1, 1] = 1  # e2
-    return _read_only(A, C)
+    return read_only(A, C)
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +245,7 @@ def _canonical_6d():
     C = np.zeros((4, 4), dtype=complex)
     C[2, 1] = 1  # e3 (x) f2
     C[3, 3] = 1  # e4 (x) f4
-    return _read_only(A, C)
+    return read_only(A, C)
 
 
 def _printed(canonical, key: str):

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .frozen import Frozen
+from .frozen import Frozen, read_only
 
 DEFAULT_TOL = 1e-10
 #: The absolute cuts of the draws: |q(u)| of an isotropic unit vector, the least
@@ -41,8 +41,7 @@ class BilinearSpace(Frozen):
 
     def __init__(self, kind: str, dim: int, gram: np.ndarray):
         if gram.flags.writeable:  # the caller's array: freeze a copy
-            gram = gram.copy()
-            gram.setflags(write=False)
+            gram = read_only(gram.copy())[0]
         vars(self).update(kind=kind, dim=dim, gram=gram)
 
     @cached_property

@@ -1,7 +1,8 @@
-"""The base of the package's immutable classes that are not NamedTuples:
-those that cache values on the instance with cached_property or check their
-arguments when built.  Defining a class on it generates and compiles no
-methods, a cost every fresh interpreter would otherwise pay on import."""
+"""The package's immutability code.  Frozen is the base of its immutable
+classes that are not NamedTuples: those that cache values on the instance or
+check their arguments when built.  Defining a class on it generates and
+compiles no methods, a cost every fresh interpreter would otherwise pay on
+import.  read_only freezes the arrays that are built once and shared."""
 
 
 class Frozen:
@@ -20,3 +21,10 @@ class Frozen:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr)
         return f"{type(self).__name__}({shown})"
+
+
+def read_only(*arrays) -> tuple:
+    """The arrays, made read-only in place: for arrays built once and shared."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frozen import Frozen
+from .frozen import Frozen, read_only
 from .rootsys import Root, RootSystem, as_integers, build_root_system, parse_type, root_sum_pairs
 
 Weight = tuple[int, ...]
@@ -235,7 +235,7 @@ def compute_grading(diag: ColouredDiagram) -> Grading:
     key = cols.view(f"S{cols.shape[1]}").ravel()
     # A stable sort keeps each component in the lexicographic root order.
     order = key.argsort(kind="stable")
-    order.setflags(write=False)  # component_indices hands out its slices
+    read_only(order)  # component_indices hands out its slices
     key = key[order]
     new = key != np.concatenate(([b""], key[:-1]))  # a positive weight's first root
     starts = new.nonzero()[0]  # never empty: each white simple root is one

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .frozen import Frozen
+from .frozen import Frozen, read_only
 
 Root = tuple[int, ...]
 
@@ -183,7 +183,7 @@ def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
     i, j = root_sum_pairs(rs, np.arange(n), upper=True)
     table = np.zeros((n, n), dtype=bool)
     table[i, j] = table[j, i] = True
-    table.setflags(write=False)  # shared by every grading of this type
+    read_only(table)  # shared by every grading of this type
     return table
 
 
@@ -229,9 +229,8 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
     positive = np.concatenate(levels)
     lex = positive.view(row).ravel().argsort(kind="stable")
-    positive, raised_by = positive[lex], np.concatenate(raises)[lex]
-    positive.setflags(write=False)  # shared by every caller of this type
-    raised_by.setflags(write=False)
+    # shared by every caller of this type
+    positive, raised_by = read_only(positive[lex], np.concatenate(raises)[lex])
     return RootSystem(kind=kind, rank=rank, cartan=C, positive_array=positive,
                       raised_by=raised_by)
 

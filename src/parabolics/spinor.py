@@ -11,8 +11,12 @@ the top-degree coefficient of (-1)^[deg u / 2] u ^ v; it is symmetric on
 the halves when m = 4k and symplectic when m = 4k + 2, and the halves are
 orthogonal to each other.
 
-The half-space forms and the blocks of rho(v) between the halves are built
-on the 2^(m-1) coordinates of a half; the full Gram only when it is read.
+A module holds its own tables.  Its halves, the scatter table of rho and
+the sign of each basis element against its complement under the form are
+built with it, by bit arithmetic on the subsets' bitmasks.  The blocks of rho(v)
+between the halves and the half-space forms are built on first use, per
+side, on the 2^(m-1) coordinates of a half; the full Gram only when it is
+read.
 """
 
 from __future__ import annotations
@@ -23,43 +27,96 @@ from itertools import combinations
 import numpy as np
 
 from .cxlinalg import BilinearSpace, crandom, frobenius
-from .frozen import Frozen
+from .frozen import Frozen, read_only
 
 
 class SpinModule(Frozen):
-    """Basis bookkeeping for Lambda* U, U = C^m, and the Clifford action
-    (one per m; modules compare and hash by identity)."""
+    """Lambda* U, U = C^m, with the Clifford action and the form.
+
+    Built with the module, all read-only: the basis subsets (by size, then
+    lexicographic), the basis indices of S+ and S-, each index's place in
+    its half (_place), where rho(v) is nonzero (_rho) and each index's sign
+    under the form against its complement (_form_sign).  rho_half's tables, the
+    full Gram and the half spaces are built on first use and kept in
+    _built.  spin_module holds one module per m; modules compare and hash by
+    identity."""
 
     _repr = ("m", "basis")
 
-    def __init__(self, m: int, basis: tuple[tuple[int, ...], ...]):
-        vars(self).update(m=m, basis=basis)
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValueError(f"spinor modules need m >= 1, got m = {m}")
+        n, i = 1 << m, np.arange(m)
+        # The bitmasks sum(1 << x for x in s) in basis order (by size k, then
+        # by descending bit-reversed mask, which is lexicographic), their
+        # inverse pos[mask] = index and bits[index, x] = [x in s].
+        every = (np.arange(n)[:, None] >> i) & 1
+        desc, size = every[::-1, ::-1] @ (1 << i), every[::-1].sum(axis=1)
+        by_size = size.argsort(kind="stable")
+        masks, k = desc[by_size], size[by_size]
+        pos = np.empty(n, dtype=np.int64)
+        pos[masks] = np.arange(n)
+        bits = every[masks]
+        even, odd = np.flatnonzero(k % 2 == 0), np.flatnonzero(k % 2 == 1)
+        place = np.empty(n, dtype=np.int64)
+        place[even], place[odd] = np.arange(len(even)), np.arange(len(odd))
+        read_only(even, odd, place)
+        # rho(v) at flat (row, col) positions, with the coordinate of v and the
+        # sign for each, in (column, i) order.  Column s gets e_i ^ s for i not
+        # in s and the contraction of s by e*_i for i in s, both at row s ^ {i}
+        # with sign (-1)^(number of elements of s below i), so for a fixed
+        # column no position is written twice.
+        flat = pos[masks[:, None] ^ (1 << i)] * n + np.arange(n)[:, None]
+        sign = 1.0 - 2.0 * ((np.cumsum(bits, axis=1) - bits) & 1)
+        # The form on basis elements (s, t) is nonzero only for t the
+        # complement of s, which is the basis element n - 1 - index: taking
+        # complements reverses the lexicographic order of the subsets of each
+        # size and the order of the sizes.  For |s| = k the merge of s with
+        # its complement has sum(s) - k(k-1)/2 inversions, and the form adds
+        # the sign (-1)^[k/2].
+        flips = bits @ i - k * (k - 1) // 2 + k // 2
+        vars(self).update(
+            m=m, basis=tuple(s for r in range(m + 1) for s in combinations(range(m), r)),
+            even_indices=even, odd_indices=odd, _place=place,
+            _rho=read_only(flat.ravel(), (i + m * bits).ravel(), sign.ravel()),
+            _form_sign=read_only(1 - 2 * (flips & 1))[0], _built={})
 
     @property
     def dim(self) -> int:
         return 1 << self.m
-
-    @property
-    def even_indices(self) -> np.ndarray:
-        """Basis indices of S+, ascending (cached per m, read-only)."""
-        return _half_indices(self.m)[0]
-
-    @property
-    def odd_indices(self) -> np.ndarray:
-        """Basis indices of S-, ascending (cached per m, read-only)."""
-        return _half_indices(self.m)[1]
 
     def _side_indices(self, side: str) -> np.ndarray:
         if side not in ("+", "-"):
             raise ValueError(f"spinor side must be '+' or '-', got {side!r}")
         return self.even_indices if side == "+" else self.odd_indices
 
+    def _once(self, key: str, build):
+        """_built[key], made by build() on first use."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
     # ---------------------------------------------------------- rho action
 
     def rho(self, v: np.ndarray) -> np.ndarray:
         """Matrix of rho(v) on Lambda* U for v in V = U + U' (length 2m); a
         (..., 2m) stack of vectors gives the (..., 2^m, 2^m) stack of matrices."""
-        return self._scatter(v, _rho_scatter(self.m), self.dim)
+        return self._scatter(v, self._rho, self.dim)
+
+    def rho_half(self, v: np.ndarray, side: str) -> np.ndarray:
+        """rho(v) as a map S(side) -> S(-side), in half coordinates."""
+        src = self._side_indices(side)
+        return self._scatter(v, self._once("rho" + side, lambda: self._rho_half_table(src)),
+                             self.dim // 2)
+
+    def _rho_half_table(self, src: np.ndarray) -> tuple:
+        """The entries of _rho in the columns src of a half, in its (column, i)
+        order, with flat positions (row = flat >> m) moved to the block from
+        that half to the other."""
+        m = self.m
+        flat, gen, sign = (a.reshape(1 << m, m)[src].ravel() for a in self._rho)
+        return read_only(self._place[flat >> m] * len(src) + np.repeat(np.arange(len(src)), m),
+                         gen, sign)
 
     def _scatter(self, v, table, n: int) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
@@ -87,32 +144,34 @@ class SpinModule(Frozen):
 
     @property
     def form_gram(self) -> np.ndarray:
-        """Gram matrix of the form on the basis (cached per m, read-only)."""
-        return _form_gram(self.m)
+        """Gram matrix of the form on the basis (built on first read, read-only)."""
+        return self._once("gram", lambda: self._gram(self._form_sign))
 
     def half_space(self, side: str) -> BilinearSpace:
-        """The form restricted to S+ (side='+') or S- (side='-'), cached per
-        (m, side) with a read-only Gram."""
+        """The form restricted to S+ (side='+') or S- (side='-'), built on
+        first use with a read-only Gram."""
         if self.m % 2:
             raise ValueError("the spinor form needs even m")
-        return _half_space(self.m, side)
+        idx = self._side_indices(side)
+        return self._once("space" + side, lambda: BilinearSpace(
+            f"spinor-form({self.m}){side}", len(idx), self._gram(self._form_sign[idx])))
+
+    @staticmethod
+    def _gram(sign: np.ndarray) -> np.ndarray:
+        """The Gram on all basis elements, or on a half for even m (where s
+        and its complement share parity): either way an ascending run of
+        indices whose complements are the same run descending, so the Gram
+        is antidiagonal with these signs."""
+        G = np.zeros((len(sign), len(sign)), dtype=complex)
+        G[np.arange(len(sign)), np.arange(len(sign))[::-1]] = sign
+        return read_only(G)[0]
 
     def half_basis_subsets(self, side: str) -> tuple[tuple[int, ...], ...]:
         return tuple(self.basis[k] for k in self._side_indices(side))
 
-    def rho_half(self, v: np.ndarray, side: str) -> np.ndarray:
-        """rho(v) as a map S(side) -> S(-side), in half coordinates."""
-        return self._scatter(v, _rho_half_scatter(self.m, side), self.dim // 2)
 
-
-@lru_cache(maxsize=None)
-def spin_module(m: int) -> SpinModule:
-    if m < 1:
-        raise ValueError(f"spinor modules need m >= 1, got m = {m}")
-    basis = tuple(
-        s for r in range(m + 1) for s in combinations(range(m), r)
-    )
-    return SpinModule(m=m, basis=basis)
+#: The module of each m, built once per process.
+spin_module = lru_cache(maxsize=None)(SpinModule)
 
 
 #: Bytes of the rho(v) stack that rho_square_defect squares at once: stacks
@@ -132,88 +191,3 @@ def rho_square_defect(rng: np.random.Generator, sm: SpinModule, trials: int) -> 
         R = sm.rho(V[a:a + step])
         defects.extend(frobenius(R @ R - q[a:a + step] * I).tolist())
     return float(np.max(defects))  # a NaN defect is the worst
-
-
-@lru_cache(maxsize=None)
-def _subset_bits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only bitmasks sum(1 << x for x in s) of the basis subsets, in
-    basis order (by size, then by descending bit-reversed mask, which is
-    lexicographic), their inverse pos[mask] = index and bits[k, x] = [x in s_k]."""
-    every = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    desc, size = every[::-1, ::-1] @ (1 << np.arange(m)), every[::-1].sum(axis=1)
-    masks = np.concatenate([desc[size == k] for k in range(m + 1)])
-    pos = np.empty(1 << m, dtype=np.int64)
-    pos[masks] = np.arange(1 << m)
-    bits = every[masks]
-    for a in (masks, pos, bits):
-        a.setflags(write=False)
-    return masks, pos, bits
-
-
-@lru_cache(maxsize=None)
-def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis indices of the even and of the odd subsets, and each index's place in its half."""
-    parity = _subset_bits(m)[2].sum(axis=1) % 2
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    where = np.empty(1 << m, dtype=np.int64)
-    where[even], where[odd] = np.arange(len(even)), np.arange(len(odd))
-    for a in (even, odd, where):
-        a.setflags(write=False)
-    return even, odd, where
-
-
-@lru_cache(maxsize=None)
-def _half_space(m: int, side: str) -> BilinearSpace:
-    """The Gram on S(side), scattered directly (for even m s and its complement share parity)."""
-    idx, where = spin_module(m)._side_indices(side), _half_indices(m)[2]
-    partner, sign = _form_partner(m)
-    G = np.zeros((len(idx), len(idx)), dtype=complex)
-    G[np.arange(len(idx)), where[partner[idx]]] = sign[idx]
-    G.setflags(write=False)  # shared by every caller of this (m, side)
-    return BilinearSpace(f"spinor-form({m}){side}", len(idx), G)
-
-
-@lru_cache(maxsize=None)
-def _rho_scatter(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where rho(v) is nonzero: flat (row, col) positions, the coordinate of
-    v and the sign for each, in (column, i) order.  Column s gets e_i ^ s for
-    i not in s and the contraction of s by e*_i for i in s, both at row
-    s ^ {i} with sign (-1)^(number of elements of s below i), so for a fixed
-    column no position is written twice."""
-    masks, pos, bits = _subset_bits(m)
-    i = np.arange(m)
-    flat = pos[masks[:, None] ^ (1 << i)] * (1 << m) + np.arange(1 << m)[:, None]
-    sign = 1.0 - 2.0 * ((np.cumsum(bits, axis=1) - bits) & 1)
-    return flat.ravel(), (i + m * bits).ravel(), sign.ravel()
-
-
-@lru_cache(maxsize=None)
-def _rho_half_scatter(m: int, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of _rho_scatter(m) in the columns of S(side), in its (column, i)
-    order, with flat positions (row = flat >> m) moved to the block S(side) -> S(-side)."""
-    src, where = spin_module(m)._side_indices(side), _half_indices(m)[2]
-    flat, gen, sign = (a.reshape(1 << m, m)[src].ravel() for a in _rho_scatter(m))
-    return where[flat >> m] * len(src) + np.repeat(np.arange(len(src)), m), gen, sign
-
-
-@lru_cache(maxsize=None)
-def _form_partner(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The form on basis elements (s, t) is nonzero only for t the complement
-    of s: for each basis index, the index of its complement and the sign.  For
-    |s| = k the merge of s with its complement has sum(s) - k(k-1)/2
-    inversions, and the form adds the sign (-1)^[k/2]."""
-    masks, pos, bits = _subset_bits(m)
-    k = bits.sum(axis=1)
-    flips = bits @ np.arange(m) - k * (k - 1) // 2 + k // 2
-    return pos[masks ^ ((1 << m) - 1)], 1 - 2 * (flips & 1)
-
-
-@lru_cache(maxsize=None)
-def _form_gram(m: int) -> np.ndarray:
-    """The full Gram, built only when form_gram is read."""
-    partner, sign = _form_partner(m)
-    G = np.zeros((1 << m, 1 << m), dtype=complex)
-    G[np.arange(1 << m), partner] = sign
-    G.setflags(write=False)  # shared by every caller
-    return G
-

@@ -52,11 +52,14 @@ def rubbish_weights(g: Grading, twisting: list[Weight]) -> set[Weight]:
     non-negative coordinates, so a breadth-first closure inside the box up
     to the highest root's weight enumerates the reachable set exactly; each
     round adds every twisting weight to the whole frontier in one array sum.
+    Each twisting weight must be a positive weight, given once.
     """
     twisting = [tuple(t) for t in twisting]
-    for t in twisting:
+    for k, t in enumerate(twisting):
         if not g.is_positive_weight(t):
             raise ValueError(f"twisting weight {t} is not a positive weight of {g.diagram}")
+        if t in twisting[:k]:
+            raise ValueError(f"twisting weight {t} is given twice")
     if not twisting or not (nonreduced := g.positive_nonreduced_weights()):
         return set()
     top = g.rs.positive_array[-1, [v - 1 for v in g.diagram.white]]

@@ -2,7 +2,8 @@
 their Grams, random elements of the structure group of a bilinear space,
 the one-matrix Moore-Penrose inverse that stacked inverses must match, the
 flag form of an orthogonal/symplectic grading with its g_lambda and
-g_-lambda embeddings, and spinors named by basis subsets."""
+g_-lambda embeddings, spinors named by basis subsets and a spin module with
+one generator planted wrong."""
 
 import numpy as np
 
@@ -115,3 +116,12 @@ def spinor_vector(sm, *subsets) -> np.ndarray:
     for s in subsets:
         v[sm.basis.index(s)] += 1
     return v
+
+
+def flip_generator(sm, a: int):
+    """sm, a module no other caller holds, with every sign of rho(e_a)
+    flipped in its scatter table: a planted fault that rho and rho_half
+    both read."""
+    flat, gen, sign = sm._rho
+    vars(sm)["_rho"] = (flat, gen, np.where(gen == a, -sign, sign))
+    return sm

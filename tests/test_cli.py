@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from linalg_helpers import flip_generator
 from parabolics import ampleness, cxlinalg, grading, mpchar, rootsys
 from parabolics.cli import main, parse_diagram
 
@@ -118,6 +119,15 @@ def test_cli_diagram_text():
         "  rubbish:     [(2, 1)]\n"
         "  (0, 1) --(1, 0)--> (1, 1)\n"
         "  (1, 1) --(1, 0)--> (2, 1)\n"))
+
+
+@pytest.mark.parametrize("twisting, message", [
+    ("9,9", "twisting weight (9, 9) is not a positive weight of E7/1,3,4,6,7"),
+    ("1,0;1,0", "twisting weight (1, 0) is given twice"),
+    ("1,0;0,1;1,0", "twisting weight (1, 0) is given twice"),
+], ids=["not-positive", "twice", "twice-apart"])
+def test_cli_diagram_refuses_bad_twisting_weights(twisting, message):
+    assert run_cli("diagram", "E7/1,3,4,6,7", "--twisting", twisting) == (2, f"error: {message}\n")
 
 
 def test_cli_diagram():
@@ -425,27 +435,16 @@ def test_cli_spinor_rejects_m_below_one(m):
 def test_flipped_rho_generator_fails_the_spinor_checks(monkeypatch):
     # Mutation control: a rho whose generator e_1 has every sign flipped
     # still squares to zero on its own, but breaks rho(v)^2 = (v, v) Id.
-    from parabolics import spinor
+    from parabolics import cli, spinor
 
-    kernel = spinor._rho_scatter
-
-    def flipped(m):
-        flat, gen, sign = kernel(m)
-        return flat, gen, np.where(gen == 0, -sign, sign)
-
-    kernel.cache_clear()
-    spinor._rho_half_scatter.cache_clear()  # rho_half's tables are taken from the kernel
-    monkeypatch.setattr(spinor, "_rho_scatter", flipped)
-    try:
-        code, out = run_cli("verify-all", "--trials", "10", "--json")
-        lines = {l["anchor"]: l["ok"] for l in json.loads(out)["lines"]}
-        assert code == 1 and lines["spinor rho(v)^2 = (v,v) Id (10 trials)"] is False
-        code, out = run_cli("spinor", "--m", "4")
-        assert code == 1 and "[FAIL] spinor m=4: rho(v)^2 = (v,v) Id" in out
-    finally:
-        monkeypatch.undo()
-        kernel.cache_clear()
-        spinor._rho_half_scatter.cache_clear()
+    flipped = flip_generator(spinor.SpinModule(4), 0)
+    monkeypatch.setattr(cli, "spin_module", lambda m: flipped if m == 4 else spinor.spin_module(m))
+    code, out = run_cli("verify-all", "--trials", "10", "--json")
+    lines = {l["anchor"]: l["ok"] for l in json.loads(out)["lines"]}
+    assert code == 1 and lines["spinor rho(v)^2 = (v,v) Id (10 trials)"] is False
+    code, out = run_cli("spinor", "--m", "4")
+    assert code == 1 and "[FAIL] spinor m=4: rho(v)^2 = (v,v) Id" in out
+    monkeypatch.undo()
     assert run_cli("spinor", "--m", "4")[0] == 0
 
 

@@ -9,7 +9,7 @@ _SPEC.loader.exec_module(output_digests)
 
 def test_argv_list_is_fixed_and_has_no_repeats():
     runs = output_digests.argvs()
-    assert len(runs) == 1269 and len({tuple(argv) for argv in runs}) == 1269
+    assert len(runs) == 1276 and len({tuple(argv) for argv in runs}) == 1276
     assert runs[0] == ["verify-all", "--json", "--seed", "0"]
     assert runs[211] == ["spinor", "--m", "6", "--json"]
     assert runs[212] == ["grade", "E6/"]
@@ -21,10 +21,12 @@ def test_argv_list_is_fixed_and_has_no_repeats():
     # classify for the 32 root-count types, A12 and B12; E8 --json is run earlier
     assert runs[1200] == ["classify", "A1"] and runs[1201] == ["classify", "A1", "--json"]
     assert runs[1200:].count(["classify", "E8", "--json"]) == 0
-    assert runs[-3] == ["classify", "B12", "--json"]
+    assert runs[-10] == ["classify", "B12", "--json"]
     # lemma stacks with no generic slice, each map solved alone
-    assert runs[-2:] == [["lemma", "--u", "8", "--json"],
-                         ["lemma", "--u", "3", "--form", "skew", "--json"]]
+    assert runs[-9:-7] == [["lemma", "--u", "8", "--json"],
+                           ["lemma", "--u", "3", "--form", "skew", "--json"]]
+    # with m = 4 and 6 above, every m that `spinor` accepts
+    assert runs[-7:] == [["spinor", "--m", m, "--json"] for m in "1235789"]
 
 
 def test_digest_lines_are_repeatable_and_name_the_run():

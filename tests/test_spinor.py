@@ -4,10 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from linalg_helpers import spinor_vector
+from linalg_helpers import flip_generator, spinor_vector
 from parabolics import spinor
 from parabolics.cxlinalg import crandom, restriction_invariants
-from parabolics.spinor import spin_module
+from parabolics.spinor import SpinModule, spin_module
 
 
 def _form(sm, s, t):
@@ -162,7 +162,7 @@ def test_rho_half_consistency(sm4):
 # ------------------------------------------ exactness oracles and caching
 
 
-def _form_gram_loop(sm):
+def _gram_loop(sm):
     """Reference: the form on every pair of basis elements, the top
     coefficient of (-1)^[|s|/2] e_s ^ e_t, signed by the inversions of s, t."""
     G = np.zeros((sm.dim, sm.dim), dtype=complex)
@@ -192,7 +192,7 @@ def _rho_loop(sm, v):
     return M
 
 
-def _rho_scatter_loop(m):
+def _rho_table_loop(m):
     """Reference: the rho scatter tables entry by entry, column by column."""
     sm = spin_module(m)
     index = {s: k for k, s in enumerate(sm.basis)}
@@ -209,7 +209,7 @@ def _rho_scatter_loop(m):
     return np.array(flat), np.array(gen), np.array(sign, dtype=float)
 
 
-def _form_gram_complement_loop(m):
+def _gram_complement_loop(m):
     """Reference: the signed permutation Gram, one complement per row."""
     sm = spin_module(m)
     index = {s: k for k, s in enumerate(sm.basis)}
@@ -228,28 +228,28 @@ def _same_bytes(got, want):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_bitmask_tables_equal_loop_oracles(m):
-    for got, want in zip(spinor._rho_scatter(m), _rho_scatter_loop(m)):
+    sm = spin_module(m)
+    for got, want in zip(sm._rho, _rho_table_loop(m)):
         assert _same_bytes(got, want)
-    assert _same_bytes(spinor._form_gram(m), _form_gram_complement_loop(m))
-    parity = np.array([len(s) % 2 for s in spin_module(m).basis])
-    for got, want in zip(spinor._half_indices(m), (parity == 0, parity == 1)):
+    assert _same_bytes(sm.form_gram, _gram_complement_loop(m))
+    parity = np.array([len(s) % 2 for s in sm.basis])
+    for got, want in zip((sm.even_indices, sm.odd_indices), (parity == 0, parity == 1)):
         assert _same_bytes(got, np.flatnonzero(want))
 
 
 def test_rho_scatter_cold_budget():
-    spin_module(11)
-    spinor._subset_bits.cache_clear()
     start = time.perf_counter()
-    flat, gen, sign = spinor._rho_scatter.__wrapped__(11)  # cold build
+    sm = SpinModule(11)  # a fresh module builds every table it holds
     elapsed = time.perf_counter() - start
-    assert elapsed < 0.1, f"rho scatter at m=11 took {elapsed * 1e3:.1f} ms"
+    assert elapsed < 0.1, f"SpinModule(11) took {elapsed * 1e3:.1f} ms"
+    flat, gen, sign = sm._rho
     assert len(flat) == len(gen) == len(sign) == 11 * 2 ** 11
 
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_form_gram_equals_loop_oracle(m):
     sm = spin_module(m)
-    assert np.array_equal(sm.form_gram, _form_gram_loop(sm))
+    assert np.array_equal(sm.form_gram, _gram_loop(sm))
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -271,13 +271,12 @@ def test_rho_equals_loop_oracle(m):
 
 
 def test_form_gram_cached_read_only_and_fast():
-    sm = spin_module(10)
+    sm = SpinModule(10)
     start = time.perf_counter()
-    spinor._form_gram.__wrapped__(10)  # cold build
+    G = sm.form_gram  # the first read builds it
     elapsed = time.perf_counter() - start
     assert elapsed < 0.05, f"form_gram at m=10 took {elapsed * 1e3:.1f} ms"
-    G = sm.form_gram
-    assert G is sm.form_gram  # built once per process
+    assert G is sm.form_gram  # built once per module
     assert not G.flags.writeable
     with pytest.raises(ValueError):
         G[0, 0] = 1
@@ -355,11 +354,10 @@ def test_rho_square_defect_equals_dense_loop(m, stack_bytes, monkeypatch):
 
 
 def test_rho_square_defect_reports_nan():
-    sm = spin_module(2)
-    flat, gen, sign = spinor._rho_scatter(2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spinor, "_rho_scatter", lambda m: (flat, gen, sign * np.nan))
-        assert np.isnan(spinor.rho_square_defect(np.random.default_rng(0), sm, 3))
+    sm = SpinModule(2)
+    flat, gen, sign = sm._rho
+    vars(sm)["_rho"] = (flat, gen, sign * np.nan)
+    assert np.isnan(spinor.rho_square_defect(np.random.default_rng(0), sm, 3))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -377,33 +375,101 @@ def test_form_is_exactly_invariant_under_every_generator(m):
         assert not np.array_equal(R.T @ flipped, flipped @ R)
 
 
+def _generators(sm):
+    """Each rho(e_a), read from the module's scatter table as a signed partial
+    permutation: column c goes to row to[a, c] with sign sgn[a, c].  A zero
+    column goes to the extra column n, whose sign is 0."""
+    flat, gen, sign = sm._rho
+    n = sm.dim
+    row, col = np.divmod(flat, n)
+    assert len(np.unique(gen * n + col)) == len(flat)  # one entry per column at most
+    assert np.isin(sign, (-1.0, 1.0)).all()
+    to = np.full((2 * sm.m, n + 1), n)
+    sgn = np.zeros((2 * sm.m, n + 1), dtype=np.int64)
+    to[gen, col], sgn[gen, col] = row, sign.astype(np.int64)
+    return to, sgn
+
+
+def _clifford_violations(sm, to, sgn):
+    """The pairs (a, b), a <= b, where the integer matrix
+    rho(e_a) rho(e_b) + rho(e_b) rho(e_a) - 2 (e_a, e_b) Id has a nonzero
+    entry: every entry is keyed (pair, row, column) and the keys summed."""
+    n, E = sm.dim, np.eye(2 * sm.m)
+    a, b = np.triu_indices(2 * sm.m)
+    pair, col = np.arange(len(a))[:, None], np.arange(n)
+    keys, vals = [], []
+    for x, y in ((a, b), (b, a)):  # rho(e_x) rho(e_y), column by column
+        mid = to[y][:, :n]
+        row = np.take_along_axis(to[x], mid, axis=1)
+        val = sgn[y][:, :n] * np.take_along_axis(sgn[x], mid, axis=1)
+        keys.append(((pair * n + row) * n + col)[val != 0])
+        vals.append(val[val != 0])
+    twice = np.array([2 * sm.pairing(E[x], E[y]) for x, y in zip(a, b)])
+    assert np.array_equal(twice, np.round(twice.real))
+    p = np.flatnonzero(twice)
+    keys.append(((p[:, None] * n + col) * n + col).ravel())
+    vals.append(np.repeat(-twice[p].real.astype(np.int64), n))
+    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(total, inverse, np.concatenate(vals))
+    bad = np.unique(uniq[total != 0] // (n * n))
+    return [(int(a[k]), int(b[k])) for k in bad]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_clifford_relation_is_exact_on_the_generators(m):
+    # {rho(e_a), rho(e_b)} = 2 (e_a, e_b) Id over all pairs of generators, in
+    # integers; by bilinearity rho(v)^2 = (v, v) Id for every v in V
+    sm = spin_module(m)
+    to, sgn = _generators(sm)
+    assert _clifford_violations(sm, to, sgn) == []
+    # control: flipping every sign of rho(e_1) breaks only {rho(e_1), rho(e*_1)} = Id
+    sgn[0] *= -1
+    assert _clifford_violations(sm, to, sgn) == [(0, m)]
+
+
 # ------------------------------------ half-space builds against full ones
 
 
-def _masks_loop(m):
-    """Reference: the bitmask of each basis subset, one subset at a time."""
-    return np.array([sum(1 << x for x in s) for s in spin_module(m).basis], dtype=np.int64)
+def _subset_tables_loop(basis):
+    """Reference: each basis subset's place in its half, the index of its
+    complement and the sign of the form there, one subset at a time."""
+    index = {s: k for k, s in enumerate(basis)}
+    m, seen = len(basis[-1]), [0, 0]
+    place, partner, sign = [], [], []
+    for s in basis:
+        k = len(s)
+        place.append(seen[k % 2])
+        seen[k % 2] += 1
+        partner.append(index[tuple(x for x in range(m) if x not in s)])
+        sign.append(-1 if (sum(s) - k * (k - 1) // 2 + k // 2) % 2 else 1)
+    return np.array(place), np.array(partner), np.array(sign)
 
 
 @pytest.mark.parametrize("m", range(1, 15))
 def test_subset_masks_equal_per_subset_loop(m):
-    masks, pos, bits = spinor._subset_bits(m)
-    assert _same_bytes(masks, _masks_loop(m))
-    assert not (masks.flags.writeable or pos.flags.writeable or bits.flags.writeable)
+    # the tables built from the subsets' bitmasks, against the basis of tuples
+    sm = SpinModule(m)
+    place, partner, sign = _subset_tables_loop(sm.basis)
+    assert _same_bytes(sm._place, place) and _same_bytes(sm._form_sign, sign)
+    assert partner.tolist() == list(range(sm.dim - 1, -1, -1))  # what _gram relies on
+    tables = (sm.even_indices, sm.odd_indices, sm._place, sm._form_sign, *sm._rho)
+    assert not any(a.flags.writeable for a in tables)
 
 
 @pytest.mark.parametrize("m", range(2, 13, 2))
 def test_half_gram_equals_block_of_full_gram(m):
-    # m = 12 has a 256 MB full Gram: build it uncached, compare 256 rows at a time
-    sm, full = spin_module(m), spinor._form_gram.__wrapped__(m)
+    # m = 12 has a 256 MB full Gram: build it on an uncached module, compare 256 rows at a time
+    sm = SpinModule(m)
+    full = sm.form_gram
     for side in "+-":
         idx = sm._side_indices(side)
-        got = spinor._half_space.__wrapped__(m, side).gram
+        got = sm.half_space(side).gram
         assert (got.dtype, got.shape, got.flags.writeable) == (full.dtype, (len(idx),) * 2, False)
         for a in range(0, len(idx), 256):
             assert got[a:a + 256].tobytes() == full[idx[a:a + 256, None], idx].tobytes()
         if m <= 10:
-            assert sm.half_space(side).gram.tobytes() == got.tobytes()
+            assert spin_module(m).half_space(side).gram.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -422,28 +488,29 @@ def test_rho_half_equals_block_of_rho(m):
 
 
 def test_half_space_builds_no_full_gram():
-    before = spinor._form_gram.cache_info()
-    spin_module(10).half_space("+")
-    spinor._half_space.__wrapped__(10, "-")  # a cold build, whatever is cached
-    assert spinor._form_gram.cache_info() == before
+    sm = SpinModule(10)
+    sm.half_space("+")
+    assert list(sm._built) == ["space+"]
 
 
-def test_rho_half_follows_a_flip_planted_in_rho_scatter(monkeypatch):
-    sm = spin_module(4)
+def test_tables_are_built_no_earlier_than_their_first_use():
+    sm, v = SpinModule(10), np.ones(20)
+    assert sm._built == {}
+    sm.rho(v)
+    assert sm._built == {}  # rho reads the table built with the module
+    sm.rho_half(v, "-")
+    assert list(sm._built) == ["rho-"]
+    space = sm.half_space("+")
+    assert list(sm._built) == ["rho-", "space+"] and sm.half_space("+") is space
+    assert sm.form_gram is sm.form_gram
+    assert list(sm._built) == ["rho-", "space+", "gram"]
+
+
+def test_rho_half_follows_a_flip_planted_in_rho_scatter():
     v = np.arange(1, 9, dtype=complex)
-    kernel, before = spinor._rho_scatter, sm.rho_half(v, "+")
-
-    def flipped(m):
-        flat, gen, sign = kernel(m)
-        return flat, gen, np.where(gen == 0, -sign, sign)
-
-    monkeypatch.setattr(spinor, "_rho_scatter", flipped)
-    spinor._rho_half_scatter.cache_clear()
-    try:
-        after = sm.rho_half(v, "+")
-        assert not np.array_equal(after, before)
-        assert _same_bytes(after, sm.rho(v)[sm.odd_indices[:, None], sm.even_indices])
-    finally:
-        monkeypatch.undo()
-        spinor._rho_half_scatter.cache_clear()
-    assert _same_bytes(sm.rho_half(v, "+"), before)
+    before = spin_module(4).rho_half(v, "+")
+    sm = flip_generator(SpinModule(4), 0)
+    after = sm.rho_half(v, "+")
+    assert not np.array_equal(after, before)
+    assert _same_bytes(after, sm.rho(v)[sm.odd_indices[:, None], sm.even_indices])
+    assert _same_bytes(spin_module(4).rho_half(v, "+"), before)  # the shared module is untouched

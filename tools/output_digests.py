@@ -60,6 +60,8 @@ def argvs() -> list[list[str]]:
                  if argv not in runs]
     # stacks with no generic slice: a kernel in every map, a radical in every skew image
     runs += [["lemma", "--u", "8", "--json"], ["lemma", "--u", "3", "--form", "skew", "--json"]]
+    # every other accepted spinor m: odd m builds no form, 8 and 9 the largest
+    runs += [["spinor", "--m", m, "--json"] for m in "1235789"]
     return runs
 
 
