@@ -23,9 +23,12 @@ time with whole-array steps, and the simple-root raises of each.  Every
 coefficient is at most 6, so a row read as a byte string sorts
 lexicographically: gradings, root sums and colouring scans search these
 rows in place.  The highest root dominates every root coefficient by
-coefficient, so it is the last row.  The root tuples, the negative roots
-and the root set are views built on first read; gradings and colouring
-scans never need them.
+coefficient, so it is the last row.  The root tuples, the negative roots,
+the root set and the root-sum table are held on the system and built on
+first read; gradings and colouring scans never need them.
+
+RootSystem(kind, rank) is the uncached build; build_root_system is the one
+per-type cache over it.
 """
 
 from __future__ import annotations
@@ -107,9 +110,10 @@ def cartan_matrix(kind: str, rank: int) -> np.ndarray:
 
 
 class RootSystem(Frozen):
-    """Immutable root system; safe to share across workers.  One is built
-    per type, so systems compare and hash by identity.  The arrays are the
-    data; the tuple views are made on first read and then kept.
+    """Immutable root system; safe to share across workers.  RootSystem(kind,
+    rank) builds one; build_root_system keeps one per type, so systems compare
+    and hash by identity.  The arrays are the data; the tuple views and the
+    root-sum table are made on first read and then kept.
 
     positive_array holds the positive roots as an (N, rank) uint8 array in
     lexicographic order, the highest root last; raised_by[k, i] says that
@@ -117,9 +121,49 @@ class RootSystem(Frozen):
 
     _repr = ("kind", "rank", "cartan")
 
-    def __init__(self, kind: str, rank: int, cartan: np.ndarray, positive_array: np.ndarray,
-                 raised_by: np.ndarray):
-        vars(self).update(kind=kind, rank=rank, cartan=cartan, positive_array=positive_array,
+    def __init__(self, kind: str, rank: int):
+        """The full root system of a valid simple (kind, rank).
+
+        Positive roots are generated from the simple ones by root strings: for
+        a positive root b, b + alpha_i is a root iff p_i - <b, alpha_i^vee> > 0
+        where p_i is the largest k with b - k*alpha_i a root (Humphreys, Lie
+        Algebras, 9.4 and 10.2).  One height level is one lexicographically
+        sorted uint8 array, with the string lengths strings[k, j] = p_j of its
+        roots; the pairings are level @ C.T.  The accepted steps (k, i) of a
+        level are its rows of raised_by, and their targets level[k] + alpha_i,
+        sorted and without repeats, are the next level.  p_i of a target is
+        p_i(target - alpha_i) + 1 when target - alpha_i is a positive root,
+        i.e. exactly when the step (target - alpha_i, i) is taken, and 0
+        otherwise.  The levels in turn, sorted once more by the same stable sort,
+        are the positive roots in lexicographic order.
+        """
+        C = cartan_matrix(kind, rank)
+        simple = np.eye(rank, dtype=np.uint8)
+        level = simple[::-1]  # the simple roots, lexicographically
+        strings = np.zeros((rank, rank), dtype=np.int64)
+        levels, raises, row = [], [], f"S{rank}"
+        while True:
+            step = strings > level @ C.T
+            levels.append(level)
+            raises.append(step)
+            k, i = step.nonzero()
+            if not len(k):  # the highest root
+                break
+            # Coefficients are at most 6: uint8 rows sort lexicographically as bytes.
+            up = (level[k] + simple[i]).view(row).ravel()
+            order = up.argsort(kind="stable")
+            up, k, i = up[order], k[order], i[order]
+            first = np.ones(len(up), dtype=bool)
+            first[1:] = up[1:] != up[:-1]
+            target = first.cumsum()  # 1 + the index of each step's target
+            # Each (target, i) is written once: by the step (target - alpha_i, i).
+            lengths = np.zeros((target[-1], rank), dtype=np.int64)
+            lengths[target - 1, i] = strings[k, i] + 1
+            level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
+        positive = np.concatenate(levels)
+        lex = positive.view(row).ravel().argsort(kind="stable")
+        positive, raised_by = read_only(positive[lex], np.concatenate(raises)[lex])
+        vars(self).update(kind=kind, rank=rank, cartan=C, positive_array=positive,
                           raised_by=raised_by)
 
     @property
@@ -143,10 +187,19 @@ class RootSystem(Frozen):
     def contains(self, v: Root) -> bool:
         return tuple(v) in self._root_set
 
+    @cached_property
+    def _sum_table(self) -> np.ndarray:
+        n = len(self.positive_array)
+        i, j = root_sum_pairs(self, np.arange(n), upper=True)
+        table = np.zeros((n, n), dtype=bool)
+        table[i, j] = table[j, i] = True
+        return read_only(table)[0]
+
     @property
     def root_sum_is_root(self) -> np.ndarray:
-        """Boolean table T[i, j]: positive root i + positive root j is a root."""
-        return _sum_table_cached((self.kind, self.rank))
+        """Boolean table T[i, j]: positive root i + positive root j is a root,
+        searched over the upper triangle and mirrored on first read."""
+        return self._sum_table
 
 
 # Pairs searched per block: temporaries stay O(rank) bytes a pair, not O(N^2).
@@ -174,65 +227,8 @@ def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
     return tuple(np.concatenate(found, axis=1))
 
 
-@lru_cache(maxsize=None)
-def _sum_table_cached(key: tuple[str, int]) -> np.ndarray:
-    """T[i, j] = (positive root i + positive root j is a root), searched over
-    the upper triangle and mirrored."""
-    rs = build_root_system(*key)
-    n = len(rs.positive_array)
-    i, j = root_sum_pairs(rs, np.arange(n), upper=True)
-    table = np.zeros((n, n), dtype=bool)
-    table[i, j] = table[j, i] = True
-    read_only(table)  # shared by every grading of this type
-    return table
-
-
-@lru_cache(maxsize=None)
-def build_root_system(kind: str, rank: int) -> RootSystem:
-    """Construct the full root system for a valid simple (kind, rank).
-
-    Positive roots are generated from the simple ones by root strings: for
-    a positive root b, b + alpha_i is a root iff p_i - <b, alpha_i^vee> > 0
-    where p_i is the largest k with b - k*alpha_i a root (Humphreys, Lie
-    Algebras, 9.4 and 10.2).  One height level is one lexicographically
-    sorted uint8 array, with the string lengths strings[k, j] = p_j of its
-    roots; the pairings are level @ C.T.  The accepted steps (k, i) of a
-    level are its rows of raised_by, and their targets level[k] + alpha_i,
-    sorted and without repeats, are the next level.  p_i of a target is
-    p_i(target - alpha_i) + 1 when target - alpha_i is a positive root,
-    i.e. exactly when the step (target - alpha_i, i) is taken, and 0
-    otherwise.  The levels in turn, sorted once more by the same stable sort,
-    are the positive roots in lexicographic order.
-    """
-    C = cartan_matrix(kind, rank)
-    simple = np.eye(rank, dtype=np.uint8)
-    level = simple[::-1]  # the simple roots, lexicographically
-    strings = np.zeros((rank, rank), dtype=np.int64)
-    levels, raises, row = [], [], f"S{rank}"
-    while True:
-        step = strings > level @ C.T
-        levels.append(level)
-        raises.append(step)
-        k, i = step.nonzero()
-        if not len(k):  # the highest root
-            break
-        # Coefficients are at most 6: uint8 rows sort lexicographically as bytes.
-        up = (level[k] + simple[i]).view(row).ravel()
-        order = up.argsort(kind="stable")
-        up, k, i = up[order], k[order], i[order]
-        first = np.ones(len(up), dtype=bool)
-        first[1:] = up[1:] != up[:-1]
-        target = first.cumsum()  # 1 + the index of each step's target
-        # Each (target, i) is written once: by the step (target - alpha_i, i).
-        lengths = np.zeros((target[-1], rank), dtype=np.int64)
-        lengths[target - 1, i] = strings[k, i] + 1
-        level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
-    positive = np.concatenate(levels)
-    lex = positive.view(row).ravel().argsort(kind="stable")
-    # shared by every caller of this type
-    positive, raised_by = read_only(positive[lex], np.concatenate(raises)[lex])
-    return RootSystem(kind=kind, rank=rank, cartan=C, positive_array=positive,
-                      raised_by=raised_by)
+#: The one per-type cache: the root system of each (kind, rank), built once.
+build_root_system = lru_cache(maxsize=None)(RootSystem)
 
 
 def as_integers(values, refusal: str) -> tuple[int, ...]:

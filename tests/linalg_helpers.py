@@ -2,13 +2,14 @@
 their Grams, random elements of the structure group of a bilinear space,
 the one-matrix Moore-Penrose inverse that stacked inverses must match, the
 flag form of an orthogonal/symplectic grading with its g_lambda and
-g_-lambda embeddings, spinors named by basis subsets and a spin module with
-one generator planted wrong."""
+g_-lambda embeddings, spinors named by basis subsets, a spin module with
+one generator planted wrong and a spy on root-sum table reads."""
 
 import numpy as np
 
 from parabolics.cxlinalg import (DEFAULT_TOL, BilinearSpace, crandom, symmetric_space,
                                  symplectic_space)
+from parabolics.rootsys import RootSystem
 
 
 def mp_inverse_2d(F) -> np.ndarray:
@@ -125,3 +126,18 @@ def flip_generator(sm, a: int):
     flat, gen, sign = sm._rho
     vars(sm)["_rho"] = (flat, gen, np.where(gen == a, -sign, sign))
     return sm
+
+
+def sum_table_reads(monkeypatch) -> list[str]:
+    """The names of the root systems whose root-sum table is built or read
+    until monkeypatch is undone, one per read.  Every read goes through
+    RootSystem._sum_table, which this puts behind a recording property; a
+    table already held on a system is still seen."""
+    held, reads = vars(RootSystem)["_sum_table"], []
+
+    def read(rs):
+        reads.append(rs.name)
+        return held.__get__(rs, RootSystem)
+
+    monkeypatch.setattr(RootSystem, "_sum_table", property(read))
+    return reads

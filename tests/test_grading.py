@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import parabolics
-from parabolics import rootsys
+from linalg_helpers import sum_table_reads
 from parabolics.classify import nonreduced_counts
 from parabolics.cli import parse_diagram
 from parabolics.grading import Grading, compute_grading, diagram, grade
@@ -307,15 +307,16 @@ def test_grading_equals_loop_oracle_seeded(name):
         _assert_matches_oracles(grade(name, black))
 
 
-def test_irreducibility_builds_no_root_sum_table():
-    rootsys._sum_table_cached.cache_clear()
+def test_irreducibility_builds_no_root_sum_table(monkeypatch):
+    reads = sum_table_reads(monkeypatch)
     for name in ("A20", "D24"):
         for black in _seeded_colourings(int(name[1:]), 6, seed=int(name[1:])):
             g = grade(name, black)
             for w in g.positive_weights:
                 g.is_irreducible_component(w)
                 g.highest_root_of(w)
-    assert rootsys._sum_table_cached.cache_info().currsize == 0
+                g.bracket_reach(w)
+    assert reads == []
 
 
 def test_cold_a99_irreducibility_budget():

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from parabolics import ampleness, classify, cli, cxlinalg, grading, mpchar, walkdiag
+from parabolics import ampleness, classify, cli, cxlinalg, grading, mpchar, rootsys, walkdiag
 
 
 def _clear_caches():
@@ -62,6 +62,20 @@ def _data_copy(tmp_path, plant, filename, old, new):
 
 def test_clean_run_passes(plant):
     assert _verify_all() == (0, [])
+
+
+def test_simply_laced_b_bond_fails_the_b_root_counts(plant):
+    # B_n with its last bond simply laced is A_n: n(n+1)/2 positive roots, not n^2
+    cartan = rootsys.cartan_matrix
+
+    def simply_laced(kind, rank):
+        C = cartan(kind, rank)
+        if kind == "B":
+            C[rank - 1, rank - 2] = -1
+        return C
+
+    plant.setattr(rootsys, "cartan_matrix", simply_laced)
+    assert _verify_all() == (1, [f"root count B{rank}" for rank in range(2, 9)])
 
 
 def test_scaled_adjoint_for_mp_inverse_fails_penrose(plant):

@@ -9,6 +9,7 @@ from parabolics.rootsys import (
     POSITIVE_ROOT_COUNTS,
     ROOT_COUNT_TYPES,
     InvalidTypeError,
+    RootSystem,
     build_root_system,
     cartan_matrix,
     dynkin_edges,
@@ -339,24 +340,28 @@ def test_c_n_sums_of_root_length_that_are_not_roots(rank):
 def test_root_sum_table_d60_budget():
     # 0.35-0.42 s, median 0.36 s of 9 fresh runs, on a 2-core AMD EPYC host:
     # every block searches all columns, as lexicographic order bounds no height
-    build_root_system("D", 60)
+    rs = RootSystem("D", 60)  # uncached: its table is built by the first read
     start = time.perf_counter()
-    table = rootsys._sum_table_cached.__wrapped__(("D", 60))  # cold build
+    table = rs.root_sum_is_root
     elapsed = time.perf_counter() - start
     assert elapsed < 1.5, f"D60 root-sum table took {elapsed:.2f} s"
-    assert int(table.sum()) == 2 * sum(sum(r) - 1 for r in build_root_system("D", 60).positive_roots)
+    assert int(table.sum()) == 2 * sum(sum(r) - 1 for r in rs.positive_roots)
 
 
 def test_root_sum_table_d40_counts_and_budget():
     # Simply laced: a positive root of height h is the sum of two positive
     # roots in exactly 2(h - 1) ordered ways.
-    rs = build_root_system("D", 40)
+    rs = RootSystem("D", 40)  # uncached: its table is built by the first read
+    assert "_sum_table" not in vars(rs)
     start = time.perf_counter()
-    table = rootsys._sum_table_cached.__wrapped__(("D", 40))  # cold build
+    table = rs.root_sum_is_root
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"D40 root-sum table took {elapsed:.2f} s"
     assert int(table.sum()) == 2 * sum(sum(r) - 1 for r in rs.positive_roots)
-    assert np.array_equal(table, rs.root_sum_is_root)
+    # held on the system from then on: the same read-only array on every read
+    assert vars(rs)["_sum_table"] is table and rs.root_sum_is_root is table
+    assert not table.flags.writeable
+    assert np.array_equal(table, build_root_system("D", 40).root_sum_is_root)
 
 
 @pytest.mark.parametrize("kind,rank", ORACLE_TYPES + [("A", 99), ("D", 60)])
@@ -453,17 +458,22 @@ def test_last_positive_row_is_the_highest_root(kind, rank):
 
 def test_build_root_system_d60_budget():
     start = time.perf_counter()
-    rs = rootsys.build_root_system.__wrapped__("D", 60)  # cold build
+    rs = RootSystem("D", 60)  # uncached
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"D60 root system took {elapsed:.2f} s"
     assert len(rs.positive_roots) == POSITIVE_ROOT_COUNTS["D"](60)
 
 
 def test_root_systems_compare_and_hash_by_identity():
-    rs = build_root_system("A", 2)
-    twin = build_root_system.__wrapped__("A", 2)  # an uncached build
-    assert hash(rs) == hash(build_root_system("A", 2)) and rs == build_root_system("A", 2)
-    assert rs != twin and len({rs, twin}) == 2
+    for kind, rank in (("A", 2), ("B", 3), ("E", 8), ("G", 2)):
+        rs = build_root_system(kind, rank)
+        assert build_root_system(kind, rank) is rs  # the per-type cache
+        twin = RootSystem(kind, rank)  # an uncached build: the same arrays, another system
+        for attr in ("cartan", "positive_array", "raised_by"):
+            mine, its = getattr(rs, attr), getattr(twin, attr)
+            assert its is not mine and its.dtype == mine.dtype and its.shape == mine.shape
+            assert its.tobytes() == mine.tobytes()
+        assert rs != twin and len({rs, twin}) == 2
     # a coloured diagram holds its root system and inherits the semantics
     d = diagram("E7", [1])
     assert d == diagram("E7", [1]) and hash(d) == hash(diagram("E7", [1]))

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from parabolics import rootsys
+from linalg_helpers import sum_table_reads
 from parabolics.cli import main
 from parabolics.grading import Grading, compute_grading, diagram, grade
+from parabolics.rootsys import RootSystem
 from parabolics.walkdiag import (
     DATA_DIR_ENV,
     CaseDataError,
@@ -279,10 +280,11 @@ def test_negative_named_weight_is_not_a_positive_weight(cases):
     assert "(-2, -1) is not a positive weight" in report.lines[-1]["detail"]
 
 
-def _bracket_probe(g, chi1):
+def _bracket_probe(g, chi1, table):
     """The positive weights chi2 such that some root of chi1 plus some root
-    of chi2 is a root, read from the rows of chi1 in the sum table."""
-    hit = g.rs.root_sum_is_root[g.component_indices(chi1)].any(axis=0)
+    of chi2 is a root, read from the rows of chi1 in table, the root-sum
+    table of g's type."""
+    hit = table[g.component_indices(chi1)].any(axis=0)
     return {g.positive_weights[c - 1] for c in set(g._component_of[hit].tolist()) - {0}}
 
 
@@ -300,7 +302,8 @@ def test_bracket_reach_equals_the_table_probe(cases):
     gradings = [compute_grading(diagram(c.group, c.black)) for c in cases.values()]
     pairs = arrows = 0
     for g in gradings + list(_seeded_gradings()):
-        probe = {chi: _bracket_probe(g, chi) for chi in g.positive_weights}
+        table = g.rs.root_sum_is_root
+        probe = {chi: _bracket_probe(g, chi, table) for chi in g.positive_weights}
         for chi1, want in probe.items():
             reach = g.bracket_reach(chi1)
             assert g.bracket_reach(chi1) is reach  # cached
@@ -338,22 +341,26 @@ def _sweep_gradings():
 
 
 def test_bracket_reach_from_highest_roots_equals_the_table_sweep():
-    components = 0
+    # The tables, up to 25 MB a type, are read from an uncached twin of each
+    # type in turn, so none stays on the shared systems after the sweep.
+    components, twin = 0, None
     for g in _sweep_gradings():
+        if twin is None or twin.name != g.rs.name:
+            twin = RootSystem(g.rs.kind, g.rs.rank)
         for chi in g.positive_weights:
-            assert g.bracket_reach(chi) == _bracket_probe(g, chi), (g.diagram, chi)
+            assert g.bracket_reach(chi) == _bracket_probe(g, chi, twin.root_sum_is_root), (
+                g.diagram, chi)
             components += 1
-    rootsys._sum_table_cached.cache_clear()  # up to 25 MB a type
     assert components == 6723
 
 
-def test_case_verification_and_diagram_build_no_sum_table(capsys):
-    rootsys._sum_table_cached.cache_clear()
+def test_case_verification_and_diagram_build_no_sum_table(capsys, monkeypatch):
+    reads = sum_table_reads(monkeypatch)
     assert all(report.passed for report in verify_all_cases().values())
     black = ",".join(str(v) for v in range(1, 61) if v not in (20, 40))
     assert main(["diagram", "--json", f"B60/{black}", "--twisting", "1,0;0,1"]) == 0
     assert capsys.readouterr().out
-    assert rootsys._sum_table_cached.cache_info().currsize == 0
+    assert reads == []
 
 
 def test_bracket_of_non_positive_weights():
