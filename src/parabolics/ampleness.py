@@ -30,6 +30,7 @@ from .cxlinalg import (
     pf_space,
     restriction_invariants,
     span_with_invariants,
+    svd,
     symmetric_space,
 )
 from .frozen import read_only
@@ -55,7 +56,7 @@ def ample(A, space: BilinearSpace) -> bool:
 def _kernel(C, r: int) -> np.ndarray:
     """The right singular vectors of C from the r-th on: an orthonormal basis
     of {x : C x = 0} when C has rank r, of a subspace of it when less."""
-    return np.linalg.svd(C)[2].conj().T[:, r:]
+    return svd(C)[2].conj().T[:, r:]
 
 
 class QuadricVariety(NamedTuple):
@@ -144,7 +145,7 @@ def is_degenerate_line_map(A, variety) -> bool:
     A = np.asarray(A, dtype=complex)
     if A.shape[1] != 2:
         raise ValueError("a line map has exactly two columns")
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    U, s, _ = svd(A, full_matrices=False)
     if s[0] == 0 or s[1] <= LINE_MAP_TOL * s[0]:
         return False
     largest, *others = sorted(variety.quadrics(U[:, 0], U[:, 1]), key=lambda c: -max(map(abs, c)))
@@ -312,7 +313,7 @@ def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
     r, j = patterns[rng.integers(len(patterns))]
     M = span_with_invariants(space, r, j, rng)
     mix = crandom(rng, r, k)
-    while np.count_nonzero(np.linalg.svd(mix, compute_uv=False) > MIX_RANK_TOL) < min(r, k):
+    while np.count_nonzero(svd(mix, compute_uv=False) > MIX_RANK_TOL) < min(r, k):
         mix = crandom(rng, r, k)
     return M @ mix
 
@@ -433,7 +434,7 @@ def _ample_in(space: str):
 
 
 def _rank_two(c, M) -> bool:
-    s = np.linalg.svd(M, compute_uv=False)
+    s = svd(M, compute_uv=False)
     return bool(s[1] > RANK_TWO_TOL * max(s[0], 1e-30))
 
 

@@ -6,15 +6,18 @@ BilinearSpace, which fixes the Gram matrix in the standard basis; the
 Hermitian scalar product is always the standard coordinate one, matching
 the convention {u, v} = omega(u, I^t conj(v)) for each supported Gram I.
 
-All rank decisions use DEFAULT_TOL relative to the largest singular value
-involved; exact arithmetic is never assumed.
+Rank cuts are DEFAULT_TOL times the largest singular value involved, except that
+_span_invariants cuts the restricted Gram at DEFAULT_TOL * max(|Gram|, 1) and the draws
+of span_with_invariants at the absolute ISOTROPIC_TOL, NONDEGENERATE_TOL and SPAN_RANK_TOL.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .frozen import Frozen, read_only
 
@@ -27,8 +30,23 @@ ISOTROPIC_TOL, NONDEGENERATE_TOL, SPAN_RANK_TOL = 1e-8, 1e-6, 1e-8
 def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
     """A complex Gaussian array: the real parts are drawn first, then the
     imaginary parts, so every seeded stream depends on this order."""
-    x = rng.standard_normal((2, *shape))  # one draw of both, in that order
-    return x[0] + 1j * x[1]
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.standard_normal((2, *shape))  # one draw of both, in that order
+    return z
+
+
+def svd(a, full_matrices: bool = True, compute_uv: bool = True):
+    """numpy's SVD of a complex matrix or (..., m, n) stack, bit for bit: its LAPACK
+    gufunc on the same bytes, without the wrapper and errstate that cost about a
+    quarter of a small call.  A slice that did not converge has NaN singular values."""
+    if compute_uv:
+        gufunc = _umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s
+        _, s, _ = out = gufunc(a, signature="D->DdD")
+    else:
+        s = out = _umath_linalg.svd(a, signature="D->d")
+    if math.isnan(s.sum()):  # any NaN makes the sum NaN
+        raise LinAlgError("SVD did not converge")
+    return out
 
 
 class BilinearSpace(Frozen):
@@ -106,7 +124,7 @@ def mp_inverse(F) -> np.ndarray:
     stack; each slice equals the inverse of that slice alone, bit for bit.
     """
     F = np.asarray(F, dtype=complex)
-    U, s, Vh = np.linalg.svd(F, full_matrices=False)
+    U, s, Vh = svd(F, full_matrices=False)
     if F.ndim > 2:  # slices with no rank cut share one product; the rest go alone
         full = (s > DEFAULT_TOL * s[..., :1]).all(axis=-1)
         P = np.empty(F.shape[:-2] + (F.shape[-1], F.shape[-2]), dtype=complex)
@@ -170,7 +188,7 @@ def orth(M) -> np.ndarray:
     (..., m, n) stack, each slice has min(m, n) columns: its basis, which
     equals that slice's alone, then zero columns."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = svd(M, full_matrices=False)
     if M.ndim > 2:
         return np.where(s[..., None, :] > DEFAULT_TOL * s[..., None, :1], U, 0)
     if s.size == 0 or s[0] == 0.0:
@@ -191,7 +209,7 @@ def restriction_invariants(S, space: BilinearSpace) -> tuple[int, int]:
                          f"matrix, got shape {S.shape}")
     if S.ndim == 1:
         S = S[:, None]
-    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    U, s, _ = svd(S, full_matrices=False)
     return _span_invariants(U, s, space)
 
 
@@ -201,7 +219,7 @@ def _span_invariants(U, s, space: BilinearSpace) -> tuple[int, int]:
     if s.size == 0 or s[0] == 0.0:
         return 0, 0
     B = U[:, s > DEFAULT_TOL * s[0]]
-    t = np.linalg.svd(B.T @ space.gram @ B, compute_uv=False)
+    t = svd(B.T @ space.gram @ B, compute_uv=False)
     return B.shape[1], B.shape[1] - int(np.count_nonzero(t > DEFAULT_TOL * max(space.norm, 1.0)))
 
 
@@ -213,7 +231,7 @@ def _solve_constraints(C: np.ndarray, dim: int) -> np.ndarray:
     has no rows.  Singular values up to DEFAULT_TOL * s_max count as zero."""
     if not C.any():
         return np.eye(dim, dtype=complex)
-    _, s, Vh = np.linalg.svd(C)
+    _, s, Vh = svd(C)
     null_mask = np.zeros(dim, dtype=bool)
     null_mask[: len(s)] = s <= DEFAULT_TOL * s[0]
     null_mask[len(s):] = True
@@ -275,7 +293,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
             trial = cols + [v / np.linalg.norm(v) for v in vs]
             M = np.column_stack(trial)
             G = M.T @ space.gram @ M
-            s = np.linalg.svd(G, compute_uv=False)
+            s = svd(G, compute_uv=False)
             if s[-1] > NONDEGENERATE_TOL:
                 cols = trial
         if len(cols) < rank - radical:
@@ -290,7 +308,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
             cols.append(v)
         else:  # every radical vector found: both rank cuts from one SVD
             M = np.column_stack(cols)
-            U, s, _ = np.linalg.svd(M, full_matrices=False)
+            U, s, _ = svd(M, full_matrices=False)
             if np.count_nonzero(s > SPAN_RANK_TOL) == rank and \
                     _span_invariants(U, s, space) == (rank, radical):
                 return M

@@ -34,6 +34,7 @@ from .cxlinalg import (
     mp_inverse,
     orth,
     sharp_adjoint,
+    svd,
 )
 from .frozen import Frozen
 
@@ -202,7 +203,7 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
         raise ValueError(f"A maps into C^{k} but the form lives on C^{space.dim}")
     G = space.gram
     im = orth(A)  # Hermitian-orthonormal basis of Im A
-    _, s, Vh = np.linalg.svd(im.mT @ G @ im)
+    _, s, Vh = svd(im.mT @ G @ im)
     V, cut = Vh.conj().mT, DEFAULT_TOL * max(space.norm, 1.0)
     Aplus = mp_inverse(A)  # inverts Im A -> Ker-perp
     if A.ndim > 2:  # every slice as if generic (W0 = 0); the others are redone below

@@ -146,6 +146,20 @@ def test_zero_witness_control_fails_when_ample_always_holds(monkeypatch):
     assert all(_zero_witness_accepted(v, 0) for v in by_ampleness)
 
 
+#: the perfbench deform workload's configurations: 7A at each width
+_WORKLOAD_CONFIGS = [(v, None) for v in am.VARIANTS if v != "7A"] + [("7A", 2), ("7A", 3)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant, k", _WORKLOAD_CONFIGS)
+def test_seeded_tasks_verify_without_a_floating_point_warning(variant, k):
+    # cxlinalg.svd runs LAPACK with numpy's default errstate, not the one
+    # numpy's wrapper sets: an overflow or invalid flag would raise here
+    for seed in range(30):
+        task = am.random_task_7a(k, seed) if k else am.random_task(variant, seed)
+        assert am.deform(task).verified, (variant, k, seed)
+
+
 def test_deform_7a_both_widths():
     for k in (2, 3):
         for seed in range(4):

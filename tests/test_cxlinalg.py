@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,63 @@ def _constructed_svd(rng, m, n, cond):
     V, _ = np.linalg.qr(cx.crandom(rng, n, n))
     s = np.geomspace(1.0, 1.0 / cond, k)
     return (U[:, :k] * s) @ V[:, :k].conj().T
+
+
+@pytest.mark.parametrize("shape", [(8,), (6, 4), (3, 8)])
+def test_crandom_bytes_equal_real_plus_i_imaginary_draws(shape):
+    # the expression crandom computed before it wrote both parts in place
+    for seed in range(6):
+        x = np.random.default_rng(seed).standard_normal(2 * np.prod(shape, dtype=int) + 1)
+        re_part, im_part = x[:-1].reshape(2, *shape)
+        want = re_part + 1j * im_part
+        rng = np.random.default_rng(seed)
+        got = cx.crandom(rng, *shape)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert rng.standard_normal() == x[-1]  # the stream goes on where it did
+
+
+_SVD_MODES = {"full": {}, "reduced": {"full_matrices": False}, "values": {"compute_uv": False}}
+
+
+def _svd_inputs():
+    rng = np.random.default_rng(12)
+    return {"single": cx.crandom(rng, 5, 3), "wide": cx.crandom(rng, 3, 8),
+            "stack": cx.crandom(rng, 4, 6, 4), "deep stack": cx.crandom(rng, 2, 3, 2, 2),
+            "rank deficient": cx.crandom(rng, 6, 2) @ cx.crandom(rng, 2, 5),
+            "zero": np.zeros((3, 4), dtype=complex),
+            **{f"empty {s}": np.zeros(s, dtype=complex) for s in [(4, 0), (0, 4), (3, 4, 0)]}}
+
+
+@pytest.mark.parametrize("mode", _SVD_MODES)
+@pytest.mark.parametrize("name", _svd_inputs())
+def test_svd_equals_numpys_bit_for_bit(name, mode):
+    # svd calls numpy's private LAPACK gufunc: a numpy that renames it or
+    # changes what it returns fails here rather than changing a result
+    a, kwargs = _svd_inputs()[name], _SVD_MODES[mode]
+    want, got = np.linalg.svd(a, **kwargs), cx.svd(a, **kwargs)
+    if mode == "values":
+        want, got = [want], [got]
+    assert len(got) == len(want)
+    for w, g in zip(want, got):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("mode", _SVD_MODES)
+def test_svd_raises_when_a_slice_does_not_converge(mode):
+    a = cx.crandom(np.random.default_rng(0), 3, 4, 4)
+    a[1, 2, 2] = np.nan
+    for bad in (a, a[1]):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"), \
+                pytest.warns(RuntimeWarning):
+            cx.svd(bad, **_SVD_MODES[mode])
+    cx.svd(a[::2], **_SVD_MODES[mode])  # the slices that converge pass
+
+
+def test_every_svd_in_the_package_is_cxlinalg_svd():
+    calls = re.compile(r"\b(np|numpy)\.linalg\.svd\b|linalg import .*\bsvd\b")
+    found = [f"{p.name}:{i}" for p in sorted(Path(cx.__file__).parent.glob("*.py"))
+             for i, line in enumerate(p.read_text().splitlines(), 1) if calls.search(line)]
+    assert found == []
 
 
 def test_mp_inverse_scalar_and_zero():
