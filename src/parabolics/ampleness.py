@@ -14,6 +14,7 @@ by their defining quadrics, and every test on them reads those quadrics.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -44,7 +45,7 @@ class HypothesesNotMet(ValueError):
 def ample(A, space: BilinearSpace) -> bool:
     """Whether the column span of A is ample: the form restricts to it
     either nondegenerately or as zero (a totally isotropic span)."""
-    rank, radical = restriction_invariants(np.asarray(A, dtype=complex), space)
+    rank, radical = restriction_invariants(A, space)
     return radical in (0, rank)
 
 
@@ -73,7 +74,8 @@ class QuadricVariety(NamedTuple):
     def line(self, rng) -> np.ndarray:
         sp = self.space
         x = isotropic_vector_in(sp, np.eye(sp.dim, dtype=complex), rng)
-        # tangent direction: orthogonal to x, non-isotropic
+        # y in a (dim - 2)-dim subspace, picked by the SVD, of the (dim - 1)-dim omega-orthogonal
+        # of x (the stack has rank 1); nothing makes y non-isotropic.  The seeded draws pin it.
         y = _kernel(np.stack([sp.gram @ x, sp.gram.T @ x]), 2) @ crandom(rng, sp.dim - 2)
         return np.column_stack([x, y]) @ (np.eye(2) + 0.1 * crandom(rng, 2, 2))
 
@@ -276,7 +278,7 @@ def _steer_7c(c, rng):
     """W with rho(w_i)s = delta_i for a delta that makes A + delta ample."""
     A, s, minus, sm = c["A"], c["s"], c["S-"], spin_module(4)
     # rho(.)s as a map V -> S-
-    Rs = np.column_stack([sm.rho_half(e, "+") @ s for e in np.eye(8, dtype=complex)])
+    Rs = (sm.rho_half(np.eye(8), "+") @ s).T
     if abs(c["S+"].omega(s, s)) > SPINOR_SQUARE_TOL * np.linalg.norm(s) ** 2:
         # rho(V)s is all of S-: steer the columns to a random ample target
         delta = crandom(rng, 8, 3) - A
@@ -304,12 +306,17 @@ def _prop1_spaces(variety_name: str):
     raise ValueError(f"unknown variety {variety_name!r}")
 
 
+@lru_cache(maxsize=None)
+def _nonample_patterns(dim: int, symmetric: bool, k: int) -> tuple:
+    """(rank, radical) with 0 < radical < rank <= k that fit in a space of
+    dim; a skew form has an even-rank nondegenerate part."""
+    return tuple((r, j) for r in range(2, min(k, dim - 1) + 1) for j in range(1, r)
+                 if j <= dim - r and (symmetric or (r - j) % 2 == 0))
+
+
 def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
     """k columns whose span has a degenerate-but-nonzero restricted form."""
-    # (rank, radical) with 0 < radical < rank that fit in the space; a skew
-    # form has an even-rank nondegenerate part
-    patterns = [(r, j) for r in range(2, min(k, space.dim - 1) + 1) for j in range(1, r)
-                if j <= space.dim - r and (space.symmetric or (r - j) % 2 == 0)]
+    patterns = _nonample_patterns(space.dim, space.symmetric, k)
     r, j = patterns[rng.integers(len(patterns))]
     M = span_with_invariants(space, r, j, rng)
     mix = crandom(rng, r, k)
@@ -331,7 +338,10 @@ ON_CONE_TOL, ON_CONE_DRAW = 1e-10, 1e-6
 
 
 def _on_cone(X, v, cut: float) -> bool:
-    """v lies on the cone over X: every quadric's value c0 at v is at most cut * |v|^2."""
+    """v lies on the cone over X: every quadric's value c0 at v is at most cut * |v|^2.
+    Both sides are read at v scaled by a power of two, which is exact and keeps
+    |v|^2 from under- or overflowing; a zero v lies on the cone."""
+    v = v * 2.0 ** -max(math.frexp(abs(v).max())[1], -1000)  # finite for a subnormal v
     return max(abs(c0) for c0, _, _ in X.quadrics(v, v)) <= cut * np.linalg.norm(v) ** 2
 
 
@@ -397,9 +407,9 @@ def _nonample(space: str, *shape, view=lambda M: M, unview=None) -> InputSpec:
 
 
 def _random(*shape, word: str | None = "nontrivial") -> InputSpec:
-    """A random array with the hypothesis "<name> must be <word>" that it is
-    not zero, or with no hypothesis when word is None."""
-    return InputSpec(shape, word and (lambda c, x: np.linalg.norm(x) != 0), f"be {word}",
+    """A random array with the hypothesis "<name> must be <word>" that it has
+    a nonzero entry, whatever its scale, or with no hypothesis when word is None."""
+    return InputSpec(shape, word and (lambda c, x: x.any()), f"be {word}",
                      lambda rng, c: crandom(rng, *_dims(c, shape)))
 
 

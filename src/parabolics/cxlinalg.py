@@ -30,8 +30,10 @@ ISOTROPIC_TOL, NONDEGENERATE_TOL, SPAN_RANK_TOL = 1e-8, 1e-6, 1e-8
 def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
     """A complex Gaussian array: the real parts are drawn first, then the
     imaginary parts, so every seeded stream depends on this order."""
+    x = rng.standard_normal((2, *shape))  # one draw of both, in that order
     z = np.empty(shape, dtype=complex)
-    z.real, z.imag = rng.standard_normal((2, *shape))  # one draw of both, in that order
+    z.real = x[0]
+    z.imag = x[1]
     return z
 
 
@@ -232,10 +234,8 @@ def _solve_constraints(C: np.ndarray, dim: int) -> np.ndarray:
     if not C.any():
         return np.eye(dim, dtype=complex)
     _, s, Vh = svd(C)
-    null_mask = np.zeros(dim, dtype=bool)
-    null_mask[: len(s)] = s <= DEFAULT_TOL * s[0]
-    null_mask[len(s):] = True
-    return Vh.conj().T[:, null_mask]
+    # s falls, so the null directions are the rows of Vh from the rank on
+    return Vh[np.count_nonzero(s > DEFAULT_TOL * s[0]):].conj().T
 
 
 def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
@@ -246,11 +246,12 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
         return None
     if not space.symmetric:
         return basis @ crandom(rng, k)
+    gram = space.gram
     for _ in range(32):
         a = basis @ crandom(rng, k)
         b = basis @ crandom(rng, k)
-        aG = a @ space.gram  # omega(a, .) as omega computes it, taken once
-        qa, qb, qab = complex(aG @ a), space.quadratic(b), complex(aG @ b)
+        aG = a @ gram  # omega(a, .) as omega computes it, taken once
+        qa, qb, qab = complex(aG @ a), complex(b @ gram @ b), complex(aG @ b)
         # q(a + t b) = qa + 2 t qab + t^2 qb
         if abs(qb) > DEFAULT_TOL:
             disc = np.sqrt(qab * qab - qa * qb)
@@ -260,10 +261,21 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
             v = a - qa / (2 * qab) * b
         else:
             v = b
-        norm = np.linalg.norm(v)
-        if norm > DEFAULT_TOL and abs(space.quadratic(u := v / norm)) < ISOTROPIC_TOL:
+        norm = _norm(v)
+        if norm > DEFAULT_TOL and abs(complex((u := v / norm) @ gram @ u)) < ISOTROPIC_TOL:
             return u
     return None
+
+
+def _norm(v) -> float:
+    """np.linalg.norm of a complex vector, the same sum without its wrapper."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _columns(vs) -> np.ndarray:
+    """np.column_stack of vectors: a C-ordered matrix with them as columns."""
+    return np.array(vs).T.copy()
 
 
 def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
@@ -283,6 +295,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
     if rank == 0:
         return np.zeros((n, 0), dtype=complex)
     step = 1 if space.symmetric else 2  # odd skew Grams are always singular
+    gram = space.gram
     for _ in range(64):
         cols: list[np.ndarray] = []
         # nondegenerate part: random vectors, kept while the Gram stays nondegenerate
@@ -290,9 +303,9 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         while len(cols) < rank - radical and attempts < 200:
             attempts += 1
             vs = [crandom(rng, n) for _ in range(step)]
-            trial = cols + [v / np.linalg.norm(v) for v in vs]
-            M = np.column_stack(trial)
-            G = M.T @ space.gram @ M
+            trial = cols + [v / _norm(v) for v in vs]
+            M = _columns(trial)
+            G = M.T @ gram @ M
             s = svd(G, compute_uv=False)
             if s[-1] > NONDEGENERATE_TOL:
                 cols = trial
@@ -300,14 +313,14 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
             continue
         # radical part: isotropic vectors orthogonal to everything chosen so far
         for _ in range(radical):
-            M = np.column_stack(cols) if cols else np.zeros((n, 0))
-            C = np.vstack([(space.gram @ M).T, (space.gram.T @ M).T])
+            M = _columns(cols) if cols else np.zeros((n, 0))
+            C = np.concatenate([(gram @ M).T, (gram.T @ M).T])
             v = isotropic_vector_in(space, _solve_constraints(C, n), rng)
             if v is None:
                 break
             cols.append(v)
         else:  # every radical vector found: both rank cuts from one SVD
-            M = np.column_stack(cols)
+            M = _columns(cols)
             U, s, _ = svd(M, full_matrices=False)
             if np.count_nonzero(s > SPAN_RANK_TOL) == rank and \
                     _span_invariants(U, s, space) == (rank, radical):

@@ -3,12 +3,15 @@ their Grams, random elements of the structure group of a bilinear space,
 the one-matrix Moore-Penrose inverse that stacked inverses must match, the
 flag form of an orthogonal/symplectic grading with its g_lambda and
 g_-lambda embeddings, spinors named by basis subsets, a spin module with
-one generator planted wrong and a spy on root-sum table reads."""
+one generator planted wrong, a spy on root-sum table reads and the seeded
+draws of span_with_invariants as written with numpy's wrappers, which the
+rewritten draws must equal byte for byte."""
 
 import numpy as np
 
-from parabolics.cxlinalg import (DEFAULT_TOL, BilinearSpace, crandom, symmetric_space,
-                                 symplectic_space)
+from parabolics.cxlinalg import (DEFAULT_TOL, ISOTROPIC_TOL, NONDEGENERATE_TOL,
+                                 SPAN_RANK_TOL, BilinearSpace, _span_invariants, crandom, svd,
+                                 symmetric_space, symplectic_space)
 from parabolics.rootsys import RootSystem
 
 
@@ -141,3 +144,83 @@ def sum_table_reads(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(RootSystem, "_sum_table", property(read))
     return reads
+
+
+# ------------------- the seeded draws as written with numpy's wrappers
+
+
+def solve_constraints_masked(C: np.ndarray, dim: int) -> np.ndarray:
+    """_solve_constraints as written with a boolean null mask."""
+    if not C.any():
+        return np.eye(dim, dtype=complex)
+    _, s, Vh = svd(C)
+    null_mask = np.zeros(dim, dtype=bool)
+    null_mask[: len(s)] = s <= DEFAULT_TOL * s[0]
+    null_mask[len(s):] = True
+    return Vh.conj().T[:, null_mask]
+
+
+def isotropic_vector_in_wrapped(space: BilinearSpace, basis: np.ndarray,
+                                rng: np.random.Generator) -> np.ndarray | None:
+    """isotropic_vector_in as written with space.quadratic and np.linalg.norm."""
+    k = basis.shape[1]
+    if k == 0:
+        return None
+    if not space.symmetric:
+        return basis @ crandom(rng, k)
+    for _ in range(32):
+        a = basis @ crandom(rng, k)
+        b = basis @ crandom(rng, k)
+        aG = a @ space.gram
+        qa, qb, qab = complex(aG @ a), space.quadratic(b), complex(aG @ b)
+        if abs(qb) > DEFAULT_TOL:
+            disc = np.sqrt(qab * qab - qa * qb)
+            t = (-qab + disc) / qb
+            v = a + t * b
+        elif abs(qab) > DEFAULT_TOL:
+            v = a - qa / (2 * qab) * b
+        else:
+            v = b
+        norm = np.linalg.norm(v)
+        if norm > DEFAULT_TOL and abs(space.quadratic(u := v / norm)) < ISOTROPIC_TOL:
+            return u
+    return None
+
+
+def span_with_invariants_stacked(space: BilinearSpace, rank: int, radical: int,
+                                 rng: np.random.Generator) -> np.ndarray:
+    """span_with_invariants' draws as written with np.linalg.norm, column_stack
+    and vstack, its radical drawn through the two functions above (the checks
+    of rank and radical, which draw nothing, are left out)."""
+    n = space.dim
+    if rank == 0:
+        return np.zeros((n, 0), dtype=complex)
+    step = 1 if space.symmetric else 2
+    for _ in range(64):
+        cols: list[np.ndarray] = []
+        attempts = 0
+        while len(cols) < rank - radical and attempts < 200:
+            attempts += 1
+            vs = [crandom(rng, n) for _ in range(step)]
+            trial = cols + [v / np.linalg.norm(v) for v in vs]
+            M = np.column_stack(trial)
+            G = M.T @ space.gram @ M
+            s = svd(G, compute_uv=False)
+            if s[-1] > NONDEGENERATE_TOL:
+                cols = trial
+        if len(cols) < rank - radical:
+            continue
+        for _ in range(radical):
+            M = np.column_stack(cols) if cols else np.zeros((n, 0))
+            C = np.vstack([(space.gram @ M).T, (space.gram.T @ M).T])
+            v = isotropic_vector_in_wrapped(space, solve_constraints_masked(C, n), rng)
+            if v is None:
+                break
+            cols.append(v)
+        else:
+            M = np.column_stack(cols)
+            U, s, _ = svd(M, full_matrices=False)
+            if np.count_nonzero(s > SPAN_RANK_TOL) == rank and \
+                    _span_invariants(U, s, space) == (rank, radical):
+                return M
+    raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")

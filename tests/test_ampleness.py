@@ -182,6 +182,39 @@ def test_deform_hypotheses_not_met():
         am.deform(am.DeformationTask("9Z", {}))
 
 
+def _scaled(variant, seed, key, scale):
+    task = am.random_task(variant, seed)
+    return am.DeformationTask(variant, dict(task.inputs, **{key: task.inputs[key] * scale}), seed)
+
+
+def test_hypotheses_hold_at_a_scale_whose_square_underflows():
+    # |x|^2 of an input scaled by 1e-200 is 0 in floating point; "nontrivial"
+    # and "off the cone" must not read it
+    res = am.deform(_scaled("1A", 3, "B", 1e-200))
+    assert res.verified and res.restarts == 0
+    varieties = set()
+    for seed in range(3):
+        task = _scaled("1C", seed, "v", 1e-200)
+        varieties.add(task.inputs["variety"])
+        assert am.deform(task).verified, seed
+    assert varieties == {"quadric", "segre", "pf"}
+
+
+@pytest.mark.parametrize("variant, seed, key, must", [
+    ("1A", 3, "B", "B must be nontrivial"),
+    ("1C", 0, "v", "v must lie off the cone over the variety"),
+    ("1C", 1, "v", "v must lie off the cone over the variety"),
+    ("1C", 2, "v", "v must lie off the cone over the variety"),
+    ("5C", 0, "v", "v must be nonzero"),
+    ("6E", 0, "u", "u must be nonzero"),
+    ("7C", 0, "s", "s must be nontrivial"),
+])
+def test_all_zero_inputs_are_still_refused(variant, seed, key, must):
+    with pytest.raises(am.HypothesesNotMet) as exc:
+        am.deform(_scaled(variant, seed, key, 0.0))
+    assert str(exc.value) == must
+
+
 def test_random_task_refuses_an_unknown_variant():
     with pytest.raises(ValueError) as exc:
         am.random_task("9Z", 0)

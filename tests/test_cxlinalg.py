@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from linalg_helpers import (det_value, expm, flag_space, form_preserving,
-                            gram_from_quadratic, mp_inverse_2d, pf_value)
+                            gram_from_quadratic, isotropic_vector_in_wrapped, mp_inverse_2d,
+                            pf_value, solve_constraints_masked, span_with_invariants_stacked)
 from parabolics import cxlinalg as cx
-from parabolics.ampleness import PF2, QuadricVariety
+from parabolics.ampleness import PF2, QuadricVariety, _nonample_patterns
 from parabolics.spinor import spin_module
 
 
@@ -212,6 +213,63 @@ def test_span_with_invariants_empty_span(space):
     assert M.shape == (space.dim, 0)
     assert cx.restriction_invariants(M, space) == (0, 0)
     assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def _same_array(got, want) -> bool:
+    """Equal bytes, dtype, shape and C/F contiguity (both None also counts)."""
+    if got is None or want is None:
+        return got is want
+    return (got.dtype, got.shape, got.flags.c_contiguous, got.flags.f_contiguous,
+            got.tobytes()) == (want.dtype, want.shape, want.flags.c_contiguous,
+                               want.flags.f_contiguous, want.tobytes())
+
+
+def _twin(rng):
+    """A generator in the state rng is in, drawing apart from it."""
+    bits = type(rng.bit_generator)()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits)
+
+
+def test_rewritten_draws_equal_the_wrapped_reference_byte_for_byte(monkeypatch):
+    # Every space the specs draw from, at the widest k it is drawn for, and a
+    # skew space; every (rank, radical) _nonample_columns can pick there.  Each
+    # call of the two inner kernels is checked against its reference on the
+    # same input, and each span against the reference span on its own stream.
+    sm = spin_module(4)
+    spaces = [(cx.symmetric_space(3), 2), (cx.symmetric_space(4), 4), (cx.det_space(), 4),
+              (cx.pf_space(), 4), (sm.half_space("+"), 3), (sm.half_space("-"), 3),
+              (cx.symplectic_space(6), 5)]
+    solve, isotropic, checked = cx._solve_constraints, cx.isotropic_vector_in, []
+
+    def solve_both(C, dim):
+        got = solve(C, dim)
+        assert _same_array(got, solve_constraints_masked(C, dim))
+        checked.append("solve")
+        return got
+
+    def isotropic_both(space, basis, rng):
+        twin = _twin(rng)
+        got = isotropic(space, basis, rng)
+        assert _same_array(got, isotropic_vector_in_wrapped(space, basis, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        checked.append("isotropic")
+        return got
+
+    monkeypatch.setattr(cx, "_solve_constraints", solve_both)
+    monkeypatch.setattr(cx, "isotropic_vector_in", isotropic_both)
+    patterns = set()
+    for space, k in spaces:
+        for rank, radical in _nonample_patterns(space.dim, space.symmetric, k):
+            patterns.add((space.kind, space.dim, rank, radical))
+            for seed in range(50):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = cx.span_with_invariants(space, rank, radical, rng)
+                want = span_with_invariants_stacked(space, rank, radical, ref)
+                assert _same_array(got, want), (space.kind, rank, radical, seed)
+                assert rng.bit_generator.state == ref.bit_generator.state
+    assert len(patterns) == 19 and {("symplectic-I", 6, 5, 1), ("pf-on-L2C4", 6, 4, 2)} <= patterns
+    assert checked.count("solve") >= 950 and checked.count("isotropic") >= 950
 
 
 def test_quadratic_value_examples():

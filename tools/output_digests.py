@@ -26,6 +26,13 @@ from parabolics.rootsys import ROOT_COUNT_TYPES  # noqa: E402
 VARIANTS = "1A 1B 1C 4A 4B 5A 5B 5C 6A 6B 6C 6D 6E 7A 7B 7C".split()
 
 
+def deform_runs(seed: int) -> list[list[str]]:
+    """`deform --json` of every variant, and of 7A at both widths, at one seed."""
+    runs = [["deform", "--variant", v, "--seed", str(seed), "--json"] for v in VARIANTS]
+    return runs + [["deform", "--variant", "7A", "--k", k, "--seed", str(seed), "--json"]
+                   for k in ("2", "3")]
+
+
 def argvs() -> list[list[str]]:
     """The runs, in order."""
     runs = [["verify-all", "--json", "--seed", str(s)] for s in range(4)]
@@ -37,10 +44,8 @@ def argvs() -> list[list[str]]:
         twisting = ";".join(",".join(map(str, t)) for t in case.twisting.values())
         runs.append(["diagram", f"{case.group}/{','.join(map(str, case.black))}",
                      "--twisting", twisting, "--json"])
-    for seed in map(str, range(10)):
-        runs += [["deform", "--variant", v, "--seed", seed, "--json"] for v in VARIANTS]
-        runs += [["deform", "--variant", "7A", "--k", k, "--seed", seed, "--json"]
-                 for k in ("2", "3")]
+    for seed in range(10):
+        runs += deform_runs(seed)
     runs += [["mp-triple", "--json"], ["lemma", "--form", "sym", "--json"],
              ["lemma", "--form", "skew", "--json"],
              ["spinor", "--m", "4", "--json"], ["spinor", "--m", "6", "--json"]]
@@ -62,6 +67,9 @@ def argvs() -> list[list[str]]:
     runs += [["lemma", "--u", "8", "--json"], ["lemma", "--u", "3", "--form", "skew", "--json"]]
     # every other accepted spinor m: odd m builds no form, 8 and 9 the largest
     runs += [["spinor", "--m", m, "--json"] for m in "1235789"]
+    # the task seeds of the first five rounds perfbench `deform` times at workload seed 1
+    for seed in range(100100, 100105):
+        runs += deform_runs(seed)
     return runs
 
 
