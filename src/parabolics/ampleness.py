@@ -15,6 +15,7 @@ by their defining quadrics, and every test on them reads those quadrics.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -26,10 +27,12 @@ from .cxlinalg import (
     crandom,
     det_space,
     isotropic_vector_in,
+    lstsq,
     mp_inverse,
     orth,
     pf_space,
     restriction_invariants,
+    singular_values,
     span_with_invariants,
     svd,
     symmetric_space,
@@ -266,19 +269,17 @@ def _printed(canonical, key: str):
 def _in_image_1c(c, rng):
     """v inside Im A: cancel one column of A against v."""
     A, v = c["A"], c["v"]
-    coeff = np.linalg.lstsq(A, v, rcond=None)[0]
+    alpha, beta = coeff = lstsq(A, v)
     if np.linalg.norm(A @ coeff - v) > IN_IMAGE_TOL * np.linalg.norm(v):
         return []
-    alpha, beta = coeff
     f = [-1.0 / alpha, 0.0] if abs(alpha) > abs(beta) else [0.0, -1.0 / beta]
     return [{"f": np.array(f, dtype=complex)}]
 
 
 def _steer_7c(c, rng):
     """W with rho(w_i)s = delta_i for a delta that makes A + delta ample."""
-    A, s, minus, sm = c["A"], c["s"], c["S-"], spin_module(4)
-    # rho(.)s as a map V -> S-
-    Rs = (sm.rho_half(np.eye(8), "+") @ s).T
+    A, s, minus = c["A"], c["s"], c["S-"]
+    Rs = (_rho_basis() @ s).T  # rho(.)s as a map V -> S-
     if abs(c["S+"].omega(s, s)) > SPINOR_SQUARE_TOL * np.linalg.norm(s) ** 2:
         # rho(V)s is all of S-: steer the columns to a random ample target
         delta = crandom(rng, 8, 3) - A
@@ -290,7 +291,7 @@ def _steer_7c(c, rng):
         P = U0.T @ minus.gram @ R
         E = -(mp_inverse(P).T @ F.T) / 2
         delta = -U0 @ (U0.conj().T @ A) + U0 @ E
-    return [{"W": np.linalg.lstsq(Rs, delta, rcond=None)[0].T}]
+    return [{"W": lstsq(Rs, delta).T}]
 
 
 # ------------------------------------------------------ input generators
@@ -320,7 +321,7 @@ def _nonample_columns(space: BilinearSpace, k: int, rng) -> np.ndarray:
     r, j = patterns[rng.integers(len(patterns))]
     M = span_with_invariants(space, r, j, rng)
     mix = crandom(rng, r, k)
-    while np.count_nonzero(svd(mix, compute_uv=False) > MIX_RANK_TOL) < min(r, k):
+    while singular_values(mix)[-1] <= MIX_RANK_TOL:  # rank below min(r, k)
         mix = crandom(rng, r, k)
     return M @ mix
 
@@ -370,6 +371,7 @@ _DERIVED = {
     "X": lambda c: _prop1_spaces(c["variety"]),
     "d": lambda c: c["X"].dim,
 }
+_rho_basis = lru_cache()(lambda: read_only(_rho(np.eye(8)))[0])  # rho(e_i) of V's basis
 
 
 class _Context(dict):
@@ -586,11 +588,11 @@ class DeformResult(NamedTuple):
 
 
 def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
-    """The inputs as complex arrays ({"re": ..., "im": ...} is re + 1j im)
-    plus the dimensions they bind.  A missing input, one that is not
-    numeric, has a NaN or infinite entry, has re and im of two shapes or is off
-    its declared shape is a ValueError naming it, as is raw that is not a dict
-    or that names an input the variant does not declare."""
+    """The inputs as complex arrays ({"re": ..., "im": ...} is re + 1j im) plus the
+    dimensions they bind.  A missing input, one that is not numeric, has a NaN or infinite
+    entry, is subnormal (nonzero, with no normal |entry|), has re and im of two shapes or
+    is off its declared shape is a ValueError naming it, as is raw that is not a dict or
+    that names an input the variant does not declare."""
     if not isinstance(raw, dict):
         raise ValueError(f"variant {variant}: inputs must map input names to values, "
                          f"got {type(raw).__name__}")
@@ -618,8 +620,11 @@ def _context(variant: str, spec: VariantSpec, raw: dict) -> _Context:
             raise ValueError(f"variant {variant}: input {key!r} has re of shape "
                              f"{parts[0].shape} and im of shape {parts[1].shape}")
         c[key] = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
-        if not np.isfinite(c[key]).all():
+        top = float(np.maximum.reduce(abs(c[key]), None, initial=0.0))  # NaN if any entry is
+        if not top < math.inf:
             raise ValueError(f"variant {variant}: input {key!r} has non-finite entries")
+        if 0 < top < sys.float_info.min:  # LAPACK does not converge on such inputs
+            raise ValueError(f"variant {variant}: input {key!r} is subnormal ({top:.3g} at most)")
         # the declared shape with every dimension known so far filled in
         want = tuple(c[d] if isinstance(d, str) and (d in c or d in _DERIVED) else d
                      for d in inp.shape)
@@ -644,7 +649,7 @@ def deform(task: DeformationTask) -> DeformResult:
     for key, inp in spec.inputs.items():
         if inp.holds and not inp.holds(c, c[key]):
             raise HypothesesNotMet(f"{key} must {inp.must}")
-    rng = np.random.default_rng(task.seed)
+    rng = np.random.Generator(np.random.PCG64(task.seed))  # default_rng's, built faster
     return _run_search(task.variant, spec.witnesses(c, rng), lambda: spec.draw(c, rng),
                        lambda w: spec.predicate(c, spec.deformed(c, w)), MAX_RESTARTS)
 
@@ -671,7 +676,7 @@ def _generated(variant: str, seed: int, fixed: dict) -> DeformationTask:
     spec = SPECS[variant]
     c = _Context(fixed)
     _check_requires(spec, c)  # the fixed dimensions, before any draw
-    rng = np.random.default_rng(seed ^ 0x5EED)
+    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
     inputs = {key: inp.make(rng, c) for key, inp in spec.inputs.items()}
     return DeformationTask(variant, inputs, seed=seed)
 

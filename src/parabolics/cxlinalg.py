@@ -9,11 +9,14 @@ the convention {u, v} = omega(u, I^t conj(v)) for each supported Gram I.
 Rank cuts are DEFAULT_TOL times the largest singular value involved, except that
 _span_invariants cuts the restricted Gram at DEFAULT_TOL * max(|Gram|, 1) and the draws
 of span_with_invariants at the absolute ISOTROPIC_TOL, NONDEGENERATE_TOL and SPAN_RANK_TOL.
+Every SVD and least-squares solve of the package is svd or lstsq here, numpy's LAPACK gufuncs
+unwrapped; singular_values, in closed form up to 2 x 2, serves decisions that read values only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -32,8 +35,7 @@ def crandom(rng: np.random.Generator, *shape) -> np.ndarray:
     imaginary parts, so every seeded stream depends on this order."""
     x = rng.standard_normal((2, *shape))  # one draw of both, in that order
     z = np.empty(shape, dtype=complex)
-    z.real = x[0]
-    z.imag = x[1]
+    z.real, z.imag = x
     return z
 
 
@@ -46,9 +48,37 @@ def svd(a, full_matrices: bool = True, compute_uv: bool = True):
         _, s, _ = out = gufunc(a, signature="D->DdD")
     else:
         s = out = _umath_linalg.svd(a, signature="D->d")
-    if math.isnan(s.sum()):  # any NaN makes the sum NaN
+    if math.isnan(np.vdot(s, s)):  # a NaN makes s.s NaN; s >= 0 has no inf - inf
         raise LinAlgError("SVD did not converge")
     return out
+
+
+def lstsq(a, b):
+    """x of numpy's lstsq(a, b, rcond=None), bit for bit, for a complex (m, n) a, m >= 1, and
+    b of m entries or (m, k >= 1): its LAPACK gufunc without the wrapper, raising as svd."""
+    x, _, _, s = _umath_linalg.lstsq(a, b[:, None] if b.ndim == 1 else b,
+                                     sys.float_info.epsilon * max(a.shape), signature="DDd->Ddid")
+    if math.isnan(np.vdot(s, s)):
+        raise LinAlgError("SVD did not converge in Linear Least Squares")
+    return x[:, 0] if b.ndim == 1 else x
+
+
+def singular_values(M) -> list[float]:
+    """The singular values of a complex (m, n) matrix as floats, largest first: |M| for 1 x 1;
+    for 2 x 2, s1 = sqrt((a + c)/2 + hypot((a - c)/2, |b|)) from M^H M = [[a, b], [b*, c]] and
+    s2 = |det M| / s1 if s1^2 is a normal float and s2 finite; else svd's."""
+    if M.shape == (1, 1):
+        return [math.hypot((z := M.item()).real, z.imag)]  # abs(z) raises on an overflow
+    if M.shape == (2, 2):
+        (p, q), (r, t) = M.tolist()  # products and hypot overflow to inf; abs() and ** raise
+        a = (p * p.conjugate() + r * r.conjugate()).real
+        c = (q * q.conjugate() + t * t.conjugate()).real
+        b, det = p.conjugate() * q + r.conjugate() * t, p * t - q * r
+        s1 = math.sqrt((a + c) / 2 + math.hypot((a - c) / 2, b.real, b.imag))
+        s2 = math.hypot(det.real, det.imag) / s1 if s1 else 0.0
+        if s1 * s1 >= sys.float_info.min and math.isfinite(s1 + s2):
+            return [s1, min(s2, s1)]  # in order, also when rounded
+    return svd(M, compute_uv=False).tolist()
 
 
 class BilinearSpace(Frozen):
@@ -117,16 +147,15 @@ def pf_space() -> BilinearSpace:
 # ----------------------------------------------------------- Moore-Penrose
 
 
-def mp_inverse(F) -> np.ndarray:
+def mp_inverse(F, usv=None) -> np.ndarray:
     """Moore-Penrose inverse via the kernel/image decomposition.
 
     Singular vectors with singular value > DEFAULT_TOL * s_max span the Hermitian
     complements of Ker F and of the complement of Im F; F restricted to
-    them is inverted, the rest is sent to zero.  F may be a (..., m, n)
-    stack; each slice equals the inverse of that slice alone, bit for bit.
-    """
+    them is inverted, the rest is sent to zero.  F may be a (..., m, n) stack; each
+    slice equals the inverse of that slice alone, bit for bit.  usv: F's reduced svd."""
     F = np.asarray(F, dtype=complex)
-    U, s, Vh = svd(F, full_matrices=False)
+    U, s, Vh = usv or svd(F, full_matrices=False)
     if F.ndim > 2:  # slices with no rank cut share one product; the rest go alone
         full = (s > DEFAULT_TOL * s[..., :1]).all(axis=-1)
         P = np.empty(F.shape[:-2] + (F.shape[-1], F.shape[-2]), dtype=complex)
@@ -185,12 +214,12 @@ def sharp_adjoint(A, space: BilinearSpace) -> np.ndarray:
     return np.linalg.solve(space.gram, A.mT @ space.gram)
 
 
-def orth(M) -> np.ndarray:
+def orth(M, usv=None) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of M.  For a
     (..., m, n) stack, each slice has min(m, n) columns: its basis, which
-    equals that slice's alone, then zero columns."""
+    equals that slice's alone, then zero columns.  usv is as in mp_inverse."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    U, s, _ = svd(M, full_matrices=False)
+    U, s, _ = usv or svd(M, full_matrices=False)
     if M.ndim > 2:
         return np.where(s[..., None, :] > DEFAULT_TOL * s[..., None, :1], U, 0)
     if s.size == 0 or s[0] == 0.0:
@@ -209,20 +238,18 @@ def restriction_invariants(S, space: BilinearSpace) -> tuple[int, int]:
     if S.ndim not in (1, 2) or S.shape[0] != space.dim:
         raise ValueError(f"expected a vector of C^{space.dim} or a ({space.dim}, k) "
                          f"matrix, got shape {S.shape}")
-    if S.ndim == 1:
-        S = S[:, None]
-    U, s, _ = svd(S, full_matrices=False)
+    U, s, _ = svd(S if S.ndim == 2 else S[:, None], full_matrices=False)
     return _span_invariants(U, s, space)
 
 
 def _span_invariants(U, s, space: BilinearSpace) -> tuple[int, int]:
-    """restriction_invariants from one SVD U, s of the spanning matrix: the
-    span is the columns of U whose singular value passes DEFAULT_TOL * s_max."""
-    if s.size == 0 or s[0] == 0.0:
+    """restriction_invariants from one SVD U, s of the spanning matrix: the span is
+    the columns of U whose singular value passes DEFAULT_TOL * s_max, a prefix."""
+    if not (s := s.tolist()) or s[0] == 0.0:
         return 0, 0
-    B = U[:, s > DEFAULT_TOL * s[0]]
-    t = svd(B.T @ space.gram @ B, compute_uv=False)
-    return B.shape[1], B.shape[1] - int(np.count_nonzero(t > DEFAULT_TOL * max(space.norm, 1.0)))
+    B = U[:, :sum(x > DEFAULT_TOL * s[0] for x in s)]
+    cut = DEFAULT_TOL * max(space.norm, 1.0)
+    return B.shape[1], sum(t <= cut for t in singular_values(B.T @ space.gram @ B))
 
 
 # ------------------------------------------- structured subspace builders
@@ -254,8 +281,7 @@ def isotropic_vector_in(space: BilinearSpace, basis: np.ndarray,
         qa, qb, qab = complex(aG @ a), complex(b @ gram @ b), complex(aG @ b)
         # q(a + t b) = qa + 2 t qab + t^2 qb
         if abs(qb) > DEFAULT_TOL:
-            disc = np.sqrt(qab * qab - qa * qb)
-            t = (-qab + disc) / qb
+            t = (-qab + np.sqrt(qab * qab - qa * qb)) / qb
             v = a + t * b
         elif abs(qab) > DEFAULT_TOL:
             v = a - qa / (2 * qab) * b
@@ -305,9 +331,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
             vs = [crandom(rng, n) for _ in range(step)]
             trial = cols + [v / _norm(v) for v in vs]
             M = _columns(trial)
-            G = M.T @ gram @ M
-            s = svd(G, compute_uv=False)
-            if s[-1] > NONDEGENERATE_TOL:
+            if singular_values(M.T @ gram @ M)[-1] > NONDEGENERATE_TOL:
                 cols = trial
         if len(cols) < rank - radical:
             continue
@@ -322,7 +346,7 @@ def span_with_invariants(space: BilinearSpace, rank: int, radical: int,
         else:  # every radical vector found: both rank cuts from one SVD
             M = _columns(cols)
             U, s, _ = svd(M, full_matrices=False)
-            if np.count_nonzero(s > SPAN_RANK_TOL) == rank and \
+            if s[-1] > SPAN_RANK_TOL and \
                     _span_invariants(U, s, space) == (rank, radical):
                 return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")

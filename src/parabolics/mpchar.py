@@ -121,10 +121,10 @@ def random_block_nilpotent(rng: np.random.Generator, dims: tuple[int, ...]) -> B
                                  for j in range(i + 1, len(dims) + 1)})
 
 
-def _projector(M):
+def _projector(M, usv=None):
     """The orthogonal projector onto the span of M, or of each slice of a
     stack; a slice with a rank cut goes alone (orth's zero columns round)."""
-    Q = orth(M)
+    Q = orth(M, usv)
     P = Q @ Q.conj().mT
     if Q.ndim > 2:
         for idx in zip(*np.nonzero(~Q[..., -1].any(-1))):
@@ -133,15 +133,16 @@ def _projector(M):
 
 
 def gl_hermitian_characteristic(x: BlockNilpotent) -> dict[tuple[int, int], Sl2Triple]:
-    """Per-block sl2-triples f = e+, h = the image minus the coimage projector
-    of e (so ||[e, f] - h|| compares two routes), embedded in End(V); for a
-    stacked x, stacks of triples, each slice equal to its element's alone."""
+    """Per-block sl2-triples f = e+ and h = the image projector of e, both read from one
+    SVD of e, minus the coimage projector, read from e*'s (so ||[e, f] - h|| compares two
+    routes), embedded in End(V); for a stacked x, stacks of triples, each slice equal to its
+    element's alone."""
     triples = {}
     for (i, j), e_block in sorted(x.blocks.items()):
         e_block = np.asarray(e_block, dtype=complex)
         e = x.embed(i, j, e_block)
-        f = x.embed(j, i, mp_inverse(e_block))
-        h = x.embed(j, j, _projector(e_block)) - x.embed(i, i, _projector(e_block.conj().mT))
+        f = x.embed(j, i, mp_inverse(e_block, usv := svd(e_block, full_matrices=False)))
+        h = x.embed(j, j, _projector(e_block, usv)) - x.embed(i, i, _projector(e_block.conj().mT))
         triples[(i, j)] = verify_sl2(e, h, f)
     return triples
 
@@ -202,10 +203,10 @@ def lemma_B_from_A(A, space: BilinearSpace) -> LemmaSolution:
     if k != space.dim:
         raise ValueError(f"A maps into C^{k} but the form lives on C^{space.dim}")
     G = space.gram
-    im = orth(A)  # Hermitian-orthonormal basis of Im A
+    im = orth(A, usv := svd(A, full_matrices=False))  # Im A's orthonormal basis; A+ reads usv
     _, s, Vh = svd(im.mT @ G @ im)
     V, cut = Vh.conj().mT, DEFAULT_TOL * max(space.norm, 1.0)
-    Aplus = mp_inverse(A)  # inverts Im A -> Ker-perp
+    Aplus = mp_inverse(A, usv)  # inverts Im A -> Ker-perp
     if A.ndim > 2:  # every slice as if generic (W0 = 0); the others are redone below
         W1 = im @ V
         T = orth(Aplus @ W1)

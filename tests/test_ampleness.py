@@ -200,6 +200,61 @@ def test_hypotheses_hold_at_a_scale_whose_square_underflows():
     assert varieties == {"quadric", "segre", "pf"}
 
 
+@pytest.mark.parametrize("variant, key", [
+    ("1A", "B"), ("1B", "B"), ("1C", "v"), ("4A", "B"), ("7C", "s"),  # LAPACK fails on these
+    ("1A", "A"), ("6D", "B"), ("5C", "v"),  # these verified before the refusal
+])
+def test_subnormal_inputs_are_refused_by_name(variant, key):
+    # every entry of the input below the least normal float: LAPACK does not
+    # converge on such data, so _context refuses it before any SVD
+    task = _scaled(variant, 3, key, 2.0 ** -1030)
+    top = float(abs(task.inputs[key]).max())
+    assert 0 < top < np.finfo(float).tiny
+    with pytest.raises(ValueError) as exc:
+        am.deform(task)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"variant {variant}: input {key!r} is subnormal ({top:.3g} at most)"
+
+
+@pytest.mark.parametrize("variant, key", [("1A", "B"), ("1C", "v"), ("4A", "B"), ("7C", "s")])
+def test_inputs_at_the_least_normal_scale_still_verify(variant, key):
+    res = am.deform(_scaled(variant, 3, key, 2.0 ** -1022))
+    assert res.verified, variant
+
+
+def test_a_normal_entry_beside_subnormal_ones_is_accepted():
+    task = _scaled("1A", 3, "B", 2.0 ** -1030)
+    B = task.inputs["B"].copy()
+    B[0, 0] = 1.0
+    assert am.deform(task._replace(inputs=dict(task.inputs, B=B))).verified
+
+
+@pytest.mark.parametrize("variant", ["4B", "5B", "6C", "6E"])
+def test_search_candidates_are_the_task_seeds_draws(variant):
+    # these variants have no deterministic witness: restart r verifies the
+    # r-th draw of default_rng(task.seed)
+    task = am.random_task(variant, 0)
+    res = am.deform(task)
+    assert res.verified and res.restarts >= 1
+    spec, rng = am.SPECS[variant], np.random.default_rng(task.seed)
+    c = am._context(variant, spec, task.inputs)
+    draws = [spec.draw(c, rng) for _ in range(res.restarts)]
+    assert draws[-1].keys() == res.witness.keys()
+    assert all(draws[-1][k].tobytes() == res.witness[k].tobytes() for k in res.witness)
+
+
+def test_pcg64_generators_equal_default_rng():
+    # deform and random_task build Generator(PCG64(seed)), the generator
+    # default_rng(seed) builds, to skip its checks: same state, same draws
+    for seed in range(51):
+        for s in (seed, seed ^ 0x5EED):
+            direct, default = np.random.Generator(np.random.PCG64(s)), np.random.default_rng(s)
+            assert direct.bit_generator.state == default.bit_generator.state
+            assert direct.standard_normal(16).tobytes() == default.standard_normal(16).tobytes()
+            assert direct.integers(1 << 40, size=4).tobytes() == \
+                default.integers(1 << 40, size=4).tobytes()
+
+
 @pytest.mark.parametrize("variant, seed, key, must", [
     ("1A", 3, "B", "B must be nontrivial"),
     ("1C", 0, "v", "v must lie off the cone over the variety"),

@@ -275,6 +275,15 @@ def test_cli_deform_input_non_finite(tmp_path, A):
     assert "variant 4A: input 'A' has non-finite entries" in out
 
 
+def test_cli_deform_input_subnormal(tmp_path):
+    # every entry below the least normal float: refused by name, not by LAPACK
+    path = tmp_path / "in.json"
+    path.write_text('{"A": [[1, 0], [0, 1e-310], [0, 0], [0, 0]], "B": [[1e-310, 0], [0, 1e-310]]}')
+    code, out = run_cli("deform", "--variant", "4A", "--input", str(path))
+    assert code == 2 and "Traceback" not in out
+    assert "variant 4A: input 'B' is subnormal (1e-310 at most)" in out
+
+
 def test_cli_deform_input_re_im_encoding(tmp_path):
     # the --json witness encoding is accepted as input: 4A with a non-ample A
     path = tmp_path / "in.json"

@@ -1,4 +1,8 @@
 import re
+import sys
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from linalg_helpers import (det_value, expm, flag_space, form_preserving,
                             gram_from_quadratic, isotropic_vector_in_wrapped, mp_inverse_2d,
                             pf_value, solve_constraints_masked, span_with_invariants_stacked)
+from parabolics import ampleness as am
 from parabolics import cxlinalg as cx
 from parabolics.ampleness import PF2, QuadricVariety, _nonample_patterns
 from parabolics.spinor import spin_module
@@ -71,10 +76,149 @@ def test_svd_raises_when_a_slice_does_not_converge(mode):
 
 
 def test_every_svd_in_the_package_is_cxlinalg_svd():
-    calls = re.compile(r"\b(np|numpy)\.linalg\.svd\b|linalg import .*\bsvd\b")
+    # and every least-squares solve is cxlinalg.lstsq
+    calls = re.compile(r"\b(np|numpy)\.linalg\.(svd|lstsq)\b|linalg import .*\b(svd|lstsq)\b")
     found = [f"{p.name}:{i}" for p in sorted(Path(cx.__file__).parent.glob("*.py"))
              for i, line in enumerate(p.read_text().splitlines(), 1) if calls.search(line)]
     assert found == []
+
+
+def _lstsq_inputs():
+    rng = np.random.default_rng(21)
+    return {"tall, one right-hand side": (cx.crandom(rng, 8, 2), cx.crandom(rng, 8)),
+            "square, three": (cx.crandom(rng, 8, 8), cx.crandom(rng, 8, 3)),
+            "wide": (cx.crandom(rng, 3, 5), cx.crandom(rng, 3, 2)),
+            "rank deficient": (cx.crandom(rng, 6, 2) @ cx.crandom(rng, 2, 4), cx.crandom(rng, 6)),
+            # singular values 1, 1e-6, 1e-12: rcond = eps * max(m, n) keeps the last
+            "ill-conditioned": (_constructed_svd(rng, 6, 3, 1e12), cx.crandom(rng, 6)),
+            "zero": (np.zeros((4, 2), dtype=complex), cx.crandom(rng, 4, 1))}
+
+
+@pytest.mark.parametrize("name", _lstsq_inputs())
+def test_lstsq_equals_numpys_bit_for_bit(name):
+    a, b = _lstsq_inputs()[name]
+    want, got = np.linalg.lstsq(a, b, rcond=None)[0], cx.lstsq(a, b)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("b_shape", [(4,), (4, 2)])
+def test_lstsq_raises_when_lapack_does_not_converge(b_shape):
+    a = cx.crandom(np.random.default_rng(0), 4, 3)
+    a[1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"), \
+            pytest.warns(RuntimeWarning):
+        cx.lstsq(a, np.ones(b_shape, dtype=complex))
+
+
+def _ulps(x, ref) -> float:
+    return abs(x - ref) / np.spacing(ref) if ref else abs(x)
+
+
+def _exact_s1(M) -> float:
+    """The largest singular value of a 1 x 1 or 2 x 2 M, from M^H M in exact
+    rationals and two 60-digit square roots, rounded once."""
+    cols = list(zip(*[[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in M.tolist()]))
+    # entry (i, j) of M^H M: column i conjugated, dotted with column j
+    gram = [[sum((p[0] * q[0] + p[1] * q[1], p[0] * q[1] - p[1] * q[0])[part] for p, q in zip(u, v))
+             for part in (0, 1)] for u in cols for v in cols]
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+        if len(cols) == 1:
+            return float(dec(gram[0][0]).sqrt())
+        a, (br, bi), c = gram[0][0], gram[1], gram[3][0]
+        return float((dec((a + c) / 2) + dec(((a - c) / 2) ** 2 + br * br + bi * bi).sqrt()).sqrt())
+
+
+def _closed_form_inputs(n):
+    """200 seeded complex n x n matrices of each kind the oracle reads."""
+    rng = np.random.default_rng(30 + n)
+    out = {"generic": [cx.crandom(rng, n, n) for _ in range(200)],
+           "zero": [np.zeros((n, n), dtype=complex)]}
+    # columns in proportion, and rows in proportion: rank 1 either way
+    out["rank deficient"] = [cx.crandom(rng, n, 1) @ cx.crandom(rng, 1, n) for _ in range(200)]
+    for e in (500, -500):
+        out[f"2^{e}"] = [2.0 ** e * M for M in out["generic"][:100] + out["rank deficient"][:100]]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_singular_values_closed_form_against_lapack(n):
+    # the closed form and LAPACK agree to a few rounding errors on every kind
+    eps = np.finfo(float).eps
+    for kind, mats in _closed_form_inputs(n).items():
+        for M in mats:
+            got, want = cx.singular_values(M), cx.svd(M, compute_uv=False)
+            assert len(got) == n and all(type(x) is float for x in got), kind
+            assert got == sorted(got, reverse=True), kind
+            assert _ulps(got[0], want[0]) <= 4, (kind, got, want)
+            assert _ulps(got[0], _exact_s1(M)) <= 2, (kind, got)
+            if n == 2:
+                assert abs(got[1] - want[1]) <= 8 * eps * want[0], (kind, got, want)
+
+
+def test_singular_values_fall_back_to_lapack():
+    # s1^2 below the least normal float or above the largest, and every shape
+    # but 1 x 1 and 2 x 2, give svd's values exactly
+    rng = np.random.default_rng(33)
+    mats = [2.0 ** -540 * cx.crandom(rng, 2, 2), 2.0 ** 520 * cx.crandom(rng, 2, 2),
+            np.zeros((2, 2), dtype=complex), cx.crandom(rng, 3, 3), cx.crandom(rng, 2, 3),
+            cx.crandom(rng, 3, 2), cx.crandom(rng, 1, 4), cx.crandom(rng, 4, 4)]
+    for M in mats:
+        assert cx.singular_values(M) == cx.svd(M, compute_uv=False).tolist(), M.shape
+
+
+def test_closed_form_decisions_equal_the_lapack_route(monkeypatch):
+    # Each singular_values call of the three decision sites that read values
+    # only, reached by seeded non-ample draws, gives the verdict svd gives at
+    # that site's cut; at least 10^4 calls of each site are in closed form.
+    # The spaces the draws use all have a Gram of norm at most 1, so the
+    # radical cut of _span_invariants is DEFAULT_TOL.
+    cuts = {"span_with_invariants": cx.NONDEGENERATE_TOL, "_span_invariants": cx.DEFAULT_TOL,
+            "_nonample_columns": am.MIX_RANK_TOL}
+    real, closed, verdicts = cx.singular_values, Counter(), set()
+
+    def both(M):
+        got, site = real(M), sys._getframe(1).f_code.co_name
+        want = cx.svd(M, compute_uv=False)
+        assert [x > cuts[site] for x in got] == [x > cuts[site] for x in want], (site, M)
+        if max(M.shape) <= 2:
+            closed[site] += 1
+            verdicts.add((site, got[-1] > cuts[site]))
+        return got
+
+    monkeypatch.setattr(cx, "singular_values", both)
+    monkeypatch.setattr(am, "singular_values", both)
+    spaces = [cx.symmetric_space(3), cx.symmetric_space(4), cx.det_space(), cx.pf_space(),
+              spin_module(4).half_space("+"), spin_module(4).half_space("-")]
+    assert all(max(sp.norm, 1.0) == 1.0 for sp in spaces)
+    rng = np.random.default_rng(34)
+    while min(closed[s] for s in cuts) < 10_000:
+        for sp in spaces:
+            am._nonample_columns(sp, 2, rng)
+            cx.restriction_invariants(cx.crandom(rng, sp.dim, 2), sp)  # generic: no radical
+    # The radical site met both verdicts.  Every nondegeneracy test of these
+    # draws passed and no mix was rank deficient; the next test plants values
+    # on both sides of each cut.
+    assert verdicts == {("span_with_invariants", True), ("_span_invariants", False),
+                        ("_span_invariants", True), ("_nonample_columns", True)}
+
+
+@pytest.mark.parametrize("cut", [cx.NONDEGENERATE_TOL, cx.DEFAULT_TOL, am.MIX_RANK_TOL])
+def test_closed_form_decisions_near_the_cut(cut):
+    # s2 planted 10^-4 to 10^-2 of the cut on either side of it, under random
+    # unitaries, with s1 in [1/2, 2]: both routes see the side it was planted on
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        (U, _), (V, _) = np.linalg.qr(cx.crandom(rng, 2, 2)), np.linalg.qr(cx.crandom(rng, 2, 2))
+        side = rng.choice((-1.0, 1.0))
+        s2 = cut * (1 + side * 10.0 ** rng.uniform(-4, -2))
+        M = (U * [rng.uniform(0.5, 2.0), s2]) @ V.conj().T
+        want = side > 0
+        assert (cx.singular_values(M)[1] > cut) == want
+        assert (cx.svd(M, compute_uv=False)[1] > cut) == want
 
 
 def test_mp_inverse_scalar_and_zero():

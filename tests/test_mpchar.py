@@ -222,7 +222,7 @@ def test_lemma_stack_equals_each_slice(kind, u):
 
 def test_lemma_refuses_bases_that_do_not_fill_u(monkeypatch):
     # an orth that loses a direction of every span leaves T short of U
-    monkeypatch.setattr(mc, "orth", lambda M: cx.orth(M)[:, :-1])
+    monkeypatch.setattr(mc, "orth", lambda M, usv=None: cx.orth(M, usv)[:, :-1])
     A = cx.crandom(np.random.default_rng(16), 6, 4)
     with pytest.raises(RuntimeError) as exc:
         mc.lemma_B_from_A(A, cx.symmetric_space(6))
@@ -269,7 +269,7 @@ def test_lemma_near_isotropic_herm_ab_stays_at_the_rounding_of_ab(kind, eps):
 def test_planted_inexact_inverse_fails_the_gl_bracket_residual(monkeypatch):
     # h comes from orthonormal bases of Im e and Im e*, not from f, so a
     # wrong f shows in ||[e, f] - h||
-    monkeypatch.setattr(mc, "mp_inverse", lambda F: 1.001 * cx.mp_inverse(F))
+    monkeypatch.setattr(mc, "mp_inverse", lambda F, usv=None: 1.001 * cx.mp_inverse(F, usv))
     x = mc.random_block_nilpotent(np.random.default_rng(15), (2, 3, 2))
     for t in mc.gl_hermitian_characteristic(x).values():
         assert t.residuals[0] > mc.DEFAULT_SL2_TOL
