@@ -37,7 +37,7 @@ def parse_diagram(s: str) -> ColouredDiagram:
         for tok in black_part.split(","):
             pos = start + len(tok) - len(tok.lstrip())
             start += len(tok) + 1
-            if not tok.strip().isdigit():
+            if not (tok.strip().isascii() and tok.strip().isdigit()):
                 raise ValueError(f"{s!r}: bad vertex {tok!r} (position {pos})")
             v = int(tok)
             if v in black:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .frozen import Frozen, read_only
+from .frozen import Frozen, cached_property, read_only
 
 DEFAULT_TOL = 1e-10
 #: The absolute cuts of the draws: |q(u)| of an isotropic unit vector, the least

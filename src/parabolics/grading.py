@@ -10,10 +10,12 @@ A grading is computed from `RootSystem.positive_array`, the positive
 roots' uint8 rows in lexicographic order: each root's key is its white
 columns read as one byte string, whose order is the lexicographic order of
 its weight, and the Levi's is the empty string.  One stable sort of the keys
-groups the rows by weight, ascending (so lexicographic) within each.
-`roots_of` slices them, and `components` is the dict of its slices.  Reducedness is one binary
-search of the doubled weights among the weights; irreducibility needs only
-the component of each row.
+groups the rows by weight, ascending (so lexicographic) within each.  The
+weight index that every query looks up is built with the grading.  `roots_of`
+slices one list per grading, the system's own `positive_roots` tuples in that
+order, built on first use, and `components` is the dict of its slices.
+Reducedness is one binary search of the doubled weights among the weights;
+irreducibility needs only the component of each row.
 
 A component is irreducible when exactly one of its roots is raised by no
 positive Levi root.  Levi root vectors are brackets of black simple ones, so
@@ -24,11 +26,9 @@ alone, by a search of their root sums among the roots (`root_sum_pairs`).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .frozen import Frozen, read_only
+from .frozen import Frozen, cached_property, read_only
 from .rootsys import Root, RootSystem, as_integers, build_root_system, parse_type, root_sum_pairs
 
 Weight = tuple[int, ...]
@@ -99,10 +99,12 @@ class Grading(Frozen):
         # _order: the rows of rs.positive_array by weight, ascending within
         # each weight (read-only); _bounds: where the rows of each positive
         # weight start in it, then their end.  _weight_array: positive_weights
-        # as a uint8 array.
+        # as a uint8 array.  _weight_ids: every query's lookup, k of each
+        # positive_weights[k - 1].
         vars(self).update(diagram=diagram, positive_weights=positive_weights,
                           _component_of=_component_of, _order=_order, _bounds=_bounds,
-                          _weight_array=_weight_array)
+                          _weight_array=_weight_array,
+                          _weight_ids={w: k for k, w in enumerate(positive_weights, start=1)})
 
     def __eq__(self, other):
         if not isinstance(other, Grading):
@@ -140,16 +142,14 @@ class Grading(Frozen):
         return self.diagram.rs
 
     @cached_property
-    def _weight_ids(self) -> dict[Weight, int]:
-        return {w: k for k, w in enumerate(self.positive_weights, start=1)}
-
-    @cached_property
     def _raisable(self) -> np.ndarray:
         """Whether some positive Levi root added to each positive root beta
         gives a root.  ad(e_gamma) for a positive Levi root gamma lies in the
         Lie algebra generated by the ad(e_alpha_b) of the black simple roots,
         so this holds iff beta + alpha_b is a root for some black b."""
-        return self.rs.raised_by[:, [b - 1 for b in self.diagram.black]].any(axis=1)
+        black = np.zeros(self.rs.rank, dtype=bool)
+        black[[b - 1 for b in self.diagram.black]] = True
+        return self.rs.raised_by @ black  # or-of-ands, row by row
 
     @cached_property
     def _highest_counts(self) -> list[int]:
@@ -188,12 +188,17 @@ class Grading(Frozen):
         k, b = self._weight_ids.get(tuple(chi)), self._bounds
         return None if k is None else self._order[b[k - 1]:b[k]]
 
+    @cached_property
+    def _ordered_roots(self) -> list[Root]:
+        """rs.positive_roots in _order order: roots_of slices it."""
+        roots = self.rs.positive_roots
+        return [roots[i] for i in self._order.tolist()]
+
     def roots_of(self, chi: Weight) -> tuple[Root, ...]:
         """The roots of the nonzero weight chi: its rows, negated and reversed if chi < 0."""
         chi, b = tuple(chi), self._bounds
         if k := self._weight_ids.get(chi):
-            roots = self.rs.positive_roots
-            return tuple([roots[i] for i in self._order[b[k - 1]:b[k]].tolist()])
+            return tuple(self._ordered_roots[b[k - 1]:b[k]])
         if k := self._weight_ids.get(tuple(-c for c in chi)):
             roots, n = self.rs.roots, len(self._order)  # positive root i negated at n + i
             return tuple([roots[n + i] for i in reversed(self._order[b[k - 1]:b[k]].tolist())])
@@ -236,12 +241,13 @@ def compute_grading(diag: ColouredDiagram) -> Grading:
     # A stable sort keeps each component in the lexicographic root order.
     order = key.argsort(kind="stable")
     read_only(order)  # component_indices hands out its slices
-    key = key[order]
-    new = key != np.concatenate(([b""], key[:-1]))  # a positive weight's first root
+    padded = np.zeros(len(key) + 1, dtype=key.dtype)  # b"", then the keys in order
+    key = key.take(order, out=padded[1:])
+    new = key != padded[:-1]  # a positive weight's first root
     starts = new.nonzero()[0]  # never empty: each white simple root is one
     component_of = np.empty(len(key), dtype=np.intp)
     component_of[order] = new.cumsum()
-    weights = cols[order[starts]]
+    weights = key[starts].view(np.uint8).reshape(len(starts), cols.shape[1])
     return Grading(diagram=diag, positive_weights=tuple(map(tuple, weights.tolist())),
                    _component_of=component_of, _order=order,
                    _bounds=(*starts.tolist(), len(order)), _weight_array=weights)

@@ -34,11 +34,11 @@ per-type cache over it.
 from __future__ import annotations
 
 from numbers import Real
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .frozen import Frozen, read_only
+from .frozen import Frozen, cached_property, read_only
 
 Root = tuple[int, ...]
 
@@ -252,7 +252,8 @@ def is_root(rs: RootSystem, v) -> bool:
 def parse_type(name: str) -> tuple[str, int]:
     """Parse a type string like 'E7' or 'D5' into (kind, rank)."""
     name = name.strip()
-    if len(name) < 2 or name[0].upper() not in _VALID_RANKS or not name[1:].isdigit():
+    if (len(name) < 2 or name[0].upper() not in _VALID_RANKS
+            or not (name[1:].isascii() and name[1:].isdigit())):
         raise InvalidTypeError(f"cannot parse type string {name!r}")
     kind, rank = name[0].upper(), int(name[1:])
     if rank not in _VALID_RANKS[kind]:

@@ -37,6 +37,7 @@ def test_summarise_counts_pairs_and_skips_incomplete_ones():
     assert ms["pairs"] == 3 and ms["change_lower_in_pairs"] == 2
     assert ms["parent_median"] == 11.0 and ms["change_median"] == 9.0
     assert ms["parent_q1_q3"] == [10.5, 11.5] and ms["parent_iqr"] == 1.0
+    assert ms["change_pct"] == pytest.approx(100 * (9.0 / 11.0 - 1))
     assert out["peak_rss_mb"]["change_lower_in_pairs"] == 0  # ties count for neither side
     assert out["failed"] == {"parent": 0, "change": 1}
     assert out["attempted"] == {"parent": 16, "change": 12}
@@ -88,7 +89,25 @@ def test_no_held_out_section_without_the_option(monkeypatch, tmp_path):
     _stub_checkouts(monkeypatch, [])
     out = tmp_path / "BENCH_9.json"
     assert bench_pairs.main(["--parent", "HEAD", "--plan", "deform:1", "--out", str(out)]) == 0
-    assert "held_out" not in json.loads(out.read_text())
+    report = json.loads(out.read_text())
+    assert "held_out" not in report and report["control"] is None
+
+
+def test_control_workload_records_its_drift(monkeypatch, tmp_path):
+    _stub_checkouts(monkeypatch, [])
+    out = tmp_path / "BENCH_9.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--plan", "scale_scan:1-2",
+                             "--plan", "scale_spinor:3", "--control", "scale_spinor",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    metrics = ("setup_s", "peak_rss_mb", "op_p50_ms")
+    spinor = report["summary"]["scale_spinor"]  # the stub's seed 3: 13 -> 12 on every metric
+    assert report["control"] == {"workload": "scale_spinor",
+                                 "change_pct": {m: spinor[m]["change_pct"] for m in metrics}}
+    assert report["control"]["change_pct"] == {m: pytest.approx(100 * (12 / 13 - 1))
+                                               for m in metrics}
+    scan = report["summary"]["scale_scan"]["op_p50_ms"]  # seeds 1, 2: medians 11.5 -> 10.5
+    assert scan["change_pct"] == pytest.approx(100 * (10.5 / 11.5 - 1))
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -96,6 +115,10 @@ def test_no_held_out_section_without_the_option(monkeypatch, tmp_path):
      "--held-out: give each workload once"),
     (["--held-out", "nope:1"], "--held-out: unknown workload 'nope'"),
     (["--held-out", "scale_grade"], "argument --held-out: 'scale_grade': expected WORKLOAD:SEEDS"),
+    (["--control", "scale_spinor"],
+     "--control: 'scale_spinor' is not a planned workload; --plan has ['deform']"),
+    (["--held-out", "scale_spinor:9001", "--control", "scale_spinor"],
+     "--control: 'scale_spinor' is not a planned workload"),
 ])
 def test_bad_held_out_plans_are_rejected(monkeypatch, tmp_path, capsys, argv, message):
     seen = []

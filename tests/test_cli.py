@@ -418,6 +418,18 @@ def test_parse_diagram_reports_bad_token_position():
     assert code == 2 and "(position 5)" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A\u00b2/1", "cannot parse type string 'A\u00b2'"),
+    ("A\u0663/1", "cannot parse type string 'A\u0663'"),
+    ("E7/1,\u00b2", "'E7/1,\u00b2': bad vertex '\u00b2' (position 5)"),
+    ("E7/\u0661,3", "'E7/\u0661,3': bad vertex '\u0661' (position 3)"),
+])
+def test_cli_grade_refuses_non_ascii_digits_by_name(text, message):
+    # isdigit() holds for '²' (int() then fails bare) and for '١' (int() reads 1).
+    code, out = run_cli("grade", text)
+    assert code == 2 and message in out and "invalid literal" not in out
+
+
 @pytest.mark.parametrize("command", ["verify-all", "lemma"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_cli_rejects_trials_below_one(command, trials):

@@ -2,6 +2,7 @@
 interpreter no generated code: the records are NamedTuples and the classes
 that cache on the instance derive from frozen.Frozen."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from parabolics import cxlinalg as cx
+from parabolics import frozen
 from parabolics.classify import ScanRecord
 from parabolics.grading import compute_grading, diagram
 from parabolics.mpchar import BlockNilpotent
@@ -62,9 +64,34 @@ def test_repr_shows_the_named_fields():
 
 
 @pytest.mark.parametrize("name", [n for n, (_, _, cached) in IMMUTABLE.items() if cached])
-def test_cached_properties_fill_on_first_read(name):
+def test_cached_properties_fill_on_first_read(name, monkeypatch):
     make, _, cached = IMMUTABLE[name]
-    obj = make()
+    obj, other = make(), make()
+    descriptor = vars(type(obj))[cached]
+    assert isinstance(descriptor, frozen.cached_property)
+    calls = []
+    getter = descriptor.func
+    monkeypatch.setattr(descriptor, "func", lambda self: calls.append(self) or getter(self))
     assert cached not in vars(obj)
     first = getattr(obj, cached)
     assert vars(obj)[cached] is first and getattr(obj, cached) is first
+    getattr(other, cached)
+    getattr(other, cached)
+    assert [id(x) for x in calls] == [id(obj), id(other)]  # once per instance
+    with pytest.raises(AttributeError):
+        setattr(obj, cached, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, cached)
+    assert getattr(obj, cached) is first and len(calls) == 2
+
+
+def test_no_module_imports_functools_cached_property():
+    # Python 3.11's takes a class-wide lock on every first read; the package
+    # uses frozen.cached_property instead.
+    for path in sorted((SRC / "parabolics").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in [a.name for a in node.names], path.name
+            if isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "functools"), \
+                    path.name

@@ -221,6 +221,15 @@ def test_invalid_types_rejected():
     assert parse_type("e7") == ("E", 7)
 
 
+@pytest.mark.parametrize("name", ["A\u00b2", "A\u0663", "E\u0667", "D1\u00b2", "B\uff12"])
+def test_parse_type_accepts_ascii_digits_only(name):
+    # str.isdigit() holds for superscripts and other scripts' digits, which
+    # int() refuses (A²) or reads (A٣ as A3); both are refused by name.
+    with pytest.raises(InvalidTypeError) as exc:
+        parse_type(name)
+    assert str(exc.value) == f"cannot parse type string {name!r}"
+
+
 def test_dynkin_edges_refuses_an_unknown_kind():
     with pytest.raises(InvalidTypeError) as exc:
         dynkin_edges("X", 3)

@@ -2,7 +2,8 @@
 
     python3 tools/bench_pairs.py --parent HEAD --plan scale_grade:1-10 \\
         --plan deform:1-5 --plan verify_all:1,2 \\
-        [--held-out scale_grade:9001-9002] [--note TEXT] [--out BENCH_5.json]
+        [--control deform] [--held-out scale_grade:9001-9002] [--note TEXT] \\
+        [--out BENCH_5.json]
 
 The parent revision is unpacked with `git archive` into a temporary
 directory, and the change, the working tree (every file git tracks or does
@@ -13,15 +14,19 @@ nothing registered in the repository if the run is interrupted.  Each
 first when k is odd and the change first when k is even, one run at a time.
 `--held-out WORKLOAD:SEEDS` adds pairs the same way, after the plan, for
 seeds that were not used while the change was written; they are reported
-apart, in the file's `held_out` section.
+apart, in the file's `held_out` section.  `--control WORKLOAD` names a
+planned workload whose code the change does not touch: pairs drift with the
+code untouched, and a claimed change is read against that workload's drift,
+which the file's `control` section repeats.
 A run is the benchmark command of `BENCHMARK.json` (`perfbench/run.py
 --workload W --seed N --seconds S --trace 0`, S being its `run_seconds`) in
 that side's copy, and its last stdout line is its JSON result.
 
 The output file (default: the next free `BENCH_<n>.json` at the repository
 root) holds every run and, per workload and end-to-end metric, both sides'
-medians and quartiles, the parent's interquartile distance and the number
-of pairs in which the change is lower; the held-out pairs have their own
+medians and quartiles, the relative change of the medians in percent
+(`change_pct`), the parent's interquartile distance and the number of pairs
+in which the change is lower; the held-out pairs have their own
 `what`, `summary` and `runs`.  The temporary directories, and the
 raw `perfbench/out/` files written in them, are removed at the end.
 """
@@ -113,9 +118,11 @@ def summarise(runs: list[dict], metrics: list[str]) -> dict:
         parent = [p["parent"]["metrics"][name]["value"] for p in done]
         change = [p["change"]["metrics"][name]["value"] for p in done]
         pq, cq = quartiles(parent), quartiles(change)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": p_med,
+            "change_median": c_med,
+            "change_pct": 100 * (c_med / p_med - 1) if p_med else None,
             "parent_iqr": pq[1] - pq[0],
             "change_q1_q3": cq,
             "parent_q1_q3": pq,
@@ -188,6 +195,8 @@ def main(argv=None) -> int:
     p.add_argument("--held-out", type=parse_plan, action="append", default=[],
                    metavar="WORKLOAD:SEEDS",
                    help="e.g. scale_grade:9001-9002, reported under held_out; repeatable")
+    p.add_argument("--control", metavar="WORKLOAD",
+                   help="a planned workload whose code the change does not touch")
     p.add_argument("--note", default="", help="what the change is, for the output file")
     p.add_argument("--out", type=Path, help="output file; the next free BENCH_<n>.json by default")
     args = p.parse_args(argv)
@@ -201,6 +210,9 @@ def main(argv=None) -> int:
         for workload in names:
             if workload not in known:
                 p.error(f"{option}: unknown workload {workload!r}; BENCHMARK.json has {sorted(known)}")
+    planned = [workload for workload, _ in args.plan]
+    if args.control is not None and args.control not in planned:
+        p.error(f"--control: {args.control!r} is not a planned workload; --plan has {planned}")
     metrics = [m["name"] for m in bench["end_to_end"]]
     if any(m["better"] != "lower" for m in bench["end_to_end"]):
         p.error("BENCHMARK.json: every end-to-end metric must be lower-is-better")
@@ -221,6 +233,11 @@ def main(argv=None) -> int:
         held_runs = run_pairs(sides, bench["command"], args.held_out, seconds)
 
     main_section = section(args.plan, runs, metrics)
+    control = None
+    if args.control is not None:
+        drift = main_section["summary"][args.control]
+        control = {"workload": args.control,
+                   "change_pct": {m: drift[m]["change_pct"] for m in metrics if m in drift}}
     report = {
         "what": main_section["what"],
         "command": " ".join(bench["command"] + ["--workload", "W", "--seed", "N",
@@ -229,6 +246,7 @@ def main(argv=None) -> int:
         "change": f"working tree on {git('rev-parse', 'HEAD').strip()}",
         "note": args.note,
         "machine": machine(),
+        "control": control,
         "summary": main_section["summary"],
         "runs": runs,
     }
