@@ -213,7 +213,8 @@ def _compose_5a(E_terms, A) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _canonical_7b_data():
-    plus = {s: k for k, s in enumerate(spin_module(4).half_basis_subsets("+"))}
+    sm = spin_module(4)
+    plus = {sm.basis[i]: k for k, i in enumerate(sm.even_indices)}
 
     def vv(*idx):
         v = np.zeros(8, dtype=complex)
@@ -371,7 +372,6 @@ _DERIVED = {
     "X": lambda c: _prop1_spaces(c["variety"]),
     "d": lambda c: c["X"].dim,
 }
-_rho_basis = lru_cache()(lambda: read_only(_rho(np.eye(8)))[0])  # rho(e_i) of V's basis
 
 
 class _Context(dict):
@@ -460,8 +460,17 @@ def _prop1(second: str, inp: InputSpec, **fields) -> VariantSpec:
         **fields)
 
 
-def _rho(v) -> np.ndarray:
-    return spin_module(4).rho_half(v, "+")
+@lru_cache(maxsize=None)
+def _rho_basis() -> np.ndarray:
+    """rho(e_i) from S+ to S- in half coordinates, for the basis e_i of V = C^8."""
+    sm = spin_module(4)
+    return read_only(sm.rho(np.eye(8))[:, sm.odd_indices][:, :, sm.even_indices])[0]
+
+
+def _rho(v: np.ndarray) -> np.ndarray:
+    """rho(v) from S+ to S- in half coordinates; rho is linear in v, so a
+    (..., 8) stack of vectors gives the (..., 8, 8) stack of maps."""
+    return (v @ _rho_basis().reshape(8, 64)).reshape(*v.shape[:-1], 8, 8)
 
 
 def _prop4_seeded(seed: int) -> dict:

@@ -160,6 +160,8 @@ def cmd_mp_triple(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    if args.form == "skew" and args.w % 2:
+        raise ValueError(f"--w {args.w}: the skew form needs an even dimension")
     space = (cxlinalg.symmetric_space(args.w) if args.form == "sym"
              else cxlinalg.symplectic_space(args.w))
     worst = mpchar.lemma_worst_residual(np.random.default_rng(args.seed), space, args.u,

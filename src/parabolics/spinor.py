@@ -13,10 +13,9 @@ orthogonal to each other.
 
 A module holds its own tables.  Its halves, the scatter table of rho and
 the sign of each basis element against its complement under the form are
-built with it, by bit arithmetic on the subsets' bitmasks.  The blocks of rho(v)
-between the halves and the half-space forms are built on first use, per
-side, on the 2^(m-1) coordinates of a half; the full Gram only when it is
-read.
+built with it, by bit arithmetic on the subsets' bitmasks.  The half-space
+forms are built on first use, per side, on the 2^(m-1) coordinates of a
+half; the full Gram only when it is read.
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ class SpinModule(Frozen):
     """Lambda* U, U = C^m, with the Clifford action and the form.
 
     Built with the module, all read-only: the basis subsets (by size, then
-    lexicographic), the basis indices of S+ and S-, each index's place in
-    its half (_place), where rho(v) is nonzero (_rho) and each index's sign
-    under the form against its complement (_form_sign).  rho_half's tables, the
-    full Gram and the half spaces are built on first use and kept in
-    _built.  spin_module holds one module per m; modules compare and hash by
-    identity."""
+    lexicographic), the basis indices of S+ and S-, where rho(v) is nonzero
+    (_rho) and each index's sign under the form against its complement
+    (_form_sign).  The full Gram and the half spaces are built on first use
+    and kept in _built.  spin_module holds one module per m; modules compare
+    and hash by identity."""
 
     _repr = ("m", "basis")
 
@@ -58,9 +56,7 @@ class SpinModule(Frozen):
         pos[masks] = np.arange(n)
         bits = every[masks]
         even, odd = np.flatnonzero(k % 2 == 0), np.flatnonzero(k % 2 == 1)
-        place = np.empty(n, dtype=np.int64)
-        place[even], place[odd] = np.arange(len(even)), np.arange(len(odd))
-        read_only(even, odd, place)
+        read_only(even, odd)
         # rho(v) at flat (row, col) positions, with the coordinate of v and the
         # sign for each, in (column, i) order.  Column s gets e_i ^ s for i not
         # in s and the contraction of s by e*_i for i in s, both at row s ^ {i}
@@ -77,18 +73,13 @@ class SpinModule(Frozen):
         flips = bits @ i - k * (k - 1) // 2 + k // 2
         vars(self).update(
             m=m, basis=tuple(s for r in range(m + 1) for s in combinations(range(m), r)),
-            even_indices=even, odd_indices=odd, _place=place,
+            even_indices=even, odd_indices=odd,
             _rho=read_only(flat.ravel(), (i + m * bits).ravel(), sign.ravel()),
             _form_sign=read_only(1 - 2 * (flips & 1))[0], _built={})
 
     @property
     def dim(self) -> int:
         return 1 << self.m
-
-    def _side_indices(self, side: str) -> np.ndarray:
-        if side not in ("+", "-"):
-            raise ValueError(f"spinor side must be '+' or '-', got {side!r}")
-        return self.even_indices if side == "+" else self.odd_indices
 
     def _once(self, key: str, build):
         """_built[key], made by build() on first use."""
@@ -101,28 +92,10 @@ class SpinModule(Frozen):
     def rho(self, v: np.ndarray) -> np.ndarray:
         """Matrix of rho(v) on Lambda* U for v in V = U + U' (length 2m); a
         (..., 2m) stack of vectors gives the (..., 2^m, 2^m) stack of matrices."""
-        return self._scatter(v, self._rho, self.dim)
-
-    def rho_half(self, v: np.ndarray, side: str) -> np.ndarray:
-        """rho(v) as a map S(side) -> S(-side), in half coordinates."""
-        src = self._side_indices(side)
-        return self._scatter(v, self._once("rho" + side, lambda: self._rho_half_table(src)),
-                             self.dim // 2)
-
-    def _rho_half_table(self, src: np.ndarray) -> tuple:
-        """The entries of _rho in the columns src of a half, in its (column, i)
-        order, with flat positions (row = flat >> m) moved to the block from
-        that half to the other."""
-        m = self.m
-        flat, gen, sign = (a.reshape(1 << m, m)[src].ravel() for a in self._rho)
-        return read_only(self._place[flat >> m] * len(src) + np.repeat(np.arange(len(src)), m),
-                         gen, sign)
-
-    def _scatter(self, v, table, n: int) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape[-1:] != (2 * self.m,):
             raise ValueError(f"vector must live in C^{2 * self.m}")
-        flat, gen, sign = table
+        n, (flat, gen, sign) = self.dim, self._rho
         M = np.zeros((*v.shape[:-1], n * n), dtype=complex)
         # Adding to a zero entry, as an entry-wise build does, turns the
         # -0.0 parts of v[gen] * sign into +0.0.
@@ -152,7 +125,9 @@ class SpinModule(Frozen):
         first use with a read-only Gram."""
         if self.m % 2:
             raise ValueError("the spinor form needs even m")
-        idx = self._side_indices(side)
+        if side not in ("+", "-"):
+            raise ValueError(f"spinor side must be '+' or '-', got {side!r}")
+        idx = self.even_indices if side == "+" else self.odd_indices
         return self._once("space" + side, lambda: BilinearSpace(
             f"spinor-form({self.m}){side}", len(idx), self._gram(self._form_sign[idx])))
 
@@ -165,9 +140,6 @@ class SpinModule(Frozen):
         G = np.zeros((len(sign), len(sign)), dtype=complex)
         G[np.arange(len(sign)), np.arange(len(sign))[::-1]] = sign
         return read_only(G)[0]
-
-    def half_basis_subsets(self, side: str) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.basis[k] for k in self._side_indices(side))
 
 
 #: The module of each m, built once per process.

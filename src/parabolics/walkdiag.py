@@ -145,6 +145,11 @@ def _parse_vector(s: str) -> Weight:
     return tuple(int(x) for x in s.split(","))
 
 
+#: The stanza lines that hold one value: the word for it in an error, and its parser.
+_ONE_VALUE = {"group": ("GROUP", str), "parabolic": ("NUMBER", int),
+              "covers": ("NUMBERS", _parse_vector), "black": ("VERTICES", _parse_vector)}
+
+
 def load_cases() -> dict[str, CaseSpec]:
     path = data_path("cases.txt")
     cases: dict[str, CaseSpec] = {}
@@ -169,16 +174,14 @@ def load_cases() -> dict[str, CaseSpec]:
                 _check_colouring(f"case {cur['case_id']}", cur["group"], cur["black"])
                 cases[cur["case_id"]] = CaseSpec(**{**cur, "arrows": tuple(cur["arrows"])})
                 cur = None
-            elif line.startswith("group "):
-                cur["group"] = line.split()[1]
-            elif line.startswith("parabolic "):
-                cur["parabolic"] = int(line.split()[1])
-            elif line.startswith("covers "):
-                cur["covers"] = tuple(int(x) for x in line.split()[1].split(","))
+            elif line.split()[0] in _ONE_VALUE:
+                key, *values = line.split()
+                word, parse = _ONE_VALUE[key]
+                if len(values) != 1:
+                    raise ValueError(f"expected '{key} {word}', got {line!r}")
+                cur[key] = parse(values[0])
             elif line.startswith("note "):
                 cur["note"] = line[5:]
-            elif line.startswith("black "):
-                cur["black"] = _parse_vector(line.split()[1])
             elif line.startswith(("nonreduced ", "twisting ", "rubbish ")):
                 role, name, *rest = line.split()
                 if line.count(";") != 1:

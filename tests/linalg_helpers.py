@@ -124,8 +124,8 @@ def spinor_vector(sm, *subsets) -> np.ndarray:
 
 def flip_generator(sm, a: int):
     """sm, a module no other caller holds, with every sign of rho(e_a)
-    flipped in its scatter table: a planted fault that rho and rho_half
-    both read."""
+    flipped in its scatter table: a planted fault that rho reads, and with
+    it every table built from rho, such as the deformations' rho(e_i) blocks."""
     flat, gen, sign = sm._rho
     vars(sm)["_rho"] = (flat, gen, np.where(gen == a, -sign, sign))
     return sm

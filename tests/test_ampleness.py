@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import form_preserving, spinor_vector
+from linalg_helpers import flip_generator, form_preserving, spinor_vector
 from parabolics import ampleness as am
 from parabolics.cxlinalg import (DEFAULT_TOL, _solve_constraints, crandom, det_space, orth,
                                  pf_space, restriction_invariants, symmetric_space)
-from parabolics.spinor import spin_module
+from parabolics.spinor import SpinModule, spin_module
 
 
 def test_is_ample_examples():
@@ -354,6 +354,70 @@ def test_canonical_7b_first_attempt_all_three_forms():
                                      np.random.default_rng(70 + seed))
             res = am.deform(am.DeformationTask("7B", {"A": A, "B": B}, seed=seed))
             assert res.verified and res.restarts == 0, (idx, seed)
+
+
+def _rho_block(sm, v):
+    """rho(v) from S+ to S-, cut from the module's full rho(v)."""
+    return sm.rho(v)[sm.odd_indices][:, sm.even_indices]
+
+
+def test_rho_is_the_s_plus_block_of_the_module_rho():
+    sm, rng = spin_module(4), np.random.default_rng(36)
+    for _ in range(200):
+        v = crandom(rng, 8)
+        pick = rng.random(8)
+        v[pick < 0.2] = 0
+        v[(pick >= 0.2) & (pick < 0.3)] = complex(-0.0, -0.0)
+        v[(pick >= 0.3) & (pick < 0.4)] = complex(-0.0, 1.0)
+        for w in (v, -v, v.real.astype(complex)):
+            got, want = am._rho(w), _rho_block(sm, w)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        stack = np.stack([v, -v, v.conj()])
+        got = am._rho(stack)
+        assert got.shape == (3, 8, 8)
+        assert got.tobytes() == np.stack([_rho_block(sm, w) for w in stack]).tobytes()
+
+
+def test_rho_basis_is_read_only():
+    basis = am._rho_basis()
+    assert basis is am._rho_basis() and basis.shape == (8, 8, 8)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 1
+
+
+def test_a_flip_planted_in_the_module_reaches_rho(monkeypatch):
+    v = np.arange(1, 9, dtype=complex)
+    before = am._rho(v)
+    flipped = flip_generator(SpinModule(4), 0)
+    monkeypatch.setattr(am, "spin_module", lambda m: flipped if m == 4 else spin_module(m))
+    am._rho_basis.cache_clear()
+    try:
+        after = am._rho(v)
+    finally:
+        monkeypatch.undo()
+        am._rho_basis.cache_clear()
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == _rho_block(flipped, v).tobytes()
+    assert am._rho(v).tobytes() == before.tobytes()  # the shared module is untouched
+
+
+def test_canonical_7b_data_is_unchanged():
+    # S+ coordinates follow the even subsets (), 01, 02, 03, 12, 13, 23, 0123
+    def cols(*supports, n=8):
+        M = np.zeros((n, len(supports)), dtype=complex)
+        for j, support in enumerate(supports):
+            M[list(support), j] = 1
+        return M
+
+    want = [(cols((1, 6), (0,), ()), cols((), (1,), (0, 4)).T),
+            (cols((0,), (1,), (6,)), cols((0, 1, 2, 4), (6,), (4,)).T),
+            (cols((0, 7), (1,), (2,)), cols((3,), (4,), (0, 6)).T)]
+    for got, expected in zip(am._canonical_7b_data(), want, strict=True):
+        for g, w in zip(got, expected, strict=True):
+            w = np.ascontiguousarray(w)
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            assert not g.flags.writeable
 
 
 def test_canonical_6a_first_attempt():

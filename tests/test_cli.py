@@ -496,6 +496,18 @@ def test_cli_checks_over_nothing_are_rejected(argv, option, capsys):
     assert "PASS" not in captured.out + captured.err
 
 
+def test_cli_lemma_odd_skew_dimension_names_the_option(monkeypatch):
+    from parabolics import cli
+
+    def refuse(*args):
+        raise AssertionError("drew before refusing --w")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", refuse)
+    code, out = run_cli("lemma", "--form", "skew", "--w", "7")
+    assert code == 2
+    assert out == "error: --w 7: the skew form needs an even dimension\n"
+
+
 def test_cli_spinor_bounds_m_before_any_work(monkeypatch):
     from parabolics import cli
 

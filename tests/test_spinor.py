@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from linalg_helpers import flip_generator, spinor_vector
+from linalg_helpers import spinor_vector
 from parabolics import spinor
 from parabolics.cxlinalg import crandom, restriction_invariants
 from parabolics.spinor import SpinModule, spin_module
@@ -151,14 +151,6 @@ def test_prop7c_dichotomy(sm4):
         assert restriction_invariants(span, minus) == (4, 4)
 
 
-def test_rho_half_consistency(sm4):
-    rng = np.random.default_rng(4)
-    v = crandom(rng, 8)
-    s_half = crandom(rng, 8)
-    out_full = sm4.rho(v) @ _from_plus(sm4, s_half)
-    assert np.allclose(out_full[sm4.odd_indices], sm4.rho_half(v, "+") @ s_half)
-
-
 # ------------------------------------------ exactness oracles and caching
 
 
@@ -295,13 +287,11 @@ def test_half_indices_and_rho_half_equal_subset_parity(m):
     odd = [k for k, s in enumerate(sm.basis) if len(s) % 2 == 1]
     assert sm.even_indices.tolist() == even and sm.odd_indices.tolist() == odd
     assert not sm.even_indices.flags.writeable and not sm.odd_indices.flags.writeable
-    rng = np.random.default_rng(200 + m)
-    v = crandom(rng, 2 * m)
-    v[rng.random(2 * m) < 0.3] = 0
-    R = sm.rho(v)
-    for side, src, dst in (("+", even, odd), ("-", odd, even)):
-        want = R[np.ix_(dst, src)]
-        assert sm.rho_half(v, side).tobytes() == want.tobytes()
+    # rho(v) lives in its half blocks, from each parity to the other
+    R = sm.rho(crandom(np.random.default_rng(200 + m), 2 * m))
+    assert not R[np.ix_(even, even)].any() and not R[np.ix_(odd, odd)].any()
+    assert np.count_nonzero(R[np.ix_(odd, even)]) + np.count_nonzero(R[np.ix_(even, odd)]) \
+        == np.count_nonzero(R) == m * sm.dim
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -322,14 +312,8 @@ def test_half_space_cached_per_side_with_read_only_gram(m):
 
 @pytest.mark.parametrize("side", ["x", "", "+-", None])
 def test_unknown_spinor_side_rejected(sm4, side):
-    calls = (
-        lambda: sm4.half_space(side),
-        lambda: sm4.half_basis_subsets(side),
-        lambda: sm4.rho_half(np.zeros(8), side),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match=re.escape(repr(side))):
-            call()
+    with pytest.raises(ValueError, match=re.escape(repr(side))):
+        sm4.half_space(side)
 
 
 def _rho_square_defect_loop(rng, sm, trials):
@@ -432,28 +416,26 @@ def test_clifford_relation_is_exact_on_the_generators(m):
 
 
 def _subset_tables_loop(basis):
-    """Reference: each basis subset's place in its half, the index of its
-    complement and the sign of the form there, one subset at a time."""
+    """Reference: the index of each basis subset's complement and the sign
+    of the form there, one subset at a time."""
     index = {s: k for k, s in enumerate(basis)}
-    m, seen = len(basis[-1]), [0, 0]
-    place, partner, sign = [], [], []
+    m = len(basis[-1])
+    partner, sign = [], []
     for s in basis:
         k = len(s)
-        place.append(seen[k % 2])
-        seen[k % 2] += 1
         partner.append(index[tuple(x for x in range(m) if x not in s)])
         sign.append(-1 if (sum(s) - k * (k - 1) // 2 + k // 2) % 2 else 1)
-    return np.array(place), np.array(partner), np.array(sign)
+    return np.array(partner), np.array(sign)
 
 
 @pytest.mark.parametrize("m", range(1, 15))
 def test_subset_masks_equal_per_subset_loop(m):
     # the tables built from the subsets' bitmasks, against the basis of tuples
     sm = SpinModule(m)
-    place, partner, sign = _subset_tables_loop(sm.basis)
-    assert _same_bytes(sm._place, place) and _same_bytes(sm._form_sign, sign)
+    partner, sign = _subset_tables_loop(sm.basis)
+    assert _same_bytes(sm._form_sign, sign)
     assert partner.tolist() == list(range(sm.dim - 1, -1, -1))  # what _gram relies on
-    tables = (sm.even_indices, sm.odd_indices, sm._place, sm._form_sign, *sm._rho)
+    tables = (sm.even_indices, sm.odd_indices, sm._form_sign, *sm._rho)
     assert not any(a.flags.writeable for a in tables)
 
 
@@ -462,29 +444,13 @@ def test_half_gram_equals_block_of_full_gram(m):
     # m = 12 has a 256 MB full Gram: build it on an uncached module, compare 256 rows at a time
     sm = SpinModule(m)
     full = sm.form_gram
-    for side in "+-":
-        idx = sm._side_indices(side)
+    for side, idx in (("+", sm.even_indices), ("-", sm.odd_indices)):
         got = sm.half_space(side).gram
         assert (got.dtype, got.shape, got.flags.writeable) == (full.dtype, (len(idx),) * 2, False)
         for a in range(0, len(idx), 256):
             assert got[a:a + 256].tobytes() == full[idx[a:a + 256, None], idx].tobytes()
         if m <= 10:
             assert spin_module(m).half_space(side).gram.tobytes() == got.tobytes()
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_rho_half_equals_block_of_rho(m):
-    sm = spin_module(m)
-    rng = np.random.default_rng(300 + m)
-    v = crandom(rng, 2 * m)
-    v[rng.random(2 * m) < 0.3] = 0
-    v[0] = complex(-0.0, -0.0)
-    nan = v.copy()
-    nan[-1] = complex(np.nan, 1.0)
-    for side, src, dst in (("+", sm.even_indices, sm.odd_indices),
-                           ("-", sm.odd_indices, sm.even_indices)):
-        for w in (v, -v, v.real, nan):
-            assert _same_bytes(sm.rho_half(w, side), sm.rho(w)[dst[:, None], src])
 
 
 def test_half_space_builds_no_full_gram():
@@ -498,19 +464,7 @@ def test_tables_are_built_no_earlier_than_their_first_use():
     assert sm._built == {}
     sm.rho(v)
     assert sm._built == {}  # rho reads the table built with the module
-    sm.rho_half(v, "-")
-    assert list(sm._built) == ["rho-"]
     space = sm.half_space("+")
-    assert list(sm._built) == ["rho-", "space+"] and sm.half_space("+") is space
+    assert list(sm._built) == ["space+"] and sm.half_space("+") is space
     assert sm.form_gram is sm.form_gram
-    assert list(sm._built) == ["rho-", "space+", "gram"]
-
-
-def test_rho_half_follows_a_flip_planted_in_rho_scatter():
-    v = np.arange(1, 9, dtype=complex)
-    before = spin_module(4).rho_half(v, "+")
-    sm = flip_generator(SpinModule(4), 0)
-    after = sm.rho_half(v, "+")
-    assert not np.array_equal(after, before)
-    assert _same_bytes(after, sm.rho(v)[sm.odd_indices[:, None], sm.even_indices])
-    assert _same_bytes(spin_module(4).rho_half(v, "+"), before)  # the shared module is untouched
+    assert list(sm._built) == ["space+", "gram"]

@@ -260,11 +260,18 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
      ":2: expected 'twisting NAME = VECTOR ; labels LABELS', got 'twisting 1 = 1 ; bogus 1'"),
     ("case X\n  twisting 1 : 1 ; labels 1\nend\n",
      ":2: expected 'twisting NAME = VECTOR ; labels LABELS', got 'twisting 1 : 1 ; labels 1'"),
+    ("case X\n  group E7 E8\nend\n", ":2: expected 'group GROUP', got 'group E7 E8'"),
+    ("case X\n  covers 1 2\nend\n", ":2: expected 'covers NUMBERS', got 'covers 1 2'"),
+    ("case X\n  parabolic 1 2\nend\n", ":2: expected 'parabolic NUMBER', got 'parabolic 1 2'"),
+    ("case X\n  group E7\n  black 1,3,6 7\nend\n",
+     ":3: expected 'black VERTICES', got 'black 1,3,6 7'"),
 ], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
         "two-labels", "bad-int", "unrecognised", "unterminated", "empty",
         "case-twice", "name-twice", "name-twice-across-roles", "invalid-group",
         "unknown-type", "vertex-out-of-range", "all-black", "arrow-short",
-        "labels-word-missing", "labels-word-wrong", "no-equals-sign"])
+        "labels-word-missing", "labels-word-wrong", "no-equals-sign",
+        "group-two-values", "covers-two-values", "parabolic-two-values",
+        "black-two-values"])
 def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
     (tmp_path / "cases.txt").write_text(text)
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
