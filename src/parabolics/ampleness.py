@@ -9,7 +9,9 @@ re-checks that predicate on its candidate witness before reporting it.
 Each variant is one VariantSpec in SPECS, commented there with its inputs,
 its witness and, in brackets, the deformed object; deform() runs every one
 of them the same way.  The varieties of Prop 1 (variants 1A-1C) are given
-by their defining quadrics, and every test on them reads those quadrics.
+by their defining quadrics, and every test on them reads those quadrics: a line
+is degenerate when one SVD of the quadrics restricted to it shows exactly one
+common root.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .cxlinalg import (
     BilinearSpace,
+    _solve_constraints,
     crandom,
     det_space,
     isotropic_vector_in,
@@ -54,13 +57,8 @@ def ample(A, space: BilinearSpace) -> bool:
 
 # -------------------------------------------------------- two-varieties
 # Prop 1's varieties, zero sets of quadrics: each has its space's dim, a norm bounding
-# the quadrics on unit vectors, their (c0, c1, c2) on s a + t b, and a random line.
-
-
-def _kernel(C, r: int) -> np.ndarray:
-    """The right singular vectors of C from the r-th on: an orthonormal basis
-    of {x : C x = 0} when C has rank r, of a subspace of it when less."""
-    return svd(C)[2].conj().T[:, r:]
+# the quadrics on unit vectors, the (J, 3) rows (c0, c1, c2) of their J restrictions
+# c0 s^2 + c1 st + c2 t^2 to s a + t b, and a random line.
 
 
 class QuadricVariety(NamedTuple):
@@ -70,16 +68,18 @@ class QuadricVariety(NamedTuple):
     dim = property(lambda self: self.space.dim)
     norm = property(lambda self: self.space.norm)
 
-    def quadrics(self, a, b) -> list:
-        sp = self.space
-        return [(sp.quadratic(a), 2 * sp.omega(a, b), sp.quadratic(b))]
+    def quadrics(self, a, b) -> np.ndarray:
+        aG = a @ self.space.gram  # omega(a, .)
+        return np.array([[aG @ a, 2 * (aG @ b), b @ self.space.gram @ b]])
 
     def line(self, rng) -> np.ndarray:
         sp = self.space
         x = isotropic_vector_in(sp, np.eye(sp.dim, dtype=complex), rng)
         # y in a (dim - 2)-dim subspace, picked by the SVD, of the (dim - 1)-dim omega-orthogonal
-        # of x (the stack has rank 1); nothing makes y non-isotropic.  The seeded draws pin it.
-        y = _kernel(np.stack([sp.gram @ x, sp.gram.T @ x]), 2) @ crandom(rng, sp.dim - 2)
+        # of x: the stack has rank 1 because the Gram is symmetric.  Nothing makes y
+        # non-isotropic; the seeded draws pin it.
+        null = _solve_constraints(np.stack([sp.gram @ x, sp.gram.T @ x]), sp.dim)
+        y = null[:, 1:] @ crandom(rng, sp.dim - 2)
         return np.column_stack([x, y]) @ (np.eye(2) + 0.1 * crandom(rng, 2, 2))
 
 
@@ -90,19 +90,20 @@ class SegreVariety(NamedTuple):
     dim = property(lambda self: 2 * self.k)
     norm = 1.0  # a minor of unit vectors is at most 2
 
-    def quadrics(self, a, b) -> list:
+    def quadrics(self, a, b) -> np.ndarray:
         M1, M2 = a.reshape(2, self.k), b.reshape(2, self.k)
         d = lambda X, Y, i, j: X[0, i] * Y[1, j] - X[1, i] * Y[0, j]
-        return [(d(M1, M1, i, j), d(M1, M2, i, j) + d(M2, M1, i, j), d(M2, M2, i, j))
-                for i, j in combinations(range(self.k), 2)]
+        return np.array([(d(M1, M1, i, j), d(M1, M2, i, j) + d(M2, M1, i, j), d(M2, M2, i, j))
+                         for i, j in combinations(range(self.k), 2)])
 
     def line(self, rng) -> np.ndarray:
         x = np.outer(crandom(rng, 2), crandom(rng, self.k)).reshape(-1)
         return np.column_stack([x, crandom(rng, 2 * self.k)])
 
 
-#: The relative cut below which is_degenerate_line_map takes a singular
-#: value, a quadratic coefficient, a discriminant or a quadric's value for zero.
+#: The relative cut of is_degenerate_line_map's five tests for zero: A's second
+#: singular value, the largest singular value of the quadric rows C against the norm,
+#: C's other singular values, a rank-1 C's discriminant and k1^2 - k0 k2 of its null k.
 LINE_MAP_TOL = 1e-8
 #: allclose's test of a printed canonical A: |A_in - A| <= atol + rtol |A|.
 PRINTED_ATOL, PRINTED_RTOL = 1e-12, 1e-5
@@ -113,38 +114,11 @@ IN_IMAGE_TOL, SPINOR_SQUARE_TOL, MIX_RANK_TOL, RANK_TWO_TOL = 1e-8, 1e-10, 1e-8,
 MAX_RESTARTS = 1000
 
 
-def _projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
-    """Distinct projective roots (s : t) of c0 s^2 + c1 st + c2 t^2; None if no
-    coefficient exceeds LINE_MAP_TOL * norm, the norm of a form giving them
-    on unit vectors."""
-    scale = max(abs(c0), abs(c1), abs(c2))
-    if scale <= LINE_MAP_TOL * norm:
-        return None
-    roots = []
-    if abs(c0) <= LINE_MAP_TOL * scale:
-        roots.append((1.0, 0.0))
-        if abs(c1) > LINE_MAP_TOL * scale:
-            roots.append((-c2 / c1, 1.0))
-    else:
-        disc = c1 * c1 - 4 * c0 * c2
-        if abs(disc) <= LINE_MAP_TOL * scale * scale:
-            roots.append((-c1 / (2 * c0), 1.0))
-        else:
-            sq = np.sqrt(disc)
-            roots.append(((-c1 + sq) / (2 * c0), 1.0))
-            roots.append(((-c1 - sq) / (2 * c0), 1.0))
-    distinct = []
-    for r in roots:
-        if all(abs(r[0] * q[1] - r[1] * q[0]) > LINE_MAP_TOL * (1 + abs(r[0]) + abs(q[0]))
-               for q in distinct):
-            distinct.append(r)
-    return distinct
-
-
 def is_degenerate_line_map(A, variety) -> bool:
-    """rank A = 2 and the projective line P(Im A) meets the variety in
-    exactly one point: one root (p : q) of its largest quadric, on that quadric's
-    scale, at which every other is at most LINE_MAP_TOL * norm * (|p|^2 + |q|^2)."""
+    """rank A = 2 and the projective line P(Im A) meets the variety in exactly one
+    point, read from one SVD of the quadrics' rows C on the line: binary quadratics
+    have exactly one common root (p : q) when C has rank 1 and a zero discriminant,
+    or rank 2 and its null vector k on the conic k = (p^2, pq, q^2)."""
     if not isinstance(variety, (QuadricVariety, SegreVariety)):
         raise ValueError(f"unsupported variety {variety!r}")
     A = np.asarray(A, dtype=complex)
@@ -153,13 +127,18 @@ def is_degenerate_line_map(A, variety) -> bool:
     U, s, _ = svd(A, full_matrices=False)
     if s[0] == 0 or s[1] <= LINE_MAP_TOL * s[0]:
         return False
-    largest, *others = sorted(variety.quadrics(U[:, 0], U[:, 1]), key=lambda c: -max(map(abs, c)))
-    roots = _projective_roots(*largest, variety.norm)
-    if roots is None:  # the whole line lies on the variety
+    _, t, Vh = svd(variety.quadrics(U[:, 0], U[:, 1]))
+    t = t.tolist()
+    if t[0] <= LINE_MAP_TOL * variety.norm:  # the whole line lies on the variety
         return False
-    cut = LINE_MAP_TOL * variety.norm
-    return sum(all(abs(c0 * p * p + c1 * p * q + c2 * q * q) <= cut * (abs(p) ** 2 + abs(q) ** 2)
-                   for c0, c1, c2 in others) for p, q in roots) == 1
+    rank = sum(x > LINE_MAP_TOL * t[0] for x in t)
+    if rank == 1:  # every quadric is a multiple of Vh[0]: one point when its root is double
+        c0, c1, c2 = Vh[0].tolist()
+        return abs(c1 * c1 - 4 * c0 * c2) <= LINE_MAP_TOL * max(abs(c0), abs(c1), abs(c2)) ** 2
+    if rank == 2:  # C k = 0 for k = conj(Vh[2]): one common root when k = (p^2, pq, q^2)
+        k0, k1, k2 = Vh[2].conj().tolist()
+        return abs(k1 * k1 - k0 * k2) <= LINE_MAP_TOL
+    return False  # rank 3: only k = 0 solves C k = 0
 
 
 # ------------------------------------------------- wedge helper tables
@@ -344,7 +323,7 @@ def _on_cone(X, v, cut: float) -> bool:
     Both sides are read at v scaled by a power of two, which is exact and keeps
     |v|^2 from under- or overflowing; a zero v lies on the cone."""
     v = v * 2.0 ** -max(math.frexp(abs(v).max())[1], -1000)  # finite for a subnormal v
-    return max(abs(c0) for c0, _, _ in X.quadrics(v, v)) <= cut * np.linalg.norm(v) ** 2
+    return abs(X.quadrics(v, v)[:, 0]).max() <= cut * np.linalg.norm(v) ** 2
 
 
 def _off_cone(X, v) -> bool:
@@ -520,7 +499,7 @@ SPECS = {
         deformed=lambda c, w: c["B"] + np.column_stack(
             [wedge_vv(c["v"], w["A"][:, 0]), wedge_vv(c["v"], w["A"][:, 1])]),
         # complete v to a basis: the wedge by v of the completion has rank 2
-        witnesses=lambda c, rng: [{"A": _kernel(c["v"][None, :], 1)}],
+        witnesses=lambda c, rng: [{"A": _solve_constraints(c["v"][None, :], 3)}],
         predicate=_rank_two,
         draw=lambda c, rng: {"A": crandom(rng, 3, 2)}),
     "6A": VariantSpec(  # non-ample A: C^2->L2C^4, non-ample B -> C [B + A^C]

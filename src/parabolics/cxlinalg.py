@@ -106,9 +106,6 @@ class BilinearSpace(Frozen):
     def omega(self, x, y) -> complex:
         return complex(np.asarray(x) @ self.gram @ np.asarray(y))
 
-    def quadratic(self, x) -> complex:
-        return self.omega(x, x)
-
 
 @lru_cache(maxsize=None)
 def symmetric_space(dim: int) -> BilinearSpace:

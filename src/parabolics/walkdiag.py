@@ -158,27 +158,31 @@ def load_cases() -> dict[str, CaseSpec]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        key, *values = line.split()
         try:
-            if cur is None and not line.startswith("case "):
-                raise ValueError(f"{line.split()[0]!r} line before any 'case' line")
-            if line.startswith("case "):
-                if (case_id := line.split()[1]) in cases:
+            if key == "case":
+                if len(values) != 1:
+                    raise ValueError(f"expected 'case ID', got {line!r}")
+                if (case_id := values[0]) in cases:
                     raise ValueError(f"case {case_id} is defined twice")
                 cur = {
                     "case_id": case_id, "nonreduced": {}, "twisting": {},
                     "rubbish": {}, "black_labels": {}, "arrows": [], "note": "",
                 }
+            elif cur is None:
+                raise ValueError(f"{key!r} line before any 'case' line")
             elif line == "end":
                 if missing := sorted({"group", "parabolic", "covers", "black"} - set(cur)):
                     raise ValueError(f"case {cur['case_id']} has no {missing[0]!r} line")
                 _check_colouring(f"case {cur['case_id']}", cur["group"], cur["black"])
                 cases[cur["case_id"]] = CaseSpec(**{**cur, "arrows": tuple(cur["arrows"])})
                 cur = None
-            elif line.split()[0] in _ONE_VALUE:
-                key, *values = line.split()
+            elif key in _ONE_VALUE:
                 word, parse = _ONE_VALUE[key]
                 if len(values) != 1:
                     raise ValueError(f"expected '{key} {word}', got {line!r}")
+                if key in cur:
+                    raise ValueError(f"case {cur['case_id']} has a second {key!r} line")
                 cur[key] = parse(values[0])
             elif line.startswith("note "):
                 cur["note"] = line[5:]

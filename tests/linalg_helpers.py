@@ -3,12 +3,15 @@ their Grams, random elements of the structure group of a bilinear space,
 the one-matrix Moore-Penrose inverse that stacked inverses must match, the
 flag form of an orthogonal/symplectic grading with its g_lambda and
 g_-lambda embeddings, spinors named by basis subsets, a spin module with
-one generator planted wrong, a spy on root-sum table reads and the seeded
+one generator planted wrong, a spy on root-sum table reads, the seeded
 draws of span_with_invariants as written with numpy's wrappers, which the
-rewritten draws must equal byte for byte."""
+rewritten draws must equal byte for byte, and Prop 1's degeneracy test as
+first written, from the roots of the largest quadric, which the one-SVD
+test must agree with away from its cuts."""
 
 import numpy as np
 
+from parabolics.ampleness import LINE_MAP_TOL
 from parabolics.cxlinalg import (DEFAULT_TOL, ISOTROPIC_TOL, NONDEGENERATE_TOL,
                                  SPAN_RANK_TOL, BilinearSpace, _span_invariants, crandom, svd,
                                  symmetric_space, symplectic_space)
@@ -172,7 +175,7 @@ def isotropic_vector_in_wrapped(space: BilinearSpace, basis: np.ndarray,
         a = basis @ crandom(rng, k)
         b = basis @ crandom(rng, k)
         aG = a @ space.gram
-        qa, qb, qab = complex(aG @ a), space.quadratic(b), complex(aG @ b)
+        qa, qb, qab = complex(aG @ a), space.omega(b, b), complex(aG @ b)
         if abs(qb) > DEFAULT_TOL:
             disc = np.sqrt(qab * qab - qa * qb)
             t = (-qab + disc) / qb
@@ -182,7 +185,7 @@ def isotropic_vector_in_wrapped(space: BilinearSpace, basis: np.ndarray,
         else:
             v = b
         norm = np.linalg.norm(v)
-        if norm > DEFAULT_TOL and abs(space.quadratic(u := v / norm)) < ISOTROPIC_TOL:
+        if norm > DEFAULT_TOL and abs(space.omega(u := v / norm, u)) < ISOTROPIC_TOL:
             return u
     return None
 
@@ -224,3 +227,48 @@ def span_with_invariants_stacked(space: BilinearSpace, rank: int, radical: int,
                     _span_invariants(U, s, space) == (rank, radical):
                 return M
     raise RuntimeError(f"could not realize (rank, radical) = ({rank}, {radical})")
+
+
+def projective_roots(c0: complex, c1: complex, c2: complex, norm: float = 0.0):
+    """Distinct projective roots (s : t) of c0 s^2 + c1 st + c2 t^2; None if no
+    coefficient exceeds LINE_MAP_TOL * norm, the norm of a form giving them
+    on unit vectors."""
+    scale = max(abs(c0), abs(c1), abs(c2))
+    if scale <= LINE_MAP_TOL * norm:
+        return None
+    roots = []
+    if abs(c0) <= LINE_MAP_TOL * scale:
+        roots.append((1.0, 0.0))
+        if abs(c1) > LINE_MAP_TOL * scale:
+            roots.append((-c2 / c1, 1.0))
+    else:
+        disc = c1 * c1 - 4 * c0 * c2
+        if abs(disc) <= LINE_MAP_TOL * scale * scale:
+            roots.append((-c1 / (2 * c0), 1.0))
+        else:
+            sq = np.sqrt(disc)
+            roots.append(((-c1 + sq) / (2 * c0), 1.0))
+            roots.append(((-c1 - sq) / (2 * c0), 1.0))
+    distinct = []
+    for r in roots:
+        if all(abs(r[0] * q[1] - r[1] * q[0]) > LINE_MAP_TOL * (1 + abs(r[0]) + abs(q[0]))
+               for q in distinct):
+            distinct.append(r)
+    return distinct
+
+
+def degenerate_line_by_roots(A, variety) -> bool:
+    """rank A = 2 and the projective line P(Im A) meets the variety in
+    exactly one point: one root (p : q) of its largest quadric, on that quadric's
+    scale, at which every other is at most LINE_MAP_TOL * norm * (|p|^2 + |q|^2)."""
+    U, s, _ = svd(np.asarray(A, dtype=complex), full_matrices=False)
+    if s[0] == 0 or s[1] <= LINE_MAP_TOL * s[0]:
+        return False
+    largest, *others = sorted(variety.quadrics(U[:, 0], U[:, 1]).tolist(),
+                              key=lambda c: -max(map(abs, c)))
+    roots = projective_roots(*largest, variety.norm)
+    if roots is None:  # the whole line lies on the variety
+        return False
+    cut = LINE_MAP_TOL * variety.norm
+    return sum(all(abs(c0 * p * p + c1 * p * q + c2 * q * q) <= cut * (abs(p) ** 2 + abs(q) ** 2)
+                   for c0, c1, c2 in others) for p, q in roots) == 1

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from linalg_helpers import flip_generator, form_preserving, spinor_vector
+from linalg_helpers import (degenerate_line_by_roots, flip_generator, form_preserving,
+                            spinor_vector)
 from parabolics import ampleness as am
-from parabolics.cxlinalg import (DEFAULT_TOL, _solve_constraints, crandom, det_space, orth,
-                                 pf_space, restriction_invariants, symmetric_space)
+from parabolics.cxlinalg import (DEFAULT_TOL, BilinearSpace, _solve_constraints, crandom,
+                                 det_space, orth, pf_space, restriction_invariants, svd,
+                                 symmetric_space)
 from parabolics.spinor import SpinModule, spin_module
 
 
@@ -505,7 +507,7 @@ def _isotropic_vector_in_loop(space, basis, rng):
     for _ in range(32):
         a = basis @ crandom(rng, k)
         b = basis @ crandom(rng, k)
-        qa, qb = space.quadratic(a), space.quadratic(b)
+        qa, qb = space.omega(a, a), space.omega(b, b)
         qab = space.omega(a, b)
         if abs(qb) > DEFAULT_TOL:
             disc = np.sqrt(qab * qab - qa * qb)
@@ -515,7 +517,8 @@ def _isotropic_vector_in_loop(space, basis, rng):
             v = a - qa / (2 * qab) * b
         else:
             v = b
-        if np.linalg.norm(v) > DEFAULT_TOL and abs(space.quadratic(v / np.linalg.norm(v))) < 1e-8:
+        if np.linalg.norm(v) > DEFAULT_TOL and \
+                abs(space.omega(w := v / np.linalg.norm(v), w)) < 1e-8:
             return v / np.linalg.norm(v)
     return None
 
@@ -642,78 +645,106 @@ def test_printed_witness_match_is_allclose(delta):
 # ------------------------------------------------------ Prop 1 geometry
 
 
-def _projective_roots_spy(monkeypatch):
-    calls = []
-    real = am._projective_roots
+def _rows_on(A, variety) -> np.ndarray:
+    """The quadric rows (c0, c1, c2) on the SVD basis of Im A, which the test reads."""
+    U = svd(np.asarray(A, dtype=complex), full_matrices=False)[0]
+    return variety.quadrics(U[:, 0], U[:, 1])
 
-    def spy(*args):
-        calls.append((args[:3], real(*args)))
-        return calls[-1][1]
-    monkeypatch.setattr(am, "_projective_roots", spy)
-    return calls
+
+def _on_e1_e2(c0, c1, c2, norm):
+    """A line map onto span(e1, e2) and a quadric whose form restricts to it as
+    c0 s^2 + c1 st + c2 t^2 (c1 up to sign), with e3, e4 a hyperbolic pair of
+    weight norm, so that the form's norm is norm unless the restriction's is larger."""
+    gram = np.zeros((4, 4), dtype=complex)
+    gram[:2, :2] = [[c0, c1 / 2], [c1 / 2, c2]]
+    gram[2, 3] = gram[3, 2] = norm
+    return np.eye(4, 2) * [2, 1], am.QuadricVariety(BilinearSpace("symmetric", 4, gram))
 
 
 def test_projective_roots_special_cases():
     assert am.LINE_MAP_TOL == 1e-8
-    assert am._projective_roots(0, 0, 0) is None
-    assert am._projective_roots(1e-9, 0, 0, 1.0) is None
-    assert am._projective_roots(1e-9, 0, 0, 0.01) == [(0.0, 1.0)]
-    assert am._projective_roots(0, 2, 3) == [(1.0, 0.0), (-1.5, 1.0)]
-    assert am._projective_roots(0, 0, 3) == [(1.0, 0.0)]
+    for coefficients, norm, degenerate in [
+        ((0, 0, 0), 1.0, False),  # the whole line lies on the quadric
+        ((1e-9, 0, 0), 1.0, False),  # zero beside the form's norm: the whole line again
+        ((1e-9, 0, 0), 0.01, True),  # not beside norm 0.01: the double root (0 : 1)
+        ((0, 2, 3), 1.0, False),  # the roots (1 : 0) and (-1.5 : 1)
+        ((0, 0, 3), 1.0, True),  # the double root (1 : 0)
+    ]:
+        A, X = _on_e1_e2(*coefficients, norm)
+        assert abs(_rows_on(A, X)).tolist() == [list(map(abs, coefficients))]
+        assert am.is_degenerate_line_map(A, X) == degenerate, coefficients
 
 
-def test_line_inside_the_pf_quadric_is_not_degenerate(monkeypatch):
+def test_line_inside_the_pf_quadric_is_not_degenerate():
     # span(e12, e13) is isotropic for Pf: the restriction is identically zero
-    calls = _projective_roots_spy(monkeypatch)
+    X = am.QuadricVariety(pf_space())
     A = 2 * np.eye(6, dtype=complex)[:, :2]
-    assert not am.is_degenerate_line_map(A, am.QuadricVariety(pf_space()))
-    assert calls == [((0j, 0j, 0j), None)]
+    assert not am.is_degenerate_line_map(A, X)
+    assert not _rows_on(A, X).any()
 
 
 @pytest.mark.parametrize("second, degenerate", [(5, False), ([2, 3], True)])
-def test_line_through_a_root_at_infinity(second, degenerate, monkeypatch):
+def test_line_through_a_root_at_infinity(second, degenerate):
     # the first column e12 lies on the Pf quadric, so c0 = 0: with e34 the
     # line is a secant (c1 != 0, two points), with e14 + e23 a tangent
-    calls = _projective_roots_spy(monkeypatch)
+    X = am.QuadricVariety(pf_space())
     A = np.zeros((6, 2), dtype=complex)
     A[0, 0] = 2
     A[second, 1] = 1
-    assert am.is_degenerate_line_map(A, am.QuadricVariety(pf_space())) == degenerate
-    ((c0, c1, _), roots), = calls
-    assert c0 == 0 and (c1 != 0) == (not degenerate)
-    assert roots[0] == (1.0, 0.0) and len(roots) == 1 + (not degenerate)
+    assert am.is_degenerate_line_map(A, X) == degenerate
+    (c0, c1, c2), = _rows_on(A, X)
+    assert c0 == 0 and (c1 != 0) == (not degenerate) and (c2 != 0) == degenerate
 
 
-def test_secant_with_a_root_at_infinity_beyond_the_form_norm(monkeypatch):
+def test_secant_with_a_root_at_infinity_beyond_the_form_norm():
     # a is isotropic up to eps e3 and b is isotropic: c0 = eps^2 = 1.5e-8 is
     # zero beside c1 = 2 but not beside the form's norm 1, and the line is a
     # secant through (1 : 0) and (0 : 1)
-    calls = _projective_roots_spy(monkeypatch)
+    X = am.QuadricVariety(symmetric_space(4))
     a = np.array([1, 1j, 0, 0]) / np.sqrt(2) + np.sqrt(1.5e-8) * np.eye(4)[2]
     b = np.array([1, -1j, 0, 0]) / np.sqrt(2)
-    assert not am.is_degenerate_line_map(np.column_stack([2 * a, b]),
-                                         am.QuadricVariety(symmetric_space(4)))
-    ((c0, c1, c2), roots), = calls
+    A = np.column_stack([2 * a, b])
+    assert not am.is_degenerate_line_map(A, X)
+    (c0, c1, c2), = _rows_on(A, X)
     assert 1e-8 < abs(c0) < 2e-8 and abs(abs(c1) - 2) < 1e-7 and abs(c2) < 1e-15
-    assert len(roots) == 2 and roots[0] == (1.0, 0.0)
 
-def test_segre_line_of_rank_one_matrices_is_not_degenerate(monkeypatch):
+
+def test_segre_line_of_rank_one_matrices_is_not_degenerate():
     # every matrix of the pencil s E11 + t E12 has a zero second row, so all
-    # its 2x2 minors vanish identically and the largest has no roots
-    calls = _projective_roots_spy(monkeypatch)
+    # its 2x2 minors vanish identically
+    X = am.SegreVariety(3)
     A = np.eye(6, dtype=complex)[:, :2]
-    assert not am.is_degenerate_line_map(A, am.SegreVariety(3))
-    assert calls == [((0j, 0j, 0j), None)]
+    assert not am.is_degenerate_line_map(A, X)
+    assert not _rows_on(A, X).any()
 
 
-def test_line_inside_the_quadric_with_rounded_coefficients(monkeypatch):
+def test_line_inside_the_quadric_with_rounded_coefficients():
     # span(e1 + i e2, e3 + i e4) is isotropic for the symmetric form, but the
     # SVD basis gives q(a) = -2.8e-16: zero relative to the form's norm
-    calls = _projective_roots_spy(monkeypatch)
+    X = am.QuadricVariety(symmetric_space(4))
     A = np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
-    assert not am.is_degenerate_line_map(A, am.QuadricVariety(symmetric_space(4)))
-    ((c0, c1, c2), roots), = calls
-    assert 0 < max(abs(c0), abs(c1), abs(c2)) < 1e-15 and roots is None
+    assert not am.is_degenerate_line_map(A, X)
+    assert 0 < abs(_rows_on(A, X)).max() < 1e-15
+
+
+@pytest.mark.parametrize("name", ["quadric", "pf", "segre"])
+def test_one_svd_agrees_with_the_roots_of_the_largest_quadric(name):
+    # the test as first written, on tangent lines of unit norm, generic lines,
+    # both scaled by 10^150 and 10^-150, and tangent lines perturbed by 10^-2
+    # to 10^-15: the two cuts may differ only near LINE_MAP_TOL
+    X = am._prop1_spaces(name)
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        A = am._degenerate_line(X, rng)
+        A /= np.linalg.norm(A, 2)
+        generic = crandom(rng, X.dim, 2)
+        for M in (A, generic, 1e150 * A, 1e-150 * A, 1e150 * generic, 1e-150 * generic):
+            assert am.is_degenerate_line_map(M, X) == degenerate_line_by_roots(M, X)
+        assert am.is_degenerate_line_map(A, X) and not am.is_degenerate_line_map(generic, X)
+        for eps in 10.0 ** -np.arange(2, 16):
+            M = A + eps * crandom(rng, X.dim, 2)
+            if not 1e-10 <= eps <= 1e-6:
+                assert am.is_degenerate_line_map(M, X) == degenerate_line_by_roots(M, X), eps
 
 
 def test_segre_rank_one_cut_reads_line_map_tol(monkeypatch):

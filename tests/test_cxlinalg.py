@@ -448,7 +448,7 @@ def test_polarization_gram_matches_quadratic(space):
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = cx.crandom(rng, space.dim)
-        assert abs(space.quadratic(x) - value(x)) < 1e-10
+        assert abs(space.omega(x, x) - value(x)) < 1e-10
     assert abs(np.linalg.det(space.gram)) > 1e-6
 
 
@@ -693,7 +693,7 @@ def test_isotropic_vector_in_linear_branch():
     space = cx.BilinearSpace("tiny", 2, 1e-10 * np.array([[0, 1], [1, 0]], dtype=complex))
     basis = np.eye(2, dtype=complex)
     a, b = _first_draws(basis, 4)
-    qa, qb, qab = space.quadratic(a), space.quadratic(b), space.omega(a, b)
+    qa, qb, qab = space.omega(a, a), space.omega(b, b), space.omega(a, b)
     assert abs(qb) <= cx.DEFAULT_TOL < abs(qab)
     w = a - qa / (2 * qab) * b
     v = cx.isotropic_vector_in(space, basis, np.random.default_rng(4))

@@ -265,13 +265,18 @@ def test_data_dir_override_and_corrupt_file(tmp_path, monkeypatch):
     ("case X\n  parabolic 1 2\nend\n", ":2: expected 'parabolic NUMBER', got 'parabolic 1 2'"),
     ("case X\n  group E7\n  black 1,3,6 7\nend\n",
      ":3: expected 'black VERTICES', got 'black 1,3,6 7'"),
+    ("case X\n  group E9\n  group E7\n  parabolic 1\n  covers 1\n  black 1\nend\n",
+     ":3: case X has a second 'group' line"),
+    ("case X\n  black 1\n  black 2\nend\n", ":3: case X has a second 'black' line"),
+    ("case\n  group E7\nend\n", ":1: expected 'case ID', got 'case'"),
+    ("case 2A extra\n  group E7\nend\n", ":1: expected 'case ID', got 'case 2A extra'"),
 ], ids=["no-group", "no-black", "before-case", "end-before-case", "no-labels",
         "two-labels", "bad-int", "unrecognised", "unterminated", "empty",
         "case-twice", "name-twice", "name-twice-across-roles", "invalid-group",
         "unknown-type", "vertex-out-of-range", "all-black", "arrow-short",
         "labels-word-missing", "labels-word-wrong", "no-equals-sign",
         "group-two-values", "covers-two-values", "parabolic-two-values",
-        "black-two-values"])
+        "black-two-values", "group-twice", "black-twice", "case-no-id", "case-two-values"])
 def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
     (tmp_path / "cases.txt").write_text(text)
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))

@@ -21,9 +21,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from parabolics import cli, walkdiag  # noqa: E402
+from parabolics.ampleness import VARIANTS  # noqa: E402
 from parabolics.rootsys import ROOT_COUNT_TYPES  # noqa: E402
-
-VARIANTS = "1A 1B 1C 4A 4B 5A 5B 5C 6A 6B 6C 6D 6E 7A 7B 7C".split()
 
 
 def deform_runs(seed: int) -> list[list[str]]:
