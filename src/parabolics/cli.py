@@ -243,8 +243,9 @@ def cmd_verify_all(args) -> int:
     for kind, rank in ROOT_COUNT_TYPES:
         rs = build_root_system(kind, rank)
         want = POSITIVE_ROOT_COUNTS[kind](rank)
-        report.add(f"root count {kind}{rank}", len(rs.positive_array) == want,
-                   f"{len(rs.positive_array)} vs {want}")
+        top = np.flatnonzero(~rs.raised_by.any(axis=1))  # unraised: the highest root alone
+        report.add(f"root count {kind}{rank}", len(rs.positive_array) == want
+                   and top.tolist() == [want - 1], f"{len(rs.positive_array)} vs {want}")
 
     for cid, r in walkdiag.verify_all_cases().items():
         report.add(f"case {cid}", r.passed, "; ".join(r.failures()))

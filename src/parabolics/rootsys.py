@@ -18,14 +18,15 @@ colours, reduced/non-reduced statuses, arrow lists) is reproduced by
 computation.  tests/test_walkdiag.py exercises that match in full.
 
 A root system is held as arrays: the positive roots as one read-only
-(N, rank) uint8 array in lexicographic order, built one height level at a
-time with whole-array steps, and the simple-root raises of each.  Every
-coefficient is at most 6, so a row read as a byte string sorts
-lexicographically: gradings, root sums and colouring scans search these
-rows in place.  The highest root dominates every root coefficient by
-coefficient, so it is the last row.  The root tuples, the negative roots,
-the root set and the root-sum table are held on the system and built on
-first read; gradings and colouring scans never need them.
+(N, rank) uint8 array in lexicographic order, and the simple-root raises of
+each.  A_n-D_n are built from closed forms, in a fixed number of whole-array
+steps, and their raises from root lengths; E_6-E_8, F_4 and G_2 one height
+level at a time.  Every coefficient is at most 6, so a row read as a byte
+string sorts lexicographically: gradings, root sums and colouring scans
+search these rows in place.  The highest root dominates every root
+coefficient by coefficient, so it is the last row.  The root tuples, the
+negative roots, the root set and the root-sum table are held on the system
+and built on first read; gradings and colouring scans never need them.
 
 RootSystem(kind, rank) is the uncached build; build_root_system is the one
 per-type cache over it.
@@ -91,6 +92,8 @@ def dynkin_edges(kind: str, rank: int) -> list[tuple[int, int]]:
 
 def cartan_matrix(kind: str, rank: int) -> np.ndarray:
     """Cartan matrix C with C[i][j] = <alpha_j, alpha_i^vee> (0-based)."""
+    if type(rank) is not int:  # no bool, float or numpy integer
+        raise InvalidTypeError(f"rank {rank!r} of kind {kind!r} is not an int")
     if kind not in _VALID_RANKS or rank not in _VALID_RANKS[kind]:
         raise InvalidTypeError(f"invalid simple type {kind}{rank}")
     C = 2 * np.eye(rank, dtype=np.int64)
@@ -109,6 +112,81 @@ def cartan_matrix(kind: str, rank: int) -> np.ndarray:
     return C
 
 
+def _root_levels(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """positive_array and raised_by of the Cartan matrix C, one height level
+    at a time.  b + alpha_i is a root iff p_i > <b, alpha_i^vee>, where p_i is
+    the largest k with b - k*alpha_i a root (Humphreys, Lie Algebras, 9.4 and
+    10.2).  A level is a lexicographically sorted uint8 array with the string
+    lengths strings[k, j] = p_j of its roots; its accepted steps (k, i) are its
+    rows of raised_by, and their targets, sorted and without repeats, are the
+    next level.  p_i of a target is p_i(target - alpha_i) + 1 when the step
+    (target - alpha_i, i) is taken, and 0 otherwise."""
+    rank = len(C)
+    simple = np.eye(rank, dtype=np.uint8)
+    level = simple[::-1]  # the simple roots, lexicographically
+    strings = np.zeros((rank, rank), dtype=np.int64)
+    levels, raises, row = [], [], f"S{rank}"
+    while True:
+        step = strings > level @ C.T
+        levels.append(level)
+        raises.append(step)
+        k, i = step.nonzero()
+        if not len(k):  # the highest root
+            break
+        up = (level[k] + simple[i]).view(row).ravel()
+        order = up.argsort(kind="stable")
+        up, k, i = up[order], k[order], i[order]
+        first = np.ones(len(up), dtype=bool)
+        first[1:] = up[1:] != up[:-1]
+        target = first.cumsum()  # 1 + the index of each step's target
+        # Each (target, i) is written once: by the step (target - alpha_i, i).
+        lengths = np.zeros((target[-1], rank), dtype=np.int64)
+        lengths[target - 1, i] = strings[k, i] + 1
+        level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
+    positive = np.concatenate(levels)
+    lex = positive.view(row).ravel().argsort(kind="stable")  # coefficients are at most 6
+    return positive[lex], np.concatenate(raises)[lex]
+
+
+def _half_lengths(kind: str, C: np.ndarray) -> np.ndarray:
+    """|alpha_i|^2 / 2 from d_1 = 1 and (alpha_a, alpha_b) = d_a C[a, b] along each edge."""
+    c, half = C.tolist(), [1.0] * len(C)
+    for a, b in dynkin_edges(kind, len(C)):
+        half[b - 1] = half[a - 1] * c[a - 1][b - 1] / c[b - 1][a - 1]
+    return np.array(half)
+
+
+def _classical(kind: str, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """positive_array and raised_by of A_n-D_n in closed form (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, Planches I-IV): the intervals alpha_i +
+    ... + alpha_j, on the chain 1..n-1 for D_n, then for B, C and D the roots
+    e_i + e_j.  With P = pos @ C.T, b + alpha_i is a root iff |b|^2 + 2 d_i P_i
+    + 2 d_i is a root's squared length and, when it is the long one of B_n or
+    C_n, every coefficient at a short simple root is even (the length ratio)."""
+    rank, col = len(C), np.arange(len(C))
+    i, j = np.triu_indices(rank - (kind == "D"))
+    rows = [(i[:, None] <= col) & (col <= j[:, None])]
+    if kind != "A":  # e_i + e_j: i < j for B and D; i <= j < n, with 2e_i, for C
+        i, j = np.triu_indices(rank - (kind == "C"), int(kind != "C"))
+        sums = (col >= i[:, None]).astype(np.uint8) + (col >= j[:, None])
+        if kind == "C":  # alpha_n = 2e_n
+            sums[:, -1] = 1
+        elif kind == "D":  # alpha_(n-1) = e_(n-1) - e_n, alpha_n = e_(n-1) + e_n
+            sums[:, -2:] = np.stack([j < rank - 1, np.ones_like(j)], axis=1)
+        rows.append(sums)
+    pos = np.concatenate(rows, dtype=np.uint8)
+    pos = pos[pos.view(f"S{rank}").ravel().argsort(kind="stable")]
+    d = _half_lengths(kind, C)
+    up = pos @ (C.T * (2 * d))  # 2 d_i P_i, small integers: float64 products are exact
+    up += np.einsum("ki,ki->k", pos, up)[:, None] / 2 + 2 * d  # plus |b|^2 + 2 d_i
+    raised = up == 2 * d.min()
+    if d.max() > d.min():  # a long b + alpha_i has no odd short coefficient
+        odd = (pos % 2 == 1) & (d == d.min())
+        count = odd.sum(axis=1)[:, None]
+        raised |= (up == 2 * d.max()) & np.where(d == d.min(), odd & (count == 1), count == 0)
+    return pos, raised
+
+
 class RootSystem(Frozen):
     """Immutable root system; safe to share across workers.  RootSystem(kind,
     rank) builds one; build_root_system keeps one per type, so systems compare
@@ -122,47 +200,10 @@ class RootSystem(Frozen):
     _repr = ("kind", "rank", "cartan")
 
     def __init__(self, kind: str, rank: int):
-        """The full root system of a valid simple (kind, rank).
-
-        Positive roots are generated from the simple ones by root strings: for
-        a positive root b, b + alpha_i is a root iff p_i - <b, alpha_i^vee> > 0
-        where p_i is the largest k with b - k*alpha_i a root (Humphreys, Lie
-        Algebras, 9.4 and 10.2).  One height level is one lexicographically
-        sorted uint8 array, with the string lengths strings[k, j] = p_j of its
-        roots; the pairings are level @ C.T.  The accepted steps (k, i) of a
-        level are its rows of raised_by, and their targets level[k] + alpha_i,
-        sorted and without repeats, are the next level.  p_i of a target is
-        p_i(target - alpha_i) + 1 when target - alpha_i is a positive root,
-        i.e. exactly when the step (target - alpha_i, i) is taken, and 0
-        otherwise.  The levels in turn, sorted once more by the same stable sort,
-        are the positive roots in lexicographic order.
-        """
+        """The root system of a valid simple (kind, rank): A-D in closed form."""
         C = cartan_matrix(kind, rank)
-        simple = np.eye(rank, dtype=np.uint8)
-        level = simple[::-1]  # the simple roots, lexicographically
-        strings = np.zeros((rank, rank), dtype=np.int64)
-        levels, raises, row = [], [], f"S{rank}"
-        while True:
-            step = strings > level @ C.T
-            levels.append(level)
-            raises.append(step)
-            k, i = step.nonzero()
-            if not len(k):  # the highest root
-                break
-            # Coefficients are at most 6: uint8 rows sort lexicographically as bytes.
-            up = (level[k] + simple[i]).view(row).ravel()
-            order = up.argsort(kind="stable")
-            up, k, i = up[order], k[order], i[order]
-            first = np.ones(len(up), dtype=bool)
-            first[1:] = up[1:] != up[:-1]
-            target = first.cumsum()  # 1 + the index of each step's target
-            # Each (target, i) is written once: by the step (target - alpha_i, i).
-            lengths = np.zeros((target[-1], rank), dtype=np.int64)
-            lengths[target - 1, i] = strings[k, i] + 1
-            level, strings = up[first].view(np.uint8).reshape(-1, rank), lengths
-        positive = np.concatenate(levels)
-        lex = positive.view(row).ravel().argsort(kind="stable")
-        positive, raised_by = read_only(positive[lex], np.concatenate(raises)[lex])
+        positive, raised_by = read_only(*(_classical(kind, C) if kind in ("A", "B", "C", "D")
+                                          else _root_levels(C)))
         vars(self).update(kind=kind, rank=rank, cartan=C, positive_array=positive,
                           raised_by=raised_by)
 
@@ -227,8 +268,9 @@ def root_sum_pairs(rs: RootSystem, rows: np.ndarray,
     return tuple(np.concatenate(found, axis=1))
 
 
-#: The one per-type cache: the root system of each (kind, rank), built once.
-build_root_system = lru_cache(maxsize=None)(RootSystem)
+#: The one per-type cache: the root system of each (kind, rank), built once.  Typed,
+#: so that a rank True or 3.0 reaches cartan_matrix's refusal, not a cached A1 or A3.
+build_root_system = lru_cache(maxsize=None, typed=True)(RootSystem)
 
 
 def as_integers(values, refusal: str) -> tuple[int, ...]:

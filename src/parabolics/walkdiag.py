@@ -163,6 +163,8 @@ def load_cases() -> dict[str, CaseSpec]:
             if key == "case":
                 if len(values) != 1:
                     raise ValueError(f"expected 'case ID', got {line!r}")
+                if cur is not None:
+                    raise ValueError(f"case {cur['case_id']} has no 'end' before case {values[0]}")
                 if (case_id := values[0]) in cases:
                     raise ValueError(f"case {case_id} is defined twice")
                 cur = {

@@ -9,7 +9,7 @@ _SPEC.loader.exec_module(output_digests)
 
 def test_argv_list_is_fixed_and_has_no_repeats():
     runs = output_digests.argvs()
-    assert len(runs) == 1366 and len({tuple(argv) for argv in runs}) == 1366
+    assert len(runs) == 1369 and len({tuple(argv) for argv in runs}) == 1369
     assert runs[0] == ["verify-all", "--json", "--seed", "0"]
     assert runs[211] == ["spinor", "--m", "6", "--json"]
     assert runs[212] == ["grade", "E6/"]
@@ -31,9 +31,12 @@ def test_argv_list_is_fixed_and_has_no_repeats():
     # times first at workload seed 1
     deform_runs = output_digests.deform_runs
     assert runs[27:207] == [argv for seed in range(10) for argv in deform_runs(seed)]
-    assert runs[-90:] == [argv for seed in range(100100, 100105) for argv in deform_runs(seed)]
-    assert runs[-90] == ["deform", "--variant", "1A", "--seed", "100100", "--json"]
-    assert runs[-1] == ["deform", "--variant", "7A", "--k", "3", "--seed", "100104", "--json"]
+    assert runs[-93:-3] == [argv for seed in range(100100, 100105) for argv in deform_runs(seed)]
+    assert runs[-93] == ["deform", "--variant", "1A", "--seed", "100100", "--json"]
+    assert runs[-4] == ["deform", "--variant", "7A", "--k", "3", "--seed", "100104", "--json"]
+    # then B, C and D at rank 99
+    assert runs[-3:] == [["grade", "B99/1,50", "--json"], ["grade", "C99/2,98", "--json"],
+                         ["grade", "D99/1,97,98", "--json"]]
 
 
 def test_digest_lines_are_repeatable_and_name_the_run():

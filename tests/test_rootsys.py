@@ -211,9 +211,19 @@ def test_positive_roots_sorted_by_height_then_lex():
 
 
 def test_invalid_types_rejected():
-    for bad in [("E", 5), ("E", 9), ("F", 3), ("G", 3), ("A", 0), ("H", 3)]:
+    for bad in [("E", 5), ("E", 9), ("F", 3), ("G", 3), ("A", 0), ("H", 3), ("", 3),
+                ("AB", 3), ("BC", 4)]:
         with pytest.raises(InvalidTypeError):
             build_root_system(*bad)
+    # a rank that is not an int is refused by name, before any build: equal to
+    # a valid rank, True and 3.0 would otherwise read a cached A1 and A3
+    build_root_system("A", 1)
+    build_root_system("A", 3)
+    for rank in (True, False, 3.0, 2.5, np.int64(3), "3", None):
+        for build in (RootSystem, build_root_system, cartan_matrix):
+            with pytest.raises(InvalidTypeError) as exc:
+                build("A", rank)
+            assert str(exc.value) == f"rank {rank!r} of kind 'A' is not an int"
     with pytest.raises(InvalidTypeError):
         parse_type("E9")
     with pytest.raises(InvalidTypeError):
@@ -300,6 +310,9 @@ def _half_lengths(rs):
 def test_half_lengths_symmetrise_the_cartan_matrix(kind, rank):
     rs = build_root_system(kind, rank)
     half = _half_lengths(rs)
+    # the half lengths the closed forms read, scaled by d_1 = 1 instead of 2
+    d = rootsys._half_lengths(kind, rs.cartan)
+    assert d.dtype == np.float64 and (2 * d).tolist() == half
     form = np.diag(half) @ rs.cartan
     assert np.array_equal(form, form.T)
     pos = rs.positive_array
@@ -463,6 +476,22 @@ def test_last_positive_row_is_the_highest_root(kind, rank):
     pos = rs.positive_array
     assert (pos <= pos[-1]).all()
     assert np.flatnonzero(~rs.raised_by.any(axis=1)).tolist() == [len(pos) - 1]
+
+
+CLOSED_FORM_TYPES = [(kind, rank) for kind in "ABCD" for rank in rootsys._VALID_RANKS[kind]
+                     if rank <= 30 or rank in (40, 60, 99)]
+
+
+@pytest.mark.parametrize("kind,rank", CLOSED_FORM_TYPES)
+def test_closed_forms_equal_the_height_level_build(kind, rank):
+    # A-D are built in closed form; the height-level generation that E-G keep
+    # reads only the Cartan matrix, and gives the same arrays byte for byte
+    rs = RootSystem(kind, rank)
+    levels = rootsys._root_levels(cartan_matrix(kind, rank))
+    for mine, want in zip((rs.positive_array, rs.raised_by), levels):
+        assert mine.dtype == want.dtype and mine.shape == want.shape
+        assert mine.tobytes() == want.tobytes()
+    assert len(rs.positive_array) == POSITIVE_ROOT_COUNTS[kind](rank)
 
 
 def test_build_root_system_d60_budget():

@@ -285,6 +285,19 @@ def test_load_cases_errors_name_the_fault(tmp_path, monkeypatch, text, message):
     assert "NoneType" not in str(exc.value) and "unpack" not in str(exc.value)
 
 
+def test_case_line_inside_an_open_stanza_names_the_unterminated_case(tmp_path, monkeypatch):
+    # the bundled data with its first 'end' deleted: case 1A runs into case 2A
+    lines = data_path("cases.txt").read_text().splitlines(keepends=True)
+    del lines[next(k for k, line in enumerate(lines) if line.strip() == "end")]
+    lineno = lines.index("case 2A\n") + 1
+    (tmp_path / "cases.txt").write_text("".join(lines))
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    with pytest.raises(CaseDataError) as exc:
+        load_cases()
+    path = tmp_path / "cases.txt"
+    assert str(exc.value) == f"{path}:{lineno}: case 1A has no 'end' before case 2A"
+
+
 def test_negative_named_weight_is_not_a_positive_weight(cases):
     case = cases["2A"]._replace(rubbish={"a": (-2, -1)})
     report = verify_case(case)
